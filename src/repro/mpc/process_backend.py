@@ -2,8 +2,9 @@
 
 :class:`ProcessBackend` is the first executor that makes the reproduction
 faster on real hardware rather than only cheaper in accounted rounds.  It
-subclasses :class:`~repro.mpc.backends.ShardedBackend` and overrides *only*
-the compute kernels, so capacity enforcement
+subclasses :class:`~repro.mpc.backends.ShardedBackend` (through
+:class:`~repro.mpc.kernels.PooledBackend`) and overrides *only* the
+compute kernels, so capacity enforcement
 (:class:`~repro.mpc.machine.MachineMemoryError` semantics), exchange
 attribution, and every counter reported in ``engine.summary()["backend"]``
 are shared code — counter-identical to the sharded backend by
@@ -18,16 +19,13 @@ zero-copy numpy views; only tiny *plans* (lists of step descriptors:
 shared-memory names, shapes, dtypes, splitters, block bounds) cross the
 command pipes.
 
-Work is partitioned along the same canonical shard layout the
-:class:`~repro.mpc.backends.ShardedBackend` accounts for: with
-``shard_count`` shards of ``s`` words, each worker owns
-``ceil(shard_count / workers)`` consecutive shards and executes its part
-of every operation locally.  Synchronisation is one explicit exchange
-barrier per operation — the parent dispatches one plan per worker and
-waits for all replies — and the only data that conceptually moves at the
-barrier is what the sharded accounting already prices: the splitters that
-delimit each worker's key range and the records migrating to the shards
-that own them in the output layout.
+Work is partitioned along the canonical shard layout the
+:class:`~repro.mpc.backends.ShardedBackend` accounts for, by the
+planners and block kernels of :mod:`repro.mpc.kernels`, which this
+backend shares with :class:`~repro.mpc.rpc.RpcBackend`: it supplies
+only the transport.  Synchronisation is one explicit exchange barrier
+per operation — the parent dispatches one plan per worker and waits for
+all replies.
 
 Arena-backed buffers (PR 4)
 ---------------------------
@@ -49,48 +47,25 @@ the PR 3 behaviour, kept as the honest baseline the
 Fused dispatch
 --------------
 Worker messages carry *plans* — lists of kernel steps executed
-back-to-back without returning to the parent.  Consecutive kernel steps
-that target the same shard ranges and have no cross-worker data
-dependency ride in one message: a ``min_label_exchange`` dispatches its
-incoming-gather and its min-fold as two fused steps per worker (each
-worker reads only the immutable input ``labels``, so no barrier is
-needed between the steps).  Fusion changes only dispatch cost — round
-counters, exchange counters, and results stay bit-identical, because all
+back-to-back without returning to the parent.  A
+``min_label_exchange`` dispatches its incoming-gather and its min-fold
+as two fused steps per worker (each worker reads only the immutable
+input ``labels``, so no barrier is needed between the steps).  Each
+step's outputs are written straight into the operation's shared-memory
+output blocks (:func:`repro.mpc.kernels.place`), so replies carry only
+spans and scalars.  Fusion changes only dispatch cost — round counters,
+exchange counters, and results stay bit-identical, because all
 accounting lives in the :class:`~repro.mpc.backends.ShardedBackend`
 public operations, which this class never overrides.
-
-Per-operation partitioning:
-
-* ``search`` — query positions are split into shard-aligned blocks; each
-  worker gathers ``table[queries[lo:hi]]`` for its block.
-* ``sort`` / ``reduce_by_key`` — sample sort: the parent draws a
-  deterministic sample of the keys and broadcasts ``W - 1`` splitters;
-  worker ``w`` selects the keys in its splitter range, stable-sorts them
-  locally (original positions ascending break ties, so the concatenation
-  of the buckets *is* the global stable argsort, bit for bit), and writes
-  the result directly into its slice of the output block.  Reduce-by-key
-  additionally folds each group locally — key ranges are disjoint across
-  workers, so no combine step is needed.
-* ``min_label_exchange`` — a fused two-step plan per worker: the *gather*
-  step fills ``incoming = labels[send]`` for the worker's shard-aligned
-  position block; the *fold* step owns a shard-aligned range of the label
-  space and applies ``minimum.at`` for exactly the incidences whose
-  receiving endpoint lives there (min is commutative, associative, and
-  idempotent, so any partition gives the serial result exactly).  The
-  fold selects its range by scanning the full incidence arrays —
-  deliberately redundant: the vectorised compares are cheap, while the
-  scalar ``minimum.at`` scatter they feed is the expensive part the
-  partition divides.
 
 Determinism
 -----------
 Every kernel is bit-identical to the serial
 :class:`~repro.mpc.backends.ShardedBackend` kernels — the pipeline's
 labels, round counts, and RNG streams do not depend on the worker count
-or the arena toggle.  Inputs the range partition cannot handle exactly
-(non-finite floats, object dtypes, 0-d edge cases) fall back to the
-serial kernels, as do operations below ``min_parallel_items`` words,
-where process dispatch overhead would dominate.
+or the arena toggle.  Operations below ``min_parallel_items`` words
+take the serial kernels, where process dispatch overhead would
+dominate.
 
 Lifecycle
 ---------
@@ -108,7 +83,6 @@ escapes mid-run.
 from __future__ import annotations
 
 import contextlib
-import math
 import multiprocessing
 import os
 import weakref
@@ -117,7 +91,8 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.mpc.arena import ShmArena
-from repro.mpc.backends import BACKENDS, ShardedBackend, _grouped_reduce
+from repro.mpc.backends import ARENA_STATS_ZERO, BACKENDS
+from repro.mpc.kernels import PooledBackend, place, plain, run_step
 from repro.mpc.plan import RoundPlan, parent_local_steps
 from repro.utils.validation import check_nonnegative_int, check_positive_int
 
@@ -259,178 +234,44 @@ def _attach(desc, opened: dict) -> np.ndarray:
     return np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm.buf)
 
 
-# ---------------------------------------------------------------------------
-# Worker-side kernels (plan steps)
-# ---------------------------------------------------------------------------
-
-
-def _bucket_select(keys: np.ndarray, lo, hi) -> "tuple[np.ndarray, int]":
-    """Original positions (ascending) of the keys in ``[lo, hi)`` plus the
-    bucket's global output offset (= count of keys below ``lo``).
-
-    ``None`` bounds are open: ``(None, None)`` selects everything.
-    """
-    if lo is None and hi is None:
-        return np.arange(keys.shape[0], dtype=np.int64), 0
-    mask = np.ones(keys.shape[0], dtype=bool)
-    if lo is not None:
-        mask &= keys >= lo
-    if hi is not None:
-        mask &= keys < hi
-    offset = 0 if lo is None else int(np.count_nonzero(keys < lo))
-    return np.flatnonzero(mask), offset
-
-
-def _op_search(payload: dict, opened: list):
-    table = _attach(payload["table"], opened)
-    queries = _attach(payload["queries"], opened)
-    out = _attach(payload["out"], opened)
-    lo, hi = payload["block"]
-    out[lo:hi] = table[queries[lo:hi]]
-    return None
-
-
-def _op_sort(payload: dict, opened: list):
-    keys = _attach(payload["keys"], opened)
-    values = _attach(payload["values"], opened)
-    out_values = _attach(payload["out_values"], opened)
-    out_order = _attach(payload["out_order"], opened)
-    lo, hi = payload["bounds"]
-    idx, offset = _bucket_select(keys, lo, hi)
-    if idx.size:
-        seg = idx[np.argsort(keys[idx], kind="stable")]
-        out_order[offset : offset + seg.size] = seg
-        out_values[offset : offset + seg.size] = values[seg]
-    return None
-
-
-def _op_reduce(payload: dict, opened: list):
-    keys = _attach(payload["keys"], opened)
-    values = _attach(payload["values"], opened)
-    out_order = _attach(payload["out_order"], opened)
-    out_unique = _attach(payload["out_unique"], opened)
-    out_reduced = _attach(payload["out_reduced"], opened)
-    lo, hi = payload["bounds"]
-    idx, offset = _bucket_select(keys, lo, hi)
-    if idx.size == 0:
-        return (offset, 0)
-    unique, reduced, local = _grouped_reduce(
-        keys[idx], values[idx], payload["op"]
-    )
-    seg = idx[local]
-    out_order[offset : offset + seg.size] = seg
-    out_unique[offset : offset + unique.shape[0]] = unique
-    out_reduced[offset : offset + reduced.shape[0]] = reduced
-    return (offset, int(unique.shape[0]))
-
-
-def _op_gather_incoming(payload: dict, opened: list):
-    labels = _attach(payload["labels"], opened)
-    send = _attach(payload["send"], opened)
-    out_incoming = _attach(payload["out_incoming"], opened)
-    lo, hi = payload["block"]
-    out_incoming[lo:hi] = labels[send[lo:hi]]
-    return None
-
-
-def _op_min_fold(payload: dict, opened: list):
-    labels = _attach(payload["labels"], opened)
-    send = _attach(payload["send"], opened)
-    recv = _attach(payload["recv"], opened)
-    out_labels = _attach(payload["out_labels"], opened)
-    lo, hi = payload["block"]
-    out_labels[lo:hi] = labels[lo:hi]
-    mask = (recv >= lo) & (recv < hi)
-    np.minimum.at(out_labels, recv[mask], labels[send[mask]])
-    return None
-
-
-def _op_csr_min_fold(payload: dict, opened: list):
-    labels = _attach(payload["labels"], opened)
-    indptr = _attach(payload["indptr"], opened)
-    indices = _attach(payload["indices"], opened)
-    out_labels = _attach(payload["out_labels"], opened)
-    lo, hi = payload["block"]
-    out_labels[lo:hi] = labels[lo:hi]
-    # A worker's label block [lo, hi) owns the contiguous CSR slot range
-    # indptr[lo]:indptr[hi] — no cross-worker scan is needed, unlike the
-    # sort-based fold, which is the point of the gather layout.
-    block_ptr = indptr[lo : hi + 1]
-    base = block_ptr[0]
-    nz = np.diff(block_ptr) > 0
-    if not nz.any():
-        return None
-    incoming = labels[indices[base : block_ptr[-1]]]
-    starts = (block_ptr[:-1] - base)[nz]
-    mins = np.minimum.reduceat(incoming, starts)
-    sub = out_labels[lo:hi]
-    sub[nz] = np.minimum(sub[nz], mins)
-    return None
-
-
-def _op_sketch_update(payload: dict, opened: list):
-    # Imported lazily: the sketch layer sits above the backend stack, so
-    # the module-level import graph stays acyclic; workers pay the import
-    # once (fork shares the parent's already-loaded module anyway).
-    from repro.sketch.sharded import sketch_update_partial
-
-    data = _attach(payload["data"], opened)
-    edges = _attach(payload["edges"], opened)
-    weights = _attach(payload["weights"], opened)
-    level_coeffs = _attach(payload["level_coeffs"], opened)
-    row_coeffs = _attach(payload["row_coeffs"], opened)
-    bases = _attach(payload["bases"], opened)
-    return sketch_update_partial(
-        data,
-        edges,
-        weights,
-        vlo=payload["vlo"],
-        vhi=payload["vhi"],
-        n=payload["n"],
-        levels=payload["levels"],
-        cols=payload["cols"],
-        level_coeffs=level_coeffs,
-        row_coeffs=row_coeffs,
-        bases=bases,
-    )
-
-
-_WORKER_OPS = {
-    "search": _op_search,
-    "sort": _op_sort,
-    "reduce": _op_reduce,
-    "gather_incoming": _op_gather_incoming,
-    "min_fold": _op_min_fold,
-    "csr_min_fold": _op_csr_min_fold,
-    "sketch_update": _op_sketch_update,
-}
+def _run_plan(steps: list, inputs: dict, dests: dict, opened: dict) -> dict:
+    """Worker-side: run a fused plan over attached inputs, placing each
+    step's outputs into the attached destination blocks; returns the
+    merged :func:`~repro.mpc.kernels.place` replies."""
+    env = {name: _attach(desc, opened) for name, desc in inputs.items()}
+    views = {name: _attach(desc, opened) for name, desc in dests.items()}
+    reply: dict = {}
+    for step in steps:
+        run_step(step, env)
+        reply.update(place(views, step, env))
+    return reply
 
 
 def _worker_main(conn) -> None:
     """Worker process loop: execute step plans until EOF / ``None``.
 
-    Each message is a list of ``(op, payload)`` steps — a fused plan —
-    executed back-to-back; one reply carries every step's result.
+    Each message is ``(steps, inputs, dests)`` — a fused plan of kernel
+    steps plus the descriptors of the arrays they read and of the
+    blocks their outputs land in — executed back-to-back; one reply
+    carries every step's spans and scalars.
     """
     while True:
         try:
-            plan = conn.recv()
+            message = conn.recv()
         except (EOFError, OSError):
             return
-        if plan is None:
+        if message is None:
             return
         opened: dict = {}
-        results = []
         try:
-            for op, payload in plan:
-                results.append(_WORKER_OPS[op](payload, opened))
+            reply = _run_plan(*message, opened)
         except BaseException as exc:  # noqa: BLE001 - ship every failure back
             try:
                 conn.send(("err", f"{type(exc).__name__}: {exc}"))
             except (BrokenPipeError, OSError):
                 return
         else:
-            conn.send(("ok", results))
+            conn.send(("ok", reply))
         finally:
             for shm in opened.values():
                 shm.close()
@@ -457,6 +298,15 @@ def _shutdown_pool(procs: list, pipes: list) -> None:
 # ---------------------------------------------------------------------------
 # Parent-side buffer handout (arena leases per operation)
 # ---------------------------------------------------------------------------
+
+
+def _fold_arena_stats(totals: dict, stats: dict) -> None:
+    """Add one arena's lifetime counters into ``totals`` (peak: max)."""
+    for field in ("segments", "leases", "recycled", "pinned_hits"):
+        totals[field] += stats[field]
+    totals["peak_live_leases"] = max(
+        totals["peak_live_leases"], stats["peak_live_leases"]
+    )
 
 
 class _OpBuffers:
@@ -515,14 +365,16 @@ class _OpBuffers:
 # ---------------------------------------------------------------------------
 
 
-class ProcessBackend(ShardedBackend):
+class ProcessBackend(PooledBackend):
     """Sharded execution on a pool of OS worker processes.
 
     Accounting (capacity enforcement, exchange/byte counters, op counts)
     is inherited unchanged from :class:`~repro.mpc.backends.ShardedBackend`;
-    only the ``_kernel_*`` compute hooks are overridden, so results *and*
+    the ``_kernel_*`` compute hooks are the shared planners of
+    :class:`~repro.mpc.kernels.PooledBackend`, so results *and*
     counters are bit-identical to the serial sharded backend while the
-    heavy numpy work runs in parallel.
+    heavy numpy work runs in parallel.  This class supplies the
+    transport: arena shared-memory bindings and pipe dispatch.
 
     Parameters
     ----------
@@ -582,17 +434,16 @@ class ProcessBackend(ShardedBackend):
         arena: "bool | None" = None,
         fuse_plans: bool = True,
     ):
-        super().__init__(shard_memory, max_shards=max_shards)
         if workers is None:
             workers = default_worker_count()
-        self.workers = check_positive_int(workers, "workers")
+        super().__init__(shard_memory, max_shards=max_shards, workers=workers)
         self.min_parallel_items = check_nonnegative_int(
             min_parallel_items, "min_parallel_items"
         )
         self.use_arena = default_arena_enabled() if arena is None else bool(arena)
         self.fuse_plans = bool(fuse_plans)
         self._arena: "ShmArena | None" = None
-        self._arena_retired: "dict[str, int]" = {}
+        self._arena_retired = dict(ARENA_STATS_ZERO)
         self._procs: list = []
         self._pipes: list = []
         self._finalizer = None
@@ -605,12 +456,6 @@ class ProcessBackend(ShardedBackend):
         self.plan_barriers: "dict[str, int]" = {}
 
     # -- pool + arena lifecycle ----------------------------------------------
-
-    def __enter__(self) -> "ProcessBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def _stop_pool(self) -> None:
         """Tear down the worker pool (shared by :meth:`close` and the
@@ -707,14 +552,8 @@ class ProcessBackend(ShardedBackend):
 
     def _retire_arena(self, arena: ShmArena) -> None:
         """Fold a finished arena's counters into the lifetime totals."""
-        stats = arena.stats()
+        _fold_arena_stats(self._arena_retired, arena.stats())
         arena.close()
-        retired = self._arena_retired
-        for field in ("segments", "leases", "recycled", "pinned_hits"):
-            retired[field] = retired.get(field, 0) + stats[field]
-        retired["peak_live_leases"] = max(
-            retired.get("peak_live_leases", 0), stats["peak_live_leases"]
-        )
 
     def arena_stats(self) -> dict:
         """Lifetime arena counters: live arena plus every retired one.
@@ -724,26 +563,12 @@ class ProcessBackend(ShardedBackend):
         where transient buffers pay O(ops); ``bytes_reserved`` and
         ``segments_held`` describe only the currently live arena.
         """
-        merged = {
-            "segments": 0,
-            "segments_held": 0,
-            "bytes_reserved": 0,
-            "leases": 0,
-            "recycled": 0,
-            "pinned_hits": 0,
-            "peak_live_leases": 0,
-        }
-        for field, value in self._arena_retired.items():
-            merged[field] = value
+        merged = dict(self._arena_retired)
         if self._arena is not None and not self._arena.closed:
             live = self._arena.stats()
-            for field in ("segments", "leases", "recycled", "pinned_hits"):
-                merged[field] += live[field]
+            _fold_arena_stats(merged, live)
             merged["segments_held"] = live["segments_held"]
             merged["bytes_reserved"] = live["bytes_reserved"]
-            merged["peak_live_leases"] = max(
-                merged["peak_live_leases"], live["peak_live_leases"]
-            )
         return merged
 
     def persistent_lease(self, shape, dtype):
@@ -788,22 +613,23 @@ class ProcessBackend(ShardedBackend):
 
     # -- dispatch ------------------------------------------------------------
 
-    def _dispatch(self, plans: "list[list[tuple]]") -> "list[list]":
-        """One exchange barrier: send ``plans[i]`` (a list of fused steps)
-        to worker ``i`` and gather every reply.
+    def _dispatch(self, messages: "list[tuple]") -> "list[dict]":
+        """One exchange barrier: send ``messages[i]`` — ``(steps, inputs,
+        dests)``, a fused plan plus its descriptors — to worker ``i`` and
+        gather every reply.
 
-        Empty plans are skipped (no message).  Returns one result list
-        per plan, aligned with ``plans``; raises on worker death or any
+        Messages without steps are skipped.  Returns one reply dict per
+        message, aligned with ``messages``; raises on worker death or any
         step error.
         """
         self._ensure_pool()
         self.dispatch_barriers += 1
         sent = []
-        for i, plan in enumerate(plans):
-            if not plan:
+        for i, message in enumerate(messages):
+            if not message[0]:
                 continue
             try:
-                self._pipes[i].send(plan)
+                self._pipes[i].send(message)
             except (BrokenPipeError, OSError) as exc:
                 # Same contract as a recv failure: a dead worker means the
                 # pipes are desynchronised — drop the pool and report.
@@ -813,8 +639,8 @@ class ProcessBackend(ShardedBackend):
                 ) from exc
             sent.append(i)
             self.dispatch_messages += 1
-            self.dispatch_steps += len(plan)
-        replies: "list[list]" = [[] for _ in plans]
+            self.dispatch_steps += len(message[0])
+        replies: "list[dict]" = [{} for _ in messages]
         first_error = None
         for i in sent:
             try:
@@ -834,248 +660,46 @@ class ProcessBackend(ShardedBackend):
             raise RuntimeError(first_error)
         return replies
 
-    # -- partitioning --------------------------------------------------------
+    # -- transport -----------------------------------------------------------
 
-    def _use_pool(self, n: int) -> bool:
+    def _pooled(self, words: int) -> bool:
         return (
             self._serial_depth == 0
-            and n > 0
-            and n >= self.min_parallel_items
+            and words > 0
+            and words >= self.min_parallel_items
         )
 
-    def _blocks(self, n: int) -> "list[tuple[int, int]]":
-        """Shard-aligned position blocks: worker ``w`` owns the
-        ``ceil(shard_count / workers)`` consecutive shards of block ``w``.
+    def _execute(self, arrays, dests, plans, finish, resident=None):
+        """Run one planned operation over arena shared memory.
+
+        Inputs are shared (pinned when read-only), destinations are
+        leased uninitialised, and each worker's message carries only the
+        descriptors its steps name; ``resident`` maps names to
+        descriptors already in shared memory (sketch partials).  Results
+        that are destination views are copied out before the leases
+        recycle.
         """
-        s = self._s
-        shards = max(1, math.ceil(n / s))
-        per_worker = math.ceil(shards / min(self.workers, shards))
-        blocks = []
-        for w in range(self.workers):
-            lo = w * per_worker * s
-            if lo >= n:
-                break
-            blocks.append((lo, min(n, (w + 1) * per_worker * s)))
-        return blocks
-
-    def _key_bounds(self, keys: np.ndarray) -> "list[tuple]":
-        """Splitter-delimited key ranges for sample sort: ``≤ W`` disjoint
-        half-open intervals covering the key space, picked from a
-        deterministic sample so buckets are approximately balanced.
-        """
-        buckets = max(1, min(self.workers, self.shards_for(int(keys.shape[0]))))
-        if buckets == 1:
-            return [(None, None)]
-        step = max(1, keys.shape[0] // (buckets * 64))
-        sample = np.sort(keys[::step], kind="stable")
-        positions = [(sample.shape[0] * i) // buckets for i in range(1, buckets)]
-        splitters = np.unique(sample[positions])
-        bounds = [None, *splitters.tolist(), None]
-        return list(zip(bounds[:-1], bounds[1:]))
-
-    @staticmethod
-    def _partitionable(keys: np.ndarray) -> bool:
-        """Key dtypes the range partition handles exactly (ints, bools,
-        finite floats); anything else falls back to the serial kernel.
-        """
-        if keys.dtype.kind in "iub":
-            return True
-        if keys.dtype.kind == "f":
-            return bool(np.isfinite(keys).all())
-        return False
-
-    @staticmethod
-    def _shm_safe(*arrays: np.ndarray) -> bool:
-        """True iff every array can live in shared memory: object dtypes
-        hold PyObject pointers that are meaningless (spawn) or
-        refcount-unsafe (fork) in another process, so they take the
-        serial kernels instead.
-        """
-        return not any(array.dtype.hasobject for array in arrays)
-
-    # -- parallel kernels ----------------------------------------------------
-
-    def _kernel_search(self, table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        n = int(queries.shape[0])
-        if (
-            not self._use_pool(n)
-            or queries.ndim != 1
-            or queries.dtype.kind not in "iu"
-            or table.ndim > 2
-            or not self._shm_safe(table)
-        ):
-            return super()._kernel_search(table, queries)
         with self._op_buffers() as buf:
-            table_d = buf.share(table)
-            queries_d = buf.share(queries)
-            out_d, out = buf.alloc((n,) + table.shape[1:], table.dtype)
-            self._dispatch(
-                [
-                    [("search", {"table": table_d, "queries": queries_d,
-                                 "out": out_d, "block": block})]
-                    for block in self._blocks(n)
-                ]
+            inputs = dict(resident or {})
+            for name, array in arrays.items():
+                inputs[name] = buf.share(array)
+            outputs, views = {}, {}
+            for name, (shape, dtype) in dests.items():
+                outputs[name], views[name] = buf.alloc(shape, dtype)
+            replies = self._dispatch([
+                (
+                    steps,
+                    {n: inputs[n] for step in steps for n in step["inputs"]},
+                    {n: outputs[n] for step in steps for n in step["outputs"]
+                     if n in outputs},
+                )
+                for steps in plans
+            ])
+            result = finish(views, replies)
+            return tuple(
+                r.copy() if any(r is v for v in views.values()) else r
+                for r in result
             )
-            return out.copy()
-
-    def _kernel_sort(self, values: np.ndarray, keys: np.ndarray):
-        n = int(values.shape[0])
-        if (
-            not self._use_pool(n)
-            or keys.ndim != 1
-            or values.ndim > 2
-            or not self._partitionable(keys)
-            or not self._shm_safe(values)
-        ):
-            return super()._kernel_sort(values, keys)
-        with self._op_buffers() as buf:
-            keys_d = buf.share(keys)
-            values_d = keys_d if values is keys else buf.share(values)
-            out_values_d, out_values = buf.alloc(values.shape, values.dtype)
-            out_order_d, out_order = buf.alloc((n,), np.int64)
-            self._dispatch(
-                [
-                    [("sort", {"keys": keys_d, "values": values_d,
-                               "out_values": out_values_d,
-                               "out_order": out_order_d, "bounds": bounds})]
-                    for bounds in self._key_bounds(keys)
-                ]
-            )
-            return out_values.copy(), out_order.copy()
-
-    def _kernel_reduce(self, keys: np.ndarray, values: np.ndarray, op: str):
-        n = int(keys.shape[0])
-        if (
-            not self._use_pool(n)
-            or keys.ndim != 1
-            or values.ndim > 2
-            or not self._partitionable(keys)
-            or not self._shm_safe(values)
-        ):
-            return super()._kernel_reduce(keys, values, op)
-        with self._op_buffers() as buf:
-            keys_d = buf.share(keys)
-            values_d = buf.share(values)
-            out_order_d, out_order = buf.alloc((n,), np.int64)
-            out_unique_d, out_unique = buf.alloc((n,), keys.dtype)
-            out_reduced_d, out_reduced = buf.alloc(values.shape, values.dtype)
-            replies = self._dispatch(
-                [
-                    [("reduce", {"keys": keys_d, "values": values_d,
-                                 "out_order": out_order_d,
-                                 "out_unique": out_unique_d,
-                                 "out_reduced": out_reduced_d,
-                                 "bounds": bounds, "op": op})]
-                    for bounds in self._key_bounds(keys)
-                ]
-            )
-            # Key ranges are disjoint and ascending, so concatenating the
-            # per-bucket unique/reduced slices yields the global result.
-            parts = [reply[0] for reply in replies if reply]
-            unique = np.concatenate(
-                [out_unique[off : off + cnt] for off, cnt in parts]
-            )
-            reduced = np.concatenate(
-                [out_reduced[off : off + cnt] for off, cnt in parts]
-            )
-            return unique, reduced, out_order.copy()
-
-    def _kernel_min_label(
-        self, labels: np.ndarray, send: np.ndarray, recv: np.ndarray
-    ):
-        n = int(labels.shape[0]) + int(send.shape[0])
-        if (
-            not self._use_pool(n)
-            or labels.ndim != 1
-            or send.ndim != 1
-            or not self._shm_safe(labels)
-        ):
-            return super()._kernel_min_label(labels, send, recv)
-        with self._op_buffers() as buf:
-            labels_d = buf.share(labels)
-            send_d = buf.share(send)
-            recv_d = buf.share(recv)
-            out_incoming_d, out_incoming = buf.alloc(send.shape, labels.dtype)
-            out_labels_d, out_labels = buf.alloc(labels.shape, labels.dtype)
-            pos_blocks = self._blocks(int(send.shape[0]))
-            label_blocks = self._blocks(int(labels.shape[0]))
-            # Fused plan: each worker's gather and fold steps ride in one
-            # message.  Both steps read only the immutable inputs (labels,
-            # send, recv) and write disjoint outputs, so no barrier is
-            # needed between them and the single reply is the exchange.
-            plans = []
-            for w in range(max(len(pos_blocks), len(label_blocks))):
-                steps = []
-                if w < len(pos_blocks):
-                    steps.append(
-                        ("gather_incoming", {
-                            "labels": labels_d, "send": send_d,
-                            "out_incoming": out_incoming_d,
-                            "block": pos_blocks[w],
-                        })
-                    )
-                if w < len(label_blocks):
-                    steps.append(
-                        ("min_fold", {
-                            "labels": labels_d, "send": send_d, "recv": recv_d,
-                            "out_labels": out_labels_d,
-                            "block": label_blocks[w],
-                        })
-                    )
-                plans.append(steps)
-            self._dispatch(plans)
-            return out_labels.copy(), out_incoming.copy()
-
-    def _kernel_csr_min_label(
-        self, labels: np.ndarray, indptr: np.ndarray, indices: np.ndarray
-    ):
-        n = int(labels.shape[0]) + int(indices.shape[0])
-        if (
-            not self._use_pool(n)
-            or labels.ndim != 1
-            or indices.ndim != 1
-            or not self._shm_safe(labels)
-        ):
-            return super()._kernel_csr_min_label(labels, indptr, indices)
-        with self._op_buffers() as buf:
-            # The CSR arrays arrive read-only and owning (the CSRIndex
-            # zero-copy contract), so ``share`` pins them: one upload,
-            # re-leased for every level of the broadcast loop.
-            labels_d = buf.share(labels)
-            indptr_d = buf.share(indptr)
-            indices_d = buf.share(indices)
-            out_incoming_d, out_incoming = buf.alloc(
-                indices.shape, labels.dtype
-            )
-            out_labels_d, out_labels = buf.alloc(labels.shape, labels.dtype)
-            pos_blocks = self._blocks(int(indices.shape[0]))
-            label_blocks = self._blocks(int(labels.shape[0]))
-            # Fused plan, mirroring min_label_exchange: gather + fold per
-            # worker in one message.  The fold reads the slot range its
-            # label block owns via indptr — contiguous, no scan.
-            plans = []
-            for w in range(max(len(pos_blocks), len(label_blocks))):
-                steps = []
-                if w < len(pos_blocks):
-                    steps.append(
-                        ("gather_incoming", {
-                            "labels": labels_d, "send": indices_d,
-                            "out_incoming": out_incoming_d,
-                            "block": pos_blocks[w],
-                        })
-                    )
-                if w < len(label_blocks):
-                    steps.append(
-                        ("csr_min_fold", {
-                            "labels": labels_d, "indptr": indptr_d,
-                            "indices": indices_d,
-                            "out_labels": out_labels_d,
-                            "block": label_blocks[w],
-                        })
-                    )
-                plans.append(steps)
-            self._dispatch(plans)
-            return out_labels.copy(), out_incoming.copy()
 
     def _kernel_sketch_update(self, store, edges, weights) -> int:
         """Scatter one update batch into the shm-resident shard partials.
@@ -1088,54 +712,21 @@ class ProcessBackend(ShardedBackend):
         partial bytes; small batches (and non-arena stores) take the
         serial kernel, which writes the very same shm views parent-side.
         """
-        total_words = int(edges.size) + int(weights.size)
         if (
             store.kind != "arena"
-            or not self._use_pool(total_words)
-            or not self._shm_safe(edges, weights)
+            or not self._pooled(int(edges.size) + int(weights.size))
+            or not plain(edges, weights)
         ):
             return store.apply_serial(edges, weights)
-        params = store.params
-        shard_count = len(store.partials)
-        per_worker = math.ceil(shard_count / min(self.workers, shard_count))
-        with self._op_buffers() as buf:
-            edges_d = buf.share(edges)
-            weights_d = buf.share(weights)
-            level_d = buf.share(params["level_coeffs"])
-            row_d = buf.share(params["row_coeffs"])
-            bases_d = buf.share(params["bases"])
-            plans = []
-            for w in range(self.workers):
-                lo = w * per_worker
-                if lo >= shard_count:
-                    break
-                steps = []
-                for part in store.partials[lo : lo + per_worker]:
-                    steps.append(
-                        ("sketch_update", {
-                            "data": part.descriptor,
-                            "edges": edges_d,
-                            "weights": weights_d,
-                            "level_coeffs": level_d,
-                            "row_coeffs": row_d,
-                            "bases": bases_d,
-                            "vlo": part.vlo,
-                            "vhi": part.vhi,
-                            "n": params["n"],
-                            "levels": params["levels"],
-                            "cols": params["cols"],
-                        })
-                    )
-                plans.append(steps)
-            replies = self._dispatch(plans)
-        return sum(int(count) for reply in replies for count in reply)
+        return self._pooled_sketch_update(
+            store, edges, weights, [part.descriptor for part in store.partials]
+        )
 
     # -- reporting -----------------------------------------------------------
 
     def stats(self):
         """Sharded counters plus pool size, arena, and dispatch telemetry."""
         snapshot = super().stats()  # name resolves to "process" already
-        snapshot.workers = self.workers
         snapshot.arena = self.arena_stats()
         snapshot.dispatch = {
             "barriers": self.dispatch_barriers,

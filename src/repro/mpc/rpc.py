@@ -4,10 +4,11 @@
 *wire* rather than shared memory — the substrate the ROADMAP's
 connectivity service (:mod:`repro.service`) is built on.  Like
 :class:`~repro.mpc.process_backend.ProcessBackend` it subclasses
-:class:`~repro.mpc.backends.ShardedBackend` and overrides *only* the
-``_kernel_*`` compute hooks, so capacity enforcement, exchange
-attribution, and every model counter are shared code — counter-identical
-to the serial sharded backend by construction.
+:class:`~repro.mpc.kernels.PooledBackend`, whose planners and block
+kernels both pools share, and supplies only the transport, so capacity
+enforcement, exchange attribution, partitioning, and every model
+counter are shared code — counter-identical to the serial sharded
+backend by construction.
 
 Wire protocol
 -------------
@@ -37,11 +38,11 @@ synchronous frame loop over a private Unix-domain socket; the parent
 side is a dedicated asyncio event loop on a background thread.  One
 backend operation is one *ACK barrier*: the parent sends every worker
 its step frame, then awaits all ACKs — exactly the all-to-all barrier
-the sharded accounting already prices.  Partitioning mirrors the
-process backend bit for bit: ``search`` and ``min_label_exchange``
-split shard-aligned position blocks, ``sort`` and ``reduce_by_key``
-use deterministic sample-sort splitters with disjoint key ranges, so
-concatenating the per-worker results *is* the serial kernel's output.
+the sharded accounting already prices.  Workers run the steps through
+the kernel table of :mod:`repro.mpc.kernels`; the parent places the
+returned outputs with the same code the process workers use.
+Worker-resident state (sketch partials) is bound by name from a
+frame's ``resident`` map and dropped by its ``release`` list.
 
 A background heartbeat task pings idle workers every
 ``heartbeat_interval`` seconds; a worker that misses the
@@ -71,7 +72,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import math
 import os
 import socket
 import struct
@@ -82,7 +82,8 @@ import weakref
 
 import numpy as np
 
-from repro.mpc.backends import BACKENDS, ShardedBackend, _grouped_reduce
+from repro.mpc.backends import BACKENDS, TRANSPORT_STATS_ZERO
+from repro.mpc.kernels import PooledBackend, place, position_blocks, run_step
 from repro.mpc.plan import content_digest
 from repro.mpc.process_backend import DEFAULT_MIN_PARALLEL_ITEMS, _mp_context
 from repro.utils.validation import check_nonnegative_int, check_positive_int
@@ -146,6 +147,22 @@ def encode_frame(header: dict, blob: bytes = b"") -> bytes:
     return _PREFIX.pack(FRAME_MAGIC, len(head), len(blob)) + head + blob
 
 
+def _unpack_prefix(prefix: bytes) -> "tuple[int, int]":
+    """Validate a frame prefix; returns ``(header_len, blob_len)``.
+
+    Raises :class:`RpcProtocolError` on wrong magic or oversized
+    sections, before any reader waits for the announced bytes.
+    """
+    magic, head_len, blob_len = _PREFIX.unpack_from(prefix)
+    if magic != FRAME_MAGIC:
+        raise RpcProtocolError(f"bad frame magic {magic!r}")
+    if head_len > MAX_HEADER_BYTES or blob_len > MAX_BLOB_BYTES:
+        raise RpcProtocolError(
+            f"frame announces oversized sections: {head_len}/{blob_len}"
+        )
+    return head_len, blob_len
+
+
 def decode_frame(data: bytes) -> "tuple[dict, bytes]":
     """Inverse of :func:`encode_frame` for one complete frame.
 
@@ -159,13 +176,7 @@ def decode_frame(data: bytes) -> "tuple[dict, bytes]":
         raise RpcProtocolError(
             f"truncated frame prefix: {len(data)} < {_PREFIX.size} bytes"
         )
-    magic, head_len, blob_len = _PREFIX.unpack_from(data)
-    if magic != FRAME_MAGIC:
-        raise RpcProtocolError(f"bad frame magic {magic!r}")
-    if head_len > MAX_HEADER_BYTES or blob_len > MAX_BLOB_BYTES:
-        raise RpcProtocolError(
-            f"frame announces oversized sections: {head_len}/{blob_len}"
-        )
+    head_len, blob_len = _unpack_prefix(data)
     expected = _PREFIX.size + head_len + blob_len
     if len(data) != expected:
         raise RpcProtocolError(
@@ -329,13 +340,7 @@ def recv_frame(sock: socket.socket) -> "tuple[dict, bytes] | None":
     prefix = _recv_exact(sock, _PREFIX.size)
     if prefix is None:
         return None
-    magic, head_len, blob_len = _PREFIX.unpack(prefix)
-    if magic != FRAME_MAGIC:
-        raise RpcProtocolError(f"bad frame magic {magic!r}")
-    if head_len > MAX_HEADER_BYTES or blob_len > MAX_BLOB_BYTES:
-        raise RpcProtocolError(
-            f"frame announces oversized sections: {head_len}/{blob_len}"
-        )
+    head_len, blob_len = _unpack_prefix(prefix)
     rest = _recv_exact(sock, head_len + blob_len)
     if rest is None:
         raise RpcProtocolError("connection closed before frame body")
@@ -362,13 +367,7 @@ async def read_frame_async(
         raise RpcProtocolError(
             f"connection closed mid-prefix: {len(exc.partial)} bytes"
         ) from None
-    magic, head_len, blob_len = _PREFIX.unpack(prefix)
-    if magic != FRAME_MAGIC:
-        raise RpcProtocolError(f"bad frame magic {magic!r}")
-    if head_len > MAX_HEADER_BYTES or blob_len > MAX_BLOB_BYTES:
-        raise RpcProtocolError(
-            f"frame announces oversized sections: {head_len}/{blob_len}"
-        )
+    head_len, blob_len = _unpack_prefix(prefix)
     try:
         rest = await reader.readexactly(head_len + blob_len)
     except asyncio.IncompleteReadError as exc:
@@ -384,203 +383,25 @@ async def read_frame_async(
 # ---------------------------------------------------------------------------
 
 
-def _k_search(env: dict, step: dict) -> None:
-    """Wire kernel: gather ``table[queries[lo:hi]]`` for a position block."""
-    table, queries = (env[name] for name in step["inputs"])
-    lo, hi = step["params"]["lo"], step["params"]["hi"]
-    env[step["outputs"][0]] = table[queries[lo:hi]]
-
-
-def _bucket(keys: np.ndarray, lo, hi) -> "tuple[np.ndarray, int]":
-    """Positions (ascending) of the keys in ``[lo, hi)`` plus the global
-    output offset (= count of keys below ``lo``); ``None`` bounds are open.
-    """
-    if lo is None and hi is None:
-        return np.arange(keys.shape[0], dtype=np.int64), 0
-    mask = np.ones(keys.shape[0], dtype=bool)
-    if lo is not None:
-        mask &= keys >= lo
-    if hi is not None:
-        mask &= keys < hi
-    offset = 0 if lo is None else int(np.count_nonzero(keys < lo))
-    return np.flatnonzero(mask), offset
-
-
-def _k_sort(env: dict, step: dict) -> None:
-    """Wire kernel: stable-sort this worker's key bucket.
-
-    Outputs the bucket's slice of the global stable argsort and the
-    values gathered through it, plus the scalar output offset — the
-    buckets' key ranges are disjoint and ascending, so the parent's
-    slice-assembly reproduces the serial kernel bit for bit.
-    """
-    keys, values = (env[name] for name in step["inputs"])
-    lo, hi = step["params"]["lo"], step["params"]["hi"]
-    idx, offset = _bucket(keys, lo, hi)
-    seg = idx[np.argsort(keys[idx], kind="stable")]
-    env[step["outputs"][0]] = seg
-    env[step["outputs"][1]] = values[seg]
-    env[step["outputs"][2]] = np.array([offset], dtype=np.int64)
-
-
-def _k_reduce(env: dict, step: dict) -> None:
-    """Wire kernel: grouped fold over this worker's key bucket.
-
-    Key ranges are disjoint across workers, so no combine step exists;
-    the parent concatenates ``unique``/``reduced`` in bucket order and
-    splices each bucket's slice of the global sort permutation.
-    """
-    keys, values = (env[name] for name in step["inputs"])
-    params = step["params"]
-    idx, offset = _bucket(keys, params["lo"], params["hi"])
-    if idx.size:
-        unique, reduced, local = _grouped_reduce(
-            keys[idx], values[idx], params["op"]
-        )
-        seg = idx[local]
-    else:
-        unique = keys[:0]
-        reduced = values[:0]
-        seg = idx
-    env[step["outputs"][0]] = seg
-    env[step["outputs"][1]] = unique
-    env[step["outputs"][2]] = reduced
-    env[step["outputs"][3]] = np.array([offset], dtype=np.int64)
-
-
-def _k_gather_incoming(env: dict, step: dict) -> None:
-    """Wire kernel: ``incoming = labels[send[lo:hi]]`` for a position block."""
-    labels, send = (env[name] for name in step["inputs"])
-    lo, hi = step["params"]["lo"], step["params"]["hi"]
-    env[step["outputs"][0]] = labels[send[lo:hi]]
-
-
-def _k_min_fold(env: dict, step: dict) -> None:
-    """Wire kernel: min-fold the incidences landing in a label block.
-
-    Min is commutative, associative, and idempotent, so partitioning the
-    scatter by receiving-label range reproduces the serial result
-    exactly (the same argument the process backend's fold relies on).
-    """
-    labels, send, recv = (env[name] for name in step["inputs"])
-    lo, hi = step["params"]["lo"], step["params"]["hi"]
-    out = labels[lo:hi].copy()
-    mask = (recv >= lo) & (recv < hi)
-    np.minimum.at(out, recv[mask] - lo, labels[send[mask]])
-    env[step["outputs"][0]] = out
-
-
-def _k_csr_min_fold(env: dict, step: dict) -> None:
-    """Wire kernel: CSR min-fold for a label block.
-
-    The block's vertices own the contiguous CSR slot range
-    ``indptr[lo]:indptr[hi]``, so the fold reads exactly its own slots —
-    an indptr-sliced gather plus ``minimum.reduceat`` over the non-empty
-    runs, with no scan of the full incidence arrays.
-    """
-    labels, indptr, indices = (env[name] for name in step["inputs"])
-    lo, hi = step["params"]["lo"], step["params"]["hi"]
-    out = labels[lo:hi].copy()
-    block_ptr = indptr[lo : hi + 1]
-    base = block_ptr[0]
-    nz = np.diff(block_ptr) > 0
-    if nz.any():
-        incoming = labels[indices[base : block_ptr[-1]]]
-        starts = (block_ptr[:-1] - base)[nz]
-        out[nz] = np.minimum(out[nz], np.minimum.reduceat(incoming, starts))
-    env[step["outputs"][0]] = out
-
-
-def _k_sketch_update(env: dict, step: dict) -> None:
-    """Wire kernel: scatter an update batch into a worker-resident sketch
-    partial.
-
-    The partial lives in the worker's persistent state dict (keyed by
-    sketch token × shard), created zeroed on first touch; the parent
-    never holds a copy.  Hash state arrives as coefficient arrays —
-    digest-deduped, so after the first frame only the batch ships.
-    """
-    # Lazy import keeps the module-level graph acyclic (sketch sits
-    # above the backend stack).
-    from repro.sketch.sharded import sketch_update_partial
-
-    params = step["params"]
-    state = env["__state__"]
-    key = (params["key"], params["shard"])
-    partial = state.get(key)
-    if partial is None:
-        partial = np.zeros(
-            (params["rounds"], 3, params["vhi"] - params["vlo"], params["cells"]),
-            dtype=np.int64,
-        )
-        state[key] = partial
-    edges, weights, level_coeffs, row_coeffs, bases = (
-        env[name] for name in step["inputs"]
-    )
-    applied = sketch_update_partial(
-        partial,
-        edges,
-        weights,
-        vlo=params["vlo"],
-        vhi=params["vhi"],
-        n=params["n"],
-        levels=params["levels"],
-        cols=params["cols"],
-        level_coeffs=level_coeffs,
-        row_coeffs=row_coeffs,
-        bases=bases,
-    )
-    env[step["outputs"][0]] = np.array([applied], dtype=np.int64)
-
-
-def _k_sketch_collect(env: dict, step: dict) -> None:
-    """Wire kernel: return a resident sketch partial for a decode-time
-    merge.
-
-    A shard no update frame ever touched is legitimately all-zero (the
-    parent guards against actual state loss with its pool-generation
-    residency check before dispatching), so a missing key materialises
-    zeros rather than failing.
-    """
-    params = step["params"]
-    partial = env["__state__"].get((params["key"], params["shard"]))
-    if partial is None:
-        partial = np.zeros(
-            (params["rounds"], 3, params["vhi"] - params["vlo"], params["cells"]),
-            dtype=np.int64,
-        )
-    env[step["outputs"][0]] = partial
-
-
-def _k_sketch_release(env: dict, step: dict) -> None:
-    """Wire kernel: drop a resident sketch partial (rebuilds and closes
-    evict their worker-side state so long-lived pools don't leak)."""
-    params = step["params"]
-    env["__state__"].pop((params["key"], params["shard"]), None)
-
-
-#: Step kernels a worker executes (op name → kernel).
-WIRE_KERNELS = {
-    "search": _k_search,
-    "sort": _k_sort,
-    "reduce": _k_reduce,
-    "gather_incoming": _k_gather_incoming,
-    "min_fold": _k_min_fold,
-    "csr_min_fold": _k_csr_min_fold,
-    "sketch_update": _k_sketch_update,
-    "sketch_collect": _k_sketch_collect,
-    "sketch_release": _k_sketch_release,
-}
+def _resident(state: dict, spec: dict) -> np.ndarray:
+    """A worker-resident array, created zeroed on first touch: a shard no
+    update frame touched is legitimately all-zero (the parent's
+    pool-generation check catches real state loss before dispatching)."""
+    array = state.get(spec["key"])
+    if array is None:
+        array = state[spec["key"]] = np.zeros(spec["shape"], dtype=np.int64)
+    return array
 
 
 def _rpc_worker_main(path: str, worker_id: int) -> None:
     """Worker process: connect back to the parent and serve frames.
 
     Each op frame carries an OpStep-shaped step sequence; the worker
-    executes the steps against an environment seeded with the frame's
-    arrays (plus its digest cache) and replies with one ACK frame
-    holding the arrays named in ``returns``.  ``ping`` frames get an
-    immediate ``pong``; a ``shutdown`` frame or EOF ends the loop.
+    executes the steps through the kernel table against an environment
+    seeded with the frame's arrays (plus its digest cache and any
+    ``resident`` state) and replies with one ACK frame holding the
+    arrays named in ``returns``.  ``ping`` frames get an immediate
+    ``pong``; a ``shutdown`` frame or EOF ends the loop.
     """
     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     try:
@@ -616,10 +437,13 @@ def _rpc_worker_main(path: str, worker_id: int) -> None:
             for digest in header.get("evict", ()):
                 cache.pop(digest, None)
             try:
+                for key in header.get("release", ()):
+                    state.pop(key, None)
                 env = unpack_arrays(header["arrays"], blob, cache)
-                env["__state__"] = state
+                for name, spec in header.get("resident", {}).items():
+                    env[name] = _resident(state, spec)
                 for step in header["steps"]:
-                    WIRE_KERNELS[step["op"]](env, step)
+                    run_step(step, env)
                 meta, out_blob, _ = pack_arrays(
                     {name: env[name] for name in header["returns"]}
                 )
@@ -1029,7 +853,9 @@ class _RpcPool:
         """One ACK barrier: send ``payloads[i]`` to worker ``i``, await all.
 
         Each payload is ``{"steps": [...], "arrays": {name: ndarray},
-        "returns": [...]}`` (``None`` skips the worker).  Returns the
+        "returns": [...]}``, optionally with ``"resident"`` (name →
+        worker-state spec) and ``"release"`` (state keys to drop);
+        ``None``, or no entry at all, skips the worker.  Returns the
         decoded output-array dict per participating payload, in order.
         Any failure closes the pool (fail closed) and re-raises typed.
         """
@@ -1066,8 +892,9 @@ class _RpcPool:
             }
             if evict:
                 header["evict"] = evict
-            if payload.get("dup_ack"):
-                header["dup_ack"] = True
+            for key in ("resident", "release", "dup_ack"):
+                if payload.get(key):
+                    header[key] = payload[key]
             frame_bytes = len(encode_frame(header, blob))
             self.counters["op_frames"] += 1
             self.counters["op_wire_bytes"] += frame_bytes
@@ -1136,15 +963,18 @@ class _RpcPool:
 # ---------------------------------------------------------------------------
 
 
-class RpcBackend(ShardedBackend):
+class RpcBackend(PooledBackend):
     """Sharded execution over a socket wire protocol (see module docs).
 
     Accounting (capacity enforcement, exchange/byte counters, op
     counts) is inherited unchanged from
-    :class:`~repro.mpc.backends.ShardedBackend`; only the ``_kernel_*``
-    compute hooks are overridden, so results *and* model counters are
-    bit-identical to the serial backend while kernels execute in worker
-    processes across length-prefixed frames.
+    :class:`~repro.mpc.backends.ShardedBackend`; the ``_kernel_*``
+    compute hooks are the shared planners of
+    :class:`~repro.mpc.kernels.PooledBackend`, so results *and* model
+    counters are bit-identical to the serial backend while kernels
+    execute in worker processes across length-prefixed frames.  This
+    class supplies the transport: digest-deduplicated frame arrays plus
+    worker-resident sketch state.
 
     Parameters
     ----------
@@ -1207,8 +1037,7 @@ class RpcBackend(ShardedBackend):
         heartbeat_timeout: float = 10.0,
         cache_bytes: int = 64 * 1024 * 1024,
     ):
-        super().__init__(shard_memory, max_shards=max_shards)
-        self.workers = check_positive_int(workers, "workers")
+        super().__init__(shard_memory, max_shards=max_shards, workers=workers)
         self.min_wire_items = check_nonnegative_int(
             min_wire_items, "min_wire_items"
         )
@@ -1225,26 +1054,11 @@ class RpcBackend(ShardedBackend):
         # explicit close(); worker-resident sketch stores snapshot it so
         # partial loss is detected parent-side before any dispatch.
         self._pool_generation = 0
-        self._transport = dict.fromkeys(
-            (
-                "op_frames",
-                "op_wire_bytes",
-                "acks",
-                "digest_hits",
-                "digest_misses",
-                "heartbeats",
-                "retries",
-            ),
-            0,
-        )
+        self._transport = {
+            key: 0 for key in TRANSPORT_STATS_ZERO if key != "workers_restarted"
+        }
 
     # -- lifecycle -----------------------------------------------------------
-
-    def __enter__(self) -> "RpcBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def close(self) -> None:
         """Stop the pool: loop thread, workers, and the socket directory.
@@ -1305,314 +1119,46 @@ class RpcBackend(ShardedBackend):
     def stats(self):
         """Sharded counters plus pool size and wire telemetry."""
         snapshot = super().stats()
-        snapshot.workers = self.workers
         snapshot.transport = self.transport_stats()
         return snapshot
 
-    # -- partitioning (identical semantics to the process backend) -----------
+    # -- transport -----------------------------------------------------------
 
-    def _use_wire(self, n: int) -> bool:
-        return n > 0 and n >= self.min_wire_items
+    def _pooled(self, words: int) -> bool:
+        return words > 0 and words >= self.min_wire_items
 
-    def _blocks(self, n: int) -> "list[tuple[int, int]]":
-        """Shard-aligned position blocks: worker ``w`` owns the
-        ``ceil(shard_count / workers)`` consecutive shards of block ``w``.
+    def _execute(self, arrays, dests, plans, finish, resident=None):
+        """Run one planned operation as one ACK barrier.
+
+        Every worker's frame carries the op's arrays (digest-deduped, so
+        repeats cross as bare references) and the ``resident`` specs its
+        steps name, and returns every step output; the parent places
+        them into fresh destination arrays.
         """
-        s = self._s
-        shards = max(1, math.ceil(n / s))
-        per_worker = math.ceil(shards / min(self.workers, shards))
-        blocks = []
-        for w in range(self.workers):
-            lo = w * per_worker * s
-            if lo >= n:
-                break
-            blocks.append((lo, min(n, (w + 1) * per_worker * s)))
-        return blocks
-
-    def _key_bounds(self, keys: np.ndarray) -> "list[tuple]":
-        """Splitter-delimited key ranges for sample sort (identical
-        construction to the process backend, so partitions — and
-        therefore every assembled result — match it bit for bit).
-        """
-        buckets = max(1, min(self.workers, self.shards_for(int(keys.shape[0]))))
-        if buckets == 1:
-            return [(None, None)]
-        step = max(1, keys.shape[0] // (buckets * 64))
-        sample = np.sort(keys[::step], kind="stable")
-        positions = [(sample.shape[0] * i) // buckets for i in range(1, buckets)]
-        splitters = np.unique(sample[positions])
-        bounds = [None, *splitters.tolist(), None]
-        return list(zip(bounds[:-1], bounds[1:]))
-
-    @staticmethod
-    def _partitionable(keys: np.ndarray) -> bool:
-        """Key dtypes the range partition handles exactly; anything else
-        falls back to the serial kernel (as in the process backend).
-        """
-        if keys.dtype.kind in "iub":
-            return True
-        if keys.dtype.kind == "f":
-            return bool(np.isfinite(keys).all())
-        return False
-
-    @staticmethod
-    def _wire_safe(*arrays: np.ndarray) -> bool:
-        """True iff every array is plain binary data (no object dtypes)."""
-        return not any(array.dtype.hasobject for array in arrays)
-
-    @staticmethod
-    def _json_bound(value):
-        """A splitter bound as a JSON scalar (numpy scalars intact)."""
-        if value is None:
-            return None
-        if isinstance(value, (int, float)):
-            return value
-        return value.item()
-
-    # -- wire kernels --------------------------------------------------------
-
-    def _kernel_search(self, table: np.ndarray, queries: np.ndarray):
-        n = int(queries.shape[0])
-        if (
-            not self._use_wire(n)
-            or queries.ndim != 1
-            or queries.dtype.kind not in "iu"
-            or table.ndim > 2
-            or not self._wire_safe(table)
-        ):
-            return super()._kernel_search(table, queries)
-        blocks = self._blocks(n)
-        payloads = [
-            {
-                "steps": [
-                    {
-                        "op": "search",
-                        "inputs": ["table", "queries"],
-                        "outputs": ["found"],
-                        "params": {"lo": lo, "hi": hi},
-                    }
-                ],
-                "arrays": {"table": table, "queries": queries},
-                "returns": ["found"],
-            }
-            for lo, hi in blocks
-        ]
-        replies = self._ensure_pool().barrier(self._pad(payloads))
-        out = np.empty((n,) + table.shape[1:], dtype=table.dtype)
-        for (lo, hi), reply in zip(blocks, replies):
-            out[lo:hi] = reply["found"]
-        return out
-
-    def _kernel_sort(self, values: np.ndarray, keys: np.ndarray):
-        n = int(values.shape[0])
-        if (
-            not self._use_wire(n)
-            or keys.ndim != 1
-            or values.ndim > 2
-            or not self._partitionable(keys)
-            or not self._wire_safe(values)
-        ):
-            return super()._kernel_sort(values, keys)
-        bounds = self._key_bounds(keys)
-        payloads = [
-            {
-                "steps": [
-                    {
-                        "op": "sort",
-                        "inputs": ["keys", "values"],
-                        "outputs": ["order", "sorted", "offset"],
-                        "params": {
-                            "lo": self._json_bound(lo),
-                            "hi": self._json_bound(hi),
-                        },
-                    }
-                ],
-                "arrays": {"keys": keys, "values": values},
-                "returns": ["order", "sorted", "offset"],
-            }
-            for lo, hi in bounds
-        ]
-        replies = self._ensure_pool().barrier(self._pad(payloads))
-        out_values = np.empty_like(values)
-        out_order = np.empty(n, dtype=np.int64)
-        for reply in replies:
-            off = int(reply["offset"][0])
-            seg = reply["order"]
-            out_order[off : off + seg.shape[0]] = seg
-            out_values[off : off + seg.shape[0]] = reply["sorted"]
-        return out_values, out_order
-
-    def _kernel_reduce(self, keys: np.ndarray, values: np.ndarray, op: str):
-        n = int(keys.shape[0])
-        if (
-            not self._use_wire(n)
-            or keys.ndim != 1
-            or values.ndim > 2
-            or not self._partitionable(keys)
-            or not self._wire_safe(values)
-        ):
-            return super()._kernel_reduce(keys, values, op)
-        bounds = self._key_bounds(keys)
-        payloads = [
-            {
-                "steps": [
-                    {
-                        "op": "reduce",
-                        "inputs": ["keys", "values"],
-                        "outputs": ["order", "unique", "reduced", "offset"],
-                        "params": {
-                            "lo": self._json_bound(lo),
-                            "hi": self._json_bound(hi),
-                            "op": op,
-                        },
-                    }
-                ],
-                "arrays": {"keys": keys, "values": values},
-                "returns": ["order", "unique", "reduced", "offset"],
-            }
-            for lo, hi in bounds
-        ]
-        replies = self._ensure_pool().barrier(self._pad(payloads))
-        out_order = np.empty(n, dtype=np.int64)
-        uniques = []
-        reduceds = []
-        for reply in replies:
-            off = int(reply["offset"][0])
-            seg = reply["order"]
-            out_order[off : off + seg.shape[0]] = seg
-            uniques.append(reply["unique"])
-            reduceds.append(reply["reduced"])
-        # Key ranges are disjoint and ascending, so concatenating the
-        # per-bucket unique/reduced slices yields the global result.
-        unique = np.concatenate(uniques) if uniques else keys[:0]
-        reduced = np.concatenate(reduceds) if reduceds else values[:0]
-        return unique.astype(keys.dtype, copy=False), reduced, out_order
-
-    def _kernel_min_label(
-        self, labels: np.ndarray, send: np.ndarray, recv: np.ndarray
-    ):
-        n = int(labels.shape[0]) + int(send.shape[0])
-        if (
-            not self._use_wire(n)
-            or labels.ndim != 1
-            or send.ndim != 1
-            or not self._wire_safe(labels)
-        ):
-            return super()._kernel_min_label(labels, send, recv)
-        pos_blocks = self._blocks(int(send.shape[0]))
-        label_blocks = self._blocks(int(labels.shape[0]))
         payloads = []
-        for w in range(max(len(pos_blocks), len(label_blocks))):
-            steps = []
-            returns = []
-            if w < len(pos_blocks):
-                lo, hi = pos_blocks[w]
-                steps.append(
-                    {
-                        "op": "gather_incoming",
-                        "inputs": ["labels", "send"],
-                        "outputs": ["incoming"],
-                        "params": {"lo": lo, "hi": hi},
-                    }
-                )
-                returns.append("incoming")
-            if w < len(label_blocks):
-                lo, hi = label_blocks[w]
-                steps.append(
-                    {
-                        "op": "min_fold",
-                        "inputs": ["labels", "send", "recv"],
-                        "outputs": ["folded"],
-                        "params": {"lo": lo, "hi": hi},
-                    }
-                )
-                returns.append("folded")
-            payloads.append(
-                {
-                    "steps": steps,
-                    "arrays": {"labels": labels, "send": send, "recv": recv},
-                    "returns": returns,
+        for steps in plans:
+            payload = {
+                "steps": steps,
+                "arrays": arrays,
+                "returns": [name for step in steps for name in step["outputs"]],
+            }
+            if resident:
+                payload["resident"] = {
+                    name: resident[name]
+                    for step in steps
+                    for name in step["inputs"]
+                    if name in resident
                 }
-            )
-        replies = self._ensure_pool().barrier(self._pad(payloads))
-        incoming = np.empty(send.shape, dtype=labels.dtype)
-        new_labels = np.empty_like(labels)
-        for w, reply in enumerate(replies):
-            if w < len(pos_blocks):
-                lo, hi = pos_blocks[w]
-                incoming[lo:hi] = reply["incoming"]
-            if w < len(label_blocks):
-                lo, hi = label_blocks[w]
-                new_labels[lo:hi] = reply["folded"]
-        return new_labels, incoming
-
-    def _kernel_csr_min_label(
-        self, labels: np.ndarray, indptr: np.ndarray, indices: np.ndarray
-    ):
-        n = int(labels.shape[0]) + int(indices.shape[0])
-        if (
-            not self._use_wire(n)
-            or labels.ndim != 1
-            or indices.ndim != 1
-            or not self._wire_safe(labels)
-        ):
-            return super()._kernel_csr_min_label(labels, indptr, indices)
-        pos_blocks = self._blocks(int(indices.shape[0]))
-        label_blocks = self._blocks(int(labels.shape[0]))
-        payloads = []
-        for w in range(max(len(pos_blocks), len(label_blocks))):
-            steps = []
-            returns = []
-            if w < len(pos_blocks):
-                lo, hi = pos_blocks[w]
-                steps.append(
-                    {
-                        # The generic gather reads its inputs
-                        # positionally, so the CSR heads ride in the
-                        # "send" slot unchanged.
-                        "op": "gather_incoming",
-                        "inputs": ["labels", "indices"],
-                        "outputs": ["incoming"],
-                        "params": {"lo": lo, "hi": hi},
-                    }
-                )
-                returns.append("incoming")
-            if w < len(label_blocks):
-                lo, hi = label_blocks[w]
-                steps.append(
-                    {
-                        "op": "csr_min_fold",
-                        "inputs": ["labels", "indptr", "indices"],
-                        "outputs": ["folded"],
-                        "params": {"lo": lo, "hi": hi},
-                    }
-                )
-                returns.append("folded")
-            payloads.append(
-                {
-                    "steps": steps,
-                    # The frozen CSR arrays hash to the same content
-                    # digest every level, so after the first round they
-                    # cross the wire as bare references per worker.
-                    "arrays": {
-                        "labels": labels,
-                        "indptr": indptr,
-                        "indices": indices,
-                    },
-                    "returns": returns,
-                }
-            )
-        replies = self._ensure_pool().barrier(self._pad(payloads))
-        incoming = np.empty(indices.shape, dtype=labels.dtype)
-        new_labels = np.empty_like(labels)
-        for w, reply in enumerate(replies):
-            if w < len(pos_blocks):
-                lo, hi = pos_blocks[w]
-                incoming[lo:hi] = reply["incoming"]
-            if w < len(label_blocks):
-                lo, hi = label_blocks[w]
-                new_labels[lo:hi] = reply["folded"]
-        return new_labels, incoming
+            payloads.append(payload)
+        replies = self._ensure_pool().barrier(payloads)
+        out = {name: np.empty(shape, dtype) for name, (shape, dtype) in dests.items()}
+        placed = []
+        for steps, reply in zip(plans, replies):
+            spans: dict = {}
+            for step in steps:
+                spans.update(place(out, step, reply))
+            placed.append(spans)
+        return finish(out, placed)
 
     # -- sketch residency (worker-resident partials) --------------------------
 
@@ -1635,34 +1181,19 @@ class RpcBackend(ShardedBackend):
                 "restart; rebuild the sketch"
             )
 
-    def _sketch_assignment(self, store) -> "list[list[int]]":
-        """Shard indices per worker: contiguous blocks, same construction
-        as the process backend's shard-aligned position blocks."""
-        shard_count = len(store.partials)
-        per_worker = math.ceil(shard_count / min(self.workers, shard_count))
-        groups = []
-        for w in range(self.workers):
-            lo = w * per_worker
-            if lo >= shard_count:
-                break
-            groups.append(list(range(lo, min(shard_count, lo + per_worker))))
-        return groups
-
-    def _sketch_step_params(self, store, shard: int) -> dict:
+    def _resident_partials(self, store) -> "list[dict]":
+        """Per shard, the worker-state spec of its resident partial: the
+        key it lives under and the shape it is created zeroed with."""
         params = store.params
-        part = store.partials[shard]
-        rows = int(params["row_coeffs"].shape[1])
-        return {
-            "key": store.token,
-            "shard": shard,
-            "vlo": part.vlo,
-            "vhi": part.vhi,
-            "n": params["n"],
-            "levels": params["levels"],
-            "cols": params["cols"],
-            "rounds": int(params["bases"].shape[0]),
-            "cells": params["levels"] * rows * params["cols"],
-        }
+        rounds = int(params["bases"].shape[0])
+        cells = params["levels"] * int(params["row_coeffs"].shape[1]) * params["cols"]
+        return [
+            {
+                "key": f"{store.token}/{shard}",
+                "shape": [rounds, 3, part.vhi - part.vlo, cells],
+            }
+            for shard, part in enumerate(store.partials)
+        ]
 
     def _kernel_sketch_update(self, store, edges, weights) -> int:
         """Ship one update batch to the worker-resident shard partials.
@@ -1675,39 +1206,10 @@ class RpcBackend(ShardedBackend):
         """
         if store.kind != "resident":
             return super()._kernel_sketch_update(store, edges, weights)
-        pool = self._ensure_pool()
+        self._ensure_pool()
         self._check_residency(store)
-        edges = np.ascontiguousarray(edges)
-        weights = np.ascontiguousarray(weights)
-        params = store.params
-        payloads = []
-        for group in self._sketch_assignment(store):
-            steps = []
-            returns = []
-            for shard in group:
-                out = f"applied_{shard}"
-                steps.append({
-                    "op": "sketch_update",
-                    "inputs": ["edges", "weights", "level_coeffs",
-                               "row_coeffs", "bases"],
-                    "outputs": [out],
-                    "params": self._sketch_step_params(store, shard),
-                })
-                returns.append(out)
-            payloads.append({
-                "steps": steps,
-                "arrays": {
-                    "edges": edges,
-                    "weights": weights,
-                    "level_coeffs": params["level_coeffs"],
-                    "row_coeffs": params["row_coeffs"],
-                    "bases": params["bases"],
-                },
-                "returns": returns,
-            })
-        replies = pool.barrier(self._pad(payloads))
-        return sum(
-            int(count[0]) for reply in replies for count in reply.values()
+        return self._pooled_sketch_update(
+            store, edges, weights, self._resident_partials(store)
         )
 
     def _kernel_sketch_collect(self, store) -> "list[np.ndarray]":
@@ -1717,26 +1219,19 @@ class RpcBackend(ShardedBackend):
             return super()._kernel_sketch_collect(store)
         pool = self._ensure_pool()
         self._check_residency(store)
-        payloads = []
-        for group in self._sketch_assignment(store):
-            steps = []
-            returns = []
-            for shard in group:
-                out = f"partial_{shard}"
-                steps.append({
-                    "op": "sketch_collect",
-                    "inputs": [],
-                    "outputs": [out],
-                    "params": self._sketch_step_params(store, shard),
-                })
-                returns.append(out)
-            payloads.append({"steps": steps, "arrays": {}, "returns": returns})
-        replies = pool.barrier(self._pad(payloads))
-        collected: "dict[int, np.ndarray]" = {}
-        for reply in replies:
-            for name, array in reply.items():
-                collected[int(name.rsplit("_", 1)[1])] = array
-        return [collected[i] for i in range(len(store.partials))]
+        specs = self._resident_partials(store)
+        payloads = [
+            {
+                "steps": [],
+                "arrays": {},
+                "returns": [f"partial_{shard}" for shard in range(lo, hi)],
+                "resident": {f"partial_{i}": specs[i] for i in range(lo, hi)},
+            }
+            for lo, hi in position_blocks(len(specs), 1, self.workers)
+        ]
+        # Workers own contiguous shard groups and ACK in return order.
+        replies = pool.barrier(payloads)
+        return [partial for reply in replies for partial in reply.values()]
 
     def _kernel_sketch_release(self, store) -> None:
         """Drop the worker-resident partials (best effort: a dead or
@@ -1745,26 +1240,13 @@ class RpcBackend(ShardedBackend):
             return
         if store.residency != self._pool_generation:
             return
-        payloads = []
-        for group in self._sketch_assignment(store):
-            steps = [
-                {
-                    "op": "sketch_release",
-                    "inputs": [],
-                    "outputs": [],
-                    "params": {"key": store.token, "shard": shard},
-                }
-                for shard in group
-            ]
-            payloads.append({"steps": steps, "arrays": {}, "returns": []})
-        try:
-            self._pool.barrier(self._pad(payloads))
-        except RpcError:
-            pass
-
-    def _pad(self, payloads: list) -> list:
-        """Pad a payload list with ``None`` to the pool's worker count."""
-        return payloads + [None] * (self.workers - len(payloads))
+        keys = [spec["key"] for spec in self._resident_partials(store)]
+        payloads = [
+            {"steps": [], "arrays": {}, "returns": [], "release": keys[lo:hi]}
+            for lo, hi in position_blocks(len(keys), 1, self.workers)
+        ]
+        with contextlib.suppress(RpcError):
+            self._pool.barrier(payloads)
 
 
 #: Selecting ``backend="rpc"`` anywhere resolves to this class.

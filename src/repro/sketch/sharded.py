@@ -24,9 +24,9 @@ Where the partials live is the backend's business:
   come back only at merge (decode) time.
 
 :func:`sketch_update_partial` is the one shared kernel: it operates on
-plain arrays (hash coefficients, not hash objects), so the process
-worker ops and the rpc wire kernels run exactly the code the in-process
-path runs.
+plain arrays (hash coefficients, not hash objects), so the pooled
+``sketch_update`` kernel of :mod:`repro.mpc.kernels` runs exactly the
+code the in-process path runs.
 """
 
 from __future__ import annotations
@@ -163,20 +163,38 @@ def sketch_update_partial(
     return int(owners.size)
 
 
-@dataclass
 class SketchPartial:
     """One shard's partial: the owner range plus its counter block.
 
-    ``data`` is the live ``(rounds, 3, vhi - vlo, cells)`` array — a
+    :attr:`data` is the live ``(rounds, 3, vhi - vlo, cells)`` array — a
     plain array in-process, an arena-lease view on the process backend,
     or ``None`` when the partial is resident in an rpc worker.  ``lease``
     keeps the arena segment alive for the arena-backed case.
     """
 
-    vlo: int
-    vhi: int
-    data: "np.ndarray | None"
-    lease: object = None
+    def __init__(self, vlo: int, vhi: int, data=None, lease=None):
+        self.vlo = vlo
+        self.vhi = vhi
+        self._data = data
+        self.lease = lease
+
+    @property
+    def data(self) -> "np.ndarray | None":
+        """The counter block.  An arena-backed partial reads it through
+        its lease on every access, so once the arena closes (the backend
+        closed, or a worker death closed it) a read raises
+        :class:`~repro.mpc.arena.ArenaLeaseError` — a ``RuntimeError`` —
+        instead of touching unmapped memory."""
+        if self.lease is not None:
+            return self.lease.view
+        return self._data
+
+    @data.setter
+    def data(self, value: np.ndarray) -> None:
+        if self.lease is not None:
+            self.lease.view[...] = value
+        else:
+            self._data = value
 
     @property
     def descriptor(self):
@@ -187,11 +205,11 @@ class SketchPartial:
         return self.lease.descriptor
 
     def release(self) -> None:
-        """Release the arena lease (idempotent; no-op without one)."""
+        """Release the arena lease (idempotent; no-op without one).  The
+        released lease stays attached, so later reads raise."""
         if self.lease is not None:
             self.lease.release()
-            self.lease = None
-        self.data = None
+        self._data = None
 
 
 class SketchPartialStore:
@@ -361,7 +379,7 @@ class ShardedAGMSketch:
                 lease = backend.persistent_lease(
                     (rounds, 3, vhi - vlo, spec.cells), np.int64
                 )
-                partials.append(SketchPartial(vlo, vhi, lease.view, lease))
+                partials.append(SketchPartial(vlo, vhi, lease=lease))
         else:
             partials = [
                 SketchPartial(

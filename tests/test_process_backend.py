@@ -96,6 +96,18 @@ class TestKernelParity:
         assert np.array_equal(u1, u2)
         assert np.array_equal(r1, r2)
 
+    @pytest.mark.parametrize("dtype", [np.bool_, np.int32])
+    def test_reduce_sum_widens_like_serial(self, pair, dtype):
+        # np.add.reduceat widens bools and small ints to int64; the pooled
+        # fold must return that dtype, not truncate into the input's.
+        serial, parallel = pair
+        keys = rng().integers(0, 50, 4000)
+        values = rng().integers(0, 2**20, 4000).astype(dtype)
+        u1, r1 = serial.reduce_by_key(keys, values, op="sum")
+        u2, r2 = parallel.reduce_by_key(keys, values, op="sum")
+        assert r2.dtype == r1.dtype == np.int64
+        assert np.array_equal(u1, u2) and np.array_equal(r1, r2)
+
     def test_reduce_min_matches_first_occurrence_dedup(self, pair):
         # The contraction dedup relies on op="min" over ascending indices
         # reproducing np.unique(keys, return_index=True) exactly.
@@ -114,6 +126,18 @@ class TestKernelParity:
         recv = rng().integers(0, 2000, 7000)
         nl1, inc1 = serial.min_label_exchange(labels, send, recv)
         nl2, inc2 = parallel.min_label_exchange(labels, send, recv)
+        assert np.array_equal(nl1, nl2)
+        assert np.array_equal(inc1, inc2)
+
+    def test_csr_min_label_with_degree_zero_rows(self, pair):
+        serial, parallel = pair
+        degrees = rng().integers(0, 4, 1500)
+        degrees[::5] = 0  # isolated vertices: empty neighbour runs
+        indptr = np.concatenate([[0], np.cumsum(degrees)])
+        indices = rng().integers(0, 1500, int(indptr[-1]))
+        labels = rng().integers(0, 10**9, 1500)
+        nl1, inc1 = serial.csr_min_label(labels, indptr, indices)
+        nl2, inc2 = parallel.csr_min_label(labels, indptr, indices)
         assert np.array_equal(nl1, nl2)
         assert np.array_equal(inc1, inc2)
 
@@ -240,8 +264,9 @@ class TestPoolLifecycle:
     def test_worker_error_propagates(self, pair):
         _, parallel = pair
         parallel._ensure_pool()
+        unknown = {"op": "no-such-op", "inputs": [], "outputs": [], "params": {}}
         with pytest.raises(RuntimeError, match="failed"):
-            parallel._dispatch([[("no-such-op", {})]])
+            parallel._dispatch([([unknown], {}, {})])
 
     def test_worker_death_reports_runtime_error_not_stale_lease(self, pair):
         # A dead worker closes the backend (arena included) while the

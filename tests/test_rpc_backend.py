@@ -115,6 +115,16 @@ class TestKernelParity:
         )
         assert np.array_equal(labels_a, labels_b)
         assert np.array_equal(incoming_a, incoming_b)
+        degrees = np.random.default_rng(4).integers(0, 3, 900)
+        degrees[::4] = 0  # isolated vertices: empty neighbour runs
+        indptr = np.concatenate([[0], np.cumsum(degrees)])
+        indices = np.random.default_rng(5).integers(0, 900, int(indptr[-1]))
+        labels_a, incoming_a = ref.csr_min_label(labels, indptr, indices)
+        labels_b, incoming_b = rpc_backend.csr_min_label(
+            labels, indptr, indices
+        )
+        assert np.array_equal(labels_a, labels_b)
+        assert np.array_equal(incoming_a, incoming_b)
         # The sharded accounting is inherited, not reimplemented: the
         # model counters agree exactly.
         assert ref.stats().exchanges == rpc_backend.stats().exchanges

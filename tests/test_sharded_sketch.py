@@ -9,11 +9,16 @@ sharded, process-pool shm, rpc worker-resident — produces the same
 merged sketch with the same accounting.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.mpc import (
     LocalBackend,
     ProcessBackend,
@@ -339,6 +344,60 @@ def test_backend_ingest_bit_identical_and_counted(name):
         assert backend.stats().op_counts.get("sketch_release", 0) == 1
     finally:
         backend.close()
+
+
+#: Run in a child interpreter: before arena-backed partials re-checked
+#: their lease on every read, this scenario read unmapped memory and the
+#: process died of SIGSEGV, which must fail the test, not the test run.
+_DEAD_ARENA_SCENARIO = """
+import numpy as np
+import pytest
+from repro.graph import canonical_labels, connected_components
+from repro.mpc import ArenaLeaseError, ProcessBackend
+from repro.sketch import ShardedAGMSketch
+from repro.streaming import EventBatch, StreamingConnectivity
+
+# A worker death closes the backend, arena included.  Ingest batches
+# below min_parallel_items then take the serial kernel over the
+# partials, and query() merges them: both must raise the typed error.
+backend = ProcessBackend(shard_memory=256, workers=2, min_parallel_items=1000)
+try:
+    conn = StreamingConnectivity(12, rng=3, backend=backend, sketch_shards=2)
+    conn.apply(EventBatch.insert([[0, 1], [2, 3]]))
+    backend._ensure_pool()
+    backend._pipes[0].close()
+    with pytest.raises(RuntimeError, match="died"):
+        backend.sort(np.random.default_rng(0).integers(0, 9, 2000))
+    with pytest.raises(ArenaLeaseError):
+        conn.apply(EventBatch.insert([[4, 5], [5, 6], [6, 7]]))
+    expected = canonical_labels(connected_components(conn.current_graph()))
+    assert np.array_equal(conn.query(), expected)
+    conn.close()
+
+    # Closing the backend before the sketch: a merge read is typed too.
+    sketch = ShardedAGMSketch.empty(12, 5, shards=2, backend=backend)
+    sketch.update_edges(np.array([[0, 9]]))
+    backend.close()
+    with pytest.raises(ArenaLeaseError):
+        sketch.merge()
+    sketch.close()
+finally:
+    backend.close()
+print("scenario ok")
+"""
+
+
+def test_dead_arena_partials_raise_typed_and_query_recovers():
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", _DEAD_ARENA_SCENARIO],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert "scenario ok" in result.stdout
 
 
 def test_rpc_pool_restart_makes_partial_loss_loud():
