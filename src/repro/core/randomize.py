@@ -19,6 +19,7 @@ edges (the "fresh random seed" device discussed in Section 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,16 +36,15 @@ class RandomizedGraph:
 
     Attributes
     ----------
-    graph:
-        The union of all batch edges — the graph ``H`` of Lemma 5.1
-        (``V(H) = V(G)``, per-vertex out-degree = ``walks_per_vertex``).
+    n:
+        Vertex count of the regular graph the walks ran on.
     batches:
         Edge arrays ``(n·k_b, 2)``, one per phase batch, disjoint randomness.
     walk_length:
         The length ``T`` actually walked.
     """
 
-    graph: Graph
+    n: int
     batches: "list[np.ndarray]"
     walk_length: int
 
@@ -52,6 +52,16 @@ class RandomizedGraph:
     def batch_count(self) -> int:
         """Number of independent per-phase edge batches."""
         return len(self.batches)
+
+    @cached_property
+    def graph(self) -> Graph:
+        """The union of all batch edges — the graph ``H`` of Lemma 5.1
+        (``V(H) = V(G)``, per-vertex out-degree = ``walks_per_vertex``).
+
+        No pipeline stage reads it (each phase consumes one batch), so it
+        is built on first access only.
+        """
+        return Graph(self.n, np.concatenate(self.batches, axis=0))
 
 
 def randomize_components(
@@ -117,19 +127,13 @@ def randomize_components(
     else:
         raise ValueError(f"unknown walk_mode {walk_mode!r}")
 
-    sources = np.arange(n, dtype=np.int64)
+    sources = np.repeat(np.arange(n, dtype=np.int64), batch_half_degree)
     batch_arrays = []
     for b in range(batches):
         cols = targets[:, b * batch_half_degree : (b + 1) * batch_half_degree]
-        batch_edges = np.stack(
-            [np.repeat(sources, batch_half_degree), cols.ravel()], axis=1
-        )
-        batch_arrays.append(batch_edges)
-
-    all_edges = np.concatenate(batch_arrays, axis=0)
-    graph = Graph(n, all_edges)
+        batch_arrays.append(np.stack([sources, cols.ravel()], axis=1))
 
     if engine is not None:
-        engine.charge_shuffle(all_edges.shape[0], label="materialize H edges")
+        engine.charge_shuffle(n * total_walks, label="materialize H edges")
 
-    return RandomizedGraph(graph=graph, batches=batch_arrays, walk_length=walk_length)
+    return RandomizedGraph(n=n, batches=batch_arrays, walk_length=walk_length)

@@ -11,9 +11,21 @@ first run in which its path was disjoint (Theorem 3's proof).
 
 ``direct_walk_targets`` is the scale substitute recorded in DESIGN.md: it
 samples the *same* product distribution ``⊗_v D_RW(v, t)`` directly (one
-independent walker per vertex, vectorised), and charges the engine the same
+independent walker per vertex and walk), and charges the engine the same
 round costs — used by the pipeline for large inputs where materialising the
-``O(n t²)`` layered graph is wasteful.
+``O(n t²)`` layered graph is wasteful.  Two facts make it cheap and
+parallel, without changing the distribution:
+
+* a lazy ``t``-step walk, which stays put on each step with an independent
+  fair coin, is distributed as a plain walk of ``Binomial(t, ½)`` steps —
+  so each walker draws its move count once, as the popcount of ``t`` fair
+  bits, and the walkers still moving at a step form a shrinking prefix;
+* walkers are mutually independent, so each *column* (one walk from every
+  vertex) draws from its own stream, ``SeedSequence(root,
+  spawn_key=(column,))``.  The columns run as the backend ``walk`` op
+  (:func:`repro.mpc.backends.walk_columns`), split across workers by the
+  pooled backends, with endpoints that do not depend on the backend or
+  the worker count.
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ from repro.core.layered import (
     sample_layered_graph,
 )
 from repro.graph.graph import Graph
+from repro.mpc.backends import LocalBackend
 from repro.mpc.engine import MPCEngine
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive_int
@@ -169,35 +182,45 @@ def direct_walk_targets(
     engine: "MPCEngine | None" = None,
 ) -> np.ndarray:
     """Sample ``walks_per_vertex`` mutually independent ``t``-step walk
-    endpoints from every vertex of a regular graph, vectorised.
+    endpoints from every vertex of a regular graph.
 
-    This draws from exactly the product distribution Theorem 3's data
-    structure produces (independence per walker is by construction), so the
-    pipeline can use it interchangeably at scale; the MPC rounds charged
-    match ``independent_random_walks``.  ``lazy=True`` walks the lazy chain
-    (the paper implements laziness by adding Δ self-loops — Section 5.2 —
-    which is distribution-identical to flipping a stay coin per step).
+    Returns the ``(n, walks_per_vertex)`` int64 endpoints: the product
+    distribution Theorem 3's data structure produces, so the pipeline
+    uses it interchangeably at scale, and the engine is charged the
+    rounds of :func:`independent_random_walks`.
+
+    ``lazy=True`` walks the lazy chain.  The paper adds Δ self-loops for
+    laziness (Section 5.2), which is the same as a fair stay coin per
+    step; a walker that flips ``t`` independent stay coins makes
+    ``Binomial(t, ½)`` moves, each a uniform port.  So every walker draws
+    its move count once (the popcount of ``t`` fair bits) and then walks
+    that many plain steps: exactly the lazy distribution, with no coin
+    per step.
+
+    The walkers of one *column* (one walk from each vertex) draw from the
+    stream ``SeedSequence(root, spawn_key=(column,))``, where ``root`` is
+    drawn once from ``rng``.  The columns run as the backend's ``walk``
+    op (:meth:`~repro.mpc.backends.ExecutionBackend.walk`, on the
+    engine's backend, or in-process without an engine), which the pools
+    split across workers by column; a seed gives bit-identical endpoints
+    on every backend and every worker count.  The empty graph gives an
+    empty ``(0, walks_per_vertex)`` array.
     """
     t = check_positive_int(t, "t")
     walks_per_vertex = check_positive_int(walks_per_vertex, "walks_per_vertex")
     if not graph.is_regular():
         raise ValueError("direct walker requires a regular graph")
+    n = graph.n
+    if n == 0:
+        return np.empty((0, walks_per_vertex), dtype=np.int64)
     degree = graph.degree(0)
     if degree == 0:
         raise ValueError("graph must have positive degree")
     rng = ensure_rng(rng)
 
-    n = graph.n
-    neighbors = graph.heads.reshape(n, degree)
-    walkers = np.tile(np.arange(n, dtype=np.int64), walks_per_vertex)
-    for _ in range(t):
-        ports = rng.integers(0, degree, size=walkers.size)
-        stepped = neighbors[walkers, ports]
-        if lazy:
-            stay = rng.random(walkers.size) < 0.5
-            walkers = np.where(stay, walkers, stepped)
-        else:
-            walkers = stepped
+    root = int.from_bytes(rng.bytes(16), "little")
+    backend = engine.backend if engine is not None else LocalBackend()
+    targets = backend.walk(graph.heads, degree, t, walks_per_vertex, root, lazy=lazy)
 
     if engine is not None:
         t_pow = next_power_of_two(t)
@@ -212,4 +235,4 @@ def direct_walk_targets(
             engine.charge_sort(n * (t_pow + 1), label="detect collisions")
             engine.note_data_volume(layered_size * walks_per_vertex)
 
-    return walkers.reshape(walks_per_vertex, n).T
+    return targets.T

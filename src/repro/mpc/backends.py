@@ -275,6 +275,10 @@ class ExecutionBackend:
       the receiving home — the layout of
       :func:`repro.mpc.algorithms.distributed_min_label_round`).
 
+    Two seams outside the round plans share the same accounting/kernel
+    split: the sketch ingest ops and :meth:`walk`, the random-walk
+    sampler of the randomization step.
+
     The engine additionally calls :meth:`ensure_capacity` for every charge
     it records, so resource bounds are enforced across the *whole*
     pipeline, including stages whose data never materialises here.
@@ -449,6 +453,53 @@ class ExecutionBackend:
     def _kernel_sketch_release(self, store) -> None:
         """Sketch-release kernel: nothing held backend-side by default."""
         return None
+
+    # -- walk sampling --------------------------------------------------------
+
+    def walk(
+        self,
+        heads,
+        degree: int,
+        steps: int,
+        columns: int,
+        entropy: int,
+        *,
+        lazy: bool = True,
+    ) -> np.ndarray:
+        """Walk ``columns`` independent ``steps``-step walkers from every
+        vertex of a ``degree``-regular graph with CSR ``heads`` (vertex
+        ``v``'s port ``p`` leads to ``heads[v·degree + p]``); returns the
+        ``(columns, n)`` int64 endpoints, row ``c`` holding column ``c``.
+
+        Column ``c`` draws only from ``SeedSequence(entropy,
+        spawn_key=(c,))`` (see :func:`walk_columns`), so the endpoints are
+        bit-identical on every backend and for any split of the columns.
+        The walk is not a plan step, so it adds no op count (trace replay
+        reproduces ``op_counts`` from the recorded plans alone), exchange
+        or capacity charge: the caller charges Theorem 3's rounds for it.
+        Subclasses override :meth:`_kernel_walk` to split the columns.
+        """
+        heads = _data(heads)
+        degree = check_positive_int(degree, "degree")
+        steps = check_positive_int(steps, "steps")
+        columns = check_nonnegative_int(columns, "columns")
+        if heads.ndim != 1 or heads.dtype.kind not in "iu" or heads.shape[0] % degree:
+            raise ValueError(
+                f"heads must be a 1-D integer array of n·{degree} entries, "
+                f"got {heads.dtype} of shape {heads.shape}"
+            )
+        n = heads.shape[0] // degree
+        if heads.size and (heads.min() < 0 or heads.max() >= n):
+            raise ValueError(f"heads must lie in [0, {n})")
+        return self._kernel_walk(heads, degree, steps, columns, int(entropy), bool(lazy))
+
+    def _kernel_walk(self, heads, degree, steps, columns, entropy, lazy) -> np.ndarray:
+        """Walk kernel: every column in this process."""
+        (targets,) = walk_columns(
+            heads, lo=0, hi=columns, degree=degree, steps=steps, lazy=lazy,
+            entropy=entropy,
+        )
+        return targets
 
 
 class LocalBackend(ExecutionBackend):
@@ -904,6 +955,84 @@ def _grouped_reduce(keys: np.ndarray, values: np.ndarray, op: str):
     boundaries = np.flatnonzero(starts)
     reduced = _REDUCERS[op].reduceat(sorted_values, boundaries)
     return sorted_keys[boundaries], reduced, order
+
+
+def popcount64(words: np.ndarray) -> np.ndarray:
+    """Set bits of each ``uint64`` word, as ``uint8``: ``np.bitwise_count``
+    on numpy ≥ 2, an exact SWAR popcount on older numpy."""
+    bitwise_count = getattr(np, "bitwise_count", None)
+    if bitwise_count is not None:
+        return bitwise_count(words)
+    return _swar_popcount(words)
+
+
+def _swar_popcount(words: np.ndarray) -> np.ndarray:
+    """Popcount by SWAR: sum bits in 2-, 4- then 8-bit fields, and add the
+    eight byte sums with one wrapping multiply into the top byte."""
+    u = np.uint64
+    x = words - ((words >> u(1)) & u(0x5555555555555555))
+    x = (x & u(0x3333333333333333)) + ((x >> u(2)) & u(0x3333333333333333))
+    x = (x + (x >> u(4))) & u(0x0F0F0F0F0F0F0F0F)
+    return ((x * u(0x0101010101010101)) >> u(56)).astype(np.uint8)
+
+
+def lazy_step_counts(rng: np.random.Generator, n: int, steps: int) -> np.ndarray:
+    """Moves made by each of ``n`` lazy ``steps``-step walkers: the popcount
+    of ``steps`` fair bits, so exactly ``Binomial(steps, ½)``.
+
+    A lazy walk that stays put on each step with an independent fair coin
+    is, in distribution, a plain walk of that many steps.
+    """
+    counts = np.zeros(n, dtype=np.min_scalar_type(steps))
+    full, rest = divmod(steps, 64)
+    for _ in range(full):
+        counts += popcount64(rng.bit_generator.random_raw(n))
+    if rest:
+        counts += popcount64(rng.bit_generator.random_raw(n) & np.uint64((1 << rest) - 1))
+    return counts
+
+
+def walk_columns(heads, *, lo, hi, degree, steps, lazy, entropy):
+    """The walk kernel: endpoints of walk columns ``[lo, hi)``.
+
+    Column ``c`` walks one walker from every vertex of the
+    ``degree``-regular out-neighbour table ``heads`` and draws only from
+    ``SeedSequence(entropy, spawn_key=(c,))``; row ``c - lo`` of the
+    ``(hi - lo, n)`` int64 result holds its endpoints.  A lazy column
+    draws every walker's move count (:func:`lazy_step_counts`), orders
+    the walkers by it, longest first, and at step ``s`` advances only
+    the prefix still moving; a plain column moves every walker
+    ``steps`` times.  Each move is one uniform port draw and one gather.
+    """
+    n = heads.shape[0] // degree
+    index = np.int32 if n * degree <= np.iinfo(np.int32).max else np.int64
+    # Walkers carry the slot base v·degree of their vertex v, so a move
+    # is base + port -> bases[slot], with no multiply.
+    bases = heads.astype(index) * degree
+    port = np.min_scalar_type(degree - 1)
+    out = np.empty((hi - lo, n), dtype=np.int64)
+    slot = np.empty(n, dtype=index)
+    for column in range(lo, hi):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(column,)))
+        if lazy:
+            counts = lazy_step_counts(rng, n, steps)
+            order = np.argsort(steps - counts, kind="stable")
+            moving = n - np.cumsum(np.bincount(counts, minlength=steps + 1)[:steps])
+        else:
+            order = np.arange(n)
+            moving = np.full(steps, n)
+        walkers = order.astype(index) * degree
+        for active in moving.tolist():
+            if active == 0:
+                break
+            np.add(
+                walkers[:active],
+                rng.integers(0, degree, size=active, dtype=port),
+                out=slot[:active],
+            )
+            np.take(bases, slot[:active], out=walkers[:active], mode="clip")
+        out[column - lo, order] = walkers // degree
+    return (out,)
 
 
 #: Registry for CLI/pipeline string selection.  ``"process"`` and

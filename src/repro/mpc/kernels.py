@@ -51,6 +51,9 @@ Work follows the canonical shard layout
   with no scan.
 * ``sketch_update`` — each worker owns a contiguous group of sketch
   shard partials and scatters the batch into each of them in place.
+* ``walk`` — each worker walks a contiguous block of walk columns.  A
+  column seeds its own random stream, so any split gives the serial
+  endpoints.
 
 Inputs the range partition cannot handle exactly (non-finite float
 keys, object dtypes, unsupported shapes) take the serial
@@ -64,7 +67,7 @@ import math
 
 import numpy as np
 
-from repro.mpc.backends import _REDUCERS, ShardedBackend, _grouped_reduce
+from repro.mpc.backends import _REDUCERS, ShardedBackend, _grouped_reduce, walk_columns
 from repro.utils.validation import check_positive_int
 
 # ---------------------------------------------------------------------------
@@ -232,6 +235,7 @@ KERNELS = {
     "min_fold": min_fold,
     "csr_min_fold": csr_min_fold,
     "sketch_update": sketch_update,
+    "walk": walk_columns,
 }
 
 
@@ -482,6 +486,25 @@ class PooledBackend(ShardedBackend):
             plans,
             lambda out, _: (out["folded"], out["incoming"]),
         )
+
+    def _kernel_walk(self, heads, degree, steps, columns, entropy, lazy):
+        n = int(heads.shape[0]) // degree
+        if not self._pooled(n * columns):
+            return super()._kernel_walk(heads, degree, steps, columns, entropy, lazy)
+        plans = [
+            [_step(
+                "walk", ["heads"], ["targets"], lo=lo, hi=hi, degree=degree,
+                steps=steps, lazy=lazy, entropy=entropy,
+            )]
+            for lo, hi in position_blocks(columns, 1, self.workers)
+        ]
+        (targets,) = self._execute(
+            {"heads": heads},
+            {"targets": ((columns, n), np.int64)},
+            plans,
+            lambda out, _: (out["targets"],),
+        )
+        return targets
 
     def _pooled_sketch_update(self, store, edges, weights, partials: list) -> int:
         """Scatter one update batch into every shard partial: one message

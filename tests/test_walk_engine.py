@@ -10,15 +10,24 @@ from repro.core import (
     direct_walk_targets,
     independent_random_walks,
     next_power_of_two,
+    randomize_components,
     simple_random_walk,
 )
 from repro.graph import (
+    Graph,
     complete_graph,
     cycle_graph,
     permutation_regular_graph,
     walk_distribution,
 )
-from repro.mpc import MPCEngine
+from repro.mpc import (
+    LocalBackend,
+    MPCEngine,
+    ProcessBackend,
+    RpcBackend,
+    ShardedBackend,
+)
+from repro.mpc.backends import popcount64
 
 
 class TestNextPowerOfTwo:
@@ -133,8 +142,6 @@ class TestDirectWalker:
         assert targets.shape == (10, 5)
 
     def test_requires_regular(self):
-        from repro.graph import Graph
-
         with pytest.raises(ValueError):
             direct_walk_targets(Graph(3, [(0, 1), (1, 2)]), 4, 2, rng=0)
 
@@ -177,3 +184,120 @@ class TestDirectWalker:
         layered_engine = MPCEngine(10**6)
         simple_random_walk(g, 8, rng=0, engine=layered_engine)
         assert direct_engine.rounds == layered_engine.rounds
+
+    def test_empty_graph_gives_empty_targets(self):
+        """Regression: the empty graph is regular, and used to raise a bare
+        IndexError from ``graph.degree(0)``."""
+        targets = direct_walk_targets(Graph(0, []), 8, 3, rng=0)
+        assert targets.shape == (0, 3)
+        assert targets.dtype == np.int64
+        result = randomize_components(
+            Graph(0, []), 8, batches=2, batch_half_degree=2, rng=0
+        )
+        assert [batch.shape for batch in result.batches] == [(0, 2), (0, 2)]
+        assert result.graph.n == 0
+
+
+def looped_multicycle(n: int) -> Graph:
+    """A 6-regular circulant with parallel edges and self-loops: every
+    cycle edge twice plus one self-loop per vertex.  It is
+    vertex-transitive, so walk displacements from all starts pool."""
+    ring = [(v, (v + 1) % n) for v in range(n)]
+    return Graph(n, ring + ring + [(v, v) for v in range(n)])
+
+
+class TestDirectWalkerExactness:
+    """The Binomial-step sampler against the exact lazy walk distribution,
+    at lengths that fill zero, one and several 64-bit popcount words
+    partly or exactly.  The ring is long enough that a wrong move count
+    (say 128 moves for 65 steps) shows in the spread of displacements."""
+
+    @pytest.mark.parametrize("t", [1, 63, 64, 65, 130])
+    def test_lazy_chi_square_against_walk_distribution(self, t):
+        n = 64
+        g = looped_multicycle(n)
+        expected = walk_distribution(g, 0, t, lazy=True)
+        targets = direct_walk_targets(g, t, 200, rng=100 + t)
+        displacement = (targets - np.arange(n)[:, None]) % n
+        counts = np.bincount(displacement.ravel(), minlength=n)
+        total = counts.sum()
+        # Pool the bins expected to hold fewer than 5 walkers into one.
+        small = total * expected < 5
+        observed = np.append(counts[~small], counts[small].sum())
+        predicted = total * np.append(expected[~small], expected[small].sum())
+        if predicted[-1] == 0:
+            assert observed[-1] == 0
+            observed, predicted = observed[:-1], predicted[:-1]
+        chi2 = np.sum((observed - predicted) ** 2 / predicted)
+        assert chi2 < stats.chi2.ppf(0.999, observed.size - 1)
+
+    @pytest.mark.parametrize("t", [1, 64, 65])
+    def test_plain_walk_moves_every_step(self, t):
+        """``lazy=False`` walks exactly ``t`` steps: on an even cycle the
+        displacement has the parity of ``t`` for every walker."""
+        g = cycle_graph(8)
+        targets = direct_walk_targets(g, t, 50, rng=t, lazy=False)
+        displacement = (targets - np.arange(8)[:, None]) % 8
+        assert np.all(displacement % 2 == t % 2)
+
+
+class TestPopcount:
+    WORDS = np.concatenate([
+        np.array([0, 2**64 - 1], dtype=np.uint64),
+        np.random.default_rng(4).integers(
+            0, 2**64 - 1, 2000, dtype=np.uint64, endpoint=True
+        ),
+    ])
+
+    def test_swar_fallback_matches_bitwise_count(self, monkeypatch):
+        reference = np.array(
+            [bin(int(word)).count("1") for word in self.WORDS], dtype=np.uint8
+        )
+        assert reference[:2].tolist() == [0, 64]
+        if hasattr(np, "bitwise_count"):
+            assert np.array_equal(np.bitwise_count(self.WORDS), reference)
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        fallback = popcount64(self.WORDS)
+        assert fallback.dtype == np.uint8
+        assert np.array_equal(fallback, reference)
+
+    def test_walk_identical_on_fallback(self, monkeypatch):
+        g = looped_multicycle(9)
+        native = direct_walk_targets(g, 130, 5, rng=8)
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        assert np.array_equal(direct_walk_targets(g, 130, 5, rng=8), native)
+
+
+class TestWalkOnEveryBackend:
+    def test_targets_bit_identical_across_backends_and_pool_sizes(self):
+        """A seed fixes the targets: the same on the in-process backends,
+        on both pools, and whatever the number of workers the columns are
+        split over."""
+        g = permutation_regular_graph(300, 4, rng=1)
+        expected = direct_walk_targets(g, 65, 7, rng=9)
+        pools = [
+            ProcessBackend(workers=w, min_parallel_items=0) for w in (1, 2, 3)
+        ] + [RpcBackend(workers=2, min_wire_items=0)]
+        for backend in [LocalBackend(), ShardedBackend(), *pools]:
+            try:
+                engine = MPCEngine(10**6, backend=backend)
+                targets = direct_walk_targets(g, 65, 7, rng=9, engine=engine)
+                assert np.array_equal(targets, expected), backend.name
+            finally:
+                backend.close()
+        for pool in pools:  # the columns really ran on the workers
+            stats = pool.stats().to_json()
+            assert stats["dispatch"]["barriers"] + stats["transport"]["op_frames"] > 0
+
+    @pytest.mark.parametrize(
+        "heads, degree",
+        [
+            (np.array([0, 2]), 1),  # a head outside [0, n)
+            (np.array([0, 1, 1]), 2),  # not n·degree entries
+            (np.array([0.0, 1.0]), 1),  # not integers
+            (np.array([-1, 0]), 1),
+        ],
+    )
+    def test_walk_rejects_malformed_heads(self, heads, degree):
+        with pytest.raises(ValueError, match="heads"):
+            LocalBackend().walk(heads, degree, 4, 2, 0)
