@@ -1,10 +1,9 @@
 """E19 shim — the experiment lives in ``repro.bench.experiments``.
 
 CLI equivalent: ``python -m repro.bench --suite full --filter e19``.
-The case itself always exercises the ``ProcessBackend`` and sweeps the
-arena toggle explicitly (``arena=True`` vs ``arena=False`` instances),
-so it ignores ``BENCH_BACKEND`` and ``BENCH_ARENA``; set
-``BENCH_WORKERS=N`` to resize the pool (default 2).
+The case itself always exercises the ``ProcessBackend``, so it ignores
+``BENCH_BACKEND``; set ``BENCH_WORKERS=N`` to resize the pool
+(default 2).
 """
 
 

@@ -1,10 +1,9 @@
 """E24 shim — the experiment lives in ``repro.bench.experiments``.
 
 CLI equivalent: ``python -m repro.bench --suite full --filter e24``.
-The case sweeps the CSR toggle explicitly (``use_csr(True)`` vs
-``use_csr(False)`` scopes) on both the sharded and process backends, so
-it ignores ``BENCH_BACKEND``; set ``BENCH_WORKERS=N`` to resize the
-pool (default 2).
+The case runs on both the sharded and process backends, so it ignores
+``BENCH_BACKEND``; set ``BENCH_WORKERS=N`` to resize the pool
+(default 2).
 """
 
 

@@ -10,9 +10,8 @@ under ``benchmarks/results/``.
 Select the parameter tier with ``BENCH_SUITE=smoke|full`` (default:
 ``full`` — the paper-shape sweeps these files always ran), the execution
 backend with ``BENCH_BACKEND=local|sharded|process`` (default:
-``local``), the process-backend pool size with ``BENCH_WORKERS=N``
-(default: experiment-specific), and its shared-memory arena with
-``BENCH_ARENA=1|0`` (default: on; see ``docs/benchmarks.md``).
+``local``), and the process-backend pool size with ``BENCH_WORKERS=N``
+(default: experiment-specific; see ``docs/benchmarks.md``).
 """
 
 from __future__ import annotations
@@ -28,21 +27,6 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 SUITE = os.environ.get("BENCH_SUITE", "full")
 BACKEND = os.environ.get("BENCH_BACKEND", "local")
 WORKERS = int(os.environ["BENCH_WORKERS"]) if "BENCH_WORKERS" in os.environ else None
-def _parse_arena(value: str) -> bool:
-    """Strict boolean parse for BENCH_ARENA: a typo must not silently
-    measure the wrong mode."""
-    normalized = value.strip().lower()
-    if normalized in ("1", "true", "yes", "on"):
-        return True
-    if normalized in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(
-        f"BENCH_ARENA must be one of 1/0/true/false/yes/no/on/off, "
-        f"got {value!r}"
-    )
-
-
-ARENA = _parse_arena(os.environ["BENCH_ARENA"]) if "BENCH_ARENA" in os.environ else None
 
 
 def pytest_collection_modifyitems(items):
@@ -58,7 +42,7 @@ def bench_case():
 
     def _run(name: str) -> bench.CaseResult:
         result = bench.run_case(
-            name, suite=SUITE, backend=BACKEND, workers=WORKERS, arena=ARENA
+            name, suite=SUITE, backend=BACKEND, workers=WORKERS
         )
         text = bench.render_case(result)
         RESULTS_DIR.mkdir(exist_ok=True)

@@ -87,26 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: min(4, usable CPUs); e18 sweeps {1, N} when given)",
     )
     parser.add_argument(
-        "--arena",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="persistent shared-memory arena for the 'process' backend: "
-        "--arena (the default) allocates segments once per run and "
-        "recycles them across operations; --no-arena restores transient "
-        "per-operation segments — the baseline e19_arena_overhead "
-        "measures against",
-    )
-    parser.add_argument(
-        "--csr",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="CSR gather fast path in the engines: --csr (the default) "
-        "runs min-label rounds as indptr-sliced gathers over a frozen "
-        "CSRIndex; --no-csr restores the sort-based exchange path — "
-        "bit-identical labels, rounds, and gated counters either way "
-        "(e24_csr_gather measures the difference)",
-    )
-    parser.add_argument(
         "--sketch-shards",
         type=int,
         default=None,
@@ -185,8 +165,6 @@ def main(argv: "list[str] | None" = None) -> int:
                 backend=args.backend,
                 engine=args.engine,
                 workers=args.workers,
-                arena=args.arena,
-                csr=args.csr,
                 sketch_shards=args.sketch_shards,
             )
         except Exception as exc:  # noqa: BLE001 - report every failing case

@@ -27,7 +27,6 @@ from repro.bench.experiments import (  # noqa: F401  (imported for registration)
     e17_backend_comparison,
     e18_parallel_scaling,
     e19_arena_overhead,
-    e20_plan_fusion,
     e21_engine_race,
     e22_streaming_updates,
     e23_rpc_service,
@@ -55,7 +54,6 @@ __all__ = [
     "e17_backend_comparison",
     "e18_parallel_scaling",
     "e19_arena_overhead",
-    "e20_plan_fusion",
     "e21_engine_race",
     "e22_streaming_updates",
     "e23_rpc_service",

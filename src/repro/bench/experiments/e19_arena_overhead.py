@@ -1,28 +1,29 @@
 """E19 — arena-backed executor: segment allocations and dispatch cost.
 
-The Theorem 4 pipeline runs twice on the true-parallel
-:class:`~repro.mpc.ProcessBackend` — once with the persistent
-shared-memory arena (the default) and once with transient per-operation
-segments (``arena=False``, the PR 3 baseline) — against a serial
-``ShardedBackend`` reference.  Expected shape:
+The Theorem 4 pipeline runs on the true-parallel
+:class:`~repro.mpc.ProcessBackend` — persistent shared-memory arena,
+fused plan dispatch — against a serial ``ShardedBackend`` reference.
+Expected shape:
 
 * labels, round counts, and every model counter (``exchanges``,
-  ``bytes_exchanged``, ``shard_count``, ``peak_shard_load``) bit-identical
-  across all three runs — the arena changes dispatch cost, never results
-  or accounting;
-* cold-run segment allocations drop from O(ops) without the arena to
-  O(size classes) with it (``shm_segments``, regression-gated via the
+  ``bytes_exchanged``, ``shard_count``, ``peak_shard_load``)
+  bit-identical to the reference — the arena and plan fusion change
+  dispatch cost, never results or accounting;
+* cold-run segment allocations stay O(size classes), independent of
+  the operation count (``shm_segments``, regression-gated via the
   ``*segments`` counter suffix);
 * *warm* runs on a live arena allocate **zero** new segments
-  (``warm_segments``, gated at 0 for the arena mode) — every buffer is a
-  recycled lease, plus pinned-input cache hits for the loop-invariant
-  broadcast incidence arrays.
+  (``warm_segments``, gated at 0) — every buffer is a recycled lease,
+  plus pinned-input cache hits for the loop-invariant broadcast CSR
+  arrays;
+* plan fusion engages (``serial_fused_steps > 0``: the contract stage's
+  search→reduce pair costs one barrier), and the per-stage barrier
+  counts (``contract``, ``relabel``, ``broadcast-level``,
+  ``scatter-input`` plan shapes) are recorded so a dispatch change
+  shows exactly which stage moved (``*barriers``, regression-gated).
 
 This case always exercises the process backend regardless of
-``--backend``; ``--workers N`` resizes the pool (default 2), and the
-sweep constructs its backends with explicit ``arena=`` flags, so
-``--arena``/``--no-arena`` (which steers backends built by name) does
-not collapse the two modes into one.
+``--backend``; ``--workers N`` resizes the pool (default 2).
 """
 
 from __future__ import annotations
@@ -39,10 +40,19 @@ DEGREE = 6
 GAP_BOUND = 0.25
 DELTA = 0.3
 
-#: Ceiling on cold-run segment allocations in arena mode: the arena
-#: allocates one segment per (size class × concurrent lease), which is
-#: independent of how many operations the pipeline executes.
+#: Ceiling on cold-run segment allocations: the arena allocates one
+#: segment per (size class × concurrent lease), which is independent of
+#: how many operations the pipeline executes.
 MAX_ARENA_SEGMENTS = 24
+
+#: Plan shapes the pipeline submits, mapped to stable record-field stems
+#: (record keys must not contain the compare-gated suffix accidentally).
+PLAN_SHAPES = {
+    "scatter-input": "scatter",
+    "contract": "contract",
+    "relabel": "relabel",
+    "broadcast-level": "broadcast",
+}
 
 
 def _config(params: dict) -> "repro.PipelineConfig":
@@ -74,9 +84,9 @@ def _run(graph, seed: int, config, backend):
 
 @register_benchmark(
     "e19_arena_overhead",
-    title="Process backend: shm arena vs transient per-op segments",
-    headers=["n", "arena", "seconds", "rounds", "cold segs", "warm segs",
-             "recycled", "pinned", "per-op ms"],
+    title="Process backend: shm arena segments and fused dispatch barriers",
+    headers=["n", "seconds", "rounds", "cold segs", "warm segs", "recycled",
+             "pinned", "barriers", "contract", "serial-fused", "per-op ms"],
     smoke={
         "n": 4096,
         "workers": 2,
@@ -94,14 +104,14 @@ def _run(graph, seed: int, config, backend):
         "max_phases": 2,
     },
     notes=(
-        "Expected shape: labels/rounds/model counters bit-identical with "
-        "and without the arena; cold-run segment allocations O(size "
-        "classes) with the arena vs O(ops) without; warm arena runs "
-        "allocate zero new segments (every buffer is a recycled lease) "
-        "and hit the pinned-input cache for the broadcast incidence "
-        "arrays."
+        "Expected shape: labels/rounds/model counters bit-identical to "
+        "the serial sharded reference; cold-run segment allocations "
+        "O(size classes); warm runs allocate zero new segments (every "
+        "buffer is a recycled lease) and hit the pinned-input cache for "
+        "the broadcast CSR arrays; plan fusion engages, with per-stage "
+        "dispatch barriers recorded."
     ),
-    tags=("pipeline", "backends", "arena"),
+    tags=("pipeline", "backends", "arena", "plans"),
 )
 def e19_arena_overhead(ctx):
     config = _config(ctx.params)
@@ -116,106 +126,107 @@ def e19_arena_overhead(ctx):
     ctx.check("reference-labels-correct",
               components_agree(sharded_result.labels, truth))
 
-    cold_segments = {}
-    for use_arena in (True, False):
-        mode = "on" if use_arena else "off"
-        # fuse_plans=False holds dispatch semantics at the per-op baseline
-        # so this experiment isolates the arena variable (and its segment
-        # counts stay comparable across commits); e20_plan_fusion owns the
-        # fusion axis.
-        backend = ProcessBackend(
-            workers=workers, min_parallel_items=0, arena=use_arena,
-            fuse_plans=False,
+    backend = ProcessBackend(workers=workers, min_parallel_items=0)
+    try:
+        # Cold run: the arena sizes itself (allocations happen here).
+        _run(graph, ctx.seed, config, backend)
+        cold = backend.arena_stats()
+
+        # Warm runs: a live arena must serve everything from recycled
+        # leases — zero new segments.
+        result, engine = ctx.timeit(
+            "pipeline-arena-on", _run, graph, ctx.seed, config, backend
         )
-        try:
-            # Cold run: the arena sizes itself (allocations happen here).
-            result, _ = _run(graph, ctx.seed, config, backend)
-            cold = backend.arena_stats()
-            cold_segments[mode] = cold["segments"]
+        seconds = ctx.timings[-1].best
+        warm = backend.arena_stats()
+        stats = backend.stats()
+        dispatch = stats.dispatch
+        by_stage = {
+            PLAN_SHAPES.get(name, name): count
+            for name, count in dispatch["plan_barriers"].items()
+        }
+        ops = sum(stats.op_counts.values())
+        warm_segments = warm["segments"] - cold["segments"]
 
-            # Warm runs: a live arena must serve everything from recycled
-            # leases — zero new segments.
-            result, engine = ctx.timeit(
-                f"pipeline-arena-{mode}", _run, graph, ctx.seed, config, backend
-            )
-            seconds = ctx.timings[-1].best
-            warm = backend.arena_stats()
-            stats = backend.stats()
-            ops = sum(stats.op_counts.values())
-            warm_segments = warm["segments"] - cold["segments"]
+        ctx.check(
+            "labels-identical-arena-on",
+            np.array_equal(result.labels, sharded_result.labels),
+            "the process backend must not change results",
+        )
+        ctx.check(
+            "rounds-identical-arena-on",
+            result.rounds == sharded_result.rounds,
+            f"{result.rounds} vs {sharded_result.rounds}",
+        )
+        ctx.check(
+            "counters-match-sharded-arena-on",
+            (stats.exchanges, stats.bytes_exchanged, stats.shard_count,
+             stats.peak_shard_load)
+            == (reference.exchanges, reference.bytes_exchanged,
+                reference.shard_count, reference.peak_shard_load),
+            "buffer management and dispatch must not change the model "
+            "accounting",
+        )
+        ctx.check(
+            "arena-cold-segments-bounded",
+            cold["segments"] <= MAX_ARENA_SEGMENTS,
+            f"{cold['segments']} segments for {ops} ops",
+        )
+        ctx.check(
+            "arena-warm-segments-zero",
+            warm_segments == 0,
+            f"warm runs allocated {warm_segments} new segments",
+        )
+        ctx.check(
+            "arena-recycles-leases",
+            warm["recycled"] > 0 and warm["pinned_hits"] > 0,
+        )
+        ctx.check(
+            "fusion-engages",
+            dispatch["serial_fused"] > 0,
+            f"{dispatch['serial_fused']} plan steps kept in the parent",
+        )
 
-            ctx.check(
-                f"labels-identical-arena-{mode}",
-                np.array_equal(result.labels, sharded_result.labels),
-                "arena toggle must not change results",
-            )
-            ctx.check(
-                f"rounds-identical-arena-{mode}",
-                result.rounds == sharded_result.rounds,
-                f"{result.rounds} vs {sharded_result.rounds}",
-            )
-            ctx.check(
-                f"counters-match-sharded-arena-{mode}",
-                (stats.exchanges, stats.bytes_exchanged, stats.shard_count,
-                 stats.peak_shard_load)
-                == (reference.exchanges, reference.bytes_exchanged,
-                    reference.shard_count, reference.peak_shard_load),
-                "buffer management must not change the model accounting",
-            )
-            if use_arena:
-                ctx.check(
-                    "arena-cold-segments-bounded",
-                    cold["segments"] <= MAX_ARENA_SEGMENTS,
-                    f"{cold['segments']} segments for {ops} ops",
-                )
-                ctx.check(
-                    "arena-warm-segments-zero",
-                    warm_segments == 0,
-                    f"warm runs allocated {warm_segments} new segments",
-                )
-                ctx.check(
-                    "arena-recycles-leases",
-                    warm["recycled"] > 0 and warm["pinned_hits"] > 0,
-                )
+        ctx.record(
+            "arena=on",
+            row=[n, f"{seconds:.3f}", result.rounds, cold["segments"],
+                 warm_segments, warm["recycled"], warm["pinned_hits"],
+                 dispatch["barriers"], by_stage.get("contract", 0),
+                 dispatch["serial_fused"],
+                 f"{1000.0 * seconds / max(ops, 1):.2f}"],
+            n=n,
+            workers=workers,
+            seconds=seconds,
+            pipeline_rounds=result.rounds,
+            backend_ops=ops,
+            plans_run=stats.plans,
+            per_op_dispatch_ms=1000.0 * seconds / max(ops, 1),
+            shm_segments=cold["segments"],
+            warm_segments=warm_segments,
+            leases_issued=warm["leases"],
+            leases_recycled=warm["recycled"],
+            pinned_hits=warm["pinned_hits"],
+            dispatch_barriers=dispatch["barriers"],
+            dispatch_messages=dispatch["messages"],
+            dispatch_steps=dispatch["steps"],
+            serial_fused_steps=dispatch["serial_fused"],
+            contract_barriers=by_stage.get("contract", 0),
+            relabel_barriers=by_stage.get("relabel", 0),
+            broadcast_barriers=by_stage.get("broadcast", 0),
+            scatter_barriers=by_stage.get("scatter", 0),
+            shm_mbytes_copied=dispatch["shm_bytes_copied"] / 1e6,
+            exchanges=stats.exchanges,
+            bytes_exchanged=stats.bytes_exchanged,
+            shard_count=stats.shard_count,
+            peak_shard_load=stats.peak_shard_load,
+            engine=ctx.account(engine),
+        )
+    finally:
+        backend.close()
 
-            ctx.record(
-                f"arena={mode}",
-                row=[n, mode, f"{seconds:.3f}", result.rounds,
-                     cold["segments"], warm_segments, warm["recycled"],
-                     warm["pinned_hits"],
-                     f"{1000.0 * seconds / max(ops, 1):.2f}"],
-                n=n,
-                arena=use_arena,
-                workers=workers,
-                seconds=seconds,
-                pipeline_rounds=result.rounds,
-                backend_ops=ops,
-                per_op_dispatch_ms=1000.0 * seconds / max(ops, 1),
-                shm_segments=cold["segments"],
-                warm_segments=warm_segments,
-                leases_issued=warm["leases"],
-                leases_recycled=warm["recycled"],
-                pinned_hits=warm["pinned_hits"],
-                dispatch_barriers=stats.dispatch["barriers"],
-                dispatch_messages=stats.dispatch["messages"],
-                dispatch_steps=stats.dispatch["steps"],
-                shm_mbytes_copied=stats.dispatch["shm_bytes_copied"] / 1e6,
-                exchanges=stats.exchanges,
-                bytes_exchanged=stats.bytes_exchanged,
-                shard_count=stats.shard_count,
-                peak_shard_load=stats.peak_shard_load,
-                engine=ctx.account(engine),
-            )
-        finally:
-            backend.close()
-
-    ctx.check(
-        "arena-cuts-segment-allocations",
-        cold_segments["on"] * 2 <= cold_segments["off"],
-        f"arena {cold_segments['on']} vs transient {cold_segments['off']} "
-        "segment allocations per cold run",
-    )
     ctx.note(
-        f"cold-run segment allocations: {cold_segments['on']} (arena) vs "
-        f"{cold_segments['off']} (transient) for the same op sequence"
+        f"cold-run segment allocations: {cold['segments']} for {ops} "
+        f"backend ops; dispatch barriers per warm run: "
+        f"{dispatch['barriers']} ({dispatch['serial_fused']} plan steps "
+        "fused into the parent)"
     )

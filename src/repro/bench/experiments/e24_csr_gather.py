@@ -1,30 +1,26 @@
-"""E24 — CSR gathers vs sort-based exchanges: wall time and copies.
+"""E24 — CSR gathers: the pipeline's min-label rounds and the round step.
 
-The same Theorem 4 pipeline runs with the CSR fast path on (the
-default: min-label rounds as indptr-sliced gathers over a frozen
-:class:`~repro.graph.CSRIndex`) and off (``use_csr(False)``, the
-sort-based orientation-array path), on a serial ``ShardedBackend``
-reference and on the true-parallel ``ProcessBackend``.  Expected shape:
+The Theorem 4 pipeline runs its min-label broadcast as indptr-sliced
+gathers over a frozen :class:`~repro.graph.CSRIndex`, on a serial
+``ShardedBackend`` reference and on the true-parallel
+``ProcessBackend``.  Expected shape:
 
 * labels, round counts, and every gated model counter (``exchanges``,
   ``bytes_exchanged``, ``shard_count``, ``peak_shard_load``)
-  bit-identical across all four runs — the CSR path changes kernel
-  shape, never results or accounting;
-* the CSR run copies **fewer** bytes into shared memory per pipeline
-  run: its pinned inputs are ``indptr`` (n + 1 words) + ``indices``
-  (2m words) where the sort path pins ``send`` + ``recv`` (4m words),
-  and the ``csr`` counters (``csr_builds``, ``csr_gathers``,
-  ``argsorts_avoided``) prove the fast path actually engaged;
+  bit-identical across both backends;
+* the ``csr`` counters (``csr_builds``, ``csr_gathers``,
+  ``argsorts_avoided``) prove the CSR path actually engaged;
 * an isolated round-step microbenchmark (one ``csr_min_label`` vs one
-  ``min_label_exchange`` on a warm ``ProcessBackend``) shows the ≥1.3×
-  speedup of the indptr-partitioned fold at smoke scale: a CSR worker
-  reads exactly the contiguous slot range its label block owns, where
-  the sort-based fold must mask-scan *all* ``2m`` incidences per
-  worker to find the ones landing in its range.  The full tier's
-  ``n = 10^6`` scaling point only pins "CSR never loses" — at that
-  scale the random label gathers miss cache in both kernels and the
-  margin compresses toward the shared bandwidth bound, and wall-clock
-  is never hard-gated across hosts.
+  sort-based ``min_label_exchange`` — the op graph exponentiation still
+  runs — on a warm ``ProcessBackend``) shows the ≥1.3× speedup of the
+  indptr-partitioned fold at smoke scale: a CSR worker reads exactly
+  the contiguous slot range its label block owns, where the sort-based
+  fold must mask-scan *all* ``2m`` incidences per worker to find the
+  ones landing in its range.  The full tier's ``n = 10^6`` scaling
+  point only pins "CSR never loses" — at that scale the random label
+  gathers miss cache in both kernels and the margin compresses toward
+  the shared bandwidth bound, and wall-clock is never hard-gated across
+  hosts.
 
 This case always exercises both the sharded and process backends
 regardless of ``--backend``; ``--workers N`` resizes the pool
@@ -39,7 +35,7 @@ import repro
 from repro.bench.registry import register_benchmark
 from repro.bench.workloads import Workload
 from repro.graph import components_agree, connected_components
-from repro.graph.csr import CSRIndex, use_csr
+from repro.graph.csr import CSRIndex
 from repro.mpc import MPCEngine, ProcessBackend, ShardedBackend
 
 DEGREE = 6
@@ -84,8 +80,8 @@ def _run(graph, seed: int, config, backend):
 
 @register_benchmark(
     "e24_csr_gather",
-    title="CSR gather fast path vs sort-based exchanges",
-    headers=["n", "csr", "backend", "seconds", "rounds", "gathers",
+    title="CSR gathers: pipeline min-label rounds and the round step",
+    headers=["n", "case", "backend", "seconds", "rounds", "gathers",
              "shm-copied", "segments", "barriers"],
     smoke={
         "n": 4096,
@@ -106,16 +102,15 @@ def _run(graph, seed: int, config, backend):
         "roundstep_n": 1000000,
     },
     notes=(
-        "Expected shape: labels/rounds/model counters bit-identical with "
-        "the CSR fast path on and off, on both the sharded and process "
-        "backends; the CSR run pins fewer bytes into shared memory "
-        "(indptr + indices vs send + recv) and the isolated round step "
-        "on a warm process pool is >= 1.3x faster at smoke scale (each "
-        "CSR worker folds only its own contiguous slot range, where the "
-        "sort-based fold mask-scans all 2m incidences per worker); the "
-        "full tier's n = 10^6 point gates never-slower, since the margin "
-        "compresses toward the shared bandwidth bound at cache-missing "
-        "scale."
+        "Expected shape: labels/rounds/model counters bit-identical on "
+        "the sharded and process backends, with the csr counters "
+        "engaged; the isolated round step (csr_min_label vs the "
+        "sort-based min_label_exchange) on a warm process pool is "
+        ">= 1.3x faster at smoke scale (each CSR worker folds only its "
+        "own contiguous slot range, where the sort-based fold mask-scans "
+        "all 2m incidences per worker); the full tier's n = 10^6 point "
+        "gates never-slower, since the margin compresses toward the "
+        "shared bandwidth bound at cache-missing scale."
     ),
     tags=("pipeline", "backends", "csr"),
 )
@@ -128,112 +123,75 @@ def e24_csr_gather(ctx):
     )
     truth = connected_components(graph)
 
-    # -- serial reference: both modes on the sharded backend ----------------
-    reference = {}
-    for enabled in (False, True):
-        mode = "on" if enabled else "off"
-        backend = ShardedBackend()
-        with use_csr(enabled):
-            result, _ = _run(graph, ctx.seed, config, backend)
-        reference[mode] = (result, backend.stats())
-    ref_result, ref_stats = reference["off"]
+    # -- serial reference on the sharded backend ----------------------------
+    ref_backend = ShardedBackend()
+    ref_result, _ = _run(graph, ctx.seed, config, ref_backend)
+    ref_stats = ref_backend.stats()
     ctx.check(
         "reference-labels-correct",
         components_agree(ref_result.labels, truth),
     )
-    on_result, on_stats = reference["on"]
-    ctx.check(
-        "sharded-labels-identical",
-        np.array_equal(on_result.labels, ref_result.labels),
-        "the CSR path must not change results",
-    )
-    ctx.check(
-        "sharded-counters-identical",
-        (on_result.rounds, on_stats.exchanges, on_stats.bytes_exchanged,
-         on_stats.shard_count, on_stats.peak_shard_load)
-        == (ref_result.rounds, ref_stats.exchanges,
-            ref_stats.bytes_exchanged, ref_stats.shard_count,
-            ref_stats.peak_shard_load),
-        "the CSR path must not change the model accounting",
-    )
     ctx.check(
         "csr-counters-engage",
-        on_stats.csr["csr_builds"] > 0
-        and on_stats.csr["csr_gathers"] > 0
-        and on_stats.csr["argsorts_avoided"] > 0
-        and all(v == 0 for v in ref_stats.csr.values()),
-        f"on: {on_stats.csr}, off: {ref_stats.csr}",
+        ref_stats.csr["csr_builds"] > 0
+        and ref_stats.csr["csr_gathers"] > 0
+        and ref_stats.csr["argsorts_avoided"] > 0,
+        f"{ref_stats.csr}",
     )
 
-    # -- process backend: timed runs, both modes ----------------------------
-    shm_copied = {}
-    for enabled in (True, False):
-        mode = "on" if enabled else "off"
-        backend = ProcessBackend(workers=workers, min_parallel_items=0)
-        try:
-            with use_csr(enabled):
-                # Cold run first (pool spawn, arena sizing, page faults),
-                # so the timed runs compare kernel shapes on equal
-                # footing — the same discipline as e19/e20.
-                _run(graph, ctx.seed, config, backend)
-                result, engine = ctx.timeit(
-                    f"pipeline-csr-{mode}", _run, graph, ctx.seed, config,
-                    backend,
-                )
-            seconds = ctx.timings[-1].best
-            stats = backend.stats()
-            dispatch = stats.dispatch
-            arena = stats.arena
-            shm_copied[mode] = dispatch["shm_bytes_copied"]
+    # -- process backend: timed runs ----------------------------------------
+    backend = ProcessBackend(workers=workers, min_parallel_items=0)
+    try:
+        # Cold run first (pool spawn, arena sizing, page faults), so the
+        # timed runs measure the warm pool — the same discipline as e19.
+        _run(graph, ctx.seed, config, backend)
+        result, engine = ctx.timeit(
+            "pipeline-csr-on", _run, graph, ctx.seed, config, backend
+        )
+        seconds = ctx.timings[-1].best
+        stats = backend.stats()
+        dispatch = stats.dispatch
+        arena = stats.arena
 
-            ctx.check(
-                f"process-labels-identical-csr-{mode}",
-                np.array_equal(result.labels, ref_result.labels),
-                "the CSR path must not change results",
-            )
-            ctx.check(
-                f"process-counters-identical-csr-{mode}",
-                (result.rounds, stats.exchanges, stats.bytes_exchanged,
-                 stats.shard_count, stats.peak_shard_load)
-                == (ref_result.rounds, ref_stats.exchanges,
-                    ref_stats.bytes_exchanged, ref_stats.shard_count,
-                    ref_stats.peak_shard_load),
-                "the CSR path must not change the model accounting",
-            )
+        ctx.check(
+            "process-labels-identical-csr-on",
+            np.array_equal(result.labels, ref_result.labels),
+            "the process backend must not change results",
+        )
+        ctx.check(
+            "process-counters-identical-csr-on",
+            (result.rounds, stats.exchanges, stats.bytes_exchanged,
+             stats.shard_count, stats.peak_shard_load)
+            == (ref_result.rounds, ref_stats.exchanges,
+                ref_stats.bytes_exchanged, ref_stats.shard_count,
+                ref_stats.peak_shard_load),
+            "the process backend must not change the model accounting",
+        )
 
-            ctx.record(
-                f"csr={mode}",
-                row=[n, mode, "process", f"{seconds:.3f}", result.rounds,
-                     stats.csr["csr_gathers"], dispatch["shm_bytes_copied"],
-                     arena["segments"], dispatch["barriers"]],
-                n=n,
-                csr=enabled,
-                workers=workers,
-                seconds=seconds,
-                pipeline_rounds=result.rounds,
-                csr_builds=stats.csr["csr_builds"],
-                csr_gathers=stats.csr["csr_gathers"],
-                argsorts_avoided=stats.csr["argsorts_avoided"],
-                shm_bytes_copied=dispatch["shm_bytes_copied"],
-                arena_segments=arena["segments"],
-                pinned_hits=arena["pinned_hits"],
-                dispatch_barriers=dispatch["barriers"],
-                exchanges=stats.exchanges,
-                bytes_exchanged=stats.bytes_exchanged,
-                shard_count=stats.shard_count,
-                peak_shard_load=stats.peak_shard_load,
-                engine=ctx.account(engine),
-            )
-        finally:
-            backend.close()
-
-    ctx.check(
-        "csr-copies-fewer-shm-bytes",
-        shm_copied["on"] < shm_copied["off"],
-        f"csr on copied {shm_copied['on']} bytes into shared memory vs "
-        f"{shm_copied['off']} with the sort path (indptr + indices pins "
-        "replace the wider send + recv pins)",
-    )
+        ctx.record(
+            "csr=on",
+            row=[n, "pipeline", "process", f"{seconds:.3f}", result.rounds,
+                 stats.csr["csr_gathers"], dispatch["shm_bytes_copied"],
+                 arena["segments"], dispatch["barriers"]],
+            n=n,
+            workers=workers,
+            seconds=seconds,
+            pipeline_rounds=result.rounds,
+            csr_builds=stats.csr["csr_builds"],
+            csr_gathers=stats.csr["csr_gathers"],
+            argsorts_avoided=stats.csr["argsorts_avoided"],
+            shm_bytes_copied=dispatch["shm_bytes_copied"],
+            arena_segments=arena["segments"],
+            pinned_hits=arena["pinned_hits"],
+            dispatch_barriers=dispatch["barriers"],
+            exchanges=stats.exchanges,
+            bytes_exchanged=stats.bytes_exchanged,
+            shard_count=stats.shard_count,
+            peak_shard_load=stats.peak_shard_load,
+            engine=ctx.account(engine),
+        )
+    finally:
+        backend.close()
 
     # -- isolated round step: gather vs sort fold on a warm process pool ----
     rs_n = ctx.params["roundstep_n"]
@@ -287,7 +245,7 @@ def e24_csr_gather(ctx):
     )
     ctx.record(
         "roundstep",
-        row=[rs_n, "both", "process", f"{csr_seconds:.4f}", "-",
+        row=[rs_n, "roundstep", "process", f"{csr_seconds:.4f}", "-",
              1, "-", "-", "-"],
         n=rs_n,
         incidences=int(index.indices.size),
@@ -299,6 +257,5 @@ def e24_csr_gather(ctx):
     ctx.note(
         f"round step at {rs_n} vertices / {index.indices.size} incidences "
         f"({workers} workers): sort {sort_seconds * 1e3:.1f} ms vs csr "
-        f"{csr_seconds * 1e3:.1f} ms ({speedup:.2f}x); pipeline shm bytes "
-        f"copied {shm_copied['off']} -> {shm_copied['on']}"
+        f"{csr_seconds * 1e3:.1f} ms ({speedup:.2f}x)"
     )

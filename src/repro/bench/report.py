@@ -116,12 +116,6 @@ def case_to_json(result: CaseResult, *, sha: "str | None" = None) -> dict:
         # Optional on load (older artifacts predate the process backend);
         # null unless --workers was passed.
         "workers": result.workers,
-        # Optional on load (older artifacts predate the shm arena); null
-        # unless --arena/--no-arena was passed.
-        "arena": result.arena,
-        # Optional on load (older artifacts predate the CSR fast path);
-        # null unless --csr/--no-csr was passed.
-        "csr": result.csr,
         # Optional on load (older artifacts predate sharded sketches);
         # null unless --sketch-shards was passed.
         "sketch_shards": result.sketch_shards,

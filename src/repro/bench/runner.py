@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 from repro.bench.registry import BenchmarkSpec, get_benchmark
 from repro.engines import engine_names
-from repro.graph.csr import use_csr
 from repro.mpc.backends import backend_names
-from repro.mpc.process_backend import default_arena, default_workers
+from repro.mpc.process_backend import default_workers
 from repro.utils.rng import ensure_rng
 
 #: suite -> (warmup, repeat) for ``BenchContext.timeit`` kernels.  Smoke
@@ -68,8 +67,6 @@ class CaseResult:
     backend: str
     engine: str
     workers: "int | None"
-    arena: "bool | None"
-    csr: "bool | None"
     sketch_shards: "int | None"
     params: dict
     headers: "tuple[str, ...]"
@@ -103,11 +100,7 @@ class BenchContext:
     (``engine=ctx.engine``) so one registered case can race any
     registered algorithm through the dispatch seam.  ``workers``
     is the ``--workers`` pool-size override for the ``process`` backend
-    (``None`` means each experiment picks its own default); ``arena`` is
-    the ``--arena``/``--no-arena`` toggle for that backend's persistent
-    shared-memory arena (``None`` leaves the default — arena on);
-    ``csr`` is the ``--csr``/``--no-csr`` toggle for the engines' CSR
-    gather fast path (``None`` leaves the default — CSR on);
+    (``None`` means each experiment picks its own default);
     ``sketch_shards`` is the ``--sketch-shards`` override for streaming
     experiments that maintain a sharded AGM sketch (``None`` means each
     experiment picks its own sweep of shard counts).
@@ -123,8 +116,6 @@ class BenchContext:
         backend: str = "local",
         engine: str = "paper",
         workers: "int | None" = None,
-        arena: "bool | None" = None,
-        csr: "bool | None" = None,
         sketch_shards: "int | None" = None,
     ):
         if backend not in backend_names():
@@ -145,8 +136,6 @@ class BenchContext:
         self.backend = backend
         self.engine = engine
         self.workers = None if workers is None else int(workers)
-        self.arena = None if arena is None else bool(arena)
-        self.csr = None if csr is None else bool(csr)
         self.sketch_shards = None if sketch_shards is None else int(sketch_shards)
         self.params = spec.params_for(suite)
         self.warmup = int(warmup)
@@ -237,8 +226,6 @@ def run_case(
     backend: str = "local",
     engine: str = "paper",
     workers: "int | None" = None,
-    arena: "bool | None" = None,
-    csr: "bool | None" = None,
     sketch_shards: "int | None" = None,
 ) -> CaseResult:
     """Run one registered benchmark and return its :class:`CaseResult`.
@@ -258,12 +245,6 @@ def run_case(
         (the ``--engine`` flag; default ``"paper"``).
     workers:
         Optional ``process``-backend pool size (the ``--workers`` flag).
-    arena:
-        Optional ``process``-backend arena toggle (``--arena`` /
-        ``--no-arena``); ``None`` keeps the default (arena on).
-    csr:
-        Optional engine CSR fast-path toggle (``--csr`` / ``--no-csr``);
-        ``None`` keeps the default (CSR on).
     sketch_shards:
         Optional sharded-sketch shard-count override for streaming
         experiments (the ``--sketch-shards`` flag); ``None`` lets each
@@ -287,16 +268,12 @@ def run_case(
         backend=backend,
         engine=engine,
         workers=workers,
-        arena=arena,
-        csr=csr,
         sketch_shards=sketch_shards,
     )
     start = time.perf_counter()
-    # Scope the --workers / --arena / --csr overrides so every backend
-    # and engine the experiment constructs by name (including inside the
-    # pipeline) honours them.
-    with default_workers(ctx.workers), default_arena(ctx.arena), \
-            use_csr(ctx.csr):
+    # Scope the --workers override so every backend the experiment
+    # constructs by name (including inside the pipeline) honours it.
+    with default_workers(ctx.workers):
         spec.func(ctx)
     total = time.perf_counter() - start
     return CaseResult(
@@ -307,8 +284,6 @@ def run_case(
         backend=ctx.backend,
         engine=ctx.engine,
         workers=ctx.workers,
-        arena=ctx.arena,
-        csr=ctx.csr,
         sketch_shards=ctx.sketch_shards,
         params=dict(ctx.params),
         headers=spec.headers,

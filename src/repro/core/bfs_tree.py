@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.components import canonical_labels
-from repro.graph.csr import CSRIndex, csr_enabled
+from repro.graph.csr import CSRIndex
+from repro.mpc.backends import csr_min_label_kernel
 from repro.mpc.engine import MPCEngine
-from repro.mpc.plan import PlanBuilder, submit_plan
+from repro.mpc.plan import PlanBuilder
 from repro.utils.validation import check_positive_int
 
 
@@ -59,6 +60,11 @@ def broadcast_components(
     rounds and returns the (possibly non-maximal) labels — this is the
     paper's O(1)-round regime of Claim 6.14, used by the adaptive variant,
     where an unconverged broadcast means "this gap guess was too large".
+
+    Every level folds each vertex's minimum over its run of one frozen
+    :class:`~repro.graph.csr.CSRIndex`: with an ``engine`` as a
+    ``csr_min_label`` plan (one recorded round on its data plane),
+    without one by the same kernel in-process.
     """
     n = check_positive_int(n, "n")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -73,87 +79,51 @@ def broadcast_components(
             labels=labels, tree_edges=np.empty(0, dtype=np.int64), rounds=0
         )
 
-    backend = engine.backend if engine is not None else None
     m = edges.shape[0]
-    use_gather = backend is not None and csr_enabled()
-    if use_gather:
-        # CSR fast path: one frozen index replaces the send/recv/eid
-        # orientation arrays.  Its read-only owning buffers satisfy the
-        # arena pinning contract (one shared-memory upload for the whole
-        # broadcast) and the wire digest cache (shipped once per worker).
-        index = CSRIndex.from_edges(n, edges)
-        backend.note_csr_build()
-        owner = index.slot_owners()
-        half = index.halfedges
-        # Sort-layout incidence position of each CSR slot: half-edge
-        # 2e + 1 sits in row u receiving v -> u, which the orientation
-        # arrays place at position e; half-edge 2e is received at v,
-        # position m + e.  Recovering the positions keeps the recorded
-        # parent edges bit-identical to the sort path's last-write-wins
-        # fancy assignment (= max delivering position per vertex).
-        pos = np.where(half & 1, half >> 1, m + (half >> 1))
-        runs = index.degrees > 0
-        starts = index.indptr[:-1][runs]
-    else:
-        u, v = edges[:, 0], edges[:, 1]
-        # Both orientations: receiving endpoint, sending endpoint, edge id.
-        recv = np.concatenate([v, u])
-        send = np.concatenate([u, v])
-        eid = np.tile(np.arange(m, dtype=np.int64), 2)
-        # The incidence arrays are loop-invariant; marking them read-only
-        # lets an arena-backed process backend pin them in shared memory
-        # once and lease the same buffers to every broadcast level instead
-        # of re-copying ~4m words per round (see repro.mpc.arena.ShmArena).
-        send.setflags(write=False)
-        recv.setflags(write=False)
+    # The index's read-only owning buffers satisfy the arena pinning
+    # contract (one shared-memory upload for the whole broadcast) and the
+    # wire digest cache (shipped once per worker).
+    index = CSRIndex.from_edges(n, edges)
+    if engine is not None:
+        engine.backend.note_csr_build()
+    owner = index.slot_owners()
+    half = index.halfedges
+    # Incidence position of each CSR slot in the edge-list orientation
+    # order: half-edge 2e + 1 (v -> u, received at u) is position e,
+    # half-edge 2e (received at v) is position m + e.  Recording the
+    # largest delivering position per vertex makes the tree independent
+    # of the slot order within a run.
+    pos = np.where(half & 1, half >> 1, m + (half >> 1))
+    runs = index.degrees > 0
+    starts = index.indptr[:-1][runs]
 
     rounds = 0
     while rounds < max_rounds:
         if stop_after is not None and rounds >= stop_after:
             break
-        if use_gather:
-            # Same recorded round, gather-shaped: each vertex folds the
-            # minimum over its contiguous CSR slot run instead of a
-            # scatter over the sorted orientation arrays.
+        if engine is not None:
             builder = PlanBuilder("broadcast-level")
             outs = builder.csr_min_label(labels, index.indptr, index.indices)
-            new_labels, incoming = submit_plan(
-                builder.build(outs), engine=engine
-            )
-        elif backend is not None:
-            # One recorded round per level: edge copies read the sending
-            # endpoint's label locally and ship it to the receiving home
-            # (one exchange barrier on the data plane).
-            builder = PlanBuilder("broadcast-level")
-            outs = builder.min_label_exchange(labels, send, recv)
-            new_labels, incoming = submit_plan(
-                builder.build(outs), engine=engine
-            )
+            new_labels, incoming = engine.run_plan(builder.build(outs))
         else:
-            incoming = labels[send]
-            new_labels = labels.copy()
-            np.minimum.at(new_labels, recv, incoming)
+            new_labels, incoming = csr_min_label_kernel(
+                labels, index.indptr, index.indices
+            )
         improved = new_labels < labels
         if not improved.any():
             break
         rounds += 1
         if engine is not None:
-            engine.charge_shuffle(edges.shape[0], label="broadcast level")
+            engine.charge_shuffle(m, label="broadcast level")
         # Record a delivering edge for every improved vertex: an incidence
         # whose incoming label equals the new minimum.  The final recording
         # (the wave from the component minimum) forms the BFS tree.
-        if use_gather:
-            cand = np.where(incoming == new_labels[owner], pos, -1)
-            best = np.full(n, -1, dtype=np.int64)
-            if starts.size:
-                best[runs] = np.maximum.reduceat(cand, starts)
-            sel = improved & (best >= 0)
-            parent_edge[sel] = best[sel] % m
-        else:
-            delivering = np.flatnonzero(incoming == new_labels[recv])
-            targets = recv[delivering]
-            hit = improved[targets]
-            parent_edge[targets[hit]] = eid[delivering[hit]]
+        cand = np.where(incoming == new_labels[owner], pos, -1)
+        best = np.full(n, -1, dtype=np.int64)
+        if starts.size:
+            best[runs] = np.maximum.reduceat(cand, starts)
+        sel = improved & (best >= 0)
+        parent_edge[sel] = best[sel] % m
         labels = new_labels
     else:
         raise RuntimeError(f"broadcast did not stabilise within {max_rounds} rounds")

@@ -35,6 +35,7 @@ multi-core hosts.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,44 @@ def _finalize_against_graph(
     return canonical_labels(result.labels[labels]), result.rounds
 
 
+@contextlib.contextmanager
+def _accounting_engine(
+    graph: Graph,
+    config: PipelineConfig,
+    engine: "MPCEngine | None",
+    backend: "str | ExecutionBackend | None",
+):
+    """The accounting engine an entry point runs on.
+
+    A caller-supplied ``engine`` is used as is, and ``backend`` must then
+    stay ``None`` (:class:`ValueError` otherwise).  Without one, a fresh
+    ``MPCEngine.for_delta`` is built over ``make_backend(backend)``; a
+    backend built here from a string spec is owned by this call and is
+    closed on exit, even when an exception escapes mid-run — relying on
+    the ProcessBackend finalizer instead can race pool shutdown at
+    interpreter exit and leaves arena segments linked until garbage
+    collection.  Counters stay readable after the close, and a closed
+    backend restarts on demand.
+    """
+    if engine is not None:
+        if backend is not None:
+            raise ValueError(
+                "pass the backend through the engine when supplying one "
+                "(MPCEngine(..., backend=...))"
+            )
+        yield engine
+        return
+    owns_backend = not isinstance(backend, ExecutionBackend)
+    engine = MPCEngine.for_delta(
+        max(graph.n + graph.m, 2), config.delta, backend=make_backend(backend)
+    )
+    try:
+        yield engine
+    finally:
+        if owns_backend:
+            engine.backend.close()
+
+
 def mpc_connected_components(
     graph: Graph,
     spectral_gap_bound: float,
@@ -118,77 +157,49 @@ def mpc_connected_components(
     config, rng:
         Tuning constants and randomness.
     engine:
-        Either the accounting :class:`~repro.mpc.engine.MPCEngine` (a
-        fresh ``MPCEngine.for_delta`` is created from ``config.delta``
-        if absent) or an *algorithm engine* selector — the name or
-        instance of a registered :mod:`repro.engines` connectivity
-        engine (``"paper"``, ``"liu_tarjan"``, ``"exponentiation"``,
-        ``"portfolio"``).  An algorithm engine runs on a fresh
-        accounting engine built from ``config.delta`` over the
-        ``backend`` argument; to combine a named engine with your own
-        ``MPCEngine`` (e.g. for trace capture), call
-        ``repro.engines.get_engine(name).run(..., mpc=...)`` directly.
+        Either the accounting :class:`~repro.mpc.engine.MPCEngine` to run
+        the paper pipeline on (a fresh ``MPCEngine.for_delta`` is created
+        from ``config.delta`` if absent) or an *algorithm engine*
+        selector — the name or instance of a registered
+        :mod:`repro.engines` connectivity engine (``"paper"``,
+        ``"liu_tarjan"``, ``"exponentiation"``, ``"portfolio"``).  An
+        algorithm engine runs on a fresh accounting engine built from
+        ``config.delta`` over the ``backend`` argument; to combine a
+        named engine with your own ``MPCEngine`` (e.g. for trace
+        capture), call ``repro.engines.get_engine(name).run(...,
+        mpc=...)`` directly.
     backend:
         Execution backend for the data plane: ``"local"`` (accounting
         only, the default), ``"sharded"`` (numpy shards with enforced
         per-shard memory and per-round communication caps), ``"process"``
         (the sharded kernels on a worker-process pool), or an
         :class:`~repro.mpc.backends.ExecutionBackend` instance.  When an
-        ``engine`` is supplied its attached backend is used instead and
-        this argument must stay ``None`` (:class:`ValueError` otherwise).
+        ``MPCEngine`` is supplied its attached backend is used instead
+        and this argument must stay ``None`` (:class:`ValueError`
+        otherwise).
     walk_mode:
         Passed to the randomization step ("direct" or "layered").
     finalize:
         Run the verification/fallback broadcast (always on for end users;
         the adaptive variant disables it between guesses).
     """
+    # Lazy import: repro.engines depends on this module.
+    from repro.engines import resolve_engine
+
     config = config or PipelineConfig()
     spectral_gap_bound = check_in_range(
         spectral_gap_bound, "spectral_gap_bound", 1e-12, 2.0
     )
     rng = ensure_rng(rng)
-    if engine is not None and not isinstance(engine, MPCEngine):
-        # Algorithm-engine dispatch: a registered connectivity engine
-        # (by name or instance) runs on a fresh accounting engine over
-        # the requested backend.  Lazy import — repro.engines depends
-        # on this module.
-        from repro.engines import resolve_engine
-
-        algorithm = resolve_engine(engine)
-        owns_backend = not isinstance(backend, ExecutionBackend)
-        mpc = MPCEngine.for_delta(
-            max(graph.n + graph.m, 2), config.delta, backend=make_backend(backend)
-        )
-        try:
-            return algorithm.run(
-                graph, spectral_gap_bound, config=config, rng=rng, mpc=mpc,
-                walk_mode=walk_mode, finalize=finalize,
-            )
-        finally:
-            if owns_backend:
-                mpc.backend.close()
-    # When the engine (and therefore its backend) is built here from a
-    # string spec, this call owns it and must release any external
-    # resources (e.g. a ProcessBackend's worker pool) before returning;
-    # counters stay readable and a closed backend restarts on demand.
-    owns_backend = engine is None and not isinstance(backend, ExecutionBackend)
-    if engine is None:
-        engine = MPCEngine.for_delta(
-            max(graph.n + graph.m, 2), config.delta, backend=make_backend(backend)
-        )
-    elif backend is not None:
-        raise ValueError(
-            "pass the backend through the engine when supplying one "
-            "(MPCEngine(..., backend=...))"
-        )
-    try:
-        return _run_stages(
-            graph, spectral_gap_bound, config, rng, engine,
+    if engine is None or isinstance(engine, MPCEngine):
+        algorithm, mpc = resolve_engine("paper"), engine
+    else:
+        algorithm, mpc = resolve_engine(engine), None
+    with _accounting_engine(graph, config, mpc, backend) as mpc:
+        return algorithm.run(
+            graph, spectral_gap_bound, config=config, rng=rng, mpc=mpc,
             walk_mode=walk_mode, finalize=finalize,
         )
-    finally:
-        if owns_backend:
-            engine.backend.close()
 
 
 def _run_stages(
@@ -318,35 +329,29 @@ def mpc_connected_components_adaptive(
     one sort); others are retried with the smaller guess.  Components with
     gap ``λ₂(G_i)`` finish once ``λ'_j ≤ λ₂(G_i)``, after
     ``O(log log(1/λ₂(G_i)))`` guesses.
+
+    ``engine`` is an accounting :class:`~repro.mpc.engine.MPCEngine` or
+    ``None``; ``backend`` follows :func:`mpc_connected_components`.
+
+    Raises
+    ------
+    TypeError
+        ``engine`` is neither ``None`` nor an ``MPCEngine``.
     """
+    if engine is not None and not isinstance(engine, MPCEngine):
+        raise TypeError(
+            f"engine must be an MPCEngine or None, got {type(engine).__name__}"
+        )
     config = config or PipelineConfig()
     rng = ensure_rng(rng)
-    owns_backend = engine is None and not isinstance(backend, ExecutionBackend)
-    if engine is None:
-        engine = MPCEngine.for_delta(
-            max(graph.n + graph.m, 2), config.delta, backend=make_backend(backend)
-        )
-    elif backend is not None:
-        raise ValueError(
-            "pass the backend through the engine when supplying one "
-            "(MPCEngine(..., backend=...))"
-        )
     if min_gap is None:
         min_gap = 1.0 / max(graph.n**2, 4)
-    # Same ownership contract as mpc_connected_components: a backend built
-    # here from a string spec must be released even when an exception
-    # escapes a guess iteration mid-run — relying on the ProcessBackend
-    # finalizer instead can race pool shutdown at interpreter exit and
-    # leaves arena segments linked until garbage collection.
-    try:
+    with _accounting_engine(graph, config, engine, backend) as engine:
         return _run_adaptive(
             graph, config, rng, engine,
             initial_gap=initial_gap, gap_exponent=gap_exponent,
             min_gap=min_gap, walk_mode=walk_mode,
         )
-    finally:
-        if owns_backend:
-            engine.backend.close()
 
 
 def _run_adaptive(

@@ -5,9 +5,10 @@ variants: every round each vertex adopts the minimum label offered over
 its incident edges (*connect*), then shortcuts to its parent's label
 (*shortcut*).  Both halves of the round run as one fused
 :class:`~repro.mpc.plan.RoundPlan` (see
-:func:`repro.engines.base.min_label_round_plan`): a
-``min_label_exchange`` — one all-to-all shuffle — feeding a ``search``
-over the freshly updated label table.
+:func:`repro.engines.base.csr_min_label_round_plan`): a
+``csr_min_label`` over a frozen :class:`~repro.graph.csr.CSRIndex` —
+one all-to-all shuffle — feeding a ``search`` over the freshly updated
+label table.
 
 Rounds: ``O(log n)`` in the worst case (label minima travel at least one
 hop per round and the shortcut halves pointer chains), with far fewer on
@@ -30,11 +31,9 @@ from repro.engines.base import (
     ConnectivityEngine,
     canonicalize_plan,
     csr_min_label_round_plan,
-    incidence_arrays,
-    min_label_round_plan,
     register_engine,
 )
-from repro.graph.csr import CSRIndex, csr_enabled
+from repro.graph.csr import CSRIndex
 from repro.graph.graph import Graph
 from repro.mpc.plan import PlanBuilder
 
@@ -73,43 +72,32 @@ class LiuTarjanEngine(ConnectivityEngine):
 
         # Place the input on the data plane (capacity check + trace
         # completeness), exactly like the paper pipeline's opening round.
-        # With the CSR fast path on, the same opening plan also builds
-        # the frozen index at scatter time (a machine-local relayout of
-        # data the scatter already moved), so a captured trace replays
-        # the exact arrays every subsequent round binds.
-        use_gather = csr_enabled()
+        # The same opening plan also builds the frozen index at scatter
+        # time (a machine-local relayout of data the scatter already
+        # moved), so a captured trace replays the exact arrays every
+        # subsequent round binds.
         builder = PlanBuilder("scatter-input")
         scattered = builder.scatter(graph.edges)
-        if use_gather:
-            csr_refs = builder.transform("build_csr", graph.edges, n=n)
-            _, indptr, indices, halfedges = mpc.run_plan(
-                builder.build([scattered, *csr_refs])
-            )
-            index = CSRIndex.adopt(n, indptr, indices, halfedges)
-            mpc.backend.note_csr_build()
-        else:
-            mpc.run_plan(builder.build(scattered))
-            send, recv = incidence_arrays(graph.edges)
+        csr_refs = builder.transform("build_csr", graph.edges, n=n)
+        _, indptr, indices, halfedges = mpc.run_plan(
+            builder.build([scattered, *csr_refs])
+        )
+        index = CSRIndex.adopt(n, indptr, indices, halfedges)
+        mpc.backend.note_csr_build()
 
         max_rounds = 4 * max(1, math.ceil(math.log2(max(n, 2)))) + 8
         iterations = 0
         with mpc.phase("LiuTarjan"):
             for _ in range(max_rounds):
-                if use_gather:
-                    plan = csr_min_label_round_plan(
+                (new_labels,) = mpc.run_plan(
+                    csr_min_label_round_plan(
                         "lt-round", labels, index.indptr, index.indices
                     )
-                else:
-                    plan = min_label_round_plan(
-                        "lt-round", labels, send, recv
-                    )
-                (new_labels,) = mpc.run_plan(plan)
+                )
                 new_labels = np.asarray(new_labels)
-                # Work first, charge second: the connect shuffle and the
-                # shortcut search absorb the exchanges the plan made.
-                # Both round shapes move the same 2m incidences
-                # (send.size == index.indices.size), so the charge is
-                # identical either way.
+                # Work first, charge second: the connect shuffle (the 2m
+                # CSR slots) and the shortcut search absorb the exchanges
+                # the plan made.
                 mpc.charge_shuffle(2 * graph.m, label="connect")
                 mpc.charge_search(n, label="shortcut")
                 iterations += 1

@@ -3,8 +3,10 @@
 This is a thin adapter: the algorithm itself lives in
 :mod:`repro.core.pipeline` and is unchanged — registering it gives the
 dispatch seam (``mpc_connected_components(..., engine=...)``, the
-portfolio, the e21 race) a uniform handle on the paper's own algorithm,
-so ``engine="paper"`` is bit-identical to passing no engine at all.
+portfolio, the e21 race) a uniform handle on the paper's own algorithm.
+``mpc_connected_components`` runs it for ``engine=None`` and for an
+accounting ``MPCEngine`` too, so every call reaches the stages through
+this one path.
 """
 
 from __future__ import annotations

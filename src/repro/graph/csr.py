@@ -22,53 +22,13 @@ is exactly what :meth:`repro.mpc.arena.ShmArena` pinning requires — the
 process backend uploads each array to shared memory once and workers
 attach read-only views for the whole broadcast loop, and the RPC backend
 ships each array across the wire once per content digest.
-
-The module-level toggle (:func:`csr_enabled` / :func:`use_csr`) scopes
-the engine-side fast path: CSR gathers are preferred when enabled
-(the default), and the sort-based exchange path — bit-identical in
-labels, rounds, and every gated counter — runs when disabled.
 """
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
 from repro.utils.validation import check_nonnegative_int
-
-#: Module-level fast-path override: ``None`` means the default (CSR
-#: gathers on); :func:`use_csr` scopes an explicit on/off choice.
-_CSR_OVERRIDE: "bool | None" = None
-
-
-def csr_enabled() -> bool:
-    """Whether engines should prefer CSR gathers over sort-based exchanges.
-
-    ``True`` by default; scope an override with :func:`use_csr`.  Both
-    paths are bit-identical in labels, rounds, and gated counters — the
-    toggle only selects which kernels do the work.
-    """
-    return True if _CSR_OVERRIDE is None else _CSR_OVERRIDE
-
-
-@contextlib.contextmanager
-def use_csr(enabled: "bool | None"):
-    """Scope the CSR fast-path toggle (``None`` leaves the default).
-
-    Mirrors :func:`repro.mpc.process_backend.default_arena`: the bench
-    runner wraps experiment bodies in ``use_csr(ctx.csr)`` so the
-    ``--csr`` / ``--no-csr`` CLI axis reaches every engine the
-    experiment constructs, and the differential tests pin each path
-    explicitly with ``use_csr(True)`` / ``use_csr(False)``.
-    """
-    global _CSR_OVERRIDE
-    previous = _CSR_OVERRIDE
-    _CSR_OVERRIDE = previous if enabled is None else bool(enabled)
-    try:
-        yield
-    finally:
-        _CSR_OVERRIDE = previous
 
 
 def build_csr_arrays(

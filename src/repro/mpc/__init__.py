@@ -62,8 +62,6 @@ from repro.mpc.plan import (
 from repro.mpc.primitives import distributed_search, distributed_sort, reduce_by_key
 from repro.mpc.process_backend import (
     ProcessBackend,
-    default_arena,
-    default_arena_enabled,
     default_worker_count,
     default_workers,
     usable_cpu_count,
@@ -114,8 +112,6 @@ __all__ = [
     "ShardedArray",
     "ShardedBackend",
     "backend_names",
-    "default_arena",
-    "default_arena_enabled",
     "default_worker_count",
     "default_workers",
     "make_backend",

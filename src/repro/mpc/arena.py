@@ -35,9 +35,9 @@ the leases a real discipline rather than a raw buffer pool:
 **Pinned leases** extend recycling across *operations*: an input array
 marked read-only (``array.flags.writeable`` is ``False`` with no base)
 can be shared once via :meth:`ShmArena.share_pinned` and re-used by every
-subsequent operation that passes the same array object — the repeated
-``send``/``recv`` incidence arrays of the label-broadcast loop stop being
-re-copied on every level.  Reuse is content-verified (a vectorised
+subsequent operation that passes the same array object — the frozen CSR
+arrays of the label-broadcast loop stop being re-copied on every
+level.  Reuse is content-verified (a vectorised
 compare, cheaper than the copy it saves), so a pinned buffer can never
 serve stale data.  A ``weakref`` on the array releases the pinned lease
 when the caller drops it.
@@ -139,20 +139,13 @@ class ArenaLease:
 
     @property
     def descriptor(self) -> tuple:
-        """Picklable ``(name, shape, dtype_str, cacheable)`` for workers.
+        """Picklable ``(name, shape, dtype_str)`` for workers.
 
-        ``cacheable`` tells a worker it may keep its attachment open by
-        name: true for persistent arenas (segments live until the arena
-        closes), false for transient per-operation arenas, whose
-        segments are unlinked as soon as the operation returns.
+        Segments live until the arena closes, so a worker may keep its
+        attachment open by name.
         """
         self._check()
-        return (
-            self._segment.shm.name,
-            self.shape,
-            self.dtype.str,
-            self._arena.cache_in_workers,
-        )
+        return (self._segment.shm.name, self.shape, self.dtype.str)
 
     @property
     def segment_name(self) -> str:
@@ -205,15 +198,6 @@ def _unlink_segments(segments: "list[_Segment]") -> None:
 class ShmArena:
     """Allocator of long-lived shared-memory segments with lease recycling.
 
-    Parameters
-    ----------
-    cache_in_workers:
-        Marks every descriptor this arena issues as safe for worker-side
-        attachment caching.  True (default) for the persistent per-backend
-        arena; the process backend passes False for the transient arenas
-        it creates in ``--no-arena`` mode, whose segments are unlinked per
-        operation.
-
     Acquisition is best-fit over the free list: the smallest free segment
     that holds the request wins; a miss allocates a fresh segment whose
     size is the request rounded up to a power of two (so repeated
@@ -221,8 +205,7 @@ class ShmArena:
     classes and the steady-state allocation rate is zero).
     """
 
-    def __init__(self, *, cache_in_workers: bool = True):
-        self.cache_in_workers = bool(cache_in_workers)
+    def __init__(self):
         self._segments: "list[_Segment]" = []
         self._closed = False
         # Pinned read-only inputs: id(array) -> (weakref, lease).

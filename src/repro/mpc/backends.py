@@ -117,10 +117,9 @@ TRANSPORT_STATS_ZERO = {
 #: :meth:`ExecutionBackend.note_csr_build`; ``csr_gathers`` counts
 #: indptr-sliced gather operations executed (``csr_min_label``);
 #: ``argsorts_avoided`` counts the sort-based exchanges those gathers
-#: replaced.  All three only ever *grow* when the fast path engages, so
-#: none carries a gated compare suffix — the model counters
-#: (exchanges, bytes, barriers) stay bit-identical either way and keep
-#: their own gates.
+#: replaced.  All three grow with the CSR work done, so none carries a
+#: gated compare suffix — the model counters (exchanges, bytes,
+#: barriers) keep their own gates.
 CSR_STATS_ZERO = {
     "csr_builds": 0,
     "csr_gathers": 0,
@@ -558,13 +557,13 @@ class LocalBackend(ExecutionBackend):
         Returns the same ``(new_labels, incoming)`` the sort-based
         :meth:`min_label_exchange` produces for the incidence arrays the
         index enumerates — ``incoming`` is in CSR slot order, the order
-        the engine-side fast path addresses it in.
+        the broadcast loop addresses it in.
         """
         self._count_op("csr_min_label")
         labels = _data(labels)
         indptr = _data(indptr)
         indices = _data(indices)
-        new_labels, incoming = _csr_min_label_kernel(labels, indptr, indices)
+        new_labels, incoming = csr_min_label_kernel(labels, indptr, indices)
         self.csr_gathers += 1
         self.argsorts_avoided += 1
         return new_labels, incoming
@@ -735,7 +734,7 @@ class ShardedBackend(ExecutionBackend):
         ``minimum.reduceat`` folds over the indptr-sliced neighbour runs
         (``incoming = labels[indices]`` in CSR slot order).
         """
-        return _csr_min_label_kernel(labels, indptr, indices)
+        return csr_min_label_kernel(labels, indptr, indices)
 
     # -- operations ----------------------------------------------------------
 
@@ -904,7 +903,7 @@ class ShardedBackend(ExecutionBackend):
         return parts
 
 
-def _csr_min_label_kernel(
+def csr_min_label_kernel(
     labels: np.ndarray, indptr: np.ndarray, indices: np.ndarray
 ):
     """Shared CSR min-label compute: ``(new_labels, incoming)``.

@@ -818,24 +818,15 @@ def _smoke(argv: "list[str] | None" = None) -> int:  # pragma: no cover
         help="connectivity engine whose plan stream is captured "
         "(any repro.engines name; default: paper)",
     )
-    parser.add_argument(
-        "--csr",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="force the CSR fast path on/off for capture and replay "
-        "(default: the engine default)",
-    )
     args = parser.parse_args(argv)
 
     import repro
     from repro.bench.workloads import Workload
     from repro.engines import get_engine
-    from repro.graph.csr import use_csr
     from repro.mpc import MPCEngine, make_backend
 
     graph = Workload("permutation_regular", args.n, {"degree": 6}).build(7)
     with contextlib.ExitStack() as stack:
-        stack.enter_context(use_csr(args.csr))
         if args.out is not None:
             out = args.out
         else:
@@ -853,8 +844,7 @@ def _smoke(argv: "list[str] | None" = None) -> int:  # pragma: no cover
         ) as engine:
             # Through the engine registry so any algorithm's plan stream
             # (paper pipeline, liu_tarjan, exponentiation) gets the same
-            # capture/replay gate; "paper" is bit-identical to the legacy
-            # mpc_connected_components(engine=MPCEngine) path.
+            # capture/replay gate.
             result = get_engine(args.engine).run(
                 graph, 0.1, config=config, rng=7, mpc=engine
             )

@@ -27,22 +27,18 @@ only the transport.  Synchronisation is one explicit exchange barrier
 per operation — the parent dispatches one plan per worker and waits for
 all replies.
 
-Arena-backed buffers (PR 4)
----------------------------
+Arena-backed buffers
+--------------------
 Shared-memory blocks come from a persistent
 :class:`~repro.mpc.arena.ShmArena` owned by the backend: segments are
 allocated once (rounded to power-of-two size classes), leased per
 operation with generation tags, and recycled across operations and
 rounds, so a pipeline run performs O(size classes) segment allocations
 instead of O(ops).  Inputs the caller marks read-only (such as the
-constant ``send``/``recv`` incidence arrays of the broadcast loop) are
-*pinned*: uploaded once and re-leased by every subsequent operation that
-passes the same array.  Workers cache their segment attachments by name
-for the arena's lifetime, so the per-operation IPC setup is just the
-plan descriptor.  Construct with ``arena=False`` (or run the bench CLI
-with ``--no-arena``) to fall back to transient per-operation segments —
-the PR 3 behaviour, kept as the honest baseline the
-``e19_arena_overhead`` experiment measures against.
+frozen CSR arrays of the broadcast loop) are *pinned*: uploaded once
+and re-leased by every subsequent operation that passes the same array.
+Workers cache their segment attachments by name for the arena's
+lifetime, so the per-operation IPC setup is just the plan descriptor.
 
 Fused dispatch
 --------------
@@ -53,19 +49,23 @@ as two fused steps per worker (each worker reads only the immutable
 input ``labels``, so no barrier is needed between the steps).  Each
 step's outputs are written straight into the operation's shared-memory
 output blocks (:func:`repro.mpc.kernels.place`), so replies carry only
-spans and scalars.  Fusion changes only dispatch cost — round counters,
-exchange counters, and results stay bit-identical, because all
-accounting lives in the :class:`~repro.mpc.backends.ShardedBackend`
-public operations, which this class never overrides.
+spans and scalars.  Across a :class:`~repro.mpc.plan.RoundPlan`, the
+steps whose outputs feed a later backend op
+(:func:`~repro.mpc.plan.parent_local_steps`) run on the serial kernels:
+their results must reach the parent before the next dispatch can be
+planned anyway, so the contract stage's search→reduce pair costs one
+barrier.  Fusion changes only dispatch cost — round counters, exchange
+counters, and results stay bit-identical, because all accounting lives
+in the :class:`~repro.mpc.backends.ShardedBackend` public operations,
+which this class never overrides.
 
 Determinism
 -----------
 Every kernel is bit-identical to the serial
 :class:`~repro.mpc.backends.ShardedBackend` kernels — the pipeline's
-labels, round counts, and RNG streams do not depend on the worker count
-or the arena toggle.  Operations below ``min_parallel_items`` words
-take the serial kernels, where process dispatch overhead would
-dominate.
+labels, round counts, and RNG streams do not depend on the worker count.
+Operations below ``min_parallel_items`` words take the serial kernels,
+where process dispatch overhead would dominate.
 
 Lifecycle
 ---------
@@ -104,10 +104,6 @@ DEFAULT_MIN_PARALLEL_ITEMS = 32768
 #: Scoped override for the ``workers=None`` default (see
 #: :func:`default_workers`); ``None`` means "derive from the CPU count".
 _DEFAULT_WORKERS_OVERRIDE: "int | None" = None
-
-#: Scoped override for the ``arena=None`` default (see
-#: :func:`default_arena`); ``None`` means "arena on" (the fast path).
-_DEFAULT_ARENA_OVERRIDE: "bool | None" = None
 
 
 def usable_cpu_count() -> int:
@@ -151,36 +147,6 @@ def default_workers(workers: "int | None"):
         _DEFAULT_WORKERS_OVERRIDE = previous
 
 
-def default_arena_enabled() -> bool:
-    """Whether ``ProcessBackend(arena=None)`` uses the persistent arena.
-
-    True unless a :func:`default_arena` scope says otherwise — the arena
-    is the fast path and the default everywhere; ``--no-arena`` on the
-    bench CLI exists to measure what it saves.
-    """
-    if _DEFAULT_ARENA_OVERRIDE is not None:
-        return _DEFAULT_ARENA_OVERRIDE
-    return True
-
-
-@contextlib.contextmanager
-def default_arena(enabled: "bool | None"):
-    """Scope a default arena toggle for ``ProcessBackend(arena=None)``.
-
-    The bench runner wraps each experiment in this so ``--arena`` /
-    ``--no-arena`` reaches every backend the experiment constructs by
-    name.  Backends constructed with an explicit ``arena=`` are
-    unaffected.  ``None`` is a no-op scope.
-    """
-    global _DEFAULT_ARENA_OVERRIDE
-    previous = _DEFAULT_ARENA_OVERRIDE
-    _DEFAULT_ARENA_OVERRIDE = bool(enabled) if enabled is not None else previous
-    try:
-        yield
-    finally:
-        _DEFAULT_ARENA_OVERRIDE = previous
-
-
 def _mp_context():
     """The cheapest available start method (fork on Linux, else spawn)."""
     methods = multiprocessing.get_all_start_methods()
@@ -191,33 +157,28 @@ def _mp_context():
 # Shared-memory plumbing
 # ---------------------------------------------------------------------------
 #
-# A descriptor is the picklable 4-tuple ``(name, shape, dtype_str,
-# cacheable)`` issued by an ArenaLease; the parent owns every segment
-# (create + unlink), workers only attach.  ``cacheable`` descriptors come
-# from the persistent arena, whose segments live until the backend
-# closes, so workers keep those attachments open by name instead of
-# re-mmapping per operation.
+# A descriptor is the picklable triple ``(name, shape, dtype_str)``
+# issued by an ArenaLease; the parent owns every segment (create +
+# unlink), workers only attach.  Every segment comes from the backend's
+# persistent arena and lives until the backend closes, so workers keep
+# their attachments open by name instead of re-mmapping per operation.
 
 #: Worker-side attachment cache: segment name -> SharedMemory handle.
 #: Only ever populated inside worker processes.
 _SHM_CACHE: "dict[str, shared_memory.SharedMemory]" = {}
 
 
-def _attach(desc, opened: dict) -> np.ndarray:
-    """Worker-side: attach a descriptor, return its numpy view.
+def _attach(desc) -> np.ndarray:
+    """Worker-side: attach a descriptor (once per segment), return its
+    numpy view.
 
-    Cacheable descriptors (persistent-arena segments) are attached once
-    per worker and kept open; transient descriptors are deduped per
-    fused plan through ``opened`` (segment name → handle) so a plan
-    whose steps share inputs maps each segment once, and the caller
-    closes them after the plan.  Resource-tracker registration is
-    suppressed around the attach: the parent owns every segment's
-    lifetime, and on Python < 3.13 an attach would otherwise register
-    the name a second time and have it unlinked (or double-unregistered)
-    when the worker exits (bpo-39959).
+    Resource-tracker registration is suppressed around the attach: the
+    parent owns every segment's lifetime, and on Python < 3.13 an attach
+    would otherwise register the name a second time and have it unlinked
+    (or double-unregistered) when the worker exits (bpo-39959).
     """
-    name, shape, dtype_str, cacheable = desc
-    shm = _SHM_CACHE.get(name) if cacheable else opened.get(name)
+    name, shape, dtype_str = desc
+    shm = _SHM_CACHE.get(name)
     if shm is None:
         from multiprocessing import resource_tracker
 
@@ -227,19 +188,16 @@ def _attach(desc, opened: dict) -> np.ndarray:
             shm = shared_memory.SharedMemory(name=name)
         finally:
             resource_tracker.register = original_register
-        if cacheable:
-            _SHM_CACHE[name] = shm
-        else:
-            opened[name] = shm
+        _SHM_CACHE[name] = shm
     return np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm.buf)
 
 
-def _run_plan(steps: list, inputs: dict, dests: dict, opened: dict) -> dict:
+def _run_plan(steps: list, inputs: dict, dests: dict) -> dict:
     """Worker-side: run a fused plan over attached inputs, placing each
     step's outputs into the attached destination blocks; returns the
     merged :func:`~repro.mpc.kernels.place` replies."""
-    env = {name: _attach(desc, opened) for name, desc in inputs.items()}
-    views = {name: _attach(desc, opened) for name, desc in dests.items()}
+    env = {name: _attach(desc) for name, desc in inputs.items()}
+    views = {name: _attach(desc) for name, desc in dests.items()}
     reply: dict = {}
     for step in steps:
         run_step(step, env)
@@ -262,9 +220,8 @@ def _worker_main(conn) -> None:
             return
         if message is None:
             return
-        opened: dict = {}
         try:
-            reply = _run_plan(*message, opened)
+            reply = _run_plan(*message)
         except BaseException as exc:  # noqa: BLE001 - ship every failure back
             try:
                 conn.send(("err", f"{type(exc).__name__}: {exc}"))
@@ -272,9 +229,6 @@ def _worker_main(conn) -> None:
                 return
         else:
             conn.send(("ok", reply))
-        finally:
-            for shm in opened.values():
-                shm.close()
 
 
 def _shutdown_pool(procs: list, pipes: list) -> None:
@@ -310,32 +264,29 @@ def _fold_arena_stats(totals: dict, stats: dict) -> None:
 
 
 class _OpBuffers:
-    """One operation's shared-memory handout, backed by an arena.
+    """One operation's shared-memory handout from the persistent arena.
 
-    ``share``/``alloc`` return descriptors (and views) exactly as the
-    old per-operation arena did; :meth:`finish` releases every
-    non-pinned lease back to the arena so the segments recycle.  Inputs
-    that qualify for pinning (read-only, no base) bypass the per-op
-    lease list entirely — their leases belong to the arena and persist
-    across operations.
+    ``share``/``alloc`` return descriptors (and views); :meth:`finish`
+    releases every non-pinned lease back to the arena so the segments
+    recycle.  Inputs that qualify for pinning (read-only, no base)
+    bypass the per-op lease list entirely — their leases belong to the
+    arena and persist across operations.
     """
 
-    def __init__(self, arena: ShmArena, *, pin_inputs: bool):
+    def __init__(self, arena: ShmArena):
         self._arena = arena
-        self._pin_inputs = pin_inputs
         self._leases: list = []
         self.bytes_copied = 0
 
     def share(self, array: np.ndarray) -> tuple:
         """Place ``array`` in shared memory; returns its descriptor."""
         array = np.ascontiguousarray(array)
-        if self._pin_inputs:
-            pinned = self._arena.share_pinned(array)
-            if pinned is not None:
-                lease, copied = pinned
-                if copied:
-                    self.bytes_copied += int(array.nbytes)
-                return lease.descriptor
+        pinned = self._arena.share_pinned(array)
+        if pinned is not None:
+            lease, copied = pinned
+            if copied:
+                self.bytes_copied += int(array.nbytes)
+            return lease.descriptor
         lease = self._arena.share(array)
         self._leases.append(lease)
         self.bytes_copied += int(array.nbytes)
@@ -394,27 +345,6 @@ class ProcessBackend(PooledBackend):
         kernels (default :data:`DEFAULT_MIN_PARALLEL_ITEMS`); set to 0 to
         force every operation through the pool (the differential tests
         do).
-    arena:
-        ``True`` (the default via :func:`default_arena_enabled`) backs
-        every operation with one persistent
-        :class:`~repro.mpc.arena.ShmArena` — segments allocated once,
-        leased per op, recycled across ops and rounds, with read-only
-        inputs pinned and worker attachments cached.  ``False`` restores
-        the transient per-operation segments of PR 3 (the
-        ``e19_arena_overhead`` baseline).  Results are bit-identical
-        either way.
-    fuse_plans:
-        ``True`` (default) analyses every
-        :class:`~repro.mpc.plan.RoundPlan` with
-        :func:`~repro.mpc.plan.parent_local_steps` and pins the steps
-        whose outputs feed a later backend op to the serial kernels —
-        their results must be materialised in the parent anyway before
-        the next dispatch can be planned, so skipping their worker
-        round-trip saves a barrier per occurrence (the contract stage's
-        search→reduce pair becomes one barrier).  ``False`` executes
-        plans step-by-eager-step — the pre-fusion baseline the
-        ``e20_plan_fusion`` experiment measures against.  Results and
-        model counters are bit-identical either way.
 
     Raises
     ------
@@ -431,8 +361,6 @@ class ProcessBackend(PooledBackend):
         max_shards: "int | None" = None,
         workers: "int | None" = None,
         min_parallel_items: int = DEFAULT_MIN_PARALLEL_ITEMS,
-        arena: "bool | None" = None,
-        fuse_plans: bool = True,
     ):
         if workers is None:
             workers = default_worker_count()
@@ -440,8 +368,6 @@ class ProcessBackend(PooledBackend):
         self.min_parallel_items = check_nonnegative_int(
             min_parallel_items, "min_parallel_items"
         )
-        self.use_arena = default_arena_enabled() if arena is None else bool(arena)
-        self.fuse_plans = bool(fuse_plans)
         self._arena: "ShmArena | None" = None
         self._arena_retired = dict(ARENA_STATS_ZERO)
         self._procs: list = []
@@ -476,7 +402,9 @@ class ProcessBackend(PooledBackend):
         """
         self._stop_pool()
         if self._arena is not None:
-            self._retire_arena(self._arena)
+            # Counters outlive the arena: fold them into the lifetime totals.
+            _fold_arena_stats(self._arena_retired, self._arena.stats())
+            self._arena.close()
             self._arena = None
 
     def reset(self) -> None:
@@ -507,9 +435,7 @@ class ProcessBackend(PooledBackend):
             self._serial_depth -= 1
 
     def _plan_serial_steps(self, plan: RoundPlan) -> frozenset:
-        """The fusion analysis: parent-local steps when fusing is on."""
-        if not self.fuse_plans:
-            return frozenset()
+        """The fusion analysis: steps whose outputs feed a later op."""
         return parent_local_steps(plan)
 
     def run_plan(self, plan: RoundPlan) -> tuple:
@@ -517,7 +443,7 @@ class ProcessBackend(PooledBackend):
 
         Inherits the sequential walk (public operations keep all model
         accounting); the override only records how many dispatch
-        barriers each plan shape cost, which the ``e20_plan_fusion``
+        barriers each plan shape cost, which the ``e19_arena_overhead``
         experiment reads per stage through ``stats().dispatch``.
         """
         before = self.dispatch_barriers
@@ -550,18 +476,13 @@ class ProcessBackend(PooledBackend):
             self._arena = ShmArena()
         return self._arena
 
-    def _retire_arena(self, arena: ShmArena) -> None:
-        """Fold a finished arena's counters into the lifetime totals."""
-        _fold_arena_stats(self._arena_retired, arena.stats())
-        arena.close()
-
     def arena_stats(self) -> dict:
         """Lifetime arena counters: live arena plus every retired one.
 
         ``segments`` counts every shared-memory segment this backend ever
-        created — the quantity the arena keeps at O(size classes) per run
-        where transient buffers pay O(ops); ``bytes_reserved`` and
-        ``segments_held`` describe only the currently live arena.
+        created — the quantity the arena keeps at O(size classes) per
+        run; ``bytes_reserved`` and ``segments_held`` describe only the
+        currently live arena.
         """
         merged = dict(self._arena_retired)
         if self._arena is not None and not self._arena.closed:
@@ -574,42 +495,17 @@ class ProcessBackend(PooledBackend):
     def persistent_lease(self, shape, dtype):
         """A zero-initialised lease from the persistent arena.
 
-        The descriptor is cacheable, so pool workers attach the segment
-        once and keep the mapping — the residency contract the sharded
-        sketch builds on: shard partials live here, workers scatter into
-        them in place, and the parent reads the same memory at merge
-        time without ever copying a partial.  The caller owns the lease
-        (``release()`` returns the segment to the arena); leases survive
-        pool restarts because the parent owns the arena.
+        Pool workers attach the segment once and keep the mapping — the
+        residency contract the sharded sketch builds on: shard partials
+        live here, workers scatter into them in place, and the parent
+        reads the same memory at merge time without ever copying a
+        partial.  The caller owns the lease (``release()`` returns the
+        segment to the arena); leases survive pool restarts because the
+        parent owns the arena.
         """
         lease = self._persistent_arena().acquire(shape, dtype)
         lease.view[...] = 0
         return lease
-
-    @contextlib.contextmanager
-    def _op_buffers(self):
-        """Shared-memory handout for one operation.
-
-        Arena mode leases from the persistent arena (released — i.e.
-        recycled — when the operation ends); ``arena=False`` creates a
-        throwaway arena whose segments are unlinked immediately, which
-        is exactly the PR 3 per-operation behaviour.
-        """
-        if self.use_arena:
-            buffers = _OpBuffers(self._persistent_arena(), pin_inputs=True)
-            try:
-                yield buffers
-            finally:
-                buffers.finish()
-                self.shm_bytes_copied += buffers.bytes_copied
-        else:
-            arena = ShmArena(cache_in_workers=False)
-            buffers = _OpBuffers(arena, pin_inputs=False)
-            try:
-                yield buffers
-            finally:
-                self.shm_bytes_copied += buffers.bytes_copied
-                self._retire_arena(arena)
 
     # -- dispatch ------------------------------------------------------------
 
@@ -679,7 +575,8 @@ class ProcessBackend(PooledBackend):
         that are destination views are copied out before the leases
         recycle.
         """
-        with self._op_buffers() as buf:
+        buf = _OpBuffers(self._persistent_arena())
+        try:
             inputs = dict(resident or {})
             for name, array in arrays.items():
                 inputs[name] = buf.share(array)
@@ -700,6 +597,9 @@ class ProcessBackend(PooledBackend):
                 r.copy() if any(r is v for v in views.values()) else r
                 for r in result
             )
+        finally:
+            buf.finish()
+            self.shm_bytes_copied += buf.bytes_copied
 
     def _kernel_sketch_update(self, store, edges, weights) -> int:
         """Scatter one update batch into the shm-resident shard partials.

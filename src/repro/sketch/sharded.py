@@ -17,8 +17,8 @@ Where the partials live is the backend's business:
 * no backend / ``local`` / ``sharded`` — plain numpy arrays, updated by
   the vectorized per-shard kernel in-process;
 * ``process`` — pinned :class:`~repro.mpc.arena.ShmArena` segments from
-  the persistent arena; workers attach once (cacheable descriptors) and
-  scatter in place, so the parent never copies a partial;
+  the persistent arena; workers attach once and scatter in place, so
+  the parent never copies a partial;
 * ``rpc`` — partials are *resident in the workers* (the parent holds no
   copy); update batches ship digest-deduped over the wire and partials
   come back only at merge (decode) time.

@@ -115,12 +115,6 @@ class TestLeaseBasics:
         with pytest.raises(ArenaLeaseError):
             arena.acquire((10,), np.int64)
 
-    def test_descriptor_carries_cacheability(self):
-        with ShmArena(cache_in_workers=True) as persistent:
-            assert persistent.share(np.arange(4)).descriptor[3] is True
-        with ShmArena(cache_in_workers=False) as transient:
-            assert transient.share(np.arange(4)).descriptor[3] is False
-
 
 # ---------------------------------------------------------------------------
 # Property: live leases never alias, whatever the acquire/release order
@@ -266,18 +260,6 @@ class TestLifecycle:
         assert backend.arena_stats()["segments"] >= len(names)
         backend.sort(np.arange(1000))
         backend.close()
-
-    def test_no_arena_mode_unlinks_per_operation(self):
-        backend = ProcessBackend(shard_memory=256, workers=2,
-                                 min_parallel_items=0, arena=False)
-        try:
-            backend.sort(np.arange(2000)[::-1].copy())
-            assert backend._arena is None  # nothing persistent was created
-            stats = backend.arena_stats()
-            assert stats["segments"] > 0  # transient arenas are accounted
-            assert stats["segments_held"] == 0  # ... and already unlinked
-        finally:
-            backend.close()
 
     def test_engine_context_manager_closes_backend(self):
         backend = ProcessBackend(shard_memory=256, workers=2,

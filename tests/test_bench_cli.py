@@ -39,10 +39,10 @@ def test_list_mode(cli_case, capsys):
 
 
 def test_list_mode_shows_registered_experiments(capsys):
-    assert cli.main(["--list", "--filter", "e20"]) == 0
+    assert cli.main(["--list", "--filter", "e19"]) == 0
     out = capsys.readouterr().out
-    assert "e20_plan_fusion" in out
-    assert "tags=pipeline,backends,plans" in out
+    assert "e19_arena_overhead" in out
+    assert "tags=pipeline,backends,arena,plans" in out
 
 
 def test_list_without_tags_prints_placeholder(capsys):

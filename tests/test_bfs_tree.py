@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import broadcast_components
 from repro.graph import (
@@ -15,7 +17,7 @@ from repro.graph import (
     path_graph,
     permutation_regular_graph,
 )
-from repro.mpc import MPCEngine
+from repro.mpc import LocalBackend, MPCEngine, ShardedBackend
 
 
 class TestCorrectness:
@@ -96,3 +98,32 @@ class TestRounds:
         g = path_graph(50)
         with pytest.raises(RuntimeError):
             broadcast_components(50, g.edges, max_rounds=3)
+
+
+@st.composite
+def multigraphs(draw):
+    """Small multigraphs: self-loops, parallel edges, isolated vertices,
+    and the single-vertex graph."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    endpoint = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(endpoint, endpoint), max_size=50))
+    return n, np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+class TestEngineIndependence:
+    @settings(max_examples=60, deadline=None)
+    @given(graph=multigraphs(),
+           stop_after=st.one_of(st.none(), st.integers(0, 3)))
+    def test_same_result_without_and_with_an_engine(self, graph, stop_after):
+        """The in-process loop and the engine's ``csr_min_label`` plans
+        give the same labels, rounds and tree, on any data plane."""
+        n, edges = graph
+        bare = broadcast_components(n, edges, stop_after=stop_after)
+        for backend in (LocalBackend(), ShardedBackend()):
+            engine = MPCEngine(16, backend=backend)
+            result = broadcast_components(
+                n, edges, engine=engine, stop_after=stop_after
+            )
+            assert np.array_equal(result.labels, bare.labels)
+            assert result.rounds == bare.rounds
+            assert np.array_equal(result.tree_edges, bare.tree_edges)

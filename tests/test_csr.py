@@ -18,8 +18,6 @@ from repro.graph import (
     CSRIndex,
     Graph,
     build_csr_arrays,
-    csr_enabled,
-    use_csr,
 )
 
 common_settings = settings(
@@ -252,27 +250,3 @@ class TestAdoptAliasing:
         assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.halfedges, b.halfedges)
-
-
-class TestToggle:
-    def test_default_is_enabled(self):
-        assert csr_enabled()
-
-    def test_use_csr_scopes_override(self):
-        with use_csr(False):
-            assert not csr_enabled()
-            with use_csr(True):
-                assert csr_enabled()
-            assert not csr_enabled()
-        assert csr_enabled()
-
-    def test_none_is_a_no_op_scope(self):
-        with use_csr(False):
-            with use_csr(None):
-                assert not csr_enabled()
-
-    def test_restores_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with use_csr(False):
-                raise RuntimeError("boom")
-        assert csr_enabled()

@@ -31,7 +31,7 @@ from repro.baselines import (
     shiloach_vishkin_components,
 )
 from repro.bench.workloads import Workload, family_names
-from repro.graph import canonical_labels, components_agree, use_csr
+from repro.graph import canonical_labels, components_agree
 from repro.graph.union_find import DisjointSetUnion
 from repro.mpc import MPCEngine, ProcessBackend, RpcBackend, ShardedBackend
 
@@ -74,10 +74,6 @@ def run_pipeline(graph, backend: str, *, delta: float = 0.5, rng: int = SEED):
         # min_parallel_items would keep laptop-scale ops on the serial
         # kernels and leave the IPC path untested).
         backend = ProcessBackend(workers=2, min_parallel_items=0)
-    elif backend == "process-noarena":
-        # Same pool, transient per-operation segments: the arena toggle
-        # must never change labels, rounds, or counters.
-        backend = ProcessBackend(workers=2, min_parallel_items=0, arena=False)
     elif backend == "rpc":
         # Force every operation across the wire protocol for the same
         # reason min_parallel_items is zeroed above.
@@ -92,7 +88,7 @@ def run_pipeline(graph, backend: str, *, delta: float = 0.5, rng: int = SEED):
 
 
 # ---------------------------------------------------------------------------
-# Differential: pipeline (all three backends) + baselines vs union-find truth
+# Differential: pipeline (all four backends) + baselines vs union-find truth
 # ---------------------------------------------------------------------------
 
 
@@ -104,20 +100,22 @@ class TestDifferential:
         local = run_pipeline(graph, "local")
         sharded = run_pipeline(graph, "sharded")
         process = run_pipeline(graph, "process")
-        noarena = run_pipeline(graph, "process-noarena")
         rpc = run_pipeline(graph, "rpc")
         assert components_agree(local.labels, truth)
         assert components_agree(sharded.labels, truth)
         assert components_agree(process.labels, truth)
         assert components_agree(rpc.labels, truth)
-        # Stronger than agreement: the backends are bit-identical, with
-        # and without the shared-memory arena, and across the wire.
+        # Stronger than agreement: the backends are bit-identical, over
+        # shared memory and across the wire.
         assert np.array_equal(local.labels, sharded.labels)
         assert np.array_equal(local.labels, process.labels)
-        assert np.array_equal(local.labels, noarena.labels)
         assert np.array_equal(local.labels, rpc.labels)
-        assert (local.rounds == sharded.rounds == process.rounds
-                == noarena.rounds == rpc.rounds)
+        assert local.rounds == sharded.rounds == process.rounds == rpc.rounds
+        # The min-label broadcast runs on a CSR index on every data plane.
+        for name, result in (("sharded", sharded), ("process", process),
+                             ("rpc", rpc)):
+            csr = result.engine.backend.stats().csr
+            assert csr["csr_builds"] > 0 and csr["csr_gathers"] > 0, name
 
     @pytest.mark.parametrize("baseline", sorted(BASELINES))
     def test_baselines_match_truth(self, family, baseline):
@@ -127,29 +125,31 @@ class TestDifferential:
 
 
 # ---------------------------------------------------------------------------
-# CSR axis: the gather fast path on vs off, per family, per backend
+# CSR broadcast vs the sort-layout reference, per family, per backend
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("family", family_names())
 class TestCSRDifferential:
-    """The CSR gather fast path must be invisible everywhere but the
+    """The CSR gather broadcast must be invisible everywhere but the
     ``csr`` counters: labels, rounds, exchanges, and byte counts are
-    bit-identical to the sort-based exchange path on every family and
-    every backend."""
+    bit-identical to the sort-layout reference broadcast
+    (``sort_broadcast`` in ``tests/conftest.py``, one
+    ``min_label_exchange`` scatter per level) on every family and every
+    backend."""
 
-    def _sharded(self, graph, enabled: bool):
+    def _sharded(self, graph):
         backend = ShardedBackend()
-        with use_csr(enabled):
-            result = repro.mpc_connected_components(
-                graph, GAP_BOUND, config=CONFIG, rng=SEED, backend=backend
-            )
+        result = repro.mpc_connected_components(
+            graph, GAP_BOUND, config=CONFIG, rng=SEED, backend=backend
+        )
         return result, backend.stats()
 
-    def test_sharded_counters_identical(self, family):
+    def test_sharded_counters_identical(self, family, sort_broadcast):
         graph = build(family)
-        off, off_stats = self._sharded(graph, False)
-        on, on_stats = self._sharded(graph, True)
+        with sort_broadcast():
+            off, off_stats = self._sharded(graph)
+        on, on_stats = self._sharded(graph)
         assert components_agree(off.labels, union_find_truth(graph))
         assert np.array_equal(on.labels, off.labels)
         assert on.rounds == off.rounds
@@ -164,20 +164,20 @@ class TestCSRDifferential:
             off_stats.shard_count,
             off_stats.peak_shard_load,
         )
-        # Only the csr counters may differ: the fast path engages when
-        # on and never when off.
+        # Only the csr counters may differ: the CSR broadcast engages
+        # them and the reference never does.
         assert on_stats.csr["csr_builds"] > 0
         assert on_stats.csr["csr_gathers"] > 0
         assert all(v == 0 for v in off_stats.csr.values())
 
-    def test_pool_backends_match_sort_reference(self, family):
+    def test_pool_backends_match_sort_reference(self, family, sort_broadcast):
         graph = build(family)
-        off, _ = self._sharded(graph, False)
-        with use_csr(True):
-            for backend in ("local", "process", "process-noarena", "rpc"):
-                result = run_pipeline(graph, backend)
-                assert np.array_equal(result.labels, off.labels), backend
-                assert result.rounds == off.rounds, backend
+        with sort_broadcast():
+            off, _ = self._sharded(graph)
+        for backend in ("local", "process", "rpc"):
+            result = run_pipeline(graph, backend)
+            assert np.array_equal(result.labels, off.labels), backend
+            assert result.rounds == off.rounds, backend
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +209,11 @@ class TestSeededDeterminism:
         labels_l, rounds_l, phases_l = self._summaries(graph, "local", delta)
         labels_s, rounds_s, phases_s = self._summaries(graph, "sharded", delta)
         labels_p, rounds_p, phases_p = self._summaries(graph, "process", delta)
-        labels_n, rounds_n, phases_n = self._summaries(
-            graph, "process-noarena", delta
-        )
         labels_r, rounds_r, phases_r = self._summaries(graph, "rpc", delta)
         assert np.array_equal(labels_l, labels_s)
         assert np.array_equal(labels_l, labels_p)
-        assert np.array_equal(labels_l, labels_n)
         assert np.array_equal(labels_l, labels_r)
-        assert rounds_l == rounds_s == rounds_p == rounds_n == rounds_r
+        assert rounds_l == rounds_s == rounds_p == rounds_r
         # Phase breakdowns agree up to the data-plane exchange counters
         # (zero on the accounting-only backend by definition); the two
         # enforced backends must agree on those too.
@@ -227,7 +223,6 @@ class TestSeededDeterminism:
 
         assert strip(phases_l) == strip(phases_s)
         assert phases_s == phases_p
-        assert phases_s == phases_n
         assert phases_s == phases_r
 
     def test_different_seed_different_randomness(self, delta):

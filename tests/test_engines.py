@@ -66,8 +66,6 @@ def run_engine(graph, engine: str, backend: str):
     """One engine run through the public front-end on a named backend."""
     if backend == "process":
         backend = ProcessBackend(workers=2, min_parallel_items=0)
-    elif backend == "process-noarena":
-        backend = ProcessBackend(workers=2, min_parallel_items=0, arena=False)
     try:
         return repro.mpc_connected_components(
             graph, GAP_BOUND, config=CONFIG, rng=SEED, engine=engine,
@@ -92,16 +90,13 @@ class TestEngineDifferential:
         local = run_engine(graph, engine, "local")
         sharded = run_engine(graph, engine, "sharded")
         process = run_engine(graph, engine, "process")
-        noarena = run_engine(graph, engine, "process-noarena")
         assert components_agree(local.labels, truth)
         # Stronger than agreement: engines canonicalise, so the labels
         # are bit-identical to the canonical truth and across backends.
         assert np.array_equal(local.labels, truth)
         assert np.array_equal(local.labels, sharded.labels)
         assert np.array_equal(local.labels, process.labels)
-        assert np.array_equal(local.labels, noarena.labels)
-        assert (local.rounds == sharded.rounds == process.rounds
-                == noarena.rounds)
+        assert local.rounds == sharded.rounds == process.rounds
 
 
 @pytest.mark.parametrize("family", family_names())

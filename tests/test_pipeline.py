@@ -146,6 +146,12 @@ class TestAdaptive:
             assert b == pytest.approx(a**1.1)
         assert components_agree(result.labels, connected_components(g))
 
+    @pytest.mark.parametrize("engine", ["paper", object()],
+                             ids=["name", "object"])
+    def test_rejects_anything_but_an_accounting_engine(self, engine):
+        with pytest.raises(TypeError):
+            mpc_connected_components_adaptive(cycle_graph(10), engine=engine)
+
     def test_mixed_gaps_finish_at_different_iterations(self):
         """A well-connected component finishes before a weakly connected
         one (the per-component guarantee of Cor 7.1): with too-large gap

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import repro
 from repro.bench.workloads import Workload
 from repro.core.grow import contract_batch, contract_plan
-from repro.graph import use_csr
 from repro.mpc import (
     LocalBackend,
     MPCEngine,
@@ -182,55 +181,52 @@ class TestFusionAnalysis:
         plan = builder.build(sorted_ref)
         assert 0 in parent_local_steps(plan)
 
-    def test_process_fuse_toggle_changes_barriers_not_results(
-        self, process_backend
-    ):
+    def test_process_contract_plan_costs_one_barrier(self, process_backend):
         labels, batch = contract_inputs(n=80, m=600)
         plan = contract_plan(labels, batch)
 
         process_backend.reset()
         fused = execute_plan(process_backend, plan)
-        fused_barriers = process_backend.dispatch_barriers
-        fused_counters = (
-            process_backend.exchanges, process_backend.bytes_exchanged
-        )
+        # The search feeds the reduce, so it runs in the parent: the
+        # search→reduce pair costs the reduce's barrier only.
+        assert process_backend.dispatch_barriers == 1
         assert process_backend.dispatch_serial_fused == 1
-        assert process_backend.plan_barriers["contract"] == fused_barriers
+        assert process_backend.plan_barriers == {"contract": 1}
 
-        unfused = ProcessBackend(
-            shard_memory=64, workers=WORKERS, min_parallel_items=0,
-            fuse_plans=False,
+        serial = ShardedBackend(shard_memory=64)
+        reference = execute_plan(serial, plan)
+        assert (process_backend.exchanges, process_backend.bytes_exchanged) == (
+            serial.exchanges, serial.bytes_exchanged
         )
-        try:
-            eager = execute_plan(unfused, plan)
-            assert unfused.dispatch_barriers == fused_barriers + 1
-            assert unfused.dispatch_serial_fused == 0
-            assert (unfused.exchanges, unfused.bytes_exchanged) == (
-                fused_counters
-            )
-        finally:
-            unfused.close()
-        for a, b in zip(fused, eager):
+        for a, b in zip(fused, reference):
             assert np.array_equal(a, b)
 
-    def test_full_pipeline_barriers_strictly_drop(self):
+    def test_full_pipeline_barriers_strictly_drop(self, monkeypatch):
         graph = Workload("permutation_regular", 384, {"degree": 6}).build(SEED)
         runs = {}
         for fused in (True, False):
-            backend = ProcessBackend(
-                workers=WORKERS, min_parallel_items=0, fuse_plans=fused
-            )
-            try:
-                engine = MPCEngine.for_delta(
-                    graph.n + graph.m, CONFIG.delta, backend=backend
+            with monkeypatch.context() as patch:
+                if not fused:
+                    # Per-op reference: no step is pinned to the parent,
+                    # so every pooled op pays its own barrier.
+                    patch.setattr(
+                        ProcessBackend, "_plan_serial_steps",
+                        lambda self, plan: frozenset(),
+                    )
+                backend = ProcessBackend(
+                    workers=WORKERS, min_parallel_items=0
                 )
-                result = repro.mpc_connected_components(
-                    graph, 0.1, config=CONFIG, rng=SEED, engine=engine
-                )
-                stats = backend.stats()
-                runs[fused] = (result.labels, result.rounds, stats)
-            finally:
-                backend.close()
+                try:
+                    engine = MPCEngine.for_delta(
+                        graph.n + graph.m, CONFIG.delta, backend=backend
+                    )
+                    result = repro.mpc_connected_components(
+                        graph, 0.1, config=CONFIG, rng=SEED, engine=engine
+                    )
+                    stats = backend.stats()
+                    runs[fused] = (result.labels, result.rounds, stats)
+                finally:
+                    backend.close()
         labels_f, rounds_f, stats_f = runs[True]
         labels_u, rounds_u, stats_u = runs[False]
         assert np.array_equal(labels_f, labels_u)
@@ -238,6 +234,7 @@ class TestFusionAnalysis:
         assert (stats_f.exchanges, stats_f.bytes_exchanged) == (
             stats_u.exchanges, stats_u.bytes_exchanged
         )
+        assert stats_u.dispatch["serial_fused"] == 0
         # The acceptance criterion: plan fusion strictly cuts the
         # pipeline's dispatch barriers (the contract search→reduce pair).
         assert stats_f.dispatch["barriers"] < stats_u.dispatch["barriers"]
@@ -517,10 +514,9 @@ class TestCSRTraceReplay:
     gated counters) bit for bit."""
 
     def test_csr_capture_replays_on_all_backends(self, tmp_path):
-        with use_csr(True):
-            path, result, captured, _ = capture_pipeline(
-                tmp_path, ShardedBackend()
-            )
+        path, result, captured, _ = capture_pipeline(
+            tmp_path, ShardedBackend()
+        )
         assert "csr_min_label" in trace_ops(path)
         for name in ("sharded", "local", "process", "rpc"):
             replayed = replay(path, backend=name)
@@ -532,12 +528,13 @@ class TestCSRTraceReplay:
                 assert (replayed.stats.bytes_exchanged
                         == captured.bytes_exchanged)
 
-    def test_sort_capture_is_csr_free_and_equivalent(self, tmp_path):
-        with use_csr(True):
-            on_path, on_result, *_ = capture_pipeline(
-                tmp_path / "on", ShardedBackend()
-            )
-        with use_csr(False):
+    def test_sort_capture_is_csr_free_and_equivalent(
+        self, tmp_path, sort_broadcast
+    ):
+        on_path, on_result, *_ = capture_pipeline(
+            tmp_path / "on", ShardedBackend()
+        )
+        with sort_broadcast():
             off_path, off_result, *_ = capture_pipeline(
                 tmp_path / "off", ShardedBackend()
             )
@@ -546,12 +543,10 @@ class TestCSRTraceReplay:
         assert "min_label_exchange" in off_ops
         assert np.array_equal(on_result.labels, off_result.labels)
         assert on_result.rounds == off_result.rounds
-        # The replay toggle is irrelevant: a trace replays the steps it
-        # recorded, whichever path captured them.
-        with use_csr(False):
-            assert replay(on_path, backend="sharded").ok
-        with use_csr(True):
-            assert replay(off_path, backend="sharded").ok
+        # A trace replays the steps it recorded, whichever broadcast
+        # captured them.
+        assert replay(on_path, backend="sharded").ok
+        assert replay(off_path, backend="sharded").ok
 
     def test_liu_tarjan_build_csr_round_trips(self, tmp_path):
         from repro.engines import get_engine
@@ -560,15 +555,14 @@ class TestCSRTraceReplay:
             SEED
         )
         path = tmp_path / "liu-tarjan.json"
-        with use_csr(True):
-            with MPCEngine.for_delta(
-                graph.n + graph.m, CONFIG.delta,
-                backend=ShardedBackend(), trace=str(path),
-            ) as mpc:
-                result = get_engine("liu_tarjan").run(
-                    graph, 0.1, config=CONFIG, rng=SEED, mpc=mpc
-                )
-                captured = mpc.backend.stats()
+        with MPCEngine.for_delta(
+            graph.n + graph.m, CONFIG.delta,
+            backend=ShardedBackend(), trace=str(path),
+        ) as mpc:
+            result = get_engine("liu_tarjan").run(
+                graph, 0.1, config=CONFIG, rng=SEED, mpc=mpc
+            )
+            captured = mpc.backend.stats()
         doc = load_trace(path)
         transforms = {
             s["params"].get("name")

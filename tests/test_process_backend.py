@@ -403,36 +403,6 @@ class TestArenaIntegration:
         assert warm["segments"] == cold  # steady state: zero new segments
         assert warm["recycled"] > 0
 
-    def test_no_arena_allocates_per_operation(self):
-        backend = ProcessBackend(shard_memory=256, workers=2,
-                                 min_parallel_items=0, arena=False)
-        try:
-            values = rng().integers(0, 10**6, 3000)
-            backend.sort(values)
-            first = backend.arena_stats()["segments"]
-            backend.sort(values)
-            assert backend.arena_stats()["segments"] == 2 * first
-        finally:
-            backend.close()
-
-    def test_arena_toggle_does_not_change_results_or_counters(self):
-        keys = rng().integers(0, 100, 4000)
-        values = rng().integers(0, 10**6, 4000)
-        outputs, counters = [], []
-        for use_arena in (True, False):
-            backend = ProcessBackend(shard_memory=256, workers=WORKERS,
-                                     min_parallel_items=0, arena=use_arena)
-            try:
-                outputs.append(backend.sort(values, order_by=keys))
-                stats = backend.stats()
-                counters.append((stats.exchanges, stats.bytes_exchanged,
-                                 stats.shard_count, stats.peak_shard_load,
-                                 stats.op_counts))
-            finally:
-                backend.close()
-        assert np.array_equal(outputs[0], outputs[1])
-        assert counters[0] == counters[1]
-
     def test_arena_survives_reset(self, pair):
         _, parallel = pair
         parallel.sort(rng().integers(0, 9, 2000))
@@ -487,29 +457,3 @@ class TestArenaIntegration:
         assert serial_doc["dispatch"]["plan_barriers"] == {}
         assert set(serial_doc["dispatch"]) == set(doc["dispatch"])
         assert serial_doc["workers"] == 0
-
-    def test_run_case_threads_arena_into_named_backends(self):
-        # --no-arena must reach backends built by name inside experiments
-        # (the bench runner wraps the experiment in default_arena()).
-        from repro.bench.registry import register_benchmark, unregister_benchmark
-        from repro.bench.runner import run_case
-
-        name = "zz_probe_default_arena"
-        params = {"seed": 0}
-
-        @register_benchmark(name, title="probe", headers=["arena"],
-                            smoke=params, full=params)
-        def probe(ctx):
-            backend = make_backend(ctx.backend)
-            ctx.record("probe", use_arena=backend.use_arena)
-
-        try:
-            result = run_case(name, suite="smoke", backend="process",
-                              arena=False)
-            assert result.arena is False
-            assert result.records[0]["use_arena"] is False
-            result = run_case(name, suite="smoke", backend="process")
-            assert result.arena is None
-            assert result.records[0]["use_arena"] is True  # default: on
-        finally:
-            unregister_benchmark(name)
