@@ -115,26 +115,29 @@ def e22_streaming_updates(ctx):
             update_seconds = 0.0
             query_seconds = []
             mismatches = 0
-            for batch in stream:
-                start = time.perf_counter()
-                conn.apply(batch)
-                update_seconds += time.perf_counter() - start
+            try:
+                for batch in stream:
+                    start = time.perf_counter()
+                    conn.apply(batch)
+                    update_seconds += time.perf_counter() - start
 
-                start = time.perf_counter()
-                streamed = conn.query()
-                query_seconds.append(time.perf_counter() - start)
+                    start = time.perf_counter()
+                    streamed = conn.query()
+                    query_seconds.append(time.perf_counter() - start)
 
-                scratch = mpc_connected_components(
-                    conn.current_graph(), GAP_BOUND, config=config,
-                    rng=ctx.seed, engine=ctx.engine, backend=ctx.backend,
-                ).labels
-                if not np.array_equal(streamed, canonical_labels(scratch)):
-                    mismatches += 1
+                    scratch = mpc_connected_components(
+                        conn.current_graph(), GAP_BOUND, config=config,
+                        rng=ctx.seed, engine=ctx.engine, backend=ctx.backend,
+                    ).labels
+                    if not np.array_equal(streamed, canonical_labels(scratch)):
+                        mismatches += 1
 
-            # Forced oracle pass: records gated MPC rounds for the
-            # fallback path and must agree with the final streamed labels.
-            final_streamed = conn.query()
-            oracle = conn.recompute()
+                # Forced oracle pass: records gated MPC rounds for the
+                # fallback path and must agree with the final streamed labels.
+                final_streamed = conn.query()
+                oracle = conn.recompute()
+            finally:
+                conn.close()
             ctx.check(
                 f"oracle-agrees-{family}-{pattern}",
                 np.array_equal(final_streamed, oracle),

@@ -2,8 +2,8 @@
 
 The tentpole measurement for :class:`~repro.sketch.ShardedAGMSketch`:
 edge updates range-partitioned by owner vertex into per-shard partials,
-updated through an execution backend's sketch-ingest seam and merged (by
-linearity — elementwise sum, fingerprints mod P) only at decode time.
+updated through an execution backend's sketch-ingest seam and merged (laid
+end to end along the vertex axis) only at decode time.
 Expected shape:
 
 * **bit-identity** — for every generator family, the merged sharded

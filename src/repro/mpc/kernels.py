@@ -216,7 +216,7 @@ def sketch_update(
     """Scatter one update batch into one sketch shard partial, in place;
     returns the count of incidence updates applied."""
     # Imported lazily: the sketch layer sits above the backend stack.
-    from repro.sketch.sharded import sketch_update_partial
+    from repro.sketch.agm import sketch_update_partial
 
     applied = sketch_update_partial(
         partial, edges, weights, vlo=vlo, vhi=vhi, n=n, levels=levels,

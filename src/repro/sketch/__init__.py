@@ -6,6 +6,7 @@ from repro.sketch.agm import (
     RoundSpec,
     agm_connected_components,
     agm_decode_components,
+    sketch_update_partial,
 )
 from repro.sketch.hashing import MERSENNE_P, KWiseHash, sign_hash
 from repro.sketch.l0_sampler import L0Sampler
@@ -15,7 +16,6 @@ from repro.sketch.sharded import (
     ShardedAGMSketch,
     SketchPartialStore,
     SketchStats,
-    sketch_update_partial,
 )
 from repro.sketch.sparse_recovery import SparseRecovery
 

@@ -14,14 +14,18 @@ without ever having been consumed by a merge, preserving independence.
 
 Linearity also makes the sketch a *streaming* structure: an edge
 insert/delete stream is just more signed incidence updates
-(:meth:`RoundSketch.update_edges` with weight ``-1`` for a delete), which
+(:meth:`AGMSketch.update_edges` with weight ``-1`` for a delete), which
 is what :mod:`repro.streaming` builds on.
 
-Implementation notes: all per-vertex samplers of one Borůvka round live in
-four numpy arrays (counters indexed ``vertex × level × row × column``), so
-building from an edge array and summing by component label are single
-vectorised scatters.  The shared hash seeds are the "polylog(n) shared
-random bits" of Prop. 8.1.
+Implementation notes: every counter of a sketch lives in one int64 block
+of shape ``(rounds, 3, n, levels * rows * cols)`` — per Borůvka round,
+the totals, moments and fingerprint planes of every vertex — so building
+from an edge array and summing by component label are single vectorised
+scatters.  A sketch split by owner vertex
+(:class:`~repro.sketch.sharded.ShardedAGMSketch`) is vertex-range blocks
+of the same layout, written by the same kernel
+(:func:`sketch_update_partial`).  The shared hash seeds are the
+"polylog(n) shared random bits" of Prop. 8.1.
 """
 
 from __future__ import annotations
@@ -61,8 +65,8 @@ def _scatter_edge_updates(
     index array and each counter takes exactly one scatter.  int64
     addition wraps with C semantics (commutative + associative), so the
     result is bit-identical to any per-level/per-row scatter order over
-    the same contribution multiset — which is also why shard partials of
-    disjoint update sets sum back to the monolithic arrays exactly.
+    the same contribution multiset — which is also why blocks of
+    disjoint update sets sum to the whole stream's block exactly.
     """
     counts = depth.astype(np.int64) + 1
     m = ids.shape[0]
@@ -83,11 +87,130 @@ def _scatter_edge_updates(
     np.add.at(flat_fingers, flat_index, np.repeat(finger_contrib[rep], rows))
 
 
+def _hash_from_coefficients(coefficients: np.ndarray) -> KWiseHash:
+    """Reconstitute a :class:`KWiseHash` from its coefficient words (the
+    wire/worker-side inverse of shipping ``hash.coefficients``)."""
+    hasher = KWiseHash.__new__(KWiseHash)
+    hasher.k = int(coefficients.shape[0])
+    hasher.coefficients = np.asarray(coefficients, dtype=np.uint64)
+    return hasher
+
+
+def sketch_update_partial(
+    data: np.ndarray,
+    edges: np.ndarray,
+    weights: np.ndarray,
+    *,
+    vlo: int,
+    vhi: int,
+    n: int,
+    levels: int,
+    cols: int,
+    level_coeffs: np.ndarray,
+    row_coeffs: np.ndarray,
+    bases: np.ndarray,
+) -> int:
+    """Scatter one update batch into one counter block, in place.
+
+    ``data`` has shape ``(rounds, 3, vhi - vlo, levels * rows * cols)``
+    — all round sketches' (totals, moments, fingers) planes for the
+    owner range ``[vlo, vhi)``: a whole :class:`AGMSketch` block for
+    ``[0, n)``, or one shard partial of a
+    :class:`~repro.sketch.sharded.ShardedAGMSketch`.  The hash state
+    arrives as plain arrays (``level_coeffs``: ``(rounds, 2)`` uint64,
+    ``row_coeffs``: ``(rounds, rows, 2)`` uint64, ``bases``:
+    ``(rounds,)`` int64) so the same kernel runs in-process, in
+    process-pool workers, and in rpc wire workers.  Fingerprints leave
+    reduced mod p.  Returns the number of incidence updates applied
+    (those whose owner falls in the range); bounds/shape validation is
+    the caller's job.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    weights = np.asarray(weights, dtype=np.int64)
+    if edges.size == 0:
+        return 0
+    u = edges[:, 0]
+    v = edges[:, 1]
+    keep = (u != v) & (weights != 0)
+    if not keep.any():
+        return 0
+    u, v, weights = u[keep], v[keep], weights[keep]
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v)
+    edge_ids = lo * n + hi
+    # Two incidence updates per edge: +w at the smaller endpoint's
+    # sketch, -w at the larger's.
+    owners = np.concatenate([lo, hi])
+    ids = np.concatenate([edge_ids, edge_ids])
+    signed = np.concatenate([weights, -weights])
+    in_shard = (owners >= vlo) & (owners < vhi)
+    if not in_shard.any():
+        return 0
+    owners = owners[in_shard] - vlo
+    ids = ids[in_shard]
+    signed = signed[in_shard]
+
+    rounds = data.shape[0]
+    rows = int(row_coeffs.shape[1])
+    for r in range(rounds):
+        level_hash = _hash_from_coefficients(level_coeffs[r])
+        row_hashes = [
+            _hash_from_coefficients(row_coeffs[r, i]) for i in range(rows)
+        ]
+        depth = level_hash.level(ids, levels - 1)
+        powers = _pow_mod(
+            np.full(ids.shape, int(bases[r])), ids, MERSENNE_P
+        ).astype(np.int64)
+        finger_contrib = ((signed % MERSENNE_P) * powers) % MERSENNE_P
+        _scatter_edge_updates(
+            data[r, 0].reshape(-1),
+            data[r, 1].reshape(-1),
+            data[r, 2].reshape(-1),
+            owners,
+            ids,
+            signed,
+            finger_contrib,
+            depth,
+            row_hashes,
+            levels,
+            rows,
+            cols,
+        )
+        data[r, 2] %= MERSENNE_P
+    return int(owners.size)
+
+
+def _checked_batch(edges, weights, n: int):
+    """One update batch as int64 ``(m, 2)`` edges and ``(m,)`` weights
+    (all ``+1`` when ``weights`` is ``None``), or ``None`` when empty.
+
+    Raises :class:`ValueError` on a weights shape that does not match
+    the edges, or an endpoint outside ``[0, n)``.
+    """
+    edges = np.asarray(edges, dtype=np.int64)
+    if edges.size == 0:
+        return None
+    edges = edges.reshape(-1, 2)
+    if weights is None:
+        weights = np.ones(edges.shape[0], dtype=np.int64)
+    else:
+        weights = np.asarray(weights, dtype=np.int64)
+        if weights.shape != (edges.shape[0],):
+            raise ValueError(
+                f"weights shape {weights.shape} does not match "
+                f"{edges.shape[0]} edges"
+            )
+    if edges.min() < 0 or edges.max() >= n:
+        raise ValueError(f"edge endpoint out of range [0, {n})")
+    return edges, weights
+
+
 @dataclass
 class RoundSketch:
     """All vertices' L0 sketches for one Borůvka round.
 
-    ``totals/moments/fingers`` have shape ``(n, levels, rows, cols)``;
+    ``totals/moments/fingers`` have shape ``(n, levels, rows, cols)``
+    and are views of one round of an :class:`AGMSketch` block;
     fingerprints are kept reduced mod p.
     """
 
@@ -108,70 +231,6 @@ class RoundSketch:
         levels, rows, cols = self.shape
         return 3 * levels * rows * cols
 
-    def update_edges(self, edges, weights=None) -> None:
-        """Apply signed edge updates to the per-vertex incidence sketches.
-
-        ``edges`` is an ``(m, 2)`` array of endpoints; ``weights`` gives
-        each row's multiplicity delta (``+1`` insert, ``-1`` delete;
-        defaults to all ``+1``).  Linearity means a delete is exactly the
-        negation of the insert, so an insert-then-delete round trip
-        returns every counter to zero bit-for-bit.  Self-loops and
-        zero-weight rows carry no connectivity information and are
-        skipped.
-        """
-        edges = np.asarray(edges, dtype=np.int64)
-        if edges.size == 0:
-            return
-        edges = edges.reshape(-1, 2)
-        if weights is None:
-            weights = np.ones(edges.shape[0], dtype=np.int64)
-        else:
-            weights = np.asarray(weights, dtype=np.int64)
-            if weights.shape != (edges.shape[0],):
-                raise ValueError(
-                    f"weights shape {weights.shape} does not match "
-                    f"{edges.shape[0]} edges"
-                )
-        if edges.min() < 0 or edges.max() >= self.n:
-            raise ValueError(f"edge endpoint out of range [0, {self.n})")
-        u = edges[:, 0]
-        v = edges[:, 1]
-        keep = (u != v) & (weights != 0)
-        if not keep.any():
-            return
-        u, v, weights = u[keep], v[keep], weights[keep]
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        edge_ids = lo * self.n + hi
-        # Two incidence updates per edge: +w at the smaller endpoint's
-        # sketch, -w at the larger's.
-        owners = np.concatenate([lo, hi])
-        ids = np.concatenate([edge_ids, edge_ids])
-        signed = np.concatenate([weights, -weights])
-
-        levels, rows, cols = self.shape
-        depth = self.level_hash.level(ids, levels - 1)
-        powers = _pow_mod(
-            np.full(ids.shape, self.fingerprint_base), ids, MERSENNE_P
-        ).astype(np.int64)
-        finger_contrib = ((signed % MERSENNE_P) * powers) % MERSENNE_P
-
-        _scatter_edge_updates(
-            self.totals.reshape(-1),
-            self.moments.reshape(-1),
-            self.fingers.reshape(-1),
-            owners,
-            ids,
-            signed,
-            finger_contrib,
-            depth,
-            self.row_hashes,
-            levels,
-            rows,
-            cols,
-        )
-        self.fingers %= MERSENNE_P
-
 
 @dataclass(frozen=True)
 class RoundSpec:
@@ -182,9 +241,8 @@ class RoundSpec:
     of Prop. 8.1) plus the derived ``levels × rows × cols`` geometry.
     Separating the draw from the allocation is what lets
     :class:`~repro.sketch.sharded.ShardedAGMSketch` allocate per-shard
-    partial arrays against the *same* randomness a monolithic
-    :class:`AGMSketch` would have drawn — the precondition for
-    bit-identical merges.
+    partial blocks against the *same* randomness an :class:`AGMSketch`
+    would have drawn — the precondition for bit-identical merges.
     """
 
     n: int
@@ -229,43 +287,77 @@ class RoundSpec:
         """Counter cells per vertex (``levels * rows * cols``)."""
         return self.levels * self.rows * self.cols
 
-    def empty_round(self) -> RoundSketch:
-        """Allocate a zeroed :class:`RoundSketch` with this spec's
-        randomness."""
-        shape = (self.n, self.levels, self.rows, self.cols)
-        return RoundSketch(
-            n=self.n,
-            universe=self.universe,
-            level_hash=self.level_hash,
-            row_hashes=list(self.row_hashes),
-            fingerprint_base=self.fingerprint_base,
-            totals=np.zeros(shape, dtype=np.int64),
-            moments=np.zeros(shape, dtype=np.int64),
-            fingers=np.zeros(shape, dtype=np.int64),
-        )
+
+def _draw_layout(
+    n: int, rng, *, boruvka_rounds: "int | None", sparsity: int, rows: int
+) -> "tuple[list[RoundSpec], dict]":
+    """Draw the specs of ``boruvka_rounds`` merge rounds plus the
+    reserved verification round, in order from ``rng``, and build the
+    plain-array parameters :func:`sketch_update_partial` takes for them
+    (everything but the owner range)."""
+    rng = ensure_rng(rng)
+    check_positive_int(sparsity, "sparsity")
+    check_positive_int(rows, "rows")
+    if boruvka_rounds is None:
+        boruvka_rounds = max(2, int(np.ceil(np.log2(max(n, 2)))) + 3)
+    check_positive_int(boruvka_rounds, "boruvka_rounds")
+    specs = [
+        RoundSpec.draw(n, rng, sparsity=sparsity, rows=rows)
+        for _ in range(boruvka_rounds + 1)
+    ]
+    level_coeffs = np.stack(
+        [s.level_hash.coefficients for s in specs]
+    ).astype(np.uint64)
+    row_coeffs = np.stack(
+        [np.stack([h.coefficients for h in s.row_hashes]) for s in specs]
+    ).astype(np.uint64)
+    bases = np.array([s.fingerprint_base for s in specs], dtype=np.int64)
+    for array in (level_coeffs, row_coeffs, bases):
+        array.setflags(write=False)
+    params = {
+        "n": n,
+        "levels": specs[0].levels,
+        "cols": specs[0].cols,
+        "level_coeffs": level_coeffs,
+        "row_coeffs": row_coeffs,
+        "bases": bases,
+    }
+    return specs, params
 
 
-def _empty_round_sketch(
-    n: int,
-    *,
-    rng,
-    sparsity: int,
-    rows: int,
-) -> RoundSketch:
-    return RoundSpec.draw(n, rng, sparsity=sparsity, rows=rows).empty_round()
-
-
-@dataclass
 class AGMSketch:
     """A stack of fresh per-round sketches for Borůvka decoding.
 
+    :attr:`block` holds every counter: an int64 array of shape
+    ``(rounds, 3, n, cells)``, the one-shard partial over ``[0, n)``.
+    Each :class:`RoundSketch` of :attr:`rounds` views one round of it.
     ``rounds[:-1]`` are the merge rounds; ``rounds[-1]`` is the reserved
-    verification round that re-checks quiescence after the merges without
-    ever having been consumed by one.
+    verification round that re-checks quiescence after the merges
+    without ever having been consumed by one.  ``params`` are the
+    kernel parameters :func:`sketch_update_partial` takes for the
+    block's randomness.
     """
 
-    n: int
-    rounds: "list[RoundSketch]"
+    def __init__(self, specs: "list[RoundSpec]", params: dict, block: np.ndarray):
+        self.n = specs[0].n
+        self.params = params
+        self.block = block
+        self.rounds: "list[RoundSketch]" = []
+        for spec, planes in zip(specs, block):
+            shape = (spec.n, spec.levels, spec.rows, spec.cols)
+            totals, moments, fingers = (plane.reshape(shape) for plane in planes)
+            self.rounds.append(
+                RoundSketch(
+                    n=spec.n,
+                    universe=spec.universe,
+                    level_hash=spec.level_hash,
+                    row_hashes=list(spec.row_hashes),
+                    fingerprint_base=spec.fingerprint_base,
+                    totals=totals,
+                    moments=moments,
+                    fingers=fingers,
+                )
+            )
 
     @classmethod
     def empty(
@@ -282,17 +374,11 @@ class AGMSketch:
         Builds ``boruvka_rounds`` merge-round sketches plus the reserved
         verification round (``boruvka_rounds + 1`` fresh sketches total).
         """
-        rng = ensure_rng(rng)
-        check_positive_int(sparsity, "sparsity")
-        check_positive_int(rows, "rows")
-        if boruvka_rounds is None:
-            boruvka_rounds = max(2, int(np.ceil(np.log2(max(n, 2)))) + 3)
-        check_positive_int(boruvka_rounds, "boruvka_rounds")
-        sketches = [
-            _empty_round_sketch(n, rng=rng, sparsity=sparsity, rows=rows)
-            for _ in range(boruvka_rounds + 1)
-        ]
-        return cls(n=n, rounds=sketches)
+        specs, params = _draw_layout(
+            n, rng, boruvka_rounds=boruvka_rounds, sparsity=sparsity, rows=rows
+        )
+        block = np.zeros((len(specs), 3, n, specs[0].cells), dtype=np.int64)
+        return cls(specs, params, block)
 
     @classmethod
     def from_graph(
@@ -327,13 +413,22 @@ class AGMSketch:
     def update_edges(self, edges, weights=None) -> None:
         """Apply one batch of signed edge updates to every round sketch.
 
+        ``edges`` is an ``(m, 2)`` array of endpoints; ``weights`` gives
+        each row's multiplicity delta (defaults to all ``+1``).
         Linearity (Prop. 8.1) makes this the streaming entry point: an
         edge insert is weight ``+1``, a delete is ``-1``, and the sketch
         after any prefix of the stream equals the sketch built from the
-        prefix's net multiset in one shot.
+        prefix's net multiset in one shot — an insert-then-delete round
+        trip returns every counter to zero bit-for-bit.  Self-loops and
+        zero-weight rows carry no connectivity information and are
+        skipped.  The batch runs through :func:`sketch_update_partial`
+        over the whole owner range ``[0, n)``.
         """
-        for round_sketch in self.rounds:
-            round_sketch.update_edges(edges, weights)
+        batch = _checked_batch(edges, weights, self.n)
+        if batch is not None:
+            sketch_update_partial(
+                self.block, *batch, vlo=0, vhi=self.n, **self.params
+            )
 
     def words_per_vertex(self) -> int:
         """Sketch size per vertex in machine words (the O(log³ n)-bit

@@ -3,14 +3,15 @@
 The AGM sketch is *linear*: the sketch of an edge multiset is the
 elementwise sum of the sketches of any partition of that multiset.  This
 module exploits the dual reading — partition the *vertices* into
-contiguous owner ranges, keep one per-shard partial of every round's
-counter arrays, and route each update batch to all shards, where each
-shard scatters only the incidence updates whose owner it holds.  Because
-int64 scatter-adds are commutative and associative (wraparound
-semantics) and fingerprints are reduced mod p at batch boundaries, the
-partials summed back together (:meth:`ShardedAGMSketch.merge`) are
-**bit-identical** to the monolithic :class:`~repro.sketch.agm.AGMSketch`
-fed the same stream — decode never knows the ingest was parallel.
+contiguous owner ranges, keep one per-shard partial block of the
+:class:`~repro.sketch.agm.AGMSketch` layout, and route each update batch
+to all shards, where each shard scatters only the incidence updates
+whose owner it holds.  The ranges are contiguous and disjoint, and every
+partial's fingerprints are reduced mod p at batch boundaries, so the
+partials laid end to end along the vertex axis
+(:meth:`ShardedAGMSketch.merge`) are **bit-identical** to an
+:class:`~repro.sketch.agm.AGMSketch` fed the same stream — decode never
+knows the ingest was parallel.
 
 Where the partials live is the backend's business:
 
@@ -23,10 +24,12 @@ Where the partials live is the backend's business:
   copy); update batches ship digest-deduped over the wire and partials
   come back only at merge (decode) time.
 
-:func:`sketch_update_partial` is the one shared kernel: it operates on
-plain arrays (hash coefficients, not hash objects), so the pooled
-``sketch_update`` kernel of :mod:`repro.mpc.kernels` runs exactly the
-code the in-process path runs.
+:func:`~repro.sketch.agm.sketch_update_partial` is the one shared
+kernel: it operates on plain arrays (hash coefficients, not hash
+objects), so the pooled ``sketch_update`` kernel of
+:mod:`repro.mpc.kernels` runs exactly the code the in-process path and
+:meth:`AGMSketch.update_edges <repro.sketch.agm.AGMSketch.update_edges>`
+run.
 """
 
 from __future__ import annotations
@@ -36,15 +39,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sketch.agm import AGMSketch, RoundSpec, _scatter_edge_updates
-from repro.sketch.hashing import MERSENNE_P, KWiseHash
-from repro.sketch.one_sparse import _pow_mod
-from repro.utils.rng import ensure_rng
+from repro.sketch.agm import (
+    AGMSketch,
+    _checked_batch,
+    _draw_layout,
+    sketch_update_partial,
+)
+from repro.sketch.hashing import MERSENNE_P
 from repro.utils.validation import check_positive_int
 
-#: Zero-filled sketch-counter block (the streaming stats schema embeds
-#: this shape even when ingest is monolithic, so JSON consumers see one
-#: schema).
+#: The :meth:`SketchStats.to_json` key set, zero-filled.
 SKETCH_STATS_ZERO = {"shard_updates": 0, "merges": 0, "partial_words": 0}
 
 _TOKENS = itertools.count()
@@ -55,11 +59,11 @@ class SketchStats:
     """Counters for sharded sketch ingest and decode-time merging.
 
     ``shard_updates`` counts per-shard kernel invocations (one per shard
-    per applied batch), ``merges`` counts decode-time materialisations
-    of the monolithic sketch, and ``partial_words`` is the int64 words
-    currently held across all shard partials (equal to the monolithic
-    sketch's footprint — sharding splits the arrays, it does not grow
-    them).
+    per applied batch), ``merges`` counts decode-time merges into one
+    :class:`~repro.sketch.agm.AGMSketch`, and ``partial_words`` is the
+    int64 words currently held across all shard partials (equal to one
+    ``AGMSketch`` block — sharding splits the block, it does not grow
+    it).
     """
 
     shard_updates: int = 0
@@ -73,94 +77,6 @@ class SketchStats:
             "merges": int(self.merges),
             "partial_words": int(self.partial_words),
         }
-
-
-def _hash_from_coefficients(coefficients: np.ndarray) -> KWiseHash:
-    """Reconstitute a :class:`KWiseHash` from its coefficient words (the
-    wire/worker-side inverse of shipping ``hash.coefficients``)."""
-    hasher = KWiseHash.__new__(KWiseHash)
-    hasher.k = int(coefficients.shape[0])
-    hasher.coefficients = np.asarray(coefficients, dtype=np.uint64)
-    return hasher
-
-
-def sketch_update_partial(
-    data: np.ndarray,
-    edges: np.ndarray,
-    weights: np.ndarray,
-    *,
-    vlo: int,
-    vhi: int,
-    n: int,
-    levels: int,
-    cols: int,
-    level_coeffs: np.ndarray,
-    row_coeffs: np.ndarray,
-    bases: np.ndarray,
-) -> int:
-    """Scatter one update batch into one shard's partial, in place.
-
-    ``data`` has shape ``(rounds, 3, vhi - vlo, levels * rows * cols)``
-    — all round sketches' (totals, moments, fingers) planes for the
-    owner range ``[vlo, vhi)``.  The hash state arrives as plain arrays
-    (``level_coeffs``: ``(rounds, 2)`` uint64, ``row_coeffs``:
-    ``(rounds, rows, 2)`` uint64, ``bases``: ``(rounds,)`` int64) so the
-    same kernel runs in-process, in forked process-pool workers, and in
-    rpc wire workers.  Returns the number of incidence updates applied
-    (those whose owner falls in the range); bounds/shape validation is
-    the caller's job.
-    """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    weights = np.asarray(weights, dtype=np.int64)
-    if edges.size == 0:
-        return 0
-    u = edges[:, 0]
-    v = edges[:, 1]
-    keep = (u != v) & (weights != 0)
-    if not keep.any():
-        return 0
-    u, v, weights = u[keep], v[keep], weights[keep]
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    edge_ids = lo * n + hi
-    owners = np.concatenate([lo, hi])
-    ids = np.concatenate([edge_ids, edge_ids])
-    signed = np.concatenate([weights, -weights])
-    in_shard = (owners >= vlo) & (owners < vhi)
-    if not in_shard.any():
-        return 0
-    owners = owners[in_shard] - vlo
-    ids = ids[in_shard]
-    signed = signed[in_shard]
-
-    rounds = data.shape[0]
-    rows = int(row_coeffs.shape[1])
-    for r in range(rounds):
-        level_hash = _hash_from_coefficients(level_coeffs[r])
-        row_hashes = [
-            _hash_from_coefficients(row_coeffs[r, i]) for i in range(rows)
-        ]
-        depth = level_hash.level(ids, levels - 1)
-        powers = _pow_mod(
-            np.full(ids.shape, int(bases[r])), ids, MERSENNE_P
-        ).astype(np.int64)
-        finger_contrib = ((signed % MERSENNE_P) * powers) % MERSENNE_P
-        _scatter_edge_updates(
-            data[r, 0].reshape(-1),
-            data[r, 1].reshape(-1),
-            data[r, 2].reshape(-1),
-            owners,
-            ids,
-            signed,
-            finger_contrib,
-            depth,
-            row_hashes,
-            levels,
-            rows,
-            cols,
-        )
-        data[r, 2] %= MERSENNE_P
-    return int(owners.size)
 
 
 class SketchPartial:
@@ -284,11 +200,12 @@ class ShardedAGMSketch:
     Drop-in ingest replacement for :class:`~repro.sketch.agm.AGMSketch`:
     ``update_edges`` routes batches through the owning backend's
     ``sketch_update`` seam (or the in-process kernel without a backend),
-    and :meth:`merge` sums the partials back into a real monolithic
+    and :meth:`merge` lays the partials end to end as one
     :class:`AGMSketch` — bit-identical to one fed the same stream — for
     unchanged decoding.  Created with the same seed, ``empty`` draws the
-    exact randomness ``AGMSketch.empty`` would (the :class:`RoundSpec`
-    contract), which is what makes the bit-identity testable.
+    exact randomness ``AGMSketch.empty`` would (the
+    :class:`~repro.sketch.agm.RoundSpec` contract), which is what makes
+    the bit-identity testable.
     """
 
     def __init__(self, n, specs, store, ranges, *, backend=None, stats=None):
@@ -298,6 +215,7 @@ class ShardedAGMSketch:
         self._specs = specs
         self._store = store
         self._ranges = ranges
+        self._closed = False
         self.stats.partial_words = sum(
             len(specs) * 3 * (vhi - vlo) * specs[0].cells
             for vlo, vhi in ranges
@@ -324,16 +242,9 @@ class ShardedAGMSketch:
         worker-resident state on the rpc backend.  ``stats`` lets a
         caller accumulate counters across rebuilds.
         """
-        rng = ensure_rng(rng)
-        check_positive_int(sparsity, "sparsity")
-        check_positive_int(rows, "rows")
-        if boruvka_rounds is None:
-            boruvka_rounds = max(2, int(np.ceil(np.log2(max(n, 2)))) + 3)
-        check_positive_int(boruvka_rounds, "boruvka_rounds")
-        specs = [
-            RoundSpec.draw(n, rng, sparsity=sparsity, rows=rows)
-            for _ in range(boruvka_rounds + 1)
-        ]
+        specs, params = _draw_layout(
+            n, rng, boruvka_rounds=boruvka_rounds, sparsity=sparsity, rows=rows
+        )
         if shards is None:
             shards = int(getattr(backend, "workers", 1) or 1)
         check_positive_int(shards, "shards")
@@ -344,26 +255,8 @@ class ShardedAGMSketch:
             for start in range(0, n, per)
         ]
 
-        spec = specs[0]
         rounds = len(specs)
-        level_coeffs = np.stack(
-            [s.level_hash.coefficients for s in specs]
-        ).astype(np.uint64)
-        row_coeffs = np.stack(
-            [np.stack([h.coefficients for h in s.row_hashes]) for s in specs]
-        ).astype(np.uint64)
-        bases = np.array([s.fingerprint_base for s in specs], dtype=np.int64)
-        for array in (level_coeffs, row_coeffs, bases):
-            array.setflags(write=False)
-        params = {
-            "n": n,
-            "levels": spec.levels,
-            "cols": spec.cols,
-            "level_coeffs": level_coeffs,
-            "row_coeffs": row_coeffs,
-            "bases": bases,
-        }
-
+        cells = specs[0].cells
         partials: "list[SketchPartial]" = []
         kind = "memory"
         token = None
@@ -377,7 +270,7 @@ class ShardedAGMSketch:
             kind = "arena"
             for vlo, vhi in ranges:
                 lease = backend.persistent_lease(
-                    (rounds, 3, vhi - vlo, spec.cells), np.int64
+                    (rounds, 3, vhi - vlo, cells), np.int64
                 )
                 partials.append(SketchPartial(vlo, vhi, lease=lease))
         else:
@@ -385,7 +278,7 @@ class ShardedAGMSketch:
                 SketchPartial(
                     vlo,
                     vhi,
-                    np.zeros((rounds, 3, vhi - vlo, spec.cells), dtype=np.int64),
+                    np.zeros((rounds, 3, vhi - vlo, cells), dtype=np.int64),
                 )
                 for vlo, vhi in ranges
             ]
@@ -405,67 +298,60 @@ class ShardedAGMSketch:
         return list(self._ranges)
 
     def words_per_vertex(self) -> int:
-        """Sketch size per vertex in machine words (matches the
-        monolithic sketch exactly)."""
+        """Sketch size per vertex in machine words (matches
+        :meth:`AGMSketch.words_per_vertex` exactly)."""
         return sum(3 * spec.cells for spec in self._specs)
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError("the sharded AGM sketch is closed")
 
     def update_edges(self, edges, weights=None) -> None:
         """Apply one batch of signed edge updates to every shard partial.
 
         Validation (bounds, weight shape) happens up front, parent-side;
         the backend seam then fans the batch out to the shard kernels.
+        Raises :class:`RuntimeError` once the sketch is closed.
         """
-        edges = np.asarray(edges, dtype=np.int64)
-        if edges.size == 0:
+        self._check_open()
+        batch = _checked_batch(edges, weights, self.n)
+        if batch is None:
             return
-        edges = edges.reshape(-1, 2)
-        if weights is None:
-            weights = np.ones(edges.shape[0], dtype=np.int64)
-        else:
-            weights = np.asarray(weights, dtype=np.int64)
-            if weights.shape != (edges.shape[0],):
-                raise ValueError(
-                    f"weights shape {weights.shape} does not match "
-                    f"{edges.shape[0]} edges"
-                )
-        if edges.min() < 0 or edges.max() >= self.n:
-            raise ValueError(f"edge endpoint out of range [0, {self.n})")
         if self.backend is None:
-            self._store.apply_serial(edges, weights)
+            self._store.apply_serial(*batch)
         else:
-            self.backend.sketch_update(self._store, edges, weights)
+            self.backend.sketch_update(self._store, *batch)
         self.stats.shard_updates += self.shard_count
 
     def merge(self) -> AGMSketch:
-        """Sum the shard partials into a monolithic :class:`AGMSketch`.
+        """The shard partials as one read-only :class:`AGMSketch`.
 
-        Linearity makes this elementwise addition (fingerprints reduced
-        mod p); the result is bit-identical to the monolithic sketch fed
-        the same update stream, so decoding is unchanged.
+        The owner ranges are contiguous and disjoint, and every partial's
+        fingerprints are already reduced mod p, so one concatenation
+        along the vertex axis is bit-identical to the sketch fed the
+        same update stream, and decoding is unchanged.  A lone
+        in-process (plain array) partial is not copied: the result views
+        it, so it follows later updates.  Arena and worker-resident
+        partials are always copied out.  Raises :class:`RuntimeError`
+        once the sketch is closed.
         """
+        self._check_open()
         if self.backend is None:
             parts = self._store.local_partial_data()
         else:
             parts = self.backend.sketch_collect(self._store)
-        rounds = []
-        for r, spec in enumerate(self._specs):
-            round_sketch = spec.empty_round()
-            totals = round_sketch.totals.reshape(self.n, spec.cells)
-            moments = round_sketch.moments.reshape(self.n, spec.cells)
-            fingers = round_sketch.fingers.reshape(self.n, spec.cells)
-            for (vlo, vhi), part in zip(self._ranges, parts):
-                totals[vlo:vhi] += part[r, 0]
-                moments[vlo:vhi] += part[r, 1]
-                fingers[vlo:vhi] += part[r, 2]
-            round_sketch.fingers %= MERSENNE_P
-            rounds.append(round_sketch)
+        if len(parts) == 1 and self._store.kind == "memory":
+            block = parts[0].view()
+        else:
+            block = np.concatenate(parts, axis=2)
+        block.flags.writeable = False
         self.stats.merges += 1
-        return AGMSketch(n=self.n, rounds=rounds)
+        return AGMSketch(self._specs, self._store.params, block)
 
     @staticmethod
     def sum_partials(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Merge two same-range partial blocks (elementwise sum, fingers
-        mod p) — the associative/commutative monoid ``merge`` folds."""
+        mod p) — the associative/commutative monoid of linearity."""
         out = np.array(a, dtype=np.int64, copy=True)
         out += b
         out[:, 2] %= MERSENNE_P
@@ -473,7 +359,8 @@ class ShardedAGMSketch:
 
     def close(self) -> None:
         """Release backend-held partial state (arena leases, worker
-        residency); idempotent."""
+        residency); idempotent.  Later updates and merges raise."""
+        self._closed = True
         if self.backend is not None:
             release = getattr(self.backend, "sketch_release", None)
             if release is not None:

@@ -2,9 +2,10 @@
 
 :class:`StreamingConnectivity` is the dynamic-graph subsystem: it
 consumes batched edge insert/delete events, applies them as signed
-updates to a maintained :class:`~repro.sketch.AGMSketch` (linearity
-makes a delete exactly a ``-1`` update), and answers component /
-connectivity queries between batches by Borůvka-decoding the sketch.
+updates to a maintained :class:`~repro.sketch.sharded.ShardedAGMSketch`
+(linearity makes a delete exactly a ``-1`` update) through its
+backend's sketch-ingest seam, and answers component / connectivity
+queries between batches by Borůvka-decoding the merged sketch.
 
 Two honesty mechanisms back the sketch path:
 
@@ -34,8 +35,8 @@ from repro.core.pipeline import PipelineConfig, mpc_connected_components
 from repro.graph.components import canonical_labels
 from repro.graph.graph import Graph
 from repro.mpc.backends import make_backend
-from repro.sketch.agm import AGMSketch, agm_decode_components
-from repro.sketch.sharded import SKETCH_STATS_ZERO, ShardedAGMSketch, SketchStats
+from repro.sketch.agm import agm_decode_components
+from repro.sketch.sharded import ShardedAGMSketch, SketchStats
 from repro.streaming.events import EventBatch
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive_int
@@ -46,9 +47,7 @@ class StreamingStats:
     """Counters describing how a :class:`StreamingConnectivity` ran.
 
     ``sketch`` is the live :class:`~repro.sketch.sharded.SketchStats` of
-    a sharded-ingest structure (``None`` for monolithic ingest); the
-    JSON snapshot always carries the block, zero-filled when absent, so
-    consumers see one schema.
+    the structure's sketch ingest, accumulated across rebuilds.
     """
 
     batches_applied: int = 0
@@ -59,7 +58,7 @@ class StreamingStats:
     full_recomputes: int = 0
     sketch_rebuilds: int = 0
     oracle_rounds: int = 0
-    sketch: "SketchStats | None" = None
+    sketch: SketchStats = field(default_factory=SketchStats)
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -73,11 +72,7 @@ class StreamingStats:
             "full_recomputes": self.full_recomputes,
             "sketch_rebuilds": self.sketch_rebuilds,
             "oracle_rounds": self.oracle_rounds,
-            "sketch": (
-                self.sketch.to_json()
-                if self.sketch is not None
-                else dict(SKETCH_STATS_ZERO)
-            ),
+            "sketch": self.sketch.to_json(),
         }
 
 
@@ -100,25 +95,25 @@ class StreamingConnectivity:
     engine, backend:
         Connectivity-engine and execution-backend specs for the oracle
         recompute — any registered name or instance, exactly as the
-        dispatch seam accepts them.
+        dispatch seam accepts them.  ``backend`` also carries the sketch
+        ingest: a name builds an ingest backend this object owns (and
+        :meth:`close` closes), an instance is used as it is.
     recompute_every:
         Force a full recompute (and sketch rebuild) on the first query
         after every this-many applied batches, regardless of sketch
         health; ``None`` recomputes only on decode failure.
     sparsity, rows, boruvka_rounds:
-        Sketch shape knobs, forwarded to :meth:`AGMSketch.empty`.
+        Sketch shape knobs, forwarded to :meth:`ShardedAGMSketch.empty`.
     sketch_shards:
-        ``None`` (default) maintains one monolithic
-        :class:`~repro.sketch.AGMSketch` exactly as before.  A positive
-        int switches ingest to a
-        :class:`~repro.sketch.sharded.ShardedAGMSketch` with that many
-        owner-vertex shards, updated through the ``backend`` spec's
-        ingest seam and merged (by linearity) only at decode time.
+        Owner-vertex shards of the maintained
+        :class:`~repro.sketch.sharded.ShardedAGMSketch` (default 1),
+        updated through the ingest backend's seam and merged (laid end
+        to end) only at decode time.
     workers:
         Worker count for an *owned* ingest backend built from a string
         ``backend`` spec (``"process"``/``"rpc"``); ignored for specs
         without a worker pool and for backend instances (already
-        configured).  Only meaningful with ``sketch_shards``.
+        configured).
     """
 
     def __init__(
@@ -134,7 +129,7 @@ class StreamingConnectivity:
         sparsity: int = 4,
         rows: int = 3,
         boruvka_rounds: "int | None" = None,
-        sketch_shards: "int | None" = None,
+        sketch_shards: int = 1,
         workers: "int | None" = None,
     ):
         self.n = check_positive_int(n, "n")
@@ -149,26 +144,17 @@ class StreamingConnectivity:
         self._sketch_shape = dict(
             sparsity=sparsity, rows=rows, boruvka_rounds=boruvka_rounds
         )
-        if sketch_shards is not None:
-            sketch_shards = check_positive_int(sketch_shards, "sketch_shards")
-        self._sketch_shards = sketch_shards
+        self._sketch_shards = check_positive_int(sketch_shards, "sketch_shards")
         if workers is not None:
             workers = check_positive_int(workers, "workers")
-        self._workers = workers
-        self._ingest_backend = None
-        self._owns_ingest_backend = False
-        if sketch_shards is not None:
-            if isinstance(backend, str):
-                options = (
-                    {"workers": workers}
-                    if workers is not None and backend in ("process", "rpc")
-                    else {}
-                )
-                self._ingest_backend = make_backend(backend, **options)
-                self._owns_ingest_backend = True
-            else:
-                self._ingest_backend = make_backend(backend)
-        self._sketch_stats = SketchStats()
+        options = (
+            {"workers": workers}
+            if workers is not None and backend in ("process", "rpc")
+            else {}
+        )
+        self._ingest_backend = make_backend(backend, **options)
+        self._owns_ingest_backend = isinstance(backend, str)
+        self.stats = StreamingStats()
         self._sketch_dirty = False
         self._sketch = self._new_sketch()
         self._multiplicity: "dict[int, int]" = {}
@@ -176,20 +162,15 @@ class StreamingConnectivity:
         self._cached_labels: "np.ndarray | None" = canonical_labels(
             np.arange(n, dtype=np.int64)
         )
-        self.stats = StreamingStats(
-            sketch=self._sketch_stats if sketch_shards is not None else None
-        )
 
-    def _new_sketch(self):
-        """Fresh sketch over fresh randomness, monolithic or sharded."""
-        if self._sketch_shards is None:
-            return AGMSketch.empty(self.n, self._rng, **self._sketch_shape)
+    def _new_sketch(self) -> ShardedAGMSketch:
+        """Fresh sketch over fresh randomness on the ingest backend."""
         return ShardedAGMSketch.empty(
             self.n,
             self._rng,
             shards=self._sketch_shards,
             backend=self._ingest_backend,
-            stats=self._sketch_stats,
+            stats=self.stats.sketch,
             **self._sketch_shape,
         )
 
@@ -200,7 +181,10 @@ class StreamingConnectivity:
 
         Validates the whole batch against the current multiset first —
         a delete that would drive any edge's multiplicity negative
-        raises :class:`ValueError` and nothing is mutated.
+        raises :class:`ValueError` and nothing is mutated.  While the
+        sketch is dirty (closed, or interrupted by a failed batch) only
+        the multiset is updated: the next :meth:`query` rebuilds the
+        sketch from it.
         """
         edges = batch.edges
         if edges.size and (edges.min() < 0 or edges.max() >= self.n):
@@ -226,11 +210,12 @@ class StreamingConnectivity:
         # Sketch before multiset: the sketch update is the only step that
         # can still fail (a parallel backend can die mid-batch), and on
         # failure the multiset must keep describing the last good prefix.
-        try:
-            self._sketch.update_edges(edges, batch.weights)
-        except Exception:
-            self._sketch_dirty = True
-            raise
+        if not self._sketch_dirty:
+            try:
+                self._sketch.update_edges(edges, batch.weights)
+            except Exception:
+                self._sketch_dirty = True
+                raise
         updated = current + deltas
         for edge_id, value in zip(unique_ids.tolist(), updated.tolist()):
             if value:
@@ -307,19 +292,17 @@ class StreamingConnectivity:
             self.stats.scheduled_recomputes += 1
             labels = self._full_recompute()
         elif self._sketch_dirty:
-            # A backend failure interrupted an ingest batch, so the sketch
-            # may hold a partially applied update — never decode it.
+            # The sketch is closed, or a backend failure interrupted an
+            # ingest batch so it may hold a partially applied update —
+            # never decode it.
             self.stats.decode_failures += 1
             labels = self._full_recompute()
         else:
             try:
-                # merge() is inside the try: for a sharded sketch it is the
-                # point where worker-resident partials are collected, so a
-                # lost pool surfaces here as a RuntimeError and falls back.
-                sketch = self._sketch
-                if isinstance(sketch, ShardedAGMSketch):
-                    sketch = sketch.merge()
-                labels = agm_decode_components(sketch)
+                # merge() is inside the try: it is the point where
+                # worker-resident partials are collected, so a lost pool
+                # surfaces here as a RuntimeError and falls back.
+                labels = agm_decode_components(self._sketch.merge())
                 self.stats.sketch_queries += 1
             except RuntimeError:
                 self.stats.decode_failures += 1
@@ -370,29 +353,28 @@ class StreamingConnectivity:
 
     def _rebuild_sketch(self) -> None:
         """Fresh-randomness sketch rebuilt from the live multiset."""
-        old = self._sketch
-        if isinstance(old, ShardedAGMSketch):
-            old.close()
+        # Dirty until the rebuild's ingest completes: a failure part-way
+        # must not leave a half-built sketch for the next query.
+        self._sketch_dirty = True
+        self._sketch.close()
         self._sketch = self._new_sketch()
-        self._sketch_dirty = False
         graph = self.current_graph()
         if graph.m:
             self._sketch.update_edges(graph.edges)
+        self._sketch_dirty = False
         self.stats.sketch_rebuilds += 1
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release sketch partials and any ingest backend this object owns.
+        """Release the sketch partials and any ingest backend this object owns.
 
-        Only needed for sharded ingest (worker-resident or arena-backed
-        partials); a monolithic structure holds nothing to release.
-        Idempotent.  A later query falls back to the oracle, which
-        rebuilds the sketch (restarting owned pools if needed).
+        Idempotent.  The structure stays usable: the sketch is dirty
+        from here on, so :meth:`apply` updates only the multiset and the
+        next uncached query falls back to the oracle, which rebuilds the
+        sketch (restarting owned pools if needed).
         """
-        sketch = self._sketch
-        if isinstance(sketch, ShardedAGMSketch):
-            self._sketch_dirty = True
-            sketch.close()
-        if self._owns_ingest_backend and self._ingest_backend is not None:
+        self._sketch_dirty = True
+        self._sketch.close()
+        if self._owns_ingest_backend:
             self._ingest_backend.close()

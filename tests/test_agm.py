@@ -194,7 +194,7 @@ class TestIncrementalUpdates:
         with pytest.raises(ValueError, match="out of range"):
             sketch.update_edges(np.array([[0, 4]]))
         with pytest.raises(ValueError, match="weights shape"):
-            sketch.rounds[0].update_edges(
+            sketch.update_edges(
                 np.array([[0, 1]]), np.array([1, 1], dtype=np.int64)
             )
 
@@ -235,11 +235,11 @@ class TestBugfixRegressions:
     def test_int_seed_round_sketch_has_independent_row_hashes(self):
         """An int seed must be normalised once — every hash used to get
         identical coefficients from re-seeding."""
-        from repro.sketch.agm import _empty_round_sketch
+        from repro.sketch.agm import RoundSpec
 
-        sketch = _empty_round_sketch(32, rng=123, sparsity=4, rows=3)
-        coeff_sets = [tuple(h.coefficients.tolist()) for h in sketch.row_hashes]
-        coeff_sets.append(tuple(sketch.level_hash.coefficients.tolist()))
+        spec = RoundSpec.draw(32, 123, sparsity=4, rows=3)
+        coeff_sets = [tuple(h.coefficients.tolist()) for h in spec.row_hashes]
+        coeff_sets.append(tuple(spec.level_hash.coefficients.tolist()))
         assert len(set(coeff_sets)) == len(coeff_sets)
 
     def test_from_graph_reserves_verification_round(self):

@@ -36,6 +36,7 @@ from repro.sketch import (
 )
 from repro.sketch.one_sparse import _pow_mod
 from repro.sketch.sharded import SketchPartial
+from repro.streaming import EventBatch, StreamingConnectivity
 
 #: Small shape so hypothesis suites stay fast; both sides of every
 #: comparison draw it from the same seed.
@@ -111,16 +112,23 @@ def _random_batches(rng, n, batches=3, m=12):
 # -- fused scatter vs the reference loop -------------------------------------
 
 
-def test_fused_scatter_matches_reference_loop():
+@pytest.mark.parametrize(
+    "shards", [None, 1, 2, 5], ids=["AGMSketch", "shards=1", "shards=2", "shards=5"]
+)
+def test_fused_scatter_matches_reference_loop(shards):
     rng = np.random.default_rng(5)
     n = 24
-    fused = AGMSketch.empty(n, 7, **SMALL)
+    if shards is None:
+        fused = AGMSketch.empty(n, 7, **SMALL)
+    else:
+        fused = ShardedAGMSketch.empty(n, 7, shards=shards, **SMALL)
     reference = AGMSketch.empty(n, 7, **SMALL)
     for edges, weights in _random_batches(rng, n, batches=4, m=20):
         fused.update_edges(edges, weights)
         for round_sketch in reference.rounds:
             _reference_round_update(round_sketch, edges, weights)
-    assert _sketches_equal(fused, reference)
+    merged = fused if shards is None else fused.merge()
+    assert _sketches_equal(merged, reference)
 
 
 def test_fused_scatter_handles_self_loops_and_zero_weights():
@@ -150,6 +158,31 @@ def test_sharded_merge_bit_identical(shards):
         sharded.update_edges(edges, weights)
     assert _sketches_equal(mono, sharded.merge())
     assert sharded.words_per_vertex() == mono.words_per_vertex()
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_merge_is_read_only_and_views_a_lone_partial(shards):
+    sharded = ShardedAGMSketch.empty(10, 3, shards=shards, **SMALL)
+    sharded.update_edges(np.array([[0, 9], [2, 5]], dtype=np.int64))
+    merged = sharded.merge()
+    assert not merged.block.flags.writeable
+    assert not merged.rounds[0].totals.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        merged.update_edges(np.array([[1, 2]], dtype=np.int64))
+    partials = [part.data for part in sharded._store.partials]
+    # One block is shared, not copied; several are concatenated.
+    assert [np.shares_memory(merged.block, p) for p in partials] == [shards == 1] * shards
+    assert all(p.flags.writeable for p in partials)  # ingest keeps writing
+
+
+def test_closed_sketch_refuses_update_and_merge():
+    sharded = ShardedAGMSketch.empty(8, 1, shards=2, **SMALL)
+    sharded.close()
+    with pytest.raises(RuntimeError, match="closed"):
+        sharded.update_edges(np.array([[0, 1]], dtype=np.int64))
+    with pytest.raises(RuntimeError, match="closed"):
+        sharded.merge()
+    sharded.close()  # idempotent
 
 
 def test_shard_count_capped_at_n():
@@ -327,6 +360,7 @@ def test_backend_ingest_bit_identical_and_counted(name):
     rng = np.random.default_rng(31)
     n = 26
     mono = AGMSketch.empty(n, 37, **SMALL)
+    reference = AGMSketch.empty(n, 37, **SMALL)
     backend = _make_backend(name)
     try:
         sharded = ShardedAGMSketch.empty(
@@ -335,8 +369,11 @@ def test_backend_ingest_bit_identical_and_counted(name):
         for edges, weights in _random_batches(rng, n):
             mono.update_edges(edges, weights)
             sharded.update_edges(edges, weights)
+            for round_sketch in reference.rounds:
+                _reference_round_update(round_sketch, edges, weights)
         merged = sharded.merge()
         assert _sketches_equal(mono, merged)
+        assert _sketches_equal(reference, merged)
         counts = backend.stats().op_counts
         assert counts["sketch_update"] == 3
         assert counts["sketch_collect"] == 1
@@ -411,5 +448,30 @@ def test_rpc_pool_restart_makes_partial_loss_loud():
         with pytest.raises(RpcWorkerError, match="pool restart"):
             sharded.merge()
         sharded.close()  # must not raise on a lost pool
+    finally:
+        backend.close()
+
+
+def test_failed_batch_leaves_sketch_dirty_until_query_rebuilds():
+    backend = RpcBackend(workers=2, min_wire_items=0)
+    try:
+        conn = StreamingConnectivity(10, rng=4, backend=backend, sketch_shards=2)
+        conn.apply(EventBatch.insert([[0, 1]]))
+        backend.close()  # drops the worker-resident partials
+        with pytest.raises(RpcWorkerError, match="pool restart"):
+            conn.apply(EventBatch.insert([[1, 2]]))
+        assert conn.edge_count == 1  # the failed batch left no trace
+        # The dirty sketch is never touched again: this batch goes to the
+        # multiset alone, and the query rebuilds the sketch from it.
+        conn.apply(EventBatch.insert([[2, 3]]))
+        labels = conn.query()
+        assert labels[2] == labels[3] and labels[1] != labels[2]
+        assert conn.stats.decode_failures == 1
+        assert conn.stats.sketch_rebuilds == 1
+        conn.apply(EventBatch.insert([[1, 2]]))
+        labels = conn.query()
+        assert labels[0] == labels[3]
+        assert conn.stats.sketch_queries == 1
+        conn.close()
     finally:
         backend.close()

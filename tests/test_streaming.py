@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph import canonical_labels, dumbbell_graph, path_graph
+from repro.sketch import ShardedAGMSketch
 from repro.streaming import (
     EventBatch,
     StreamingConnectivity,
@@ -112,15 +113,14 @@ class TestStreamingConnectivity:
         conn = StreamingConnectivity(4, rng=6)
         conn.apply_edges([[0, 1]])
         before = conn.query()
-        sketch_before = [r.totals.copy() for r in conn._sketch.rounds]
+        counters_before = conn._sketch.merge().block.copy()
         batch = EventBatch.insert([[1, 2], [2, 3]])
         batch.edges[0, 0] = -1  # bypass EventBatch construction checks
         with pytest.raises(ValueError, match="out of range"):
             conn.apply(batch)
         assert conn.edge_count == 1
         assert conn._multiplicity == {0 * 4 + 1: 1}
-        for round_sketch, totals in zip(conn._sketch.rounds, sketch_before):
-            assert np.array_equal(round_sketch.totals, totals)
+        assert np.array_equal(conn._sketch.merge().block, counters_before)
         assert np.array_equal(conn.query(), before)
         assert conn.stats.batches_applied == 1
 
@@ -204,11 +204,13 @@ class TestStreamingConnectivity:
             "oracle_rounds",
             "sketch",
         }
-        # Monolithic ingest still carries the sketch block, zero-filled.
+        # The default structure ingests through one shard: one kernel
+        # call per batch, one merge per decoded query, and one
+        # AGMSketch block of partial state.
         assert snapshot["sketch"] == {
-            "shard_updates": 0,
-            "merges": 0,
-            "partial_words": 0,
+            "shard_updates": 1,
+            "merges": 1,
+            "partial_words": 4 * conn._sketch.words_per_vertex(),
         }
 
     def test_sharded_ingest_matches_monolithic(self):
@@ -235,6 +237,41 @@ class TestStreamingConnectivity:
         assert stats["sketch"]["shard_updates"] == 9  # 3 shards x 3 batches
         assert stats["sketch"]["merges"] == 3  # one decode per query
         assert stats["sketch"]["partial_words"] > 0
+
+    def test_apply_after_close_updates_multiset_and_query_rebuilds(self):
+        # Regression: apply() on a closed structure used to run the
+        # ingest kernel over the released partials and crash with
+        # AttributeError.  The dirty sketch is skipped instead, and the
+        # next query rebuilds it from the multiset.
+        conn = StreamingConnectivity(8, rng=0, sketch_shards=2)
+        conn.close()
+        conn.apply(EventBatch.insert([[3, 4]]))
+        assert conn.edge_count == 1
+        assert conn.stats.sketch.shard_updates == 0
+        labels = conn.query()
+        assert labels[3] == labels[4]
+        assert conn.component_count() == 7
+        assert conn.stats.sketch_rebuilds == 1
+        conn.close()
+
+    def test_interrupted_rebuild_is_never_decoded(self, monkeypatch):
+        # Regression: a rebuild marked the fresh sketch clean before its
+        # ingest ran, so an ingest failure left an empty sketch that the
+        # next query decoded into singleton labels.
+        conn = StreamingConnectivity(6, rng=1, sketch_shards=2)
+        conn.apply_edges([[0, 1]])
+
+        def failing_update(self, edges, weights=None):
+            raise RuntimeError("ingest backend died")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ShardedAGMSketch, "update_edges", failing_update)
+            with pytest.raises(RuntimeError, match="died"):
+                conn.recompute()
+        labels = conn.query()
+        assert labels[0] == labels[1]
+        assert conn.stats.decode_failures == 1
+        conn.close()
 
     def test_close_is_idempotent_and_query_recovers(self):
         conn = StreamingConnectivity(5, rng=10, sketch_shards=2)
