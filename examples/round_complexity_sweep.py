@@ -23,7 +23,7 @@ def main(scale: str = "default") -> dict:
     table = {
         record["n"]: {
             "pipeline": record["pipeline_rounds"],
-            "hash_to_min": record["hash_to_min_rounds"],
+            "liu_tarjan": record["liu_tarjan_rounds"],
             "random_mate": record["random_mate_rounds"],
         }
         for record in result.records

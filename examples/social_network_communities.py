@@ -13,11 +13,8 @@ Run:  python examples/social_network_communities.py
 from __future__ import annotations
 
 import repro
-from repro.baselines import (
-    min_label_propagation,
-    pointer_jumping_propagation,
-    random_mate_components,
-)
+from repro.baselines import random_mate_components
+from repro.engines import get_engine
 from repro.graph import components_agree, connected_components
 from repro.mpc import MPCEngine
 
@@ -49,8 +46,7 @@ def main(scale: str = "default") -> dict:
     print("\n== Classical comparators (same exact answer) ==")
     rows = []
     for name, runner in [
-        ("min-label (Θ(diam))", lambda e: min_label_propagation(graph, engine=e)),
-        ("hash-to-min (Θ(log n))", lambda e: pointer_jumping_propagation(graph, engine=e)),
+        ("liu-tarjan (Θ(log n))", lambda e: get_engine("liu_tarjan").run(graph, 0.0, mpc=e)),
         ("random-mate (Θ(log n))", lambda e: random_mate_components(graph, rng=seed, engine=e)),
     ]:
         engine = MPCEngine(adaptive.engine.machine_memory)

@@ -1,14 +1,5 @@
 """Baseline connectivity algorithms: the paper's round-complexity comparators."""
 
-from repro.baselines.graph_exponentiation import (
-    ExponentiationResult,
-    exponentiation_components,
-)
-from repro.baselines.label_propagation import (
-    PropagationResult,
-    min_label_propagation,
-    pointer_jumping_propagation,
-)
 from repro.baselines.random_mate import RandomMateResult, random_mate_components
 from repro.baselines.shiloach_vishkin import (
     ShiloachVishkinResult,
@@ -16,11 +7,6 @@ from repro.baselines.shiloach_vishkin import (
 )
 
 __all__ = [
-    "ExponentiationResult",
-    "exponentiation_components",
-    "PropagationResult",
-    "min_label_propagation",
-    "pointer_jumping_propagation",
     "RandomMateResult",
     "random_mate_components",
     "ShiloachVishkinResult",

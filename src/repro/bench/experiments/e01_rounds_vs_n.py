@@ -2,17 +2,19 @@
 
 Paper claim: ``O(log log n)`` MPC rounds for graphs whose components have
 constant spectral gap, against the ``Θ(log n)`` of classical leader
-election / label propagation.  Expected shape: the pipeline column is
-(nearly) flat across the sweep; every baseline column climbs.
+election (random-mate) and label propagation (the ``liu_tarjan``
+engine).  Expected shape: the pipeline column is (nearly) flat across
+the sweep; every baseline column climbs.
 """
 
 from __future__ import annotations
 
 import repro
 from repro import theory
-from repro.baselines import pointer_jumping_propagation, random_mate_components
+from repro.baselines import random_mate_components
 from repro.bench.registry import register_benchmark
 from repro.bench.workloads import Workload
+from repro.engines import get_engine
 from repro.graph import components_agree, connected_components
 from repro.mpc import MPCEngine
 
@@ -39,17 +41,17 @@ def _pipeline(
 
 def _baselines(workload: Workload, seed: int) -> "tuple[int, int]":
     graph = workload.build(seed)
-    engine_h = MPCEngine.for_delta(graph.n + graph.m, 0.5)
-    pointer_jumping_propagation(graph, engine=engine_h)
+    engine_l = MPCEngine.for_delta(graph.n + graph.m, 0.5)
+    get_engine("liu_tarjan").run(graph, GAP_BOUND, mpc=engine_l)
     engine_r = MPCEngine.for_delta(graph.n + graph.m, 0.5)
     random_mate_components(graph, rng=seed, engine=engine_r)
-    return engine_h.rounds, engine_r.rounds
+    return engine_l.rounds, engine_r.rounds
 
 
 @register_benchmark(
     "e01_rounds_vs_n",
     title="MPC rounds vs n on constant-gap expanders (Theorem 1)",
-    headers=["n", "pipeline", "hash-to-min", "random-mate", "Thm1 shape",
+    headers=["n", "pipeline", "liu-tarjan", "random-mate", "Thm1 shape",
              "log n shape"],
     smoke={"sizes": [256, 1024], "seed": 3},
     full={"sizes": [256, 1024, 4096, 16384], "seed": 3},
@@ -72,15 +74,15 @@ def e01_rounds_vs_n(ctx):
         else:
             result = _pipeline(workload, ctx.seed, ctx.backend, ctx.engine)
         ours[n] = result.rounds
-        htm, mates[n] = _baselines(workload, ctx.seed)
+        liu_tarjan, mates[n] = _baselines(workload, ctx.seed)
         ctx.record(
             workload.label,
-            row=[n, ours[n], htm, mates[n],
+            row=[n, ours[n], liu_tarjan, mates[n],
                  f"{theory.theorem1_rounds(n, GAP_BOUND, delta=0.5):.1f}",
                  f"{theory.classical_pram_rounds(n):.1f}"],
             n=n,
             pipeline_rounds=ours[n],
-            hash_to_min_rounds=htm,
+            liu_tarjan_rounds=liu_tarjan,
             random_mate_rounds=mates[n],
             pipeline_engine=ctx.account(result.engine),
         )

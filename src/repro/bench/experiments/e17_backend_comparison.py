@@ -8,13 +8,11 @@ exchange barriers and bytes moved.  Expected shape: bit-identical labels,
 identical round charges (the control plane is deterministic in the data
 sizes), materialised exchanges within the charged round budget, and a
 shard fleet that matches ``peak_machines`` — i.e. the rounds the engine
-reports are *achievable* under hard resource bounds, at sizes far beyond
-the per-item ``Cluster`` executor.
+reports are *achievable* under hard resource bounds.
 
 The ``full`` tier runs ``n = 10^5`` (walk length capped — the honest
 verification broadcast guarantees exactness regardless), demonstrating the
-end-to-end sharded pipeline at a scale where the old Python-list path is
-unusable.
+end-to-end sharded pipeline at paper scale.
 """
 
 from __future__ import annotations

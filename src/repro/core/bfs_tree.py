@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.graph.components import canonical_labels
 from repro.graph.csr import CSRIndex
-from repro.mpc.backends import csr_min_label_kernel
+from repro.mpc.backends import LocalBackend
 from repro.mpc.engine import MPCEngine
 from repro.mpc.plan import PlanBuilder
 from repro.utils.validation import check_positive_int
@@ -64,7 +64,7 @@ def broadcast_components(
     Every level folds each vertex's minimum over its run of one frozen
     :class:`~repro.graph.csr.CSRIndex`: with an ``engine`` as a
     ``csr_min_label`` plan (one recorded round on its data plane),
-    without one by the same kernel in-process.
+    without one by the same op on a :class:`~repro.mpc.backends.LocalBackend`.
     """
     n = check_positive_int(n, "n")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -96,6 +96,7 @@ def broadcast_components(
     pos = np.where(half & 1, half >> 1, m + (half >> 1))
     runs = index.degrees > 0
     starts = index.indptr[:-1][runs]
+    local = LocalBackend() if engine is None else None
 
     rounds = 0
     while rounds < max_rounds:
@@ -106,7 +107,7 @@ def broadcast_components(
             outs = builder.csr_min_label(labels, index.indptr, index.indices)
             new_labels, incoming = engine.run_plan(builder.build(outs))
         else:
-            new_labels, incoming = csr_min_label_kernel(
+            new_labels, incoming = local.csr_min_label(
                 labels, index.indptr, index.indices
             )
         improved = new_labels < labels

@@ -23,7 +23,7 @@ parallel, without changing the distribution:
 * walkers are mutually independent, so each *column* (one walk from every
   vertex) draws from its own stream, ``SeedSequence(root,
   spawn_key=(column,))``.  The columns run as the backend ``walk`` op
-  (:func:`repro.mpc.backends.walk_columns`), split across workers by the
+  (:func:`repro.mpc.kernels.walk_columns`), split across workers by the
   pooled backends, with endpoints that do not depend on the backend or
   the worker count.
 """

@@ -18,9 +18,7 @@ Each phase runs three plans through :meth:`MPCEngine.run_plan`:
    keys machine-locally, and a min-reduce dedups them.
 
 The engine terminates when the contracted graph is empty (no
-cross-component edges remain).  The eager
-:func:`repro.baselines.exponentiation_components` stays as the slow
-oracle this engine is differentially certified against.
+cross-component edges remain).
 """
 
 from __future__ import annotations

@@ -15,9 +15,7 @@ hop per round and the shortcut halves pointer chains), with far fewer on
 low-diameter inputs.  Compared to the paper pipeline there is no
 dependence on the spectral gap — the engine the portfolio falls back to
 when neither the low-diameter nor the well-connected regime is
-detected.  The eager :func:`repro.baselines.min_label_propagation` and
-:func:`repro.baselines.pointer_jumping_propagation` implementations stay
-as the slow oracles this engine is differentially certified against.
+detected.
 """
 
 from __future__ import annotations

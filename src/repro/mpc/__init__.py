@@ -1,14 +1,15 @@
-"""MPC simulator: round accounting engine, pluggable execution backends,
-and the faithful memory-capped executor.
+"""MPC simulator: round accounting engine and pluggable execution backends.
 
 Four execution backends ship (see :mod:`repro.mpc.backends`): the
 accounting-only :class:`LocalBackend`, the enforced serial
 :class:`ShardedBackend`, the true-parallel :class:`ProcessBackend`
-(:mod:`repro.mpc.process_backend`), which runs the same sharded kernels
-on a pool of OS worker processes over shared memory, and the
-wire-protocol :class:`RpcBackend` (:mod:`repro.mpc.rpc`), which runs
-them across length-prefixed socket frames — the substrate of the
-long-lived connectivity service in :mod:`repro.service`.  Select one
+(:mod:`repro.mpc.process_backend`), which runs the block kernels of
+:mod:`repro.mpc.kernels` on a pool of OS worker processes over shared
+memory, and the wire-protocol :class:`RpcBackend` (:mod:`repro.mpc.rpc`),
+which runs them across length-prefixed socket frames — the substrate of
+the long-lived connectivity service in :mod:`repro.service`.  All four
+share one set of serial compute hooks, on :class:`ExecutionBackend`, and
+give bit-identical labels, rounds and model counters.  Select one
 with ``mpc_connected_components(..., backend="local" | "sharded" |
 "process" | "rpc")`` or construct it directly and pass it to
 :class:`MPCEngine`.
@@ -22,12 +23,6 @@ dispatch barriers, and ``MPCEngine(trace=...)`` +
 any backend.
 """
 
-from repro.mpc.algorithms import (
-    distributed_components,
-    distributed_leader_election,
-    distributed_min_label_round,
-    scatter_graph_state,
-)
 from repro.mpc.arena import ArenaLease, ArenaLeaseError, ShmArena
 from repro.mpc.backends import (
     BACKENDS,
@@ -39,10 +34,9 @@ from repro.mpc.backends import (
     backend_names,
     make_backend,
 )
-from repro.mpc.cluster import Cluster
 from repro.mpc.cost import MPCCostModel
 from repro.mpc.engine import MPCEngine, PhaseSummary, RoundCharge
-from repro.mpc.machine import Machine, MachineMemoryError
+from repro.mpc.machine import MachineMemoryError
 from repro.mpc.plan import (
     OpStep,
     PlanBuilder,
@@ -59,7 +53,6 @@ from repro.mpc.plan import (
     replay,
     submit_plan,
 )
-from repro.mpc.primitives import distributed_search, distributed_sort, reduce_by_key
 from repro.mpc.process_backend import (
     ProcessBackend,
     default_worker_count,
@@ -79,9 +72,7 @@ __all__ = [
     "MPCEngine",
     "RoundCharge",
     "PhaseSummary",
-    "Machine",
     "MachineMemoryError",
-    "Cluster",
     "BACKENDS",
     "BackendStats",
     "ExecutionBackend",
@@ -116,11 +107,4 @@ __all__ = [
     "default_workers",
     "make_backend",
     "usable_cpu_count",
-    "distributed_sort",
-    "distributed_leader_election",
-    "distributed_min_label_round",
-    "distributed_components",
-    "scatter_graph_state",
-    "distributed_search",
-    "reduce_by_key",
 ]

@@ -4,12 +4,11 @@ The :class:`~repro.mpc.engine.MPCEngine` is the *control plane*: it charges
 rounds for every primitive an algorithm would execute on a real cluster.
 An :class:`ExecutionBackend` is the *data plane* behind it — the thing that
 actually performs the sorts, searches, reductions, and label exchanges the
-charges describe.  Three implementations ship:
+charges describe.  Four implementations ship:
 
-* :class:`LocalBackend` — accounting-only.  Every operation is the plain
-  vectorised numpy the algorithms always ran; no partitioning, no caps, no
-  communication counters.  This is the historical behaviour and the zero-
-  overhead default.
+* :class:`LocalBackend` — accounting-only.  Every operation runs the
+  serial hook on the plain arrays; no partitioning, no caps, no
+  communication counters.  This is the zero-overhead default.
 * :class:`ShardedBackend` — the scale substrate.  Data is kept as numpy
   arrays partitioned into ``ceil(N/s)`` contiguous shards of at most ``s``
   items (:class:`ShardedArray`); every operation enforces the per-shard
@@ -18,29 +17,24 @@ charges describe.  Three implementations ship:
   :class:`~repro.mpc.machine.MachineMemoryError` on violation), while
   counting exchange barriers and bytes moved.  Sorting is argsort plus
   shard-boundary splitters; search and reduce-by-key route by key home;
-  the min-label exchange is the fused one-shipment level of
-  :mod:`repro.mpc.algorithms`.
-* :class:`~repro.mpc.process_backend.ProcessBackend` — the true-parallel
-  executor: the same accounting and enforcement as :class:`ShardedBackend`
-  (it subclasses it), but the compute kernels run on a pool of worker
-  processes over ``multiprocessing.shared_memory`` views, each worker
-  owning ``ceil(shard_count / workers)`` shards.  Selected with
-  ``backend="process"`` (registered when :mod:`repro.mpc` imports the
-  module).
+  the min-label exchange is one fused shipment per level.
+* :class:`~repro.mpc.process_backend.ProcessBackend` and
+  :class:`~repro.mpc.rpc.RpcBackend` — the worker pools.  Both subclass
+  :class:`PooledBackend`, which keeps the sharded accounting and plans
+  each compute hook into per-worker steps over the block kernels of
+  :mod:`repro.mpc.kernels`; they differ only in how arrays reach the
+  workers (shared memory or socket frames).  Selected with
+  ``backend="process"`` or ``backend="rpc"`` (registered when
+  :mod:`repro.mpc` imports their modules).
 
-The split between *accounting* and *compute* is explicit in the code:
-every public :class:`ShardedBackend` operation performs capacity checks
-and exchange/byte counting itself and delegates the pure computation to a
-``_kernel_*`` hook.  Subclasses that override only the hooks (such as
-``ProcessBackend``) are therefore counter-identical to ``ShardedBackend``
-by construction, which is what the differential suite asserts.
-
-Compared with :class:`~repro.mpc.cluster.Cluster` — the faithful per-item
-executor used by the primitive-level certification tests — a
-``ShardedBackend`` trades message-level fidelity for vectorised execution:
-it runs the *full pipeline* under enforced resource bounds on graphs that
-are orders of magnitude beyond what Python-list machines can hold, which is
-what the pipeline-level differential and certification suites exercise.
+The layers are explicit in the code.  All compute lives in
+:mod:`repro.mpc.kernels`.  The serial ``_kernel_*`` hooks are written
+once, on :class:`ExecutionBackend`; every public op checks its operands,
+does its accounting (nothing on the local backend; capacity checks and
+exchange/byte counting on :class:`ShardedBackend`), and delegates the
+computation to a hook.  :class:`PooledBackend` overrides only the hooks,
+so the pools are counter-identical to :class:`ShardedBackend` by
+construction, which is what the differential suite asserts.
 
 Shard layout convention
 -----------------------
@@ -60,16 +54,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.mpc.kernels import (
+    _REDUCERS,
+    _grouped_reduce,
+    _step,
+    csr_min_fold,
+    key_bounds,
+    partitionable,
+    plain,
+    position_blocks,
+    reduced_dtype,
+    walk_columns,
+)
 from repro.mpc.machine import MachineMemoryError
 from repro.mpc.plan import RoundPlan, run_plan_steps
 from repro.utils.validation import check_nonnegative_int, check_positive_int
-
-#: Reduction operators supported by :meth:`ExecutionBackend.reduce_by_key`.
-_REDUCERS = {
-    "min": np.minimum,
-    "max": np.maximum,
-    "sum": np.add,
-}
 
 #: Zeroed arena block for backends without a shared-memory arena, so
 #: ``BackendStats.to_json()`` emits one schema for every backend (the
@@ -257,6 +256,28 @@ def _data(values) -> np.ndarray:
     return np.asarray(values)
 
 
+def _keyed(keys, values, op: "str | None" = None):
+    """The operands of a keyed op (``sort``, ``reduce_by_key``) as arrays,
+    checked alike on every backend before any capacity check or kernel:
+    1-D keys, one key per value row, and a known reducer ``op``.
+
+    Raises
+    ------
+    ValueError
+        On any other operands.
+    """
+    keys = _data(keys)
+    values = _data(values)
+    if keys.ndim != 1 or values.shape[:1] != keys.shape:
+        raise ValueError(
+            "keys must be 1-D with one key per value row: got keys of "
+            f"shape {keys.shape} for values of shape {values.shape}"
+        )
+    if op is not None and op not in _REDUCERS:
+        raise ValueError(f"unknown reducer {op!r}; choose from {sorted(_REDUCERS)}")
+    return keys, values
+
+
 class ExecutionBackend:
     """Protocol + shared bookkeeping for MPC data-plane backends.
 
@@ -271,12 +292,16 @@ class ExecutionBackend:
       tallies, dedup);
     * :meth:`min_label_exchange` — one fused min-label broadcast level
       (edge copies co-located with the sending endpoint, one shipment to
-      the receiving home — the layout of
-      :func:`repro.mpc.algorithms.distributed_min_label_round`).
+      the receiving home).
 
     Two seams outside the round plans share the same accounting/kernel
     split: the sketch ingest ops and :meth:`walk`, the random-walk
     sampler of the randomization step.
+
+    The serial ``_kernel_*`` compute hooks live here, once, for every
+    backend: the public ops of the subclasses count, check and account,
+    then call a hook, and the pools override only the hooks.  Hooks
+    never mutate their inputs and return arrays they own.
 
     The engine additionally calls :meth:`ensure_capacity` for every charge
     it records, so resource bounds are enforced across the *whole*
@@ -412,6 +437,45 @@ class ExecutionBackend:
         """
         raise NotImplementedError
 
+    # -- serial compute hooks ------------------------------------------------
+
+    def _kernel_sort(self, values: np.ndarray, keys: np.ndarray):
+        """Stable sort hook: ``(values[order], order)`` for the stable
+        argsort ``order`` of ``keys``."""
+        order = np.argsort(keys, kind="stable")
+        return values[order], order
+
+    def _kernel_search(self, table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+        """Gather hook: ``table[queries]``."""
+        return table[queries]
+
+    def _kernel_reduce(self, keys: np.ndarray, values: np.ndarray, op: str):
+        """Grouped-reduce hook: ``(unique_keys, reduced, order)`` from
+        :func:`~repro.mpc.kernels._grouped_reduce`."""
+        return _grouped_reduce(keys, values, op)
+
+    def _kernel_min_label(
+        self, labels: np.ndarray, send: np.ndarray, recv: np.ndarray
+    ):
+        """Min-label hook: ``(new_labels, incoming)`` with
+        ``incoming = labels[send]`` scattered by elementwise minimum onto
+        ``new_labels[recv]``."""
+        incoming = labels[send]
+        new_labels = labels.copy()
+        np.minimum.at(new_labels, recv, incoming)
+        return new_labels, incoming
+
+    def _kernel_csr_min_label(
+        self, labels: np.ndarray, indptr: np.ndarray, indices: np.ndarray
+    ):
+        """CSR min-label hook: ``(new_labels, incoming)``, the block fold
+        :func:`~repro.mpc.kernels.csr_min_fold` over the one block
+        ``[0, n)`` and ``incoming = labels[indices]`` in CSR slot order."""
+        (new_labels,) = csr_min_fold(
+            labels, indptr, indices, lo=0, hi=labels.shape[0]
+        )
+        return new_labels, labels[indices]
+
     # -- sketch ingest seam ---------------------------------------------------
     #
     # The streaming layer's sharded AGM sketch routes its update batches
@@ -502,11 +566,11 @@ class ExecutionBackend:
 
 
 class LocalBackend(ExecutionBackend):
-    """Accounting-only backend: plain vectorised numpy, no caps.
+    """Accounting-only backend: the serial hooks on plain arrays, no caps.
 
-    Each operation is byte-identical to the inline numpy the algorithms
-    executed before the backend layer existed, so results, RNG streams and
-    round charges are unchanged — the zero-regression default.
+    Each operation counts itself, checks its operands and runs the
+    serial hook, so results, RNG streams and round charges equal every
+    other backend's — the zero-overhead default.
     """
 
     name = "local"
@@ -517,27 +581,28 @@ class LocalBackend(ExecutionBackend):
         return _data(values)
 
     def sort(self, values, order_by=None) -> np.ndarray:
-        """Stable numpy sort (argsort by ``order_by`` when given)."""
+        """Stable sort of ``values`` by ``order_by`` (by the values
+        themselves when ``None``); raises :class:`ValueError` unless the
+        keys are 1-D with one per value row."""
         self._count_op("sort")
         values = _data(values)
-        if order_by is None:
-            return np.sort(values, kind="stable")
-        return values[np.argsort(_data(order_by), kind="stable")]
+        keys, values = _keyed(values if order_by is None else order_by, values)
+        return self._kernel_sort(values, keys)[0]
 
     def search(self, table, queries) -> np.ndarray:
         """Plain gather: ``table[queries]``."""
         self._count_op("search")
-        return _data(table)[_data(queries)]
+        return self._kernel_search(_data(table), _data(queries))
 
     def reduce_by_key(self, keys, values, op: str = "min"):
-        """Grouped fold via :func:`_grouped_reduce`; returns
-        ``(sorted_unique_keys, reduced)``.
+        """Grouped fold; returns ``(sorted_unique_keys, reduced)``.
 
-        Raises :class:`ValueError` for unknown ``op`` or misaligned
-        shapes.
+        Raises :class:`ValueError` for an unknown ``op``, keys that are
+        not 1-D, or a key count that differs from the value rows.
         """
         self._count_op("reduce_by_key")
-        unique, reduced, _ = _grouped_reduce(_data(keys), _data(values), op)
+        keys, values = _keyed(keys, values, op)
+        unique, reduced, _ = self._kernel_reduce(keys, values, op)
         return unique, reduced
 
     def min_label_exchange(self, labels, send, recv):
@@ -545,14 +610,10 @@ class LocalBackend(ExecutionBackend):
         ``labels[recv]`` by elementwise minimum.
         """
         self._count_op("min_label_exchange")
-        labels = _data(labels)
-        incoming = labels[_data(send)]
-        new_labels = labels.copy()
-        np.minimum.at(new_labels, _data(recv), incoming)
-        return new_labels, incoming
+        return self._kernel_min_label(_data(labels), _data(send), _data(recv))
 
     def csr_min_label(self, labels, indptr, indices):
-        """One min-label level as indptr-sliced gathers (no partitioning).
+        """One min-label level as indptr-sliced folds (no partitioning).
 
         Returns the same ``(new_labels, incoming)`` the sort-based
         :meth:`min_label_exchange` produces for the incidence arrays the
@@ -560,10 +621,9 @@ class LocalBackend(ExecutionBackend):
         the broadcast loop addresses it in.
         """
         self._count_op("csr_min_label")
-        labels = _data(labels)
-        indptr = _data(indptr)
-        indices = _data(indices)
-        new_labels, incoming = csr_min_label_kernel(labels, indptr, indices)
+        new_labels, incoming = self._kernel_csr_min_label(
+            _data(labels), _data(indptr), _data(indices)
+        )
         self.csr_gathers += 1
         self.argsorts_avoided += 1
         return new_labels, incoming
@@ -687,55 +747,6 @@ class ShardedBackend(ExecutionBackend):
             csr=self._csr_stats(),
         )
 
-    # -- compute kernels (overridable; accounting stays in the public ops) ----
-    #
-    # The arena-aware kernel seam: a subclass kernel may stage its inputs
-    # and outputs in recycled shared-memory buffers (see
-    # ``repro.mpc.arena.ShmArena``), provided the arrays it *returns* are
-    # plain ndarrays it owns — leased buffers recycle as soon as the
-    # operation ends, so results must be copied out before the kernel
-    # returns.  Kernels must never mutate their input arrays: the process
-    # backend pins read-only inputs across consecutive operations, and a
-    # mutated input would poison that cache.
-
-    def _kernel_sort(self, values: np.ndarray, keys: np.ndarray):
-        """Stable sort kernel: return ``(values[order], order)`` for the
-        stable argsort ``order`` of ``keys``.
-        """
-        order = np.argsort(keys, kind="stable")
-        return values[order], order
-
-    def _kernel_search(self, table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        """Gather kernel: return ``table[queries]``."""
-        return table[queries]
-
-    def _kernel_reduce(self, keys: np.ndarray, values: np.ndarray, op: str):
-        """Grouped-reduce kernel: ``(unique_keys, reduced, order)`` exactly
-        as :func:`_grouped_reduce` computes them.
-        """
-        return _grouped_reduce(keys, values, op)
-
-    def _kernel_min_label(
-        self, labels: np.ndarray, send: np.ndarray, recv: np.ndarray
-    ):
-        """Min-label kernel: ``(new_labels, incoming)`` with
-        ``incoming = labels[send]`` scattered by elementwise minimum onto
-        ``new_labels[recv]``.
-        """
-        incoming = labels[send]
-        new_labels = labels.copy()
-        np.minimum.at(new_labels, recv, incoming)
-        return new_labels, incoming
-
-    def _kernel_csr_min_label(
-        self, labels: np.ndarray, indptr: np.ndarray, indices: np.ndarray
-    ):
-        """CSR min-label kernel: ``(new_labels, incoming)`` via contiguous
-        ``minimum.reduceat`` folds over the indptr-sliced neighbour runs
-        (``incoming = labels[indices]`` in CSR slot order).
-        """
-        return csr_min_label_kernel(labels, indptr, indices)
-
     # -- operations ----------------------------------------------------------
 
     def scatter(self, values) -> ShardedArray:
@@ -759,7 +770,7 @@ class ShardedBackend(ExecutionBackend):
         locally — their cost is counted into the same barrier."""
         self._count_op("sort")
         values = _data(values)
-        keys = values if order_by is None else _data(order_by)
+        keys, values = _keyed(values if order_by is None else order_by, values)
         n = int(values.shape[0])
         shards = self.ensure_capacity(n)
         out, order = self._kernel_sort(values, keys)
@@ -801,10 +812,7 @@ class ShardedBackend(ExecutionBackend):
         key rank (argsort); groups straddling a shard boundary combine
         their partials in the same barrier (≤ 1 partial per boundary)."""
         self._count_op("reduce_by_key")
-        if op not in _REDUCERS:
-            raise ValueError(f"unknown reducer {op!r}; choose from {sorted(_REDUCERS)}")
-        keys = _data(keys)
-        values = _data(values)
+        keys, values = _keyed(keys, values, op)
         n = int(keys.shape[0])
         shards = self.ensure_capacity(n)
         unique, reduced, order = self._kernel_reduce(keys, values, op)
@@ -818,10 +826,9 @@ class ShardedBackend(ExecutionBackend):
 
     def min_label_exchange(self, labels, send, recv):
         """One min-label broadcast level: each edge copy reads its sending
-        endpoint's label locally (co-located, as in
-        :func:`repro.mpc.algorithms.distributed_min_label_round`) and ships
-        it to the receiving endpoint's home — one barrier, payload = the
-        incidences whose endpoints live on different shards."""
+        endpoint's label locally (co-located with it) and ships it to the
+        receiving endpoint's home — one barrier, payload = the incidences
+        whose endpoints live on different shards."""
         self._count_op("min_label_exchange")
         labels = _data(labels)
         send = _data(send)
@@ -903,135 +910,271 @@ class ShardedBackend(ExecutionBackend):
         return parts
 
 
-def csr_min_label_kernel(
-    labels: np.ndarray, indptr: np.ndarray, indices: np.ndarray
-):
-    """Shared CSR min-label compute: ``(new_labels, incoming)``.
+class PooledBackend(ShardedBackend):
+    """Sharded execution on a pool of workers, whatever the transport.
 
-    ``incoming = labels[indices]`` (CSR slot order); each vertex's new
-    label is the minimum of its old label and the labels arriving on its
-    neighbour run.  Runs are contiguous, so one ``minimum.reduceat``
-    over the non-empty run starts folds every row — no scatter, no
-    argsort.  Excluding empty runs first means consecutive ``starts``
-    delimit exactly the non-empty runs and every start is in range.
+    Accounting (capacity enforcement, exchange/byte counters, op counts)
+    stays in the :class:`ShardedBackend` public operations; this class
+    overrides only the ``_kernel_*`` compute hooks, planning each into
+    per-worker steps over :data:`~repro.mpc.kernels.KERNELS` and
+    assembling the replies, so results *and* counters are bit-identical
+    to the serial backend.  Subclasses supply the transport:
+
+    * ``_pooled(words)`` — whether an operation of that size uses the
+      pool (below it, the serial hooks of :class:`ExecutionBackend`
+      run);
+    * ``_execute(arrays, dests, plans, finish, resident)`` — run
+      ``plans[w]`` on worker ``w`` over the named input ``arrays`` (and
+      the transport's ``resident`` bindings), place outputs into fresh
+      ``dests`` arrays (``name → (shape, dtype)``), and return
+      ``finish(dests, replies)`` with one
+      :func:`~repro.mpc.kernels.place` reply per plan.
+      Results must not alias transport-owned buffers.
     """
-    incoming = labels[indices]
-    new_labels = labels.copy()
-    nz = np.diff(indptr) > 0
-    starts = indptr[:-1][nz]
-    if starts.size:
-        new_labels[nz] = np.minimum(
-            new_labels[nz], np.minimum.reduceat(incoming, starts)
+
+    def __init__(
+        self,
+        shard_memory: "int | None" = None,
+        *,
+        max_shards: "int | None" = None,
+        workers: int,
+    ):
+        super().__init__(shard_memory, max_shards=max_shards)
+        self.workers = check_positive_int(workers, "workers")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def stats(self):
+        """Sharded counters plus the pool size."""
+        snapshot = super().stats()
+        snapshot.workers = self.workers
+        return snapshot
+
+    # -- transport (subclass responsibility) ---------------------------------
+
+    def _pooled(self, words: int) -> bool:
+        raise NotImplementedError
+
+    def _execute(self, arrays, dests, plans, finish, resident=None):
+        raise NotImplementedError
+
+    # -- planning ------------------------------------------------------------
+
+    def _blocks(self, n: int) -> "list[tuple[int, int]]":
+        return position_blocks(n, self._s, self.workers)
+
+    def _buckets(self, keys: np.ndarray) -> "list[tuple]":
+        n = int(keys.shape[0])
+        return key_bounds(keys, max(1, min(self.workers, self.shards_for(n))))
+
+    def _sortable(self, keys: np.ndarray, values: np.ndarray) -> bool:
+        """Whether a sort or reduce takes the pool: keys the range
+        partition handles exactly, plain values of at most two dims."""
+        return (
+            self._pooled(int(keys.shape[0]))
+            and values.ndim <= 2
+            and partitionable(keys)
+            and plain(values)
         )
-    return new_labels, incoming
 
-
-def _grouped_reduce(keys: np.ndarray, values: np.ndarray, op: str):
-    """Shared compute kernel: sorted unique keys + per-group fold.
-
-    Stable argsort keeps equal keys in input order, so ``op="min"`` over
-    ascending index values reproduces ``np.unique(keys, return_index=True)``
-    exactly — the contraction dedup relies on that.  Also returns the sort
-    permutation (``None`` for empty input) so callers accounting for data
-    movement don't argsort twice.
-    """
-    if op not in _REDUCERS:
-        raise ValueError(f"unknown reducer {op!r}; choose from {sorted(_REDUCERS)}")
-    keys = np.asarray(keys)
-    values = np.asarray(values)
-    if keys.shape[0] != values.shape[0]:
-        raise ValueError(
-            f"keys and values must align: {keys.shape[0]} vs {values.shape[0]}"
+    def _labelable(self, labels: np.ndarray, slots: np.ndarray) -> bool:
+        """Whether a min-label level takes the pool: 1-D plain labels
+        and 1-D incidence slots."""
+        return (
+            self._pooled(int(labels.shape[0]) + int(slots.shape[0]))
+            and labels.ndim == 1
+            and slots.ndim == 1
+            and plain(labels)
         )
-    if keys.shape[0] == 0:
-        return keys.copy(), values.copy(), None
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    sorted_values = values[order]
-    starts = np.empty(sorted_keys.shape[0], dtype=bool)
-    starts[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
-    boundaries = np.flatnonzero(starts)
-    reduced = _REDUCERS[op].reduceat(sorted_values, boundaries)
-    return sorted_keys[boundaries], reduced, order
 
+    def _kernel_search(self, table: np.ndarray, queries: np.ndarray):
+        n = int(queries.shape[0])
+        if not (
+            self._pooled(n)
+            and queries.ndim == 1
+            and queries.dtype.kind in "iu"
+            and table.ndim <= 2
+            and plain(table)
+        ):
+            return super()._kernel_search(table, queries)
+        plans = [
+            [_step("search", ["table", "queries"], ["found"], lo=lo, hi=hi)]
+            for lo, hi in self._blocks(n)
+        ]
+        (found,) = self._execute(
+            {"table": table, "queries": queries},
+            {"found": ((n,) + table.shape[1:], table.dtype)},
+            plans,
+            lambda out, _: (out["found"],),
+        )
+        return found
 
-def popcount64(words: np.ndarray) -> np.ndarray:
-    """Set bits of each ``uint64`` word, as ``uint8``: ``np.bitwise_count``
-    on numpy ≥ 2, an exact SWAR popcount on older numpy."""
-    bitwise_count = getattr(np, "bitwise_count", None)
-    if bitwise_count is not None:
-        return bitwise_count(words)
-    return _swar_popcount(words)
+    def _kernel_sort(self, values: np.ndarray, keys: np.ndarray):
+        if not self._sortable(keys, values):
+            return super()._kernel_sort(values, keys)
+        n = int(values.shape[0])
+        # ``sort(values)`` orders by the values themselves: bind them once.
+        arrays = {"keys": keys}
+        if values is not keys:
+            arrays["values"] = values
+        inputs = ["keys", "keys" if values is keys else "values"]
+        plans = [
+            [_step("sort", inputs, ["order", "sorted", "offset"], lo=lo, hi=hi)]
+            for lo, hi in self._buckets(keys)
+        ]
+        return self._execute(
+            arrays,
+            {"sorted": (values.shape, values.dtype), "order": ((n,), np.int64)},
+            plans,
+            lambda out, _: (out["sorted"], out["order"]),
+        )
 
+    def _kernel_reduce(self, keys: np.ndarray, values: np.ndarray, op: str):
+        if not self._sortable(keys, values):
+            return super()._kernel_reduce(keys, values, op)
+        n = int(keys.shape[0])
+        outputs = ["order", "unique", "reduced", "offset"]
+        plans = [
+            [_step("reduce", ["keys", "values"], outputs, lo=lo, hi=hi, op=op)]
+            for lo, hi in self._buckets(keys)
+        ]
 
-def _swar_popcount(words: np.ndarray) -> np.ndarray:
-    """Popcount by SWAR: sum bits in 2-, 4- then 8-bit fields, and add the
-    eight byte sums with one wrapping multiply into the top byte."""
-    u = np.uint64
-    x = words - ((words >> u(1)) & u(0x5555555555555555))
-    x = (x & u(0x3333333333333333)) + ((x >> u(2)) & u(0x3333333333333333))
-    x = (x + (x >> u(4))) & u(0x0F0F0F0F0F0F0F0F)
-    return ((x * u(0x0101010101010101)) >> u(56)).astype(np.uint8)
-
-
-def lazy_step_counts(rng: np.random.Generator, n: int, steps: int) -> np.ndarray:
-    """Moves made by each of ``n`` lazy ``steps``-step walkers: the popcount
-    of ``steps`` fair bits, so exactly ``Binomial(steps, ½)``.
-
-    A lazy walk that stays put on each step with an independent fair coin
-    is, in distribution, a plain walk of that many steps.
-    """
-    counts = np.zeros(n, dtype=np.min_scalar_type(steps))
-    full, rest = divmod(steps, 64)
-    for _ in range(full):
-        counts += popcount64(rng.bit_generator.random_raw(n))
-    if rest:
-        counts += popcount64(rng.bit_generator.random_raw(n) & np.uint64((1 << rest) - 1))
-    return counts
-
-
-def walk_columns(heads, *, lo, hi, degree, steps, lazy, entropy):
-    """The walk kernel: endpoints of walk columns ``[lo, hi)``.
-
-    Column ``c`` walks one walker from every vertex of the
-    ``degree``-regular out-neighbour table ``heads`` and draws only from
-    ``SeedSequence(entropy, spawn_key=(c,))``; row ``c - lo`` of the
-    ``(hi - lo, n)`` int64 result holds its endpoints.  A lazy column
-    draws every walker's move count (:func:`lazy_step_counts`), orders
-    the walkers by it, longest first, and at step ``s`` advances only
-    the prefix still moving; a plain column moves every walker
-    ``steps`` times.  Each move is one uniform port draw and one gather.
-    """
-    n = heads.shape[0] // degree
-    index = np.int32 if n * degree <= np.iinfo(np.int32).max else np.int64
-    # Walkers carry the slot base v·degree of their vertex v, so a move
-    # is base + port -> bases[slot], with no multiply.
-    bases = heads.astype(index) * degree
-    port = np.min_scalar_type(degree - 1)
-    out = np.empty((hi - lo, n), dtype=np.int64)
-    slot = np.empty(n, dtype=index)
-    for column in range(lo, hi):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(column,)))
-        if lazy:
-            counts = lazy_step_counts(rng, n, steps)
-            order = np.argsort(steps - counts, kind="stable")
-            moving = n - np.cumsum(np.bincount(counts, minlength=steps + 1)[:steps])
-        else:
-            order = np.arange(n)
-            moving = np.full(steps, n)
-        walkers = order.astype(index) * degree
-        for active in moving.tolist():
-            if active == 0:
-                break
-            np.add(
-                walkers[:active],
-                rng.integers(0, degree, size=active, dtype=port),
-                out=slot[:active],
+        def finish(out, replies):
+            # Key ranges are disjoint and ascending, so the buckets'
+            # unique/reduced slices laid end to end are the global result.
+            spans = [reply["unique"] for reply in replies]
+            return (
+                np.concatenate([out["unique"][a:b] for a, b in spans]),
+                np.concatenate([out["reduced"][a:b] for a, b in spans]),
+                out["order"],
             )
-            np.take(bases, slot[:active], out=walkers[:active], mode="clip")
-        out[column - lo, order] = walkers // degree
-    return (out,)
+
+        return self._execute(
+            {"keys": keys, "values": values},
+            {
+                "order": ((n,), np.int64),
+                "unique": ((n,), keys.dtype),
+                "reduced": (values.shape, reduced_dtype(values, op)),
+            },
+            plans,
+            finish,
+        )
+
+    def _kernel_min_label(
+        self, labels: np.ndarray, send: np.ndarray, recv: np.ndarray
+    ):
+        if not self._labelable(labels, send):
+            return super()._kernel_min_label(labels, send, recv)
+        return self._label_level(
+            {"labels": labels, "send": send, "recv": recv}, "send", "min_fold"
+        )
+
+    def _kernel_csr_min_label(
+        self, labels: np.ndarray, indptr: np.ndarray, indices: np.ndarray
+    ):
+        if not self._labelable(labels, indices):
+            return super()._kernel_csr_min_label(labels, indptr, indices)
+        return self._label_level(
+            {"labels": labels, "indptr": indptr, "indices": indices},
+            "indices",
+            "csr_min_fold",
+        )
+
+    def _label_level(self, arrays: dict, sources: str, fold: str):
+        """One min-label level: per worker, a gather step over a block of
+        the ``sources`` slots and a ``fold`` step (reading every array)
+        over a block of labels, fused in one message — both read only
+        the immutable inputs and write disjoint outputs, so no barrier
+        is needed between them."""
+        labels = arrays["labels"]
+        slots = int(arrays[sources].shape[0])
+        pos_blocks = self._blocks(slots)
+        label_blocks = self._blocks(int(labels.shape[0]))
+        gather_inputs, fold_inputs = ["labels", sources], list(arrays)
+        plans = []
+        for w in range(max(len(pos_blocks), len(label_blocks))):
+            steps = []
+            if w < len(pos_blocks):
+                lo, hi = pos_blocks[w]
+                steps.append(_step(
+                    "gather_incoming", gather_inputs, ["incoming"], lo=lo, hi=hi
+                ))
+            if w < len(label_blocks):
+                lo, hi = label_blocks[w]
+                steps.append(_step(fold, fold_inputs, ["folded"], lo=lo, hi=hi))
+            plans.append(steps)
+        return self._execute(
+            arrays,
+            {
+                "incoming": ((slots,), labels.dtype),
+                "folded": (labels.shape, labels.dtype),
+            },
+            plans,
+            lambda out, _: (out["folded"], out["incoming"]),
+        )
+
+    def _kernel_walk(self, heads, degree, steps, columns, entropy, lazy):
+        n = int(heads.shape[0]) // degree
+        if not self._pooled(n * columns):
+            return super()._kernel_walk(heads, degree, steps, columns, entropy, lazy)
+        plans = [
+            [_step(
+                "walk", ["heads"], ["targets"], lo=lo, hi=hi, degree=degree,
+                steps=steps, lazy=lazy, entropy=entropy,
+            )]
+            for lo, hi in position_blocks(columns, 1, self.workers)
+        ]
+        (targets,) = self._execute(
+            {"heads": heads},
+            {"targets": ((columns, n), np.int64)},
+            plans,
+            lambda out, _: (out["targets"],),
+        )
+        return targets
+
+    def _pooled_sketch_update(self, store, edges, weights, partials: list) -> int:
+        """Scatter one update batch into every shard partial: one message
+        per worker, one step per owned shard.  ``partials[i]`` is the
+        transport's binding of shard ``i``'s partial (bound as the
+        step's first input)."""
+        params = store.params
+        steps = [
+            _step(
+                "sketch_update",
+                [f"partial_{shard}", "edges", "weights", "level_coeffs",
+                 "row_coeffs", "bases"],
+                [f"applied_{shard}"],
+                vlo=part.vlo,
+                vhi=part.vhi,
+                n=params["n"],
+                levels=params["levels"],
+                cols=params["cols"],
+            )
+            for shard, part in enumerate(store.partials)
+        ]
+        plans = [
+            steps[lo:hi] for lo, hi in position_blocks(len(steps), 1, self.workers)
+        ]
+        (applied,) = self._execute(
+            {
+                "edges": edges,
+                "weights": weights,
+                "level_coeffs": params["level_coeffs"],
+                "row_coeffs": params["row_coeffs"],
+                "bases": params["bases"],
+            },
+            {},
+            plans,
+            lambda _, replies: (
+                sum(int(count[0]) for reply in replies for count in reply.values()),
+            ),
+            resident={f"partial_{i}": p for i, p in enumerate(partials)},
+        )
+        return applied
 
 
 #: Registry for CLI/pipeline string selection.  ``"process"`` and
@@ -1058,7 +1201,8 @@ def make_backend(spec, **kwargs) -> "ExecutionBackend | None":
     ----------
     spec:
         ``None`` (caller default, returned as-is), a name from
-        :data:`BACKENDS` (``"local"``, ``"sharded"``, ``"process"``), or an
+        :data:`BACKENDS` (``"local"``, ``"sharded"``, ``"process"``,
+        ``"rpc"``), or an
         :class:`ExecutionBackend` instance (returned unchanged).
     **kwargs:
         Constructor options for a named backend (e.g. ``workers=4`` for

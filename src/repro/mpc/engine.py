@@ -14,18 +14,15 @@ computation, only on memory and communication, so simulating machine-local
 work faithfully is unnecessary for round counts.  What *is* tracked is the
 peak number of machines needed (``total data / machine memory``), which the
 theorems also bound.  With a
-:class:`~repro.mpc.backends.ShardedBackend` (or its true-parallel
-subclass :class:`~repro.mpc.process_backend.ProcessBackend`), the same
+:class:`~repro.mpc.backends.ShardedBackend` (or one of the worker pools
+built on it, :class:`~repro.mpc.process_backend.ProcessBackend` and
+:class:`~repro.mpc.rpc.RpcBackend`), the same
 charges additionally *enforce* the fleet's capacity (every charge's data
 volume is checked against the shard caps, raising
 :class:`~repro.mpc.machine.MachineMemoryError` on a capped fleet) and
 every charge records the materialised exchange barriers executed since
 the previous charge, so pipeline-level tests can certify the charged
 round counts are achievable.
-
-Use :class:`repro.mpc.cluster.Cluster` for the faithful small-scale executor
-that actually moves key-value pairs between memory-capped machines (the
-primitives are validated against it in the tests).
 """
 
 from __future__ import annotations

@@ -1,22 +1,21 @@
-"""One kernel table for the worker pools: every pooled block kernel, the
-partition helpers, and each op's planner, written once.
+"""All MPC compute, written once: the serial numpy helpers, every pooled
+block kernel, and the partition helpers the pools plan with.
 
-A pooled operation is one MPC round in miniature: every worker runs a
-block kernel over its part of the data, then the parent waits at one
-exchange barrier.  :class:`~repro.mpc.process_backend.ProcessBackend`
-and :class:`~repro.mpc.rpc.RpcBackend` differ only in how arrays reach
-their workers — shared-memory views or digest-deduplicated socket
-frames — so everything else lives here:
+The backends of :mod:`repro.mpc.backends` only call into this module —
+it imports nothing from them:
 
-* :data:`KERNELS` — the block kernels, pure functions from input arrays
-  plus JSON-able params to a tuple of output arrays;
-* the partition helpers both pools plan with;
-* :class:`PooledBackend` — plans each op into per-worker steps and
-  assembles the replies.  A transport implements only
-  :meth:`~PooledBackend._pooled` (when to use the pool) and
-  :meth:`~PooledBackend._execute` (bind arrays, run the steps).
+* the serial hooks of :class:`~repro.mpc.backends.ExecutionBackend` run
+  :func:`_grouped_reduce`, :func:`csr_min_fold` over the one block
+  ``[0, n)``, and :func:`walk_columns` over every column;
+* :class:`~repro.mpc.backends.PooledBackend` plans each op into
+  per-worker steps over :data:`KERNELS`, and its two transports
+  (:class:`~repro.mpc.process_backend.ProcessBackend` over shared
+  memory, :class:`~repro.mpc.rpc.RpcBackend` over socket frames) run
+  those steps with :func:`run_step` and :func:`place`.
 
-A *step* is the JSON-able dict ``{"op", "inputs", "outputs",
+:data:`KERNELS` maps a step's op name to its block kernel, a pure
+function from input arrays plus JSON-able params to a tuple of output
+arrays.  A *step* is the JSON-able dict ``{"op", "inputs", "outputs",
 "params"}``: a kernel name, the names of the arrays it reads, the names
 of its outputs, and its params (:func:`run_step` executes one).  An
 output whose name is one of the op's *destinations* is placed
@@ -56,9 +55,8 @@ Work follows the canonical shard layout
   endpoints.
 
 Inputs the range partition cannot handle exactly (non-finite float
-keys, object dtypes, unsupported shapes) take the serial
-:class:`~repro.mpc.backends.ShardedBackend` kernels, as do operations
-below the pool's size threshold.
+keys, object dtypes, unsupported shapes) take the serial hooks, as do
+operations below the pool's size threshold.
 """
 
 from __future__ import annotations
@@ -67,8 +65,13 @@ import math
 
 import numpy as np
 
-from repro.mpc.backends import _REDUCERS, ShardedBackend, _grouped_reduce, walk_columns
-from repro.utils.validation import check_positive_int
+#: Reduction operators supported by ``reduce_by_key``.
+_REDUCERS = {
+    "min": np.minimum,
+    "max": np.maximum,
+    "sum": np.add,
+}
+
 
 # ---------------------------------------------------------------------------
 # Partition helpers
@@ -170,6 +173,29 @@ def sort_bucket(keys, values, *, lo, hi):
     return seg, values[seg], np.array([offset], dtype=np.int64)
 
 
+def _grouped_reduce(keys: np.ndarray, values: np.ndarray, op: str):
+    """Sorted unique keys + per-group fold: ``(unique, reduced, order)``.
+
+    Stable argsort keeps equal keys in input order, so ``op="min"`` over
+    ascending index values reproduces ``np.unique(keys, return_index=True)``
+    exactly — the contraction dedup relies on that.  Also returns the sort
+    permutation (``None`` for empty input) so callers accounting for data
+    movement don't argsort twice.  The backend ops check the operands
+    (1-D keys, one per value row, a known ``op``) before calling it.
+    """
+    if keys.shape[0] == 0:
+        return keys.copy(), values.copy(), None
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    sorted_values = values[order]
+    starts = np.empty(sorted_keys.shape[0], dtype=bool)
+    starts[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    boundaries = np.flatnonzero(starts)
+    reduced = _REDUCERS[op].reduceat(sorted_values, boundaries)
+    return sorted_keys[boundaries], reduced, order
+
+
 def reduce_bucket(keys, values, *, lo, hi, op):
     """Grouped fold of the keys in ``[lo, hi)``: the bucket's slice of the
     sort permutation, its unique keys and folded values, and its output
@@ -226,6 +252,84 @@ def sketch_update(
     return (np.array([applied], dtype=np.int64),)
 
 
+def popcount64(words: np.ndarray) -> np.ndarray:
+    """Set bits of each ``uint64`` word, as ``uint8``: ``np.bitwise_count``
+    on numpy ≥ 2, an exact SWAR popcount on older numpy."""
+    bitwise_count = getattr(np, "bitwise_count", None)
+    if bitwise_count is not None:
+        return bitwise_count(words)
+    return _swar_popcount(words)
+
+
+def _swar_popcount(words: np.ndarray) -> np.ndarray:
+    """Popcount by SWAR: sum bits in 2-, 4- then 8-bit fields, and add the
+    eight byte sums with one wrapping multiply into the top byte."""
+    u = np.uint64
+    x = words - ((words >> u(1)) & u(0x5555555555555555))
+    x = (x & u(0x3333333333333333)) + ((x >> u(2)) & u(0x3333333333333333))
+    x = (x + (x >> u(4))) & u(0x0F0F0F0F0F0F0F0F)
+    return ((x * u(0x0101010101010101)) >> u(56)).astype(np.uint8)
+
+
+def lazy_step_counts(rng: np.random.Generator, n: int, steps: int) -> np.ndarray:
+    """Moves made by each of ``n`` lazy ``steps``-step walkers: the popcount
+    of ``steps`` fair bits, so exactly ``Binomial(steps, ½)``.
+
+    A lazy walk that stays put on each step with an independent fair coin
+    is, in distribution, a plain walk of that many steps.
+    """
+    counts = np.zeros(n, dtype=np.min_scalar_type(steps))
+    full, rest = divmod(steps, 64)
+    for _ in range(full):
+        counts += popcount64(rng.bit_generator.random_raw(n))
+    if rest:
+        counts += popcount64(rng.bit_generator.random_raw(n) & np.uint64((1 << rest) - 1))
+    return counts
+
+
+def walk_columns(heads, *, lo, hi, degree, steps, lazy, entropy):
+    """The walk kernel: endpoints of walk columns ``[lo, hi)``.
+
+    Column ``c`` walks one walker from every vertex of the
+    ``degree``-regular out-neighbour table ``heads`` and draws only from
+    ``SeedSequence(entropy, spawn_key=(c,))``; row ``c - lo`` of the
+    ``(hi - lo, n)`` int64 result holds its endpoints.  A lazy column
+    draws every walker's move count (:func:`lazy_step_counts`), orders
+    the walkers by it, longest first, and at step ``s`` advances only
+    the prefix still moving; a plain column moves every walker
+    ``steps`` times.  Each move is one uniform port draw and one gather.
+    """
+    n = heads.shape[0] // degree
+    index = np.int32 if n * degree <= np.iinfo(np.int32).max else np.int64
+    # Walkers carry the slot base v·degree of their vertex v, so a move
+    # is base + port -> bases[slot], with no multiply.
+    bases = heads.astype(index) * degree
+    port = np.min_scalar_type(degree - 1)
+    out = np.empty((hi - lo, n), dtype=np.int64)
+    slot = np.empty(n, dtype=index)
+    for column in range(lo, hi):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(column,)))
+        if lazy:
+            counts = lazy_step_counts(rng, n, steps)
+            order = np.argsort(steps - counts, kind="stable")
+            moving = n - np.cumsum(np.bincount(counts, minlength=steps + 1)[:steps])
+        else:
+            order = np.arange(n)
+            moving = np.full(steps, n)
+        walkers = order.astype(index) * degree
+        for active in moving.tolist():
+            if active == 0:
+                break
+            np.add(
+                walkers[:active],
+                rng.integers(0, degree, size=active, dtype=port),
+                out=slot[:active],
+            )
+            np.take(bases, slot[:active], out=walkers[:active], mode="clip")
+        out[column - lo, order] = walkers // degree
+    return (out,)
+
+
 #: The kernel table: step op name → block kernel.
 KERNELS = {
     "search": gather,
@@ -274,274 +378,3 @@ def place(dests: dict, step: dict, env: dict) -> dict:
 
 def _step(kernel: str, inputs, outputs, **params) -> dict:
     return {"op": kernel, "inputs": inputs, "outputs": outputs, "params": params}
-
-
-# ---------------------------------------------------------------------------
-# Planner and assembler
-# ---------------------------------------------------------------------------
-
-
-class PooledBackend(ShardedBackend):
-    """Sharded execution on a pool of workers, whatever the transport.
-
-    Accounting (capacity enforcement, exchange/byte counters, op counts)
-    stays in the :class:`~repro.mpc.backends.ShardedBackend` public
-    operations; this class overrides only the ``_kernel_*`` compute
-    hooks, planning each into per-worker steps over :data:`KERNELS` and
-    assembling the replies, so results *and* counters are bit-identical
-    to the serial backend.  Subclasses supply the transport:
-
-    * ``_pooled(words)`` — whether an operation of that size uses the
-      pool (below it, the serial kernels run);
-    * ``_execute(arrays, dests, plans, finish, resident)`` — run
-      ``plans[w]`` on worker ``w`` over the named input ``arrays`` (and
-      the transport's ``resident`` bindings), place outputs into fresh
-      ``dests`` arrays (``name → (shape, dtype)``), and return
-      ``finish(dests, replies)`` with one :func:`place` reply per plan.
-      Results must not alias transport-owned buffers.
-    """
-
-    def __init__(
-        self,
-        shard_memory: "int | None" = None,
-        *,
-        max_shards: "int | None" = None,
-        workers: int,
-    ):
-        super().__init__(shard_memory, max_shards=max_shards)
-        self.workers = check_positive_int(workers, "workers")
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def stats(self):
-        """Sharded counters plus the pool size."""
-        snapshot = super().stats()
-        snapshot.workers = self.workers
-        return snapshot
-
-    # -- transport (subclass responsibility) ---------------------------------
-
-    def _pooled(self, words: int) -> bool:
-        raise NotImplementedError
-
-    def _execute(self, arrays, dests, plans, finish, resident=None):
-        raise NotImplementedError
-
-    # -- planning ------------------------------------------------------------
-
-    def _blocks(self, n: int) -> "list[tuple[int, int]]":
-        return position_blocks(n, self._s, self.workers)
-
-    def _buckets(self, keys: np.ndarray) -> "list[tuple]":
-        n = int(keys.shape[0])
-        return key_bounds(keys, max(1, min(self.workers, self.shards_for(n))))
-
-    def _sortable(self, keys: np.ndarray, values: np.ndarray) -> bool:
-        """Whether a sort or reduce takes the pool: 1-D keys the range
-        partition handles exactly, plain values of at most two dims."""
-        return (
-            self._pooled(int(keys.shape[0]))
-            and keys.ndim == 1
-            and values.ndim <= 2
-            and partitionable(keys)
-            and plain(values)
-        )
-
-    def _labelable(self, labels: np.ndarray, slots: np.ndarray) -> bool:
-        """Whether a min-label level takes the pool: 1-D plain labels
-        and 1-D incidence slots."""
-        return (
-            self._pooled(int(labels.shape[0]) + int(slots.shape[0]))
-            and labels.ndim == 1
-            and slots.ndim == 1
-            and plain(labels)
-        )
-
-    def _kernel_search(self, table: np.ndarray, queries: np.ndarray):
-        n = int(queries.shape[0])
-        if not (
-            self._pooled(n)
-            and queries.ndim == 1
-            and queries.dtype.kind in "iu"
-            and table.ndim <= 2
-            and plain(table)
-        ):
-            return super()._kernel_search(table, queries)
-        plans = [
-            [_step("search", ["table", "queries"], ["found"], lo=lo, hi=hi)]
-            for lo, hi in self._blocks(n)
-        ]
-        (found,) = self._execute(
-            {"table": table, "queries": queries},
-            {"found": ((n,) + table.shape[1:], table.dtype)},
-            plans,
-            lambda out, _: (out["found"],),
-        )
-        return found
-
-    def _kernel_sort(self, values: np.ndarray, keys: np.ndarray):
-        if not self._sortable(keys, values):
-            return super()._kernel_sort(values, keys)
-        n = int(values.shape[0])
-        # ``sort(values)`` orders by the values themselves: bind them once.
-        arrays = {"keys": keys}
-        if values is not keys:
-            arrays["values"] = values
-        inputs = ["keys", "keys" if values is keys else "values"]
-        plans = [
-            [_step("sort", inputs, ["order", "sorted", "offset"], lo=lo, hi=hi)]
-            for lo, hi in self._buckets(keys)
-        ]
-        return self._execute(
-            arrays,
-            {"sorted": (values.shape, values.dtype), "order": ((n,), np.int64)},
-            plans,
-            lambda out, _: (out["sorted"], out["order"]),
-        )
-
-    def _kernel_reduce(self, keys: np.ndarray, values: np.ndarray, op: str):
-        if not self._sortable(keys, values):
-            return super()._kernel_reduce(keys, values, op)
-        n = int(keys.shape[0])
-        outputs = ["order", "unique", "reduced", "offset"]
-        plans = [
-            [_step("reduce", ["keys", "values"], outputs, lo=lo, hi=hi, op=op)]
-            for lo, hi in self._buckets(keys)
-        ]
-
-        def finish(out, replies):
-            # Key ranges are disjoint and ascending, so the buckets'
-            # unique/reduced slices laid end to end are the global result.
-            spans = [reply["unique"] for reply in replies]
-            return (
-                np.concatenate([out["unique"][a:b] for a, b in spans]),
-                np.concatenate([out["reduced"][a:b] for a, b in spans]),
-                out["order"],
-            )
-
-        return self._execute(
-            {"keys": keys, "values": values},
-            {
-                "order": ((n,), np.int64),
-                "unique": ((n,), keys.dtype),
-                "reduced": (values.shape, reduced_dtype(values, op)),
-            },
-            plans,
-            finish,
-        )
-
-    def _kernel_min_label(
-        self, labels: np.ndarray, send: np.ndarray, recv: np.ndarray
-    ):
-        if not self._labelable(labels, send):
-            return super()._kernel_min_label(labels, send, recv)
-        return self._label_level(
-            {"labels": labels, "send": send, "recv": recv}, "send", "min_fold"
-        )
-
-    def _kernel_csr_min_label(
-        self, labels: np.ndarray, indptr: np.ndarray, indices: np.ndarray
-    ):
-        if not self._labelable(labels, indices):
-            return super()._kernel_csr_min_label(labels, indptr, indices)
-        return self._label_level(
-            {"labels": labels, "indptr": indptr, "indices": indices},
-            "indices",
-            "csr_min_fold",
-        )
-
-    def _label_level(self, arrays: dict, sources: str, fold: str):
-        """One min-label level: per worker, a gather step over a block of
-        the ``sources`` slots and a ``fold`` step (reading every array)
-        over a block of labels, fused in one message — both read only
-        the immutable inputs and write disjoint outputs, so no barrier
-        is needed between them."""
-        labels = arrays["labels"]
-        slots = int(arrays[sources].shape[0])
-        pos_blocks = self._blocks(slots)
-        label_blocks = self._blocks(int(labels.shape[0]))
-        gather_inputs, fold_inputs = ["labels", sources], list(arrays)
-        plans = []
-        for w in range(max(len(pos_blocks), len(label_blocks))):
-            steps = []
-            if w < len(pos_blocks):
-                lo, hi = pos_blocks[w]
-                steps.append(_step(
-                    "gather_incoming", gather_inputs, ["incoming"], lo=lo, hi=hi
-                ))
-            if w < len(label_blocks):
-                lo, hi = label_blocks[w]
-                steps.append(_step(fold, fold_inputs, ["folded"], lo=lo, hi=hi))
-            plans.append(steps)
-        return self._execute(
-            arrays,
-            {
-                "incoming": ((slots,), labels.dtype),
-                "folded": (labels.shape, labels.dtype),
-            },
-            plans,
-            lambda out, _: (out["folded"], out["incoming"]),
-        )
-
-    def _kernel_walk(self, heads, degree, steps, columns, entropy, lazy):
-        n = int(heads.shape[0]) // degree
-        if not self._pooled(n * columns):
-            return super()._kernel_walk(heads, degree, steps, columns, entropy, lazy)
-        plans = [
-            [_step(
-                "walk", ["heads"], ["targets"], lo=lo, hi=hi, degree=degree,
-                steps=steps, lazy=lazy, entropy=entropy,
-            )]
-            for lo, hi in position_blocks(columns, 1, self.workers)
-        ]
-        (targets,) = self._execute(
-            {"heads": heads},
-            {"targets": ((columns, n), np.int64)},
-            plans,
-            lambda out, _: (out["targets"],),
-        )
-        return targets
-
-    def _pooled_sketch_update(self, store, edges, weights, partials: list) -> int:
-        """Scatter one update batch into every shard partial: one message
-        per worker, one step per owned shard.  ``partials[i]`` is the
-        transport's binding of shard ``i``'s partial (bound as the
-        step's first input)."""
-        params = store.params
-        steps = [
-            _step(
-                "sketch_update",
-                [f"partial_{shard}", "edges", "weights", "level_coeffs",
-                 "row_coeffs", "bases"],
-                [f"applied_{shard}"],
-                vlo=part.vlo,
-                vhi=part.vhi,
-                n=params["n"],
-                levels=params["levels"],
-                cols=params["cols"],
-            )
-            for shard, part in enumerate(store.partials)
-        ]
-        plans = [
-            steps[lo:hi] for lo, hi in position_blocks(len(steps), 1, self.workers)
-        ]
-        (applied,) = self._execute(
-            {
-                "edges": edges,
-                "weights": weights,
-                "level_coeffs": params["level_coeffs"],
-                "row_coeffs": params["row_coeffs"],
-                "bases": params["bases"],
-            },
-            {},
-            plans,
-            lambda _, replies: (
-                sum(int(count[0]) for reply in replies for count in reply.values()),
-            ),
-            resident={f"partial_{i}": p for i, p in enumerate(partials)},
-        )
-        return applied

@@ -1,10 +1,4 @@
-"""A single MPC machine with an enforced memory cap."""
-
-from __future__ import annotations
-
-from typing import Any, Iterable
-
-from repro.utils.validation import check_positive_int
+"""The MPC model's capacity error."""
 
 
 class MachineMemoryError(RuntimeError):
@@ -12,59 +6,6 @@ class MachineMemoryError(RuntimeError):
     send/receive volume exceeds the per-round communication limit (which the
     MPC model ties to the memory size).
 
-    Shared by both enforcement layers: the per-item :class:`Machine` /
-    :class:`~repro.mpc.cluster.Cluster` executor and the vectorised
-    :class:`~repro.mpc.backends.ShardedBackend` (whose capped fleets raise
-    it when data cannot be placed within ``max_shards × shard_memory``)."""
-
-
-class Machine:
-    """Holds up to ``memory`` items (one item = one word in the model)."""
-
-    def __init__(self, machine_id: int, memory: int):
-        self.machine_id = machine_id
-        self.memory = check_positive_int(memory, "memory")
-        self._items: list[Any] = []
-
-    @property
-    def items(self) -> "list[Any]":
-        """The stored items (live list — inspection only)."""
-        return self._items
-
-    @property
-    def load(self) -> int:
-        """Words currently stored."""
-        return len(self._items)
-
-    @property
-    def free(self) -> int:
-        """Words of remaining capacity."""
-        return self.memory - self.load
-
-    def store(self, item: Any) -> None:
-        """Store one item; raises :class:`MachineMemoryError` when full."""
-        if self.load + 1 > self.memory:
-            raise MachineMemoryError(
-                f"machine {self.machine_id} over memory: {self.load + 1} > {self.memory}"
-            )
-        self._items.append(item)
-
-    def store_many(self, items: Iterable[Any]) -> None:
-        """Store several items; raises :class:`MachineMemoryError` if the
-        batch would exceed this machine's memory (nothing is stored then).
-        """
-        items = list(items)
-        if self.load + len(items) > self.memory:
-            raise MachineMemoryError(
-                f"machine {self.machine_id} over memory: "
-                f"{self.load + len(items)} > {self.memory}"
-            )
-        self._items.extend(items)
-
-    def take_all(self) -> "list[Any]":
-        """Remove and return all items (used between rounds)."""
-        items, self._items = self._items, []
-        return items
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Machine(id={self.machine_id}, load={self.load}/{self.memory})"
+    The enforced backends raise it: :class:`~repro.mpc.backends.ShardedBackend`
+    and the pools built on it, whose capped fleets cannot place data beyond
+    ``max_shards × shard_memory``."""

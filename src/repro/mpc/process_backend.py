@@ -3,7 +3,7 @@
 :class:`ProcessBackend` is the first executor that makes the reproduction
 faster on real hardware rather than only cheaper in accounted rounds.  It
 subclasses :class:`~repro.mpc.backends.ShardedBackend` (through
-:class:`~repro.mpc.kernels.PooledBackend`) and overrides *only* the
+:class:`~repro.mpc.backends.PooledBackend`) and overrides *only* the
 compute kernels, so capacity enforcement
 (:class:`~repro.mpc.machine.MachineMemoryError` semantics), exchange
 attribution, and every counter reported in ``engine.summary()["backend"]``
@@ -61,8 +61,8 @@ which this class never overrides.
 
 Determinism
 -----------
-Every kernel is bit-identical to the serial
-:class:`~repro.mpc.backends.ShardedBackend` kernels — the pipeline's
+Every kernel is bit-identical to the serial hooks of
+:class:`~repro.mpc.backends.ExecutionBackend` — the pipeline's
 labels, round counts, and RNG streams do not depend on the worker count.
 Operations below ``min_parallel_items`` words take the serial kernels,
 where process dispatch overhead would dominate.
@@ -91,8 +91,8 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.mpc.arena import ShmArena
-from repro.mpc.backends import ARENA_STATS_ZERO, BACKENDS
-from repro.mpc.kernels import PooledBackend, place, plain, run_step
+from repro.mpc.backends import ARENA_STATS_ZERO, BACKENDS, PooledBackend
+from repro.mpc.kernels import place, plain, run_step
 from repro.mpc.plan import RoundPlan, parent_local_steps
 from repro.utils.validation import check_nonnegative_int, check_positive_int
 
@@ -322,7 +322,7 @@ class ProcessBackend(PooledBackend):
     Accounting (capacity enforcement, exchange/byte counters, op counts)
     is inherited unchanged from :class:`~repro.mpc.backends.ShardedBackend`;
     the ``_kernel_*`` compute hooks are the shared planners of
-    :class:`~repro.mpc.kernels.PooledBackend`, so results *and*
+    :class:`~repro.mpc.backends.PooledBackend`, so results *and*
     counters are bit-identical to the serial sharded backend while the
     heavy numpy work runs in parallel.  This class supplies the
     transport: arena shared-memory bindings and pipe dispatch.

@@ -4,7 +4,7 @@
 *wire* rather than shared memory — the substrate the ROADMAP's
 connectivity service (:mod:`repro.service`) is built on.  Like
 :class:`~repro.mpc.process_backend.ProcessBackend` it subclasses
-:class:`~repro.mpc.kernels.PooledBackend`, whose planners and block
+:class:`~repro.mpc.backends.PooledBackend`, whose planners and block
 kernels both pools share, and supplies only the transport, so capacity
 enforcement, exchange attribution, partitioning, and every model
 counter are shared code — counter-identical to the serial sharded
@@ -82,8 +82,8 @@ import weakref
 
 import numpy as np
 
-from repro.mpc.backends import BACKENDS, TRANSPORT_STATS_ZERO
-from repro.mpc.kernels import PooledBackend, place, position_blocks, run_step
+from repro.mpc.backends import BACKENDS, TRANSPORT_STATS_ZERO, PooledBackend
+from repro.mpc.kernels import place, position_blocks, run_step
 from repro.mpc.plan import content_digest
 from repro.mpc.process_backend import DEFAULT_MIN_PARALLEL_ITEMS, _mp_context
 from repro.utils.validation import check_nonnegative_int, check_positive_int
@@ -970,7 +970,7 @@ class RpcBackend(PooledBackend):
     counts) is inherited unchanged from
     :class:`~repro.mpc.backends.ShardedBackend`; the ``_kernel_*``
     compute hooks are the shared planners of
-    :class:`~repro.mpc.kernels.PooledBackend`, so results *and* model
+    :class:`~repro.mpc.backends.PooledBackend`, so results *and* model
     counters are bit-identical to the serial backend while kernels
     execute in worker processes across length-prefixed frames.  This
     class supplies the transport: digest-deduplicated frame arrays plus

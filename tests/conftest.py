@@ -3,7 +3,8 @@
 ``sort_broadcast`` swaps the pipeline's min-label broadcast for a
 sort-layout reference, so differential tests can hold the CSR broadcast
 of :mod:`repro.core.bfs_tree` against an independent implementation of
-the same rounds.
+the same rounds.  ``csr_min_label_reference`` does the same for one
+``csr_min_label`` level.
 """
 
 import contextlib
@@ -96,3 +97,21 @@ def sort_broadcast(monkeypatch):
             yield
 
     return scope
+
+
+def _csr_min_label_reference(labels, indptr, indices):
+    """One ``csr_min_label`` level in sort layout: ``incoming =
+    labels[indices]`` folded by ``np.minimum.at`` onto each slot's owning
+    row, with no ``reduceat``."""
+    owners = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
+    incoming = labels[indices]
+    new_labels = labels.copy()
+    np.minimum.at(new_labels, owners, incoming)
+    return new_labels, incoming
+
+
+@pytest.fixture(scope="session")
+def csr_min_label_reference():
+    """The sort-layout reference for one ``csr_min_label`` level
+    (session-scoped, so hypothesis tests may take it)."""
+    return _csr_min_label_reference

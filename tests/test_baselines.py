@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    min_label_propagation,
-    pointer_jumping_propagation,
-    random_mate_components,
-    shiloach_vishkin_components,
-)
+from repro.baselines import random_mate_components, shiloach_vishkin_components
 from repro.graph import (
     Graph,
     community_graph,
@@ -23,8 +18,6 @@ from repro.graph import (
 from repro.mpc import MPCEngine
 
 ALL_BASELINES = [
-    ("min-label", lambda g, rng: min_label_propagation(g).labels),
-    ("hash-to-min", lambda g, rng: pointer_jumping_propagation(g).labels),
     ("random-mate", lambda g, rng: random_mate_components(g, rng=rng).labels),
     ("shiloach-vishkin", lambda g, rng: shiloach_vishkin_components(g).labels),
 ]
@@ -60,19 +53,6 @@ class TestCorrectness:
 
 
 class TestRoundScaling:
-    def test_min_label_rounds_linear_on_path(self):
-        result = min_label_propagation(path_graph(64))
-        assert result.rounds == 63
-
-    def test_pointer_jumping_logarithmic_on_path(self):
-        result = pointer_jumping_propagation(path_graph(256))
-        assert result.rounds <= 5 * int(np.log2(256))
-
-    def test_pointer_jumping_beats_plain_on_path(self):
-        plain = min_label_propagation(path_graph(128)).rounds
-        jumped = pointer_jumping_propagation(path_graph(128)).rounds
-        assert jumped < plain / 3
-
     def test_random_mate_iterations_logarithmic(self):
         g = permutation_regular_graph(512, 6, rng=0)
         result = random_mate_components(g, rng=1)
@@ -96,8 +76,6 @@ class TestRoundScaling:
     def test_engines_charged(self):
         g = cycle_graph(32)
         for runner in (
-            lambda e: min_label_propagation(g, engine=e),
-            lambda e: pointer_jumping_propagation(g, engine=e),
             lambda e: random_mate_components(g, rng=0, engine=e),
             lambda e: shiloach_vishkin_components(g, engine=e),
         ):

@@ -2,10 +2,11 @@
 
 Runs the full Theorem 4 pipeline on *all four* execution backends
 (accounting-only local, enforced sharded, true-parallel process pool,
-wire-protocol rpc)
-plus the four classical baselines across every registered generator
-family and asserts canonical-label agreement with the union-find ground
-truth.  On top of the correctness differential:
+wire-protocol rpc) plus the two classical baselines (Shiloach–Vishkin
+and random-mate) across every registered generator family and asserts
+canonical-label agreement with the union-find ground truth; the
+``liu_tarjan`` and ``exponentiation`` engines get the same differential
+in ``tests/test_engines.py``.  On top of the correctness differential:
 
 * **Seeded determinism** — identical RNG seeds must give identical
   labels, round counts, and phase breakdowns on every backend, across
@@ -13,23 +14,16 @@ truth.  On top of the correctness differential:
 * **Round certification at pipeline granularity** — every
   ``MPCEngine`` charge emitted during ``mpc_connected_components`` must
   cover the ``ShardedBackend`` exchanges it materialised, within the
-  declared round budget (extending the primitive-level certification of
-  ``tests/test_mpc_cluster.py`` to the whole algorithm);
+  declared round budget;
 * **Scale** — the ``slow`` tier runs ``n = 10^5`` end to end on the
-  sharded backend with enforced caps, far beyond the per-item
-  ``Cluster`` executor's practical range.
+  sharded backend with enforced caps.
 """
 
 import numpy as np
 import pytest
 
 import repro
-from repro.baselines import (
-    exponentiation_components,
-    min_label_propagation,
-    random_mate_components,
-    shiloach_vishkin_components,
-)
+from repro.baselines import random_mate_components, shiloach_vishkin_components
 from repro.bench.workloads import Workload, family_names
 from repro.graph import canonical_labels, components_agree
 from repro.graph.union_find import DisjointSetUnion
@@ -50,9 +44,7 @@ SIZE_OVERRIDES = {"complete": 64, "hypercube": 64}
 
 BASELINES = {
     "shiloach_vishkin": lambda graph: shiloach_vishkin_components(graph).labels,
-    "label_propagation": lambda graph: min_label_propagation(graph).labels,
     "random_mate": lambda graph: random_mate_components(graph, rng=SEED).labels,
-    "graph_exponentiation": lambda graph: exponentiation_components(graph).labels,
 }
 
 
@@ -310,7 +302,7 @@ class TestPipelineRoundCertification:
 
 
 # ---------------------------------------------------------------------------
-# Scale: beyond the Cluster executor's range
+# Scale: the enforced sharded pipeline at n = 10^5
 # ---------------------------------------------------------------------------
 
 

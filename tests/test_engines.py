@@ -37,7 +37,14 @@ from repro.engines import (
     get_engine,
     resolve_engine,
 )
-from repro.graph import Graph, canonical_labels, components_agree
+from repro.graph import (
+    Graph,
+    canonical_labels,
+    components_agree,
+    dumbbell_graph,
+    path_graph,
+    permutation_regular_graph,
+)
 from repro.graph.union_find import DisjointSetUnion
 from repro.mpc import MPCEngine, ProcessBackend, ShardedBackend
 from repro.mpc.plan import replay
@@ -160,6 +167,49 @@ def test_engine_trace_replays_on_all_backends(tmp_path, engine, graph):
         assert replayed.ok
         expected = 0 if name == "local" else captured
         assert replayed.stats.exchanges == expected
+
+
+# ---------------------------------------------------------------------------
+# Round scaling: each engine's cost follows its own parameter
+# ---------------------------------------------------------------------------
+
+
+class TestEngineScaling:
+    def test_exponentiation_phases_track_log_diameter(self):
+        """A path (D = n) needs ~log n phases, a dumbbell
+        (D = O(log n)) at least two fewer."""
+        path = run_engine(path_graph(512), "exponentiation", "local")
+        bell = run_engine(dumbbell_graph(256, 8, rng=0), "exponentiation", "local")
+        assert path.phase_count <= np.log2(512) + 2
+        assert bell.phase_count <= path.phase_count - 2
+
+    def test_exponentiation_phases_grow_with_path_length(self):
+        short = run_engine(path_graph(32), "exponentiation", "local").phase_count
+        long = run_engine(path_graph(512), "exponentiation", "local").phase_count
+        assert long > short
+        # ...but only logarithmically: 16x the diameter, ≤ +5 phases.
+        assert long <= short + 5
+
+    def test_exponentiation_expander_constant_phases(self):
+        graph = permutation_regular_graph(1024, 8, rng=2)
+        assert run_engine(graph, "exponentiation", "local").phase_count <= 4
+
+    @pytest.mark.parametrize("engine", NEW_ENGINES)
+    @pytest.mark.parametrize(
+        "edges",
+        [[(0, 1), (0, 1), (1, 1), (2, 3)], []],
+        ids=["multigraph", "empty"],
+    )
+    def test_small_graphs_match_truth(self, engine, edges):
+        graph = Graph(4, np.array(edges, dtype=np.int64).reshape(-1, 2))
+        result = run_engine(graph, engine, "local")
+        assert np.array_equal(result.labels, union_find_truth(graph))
+        if not edges:
+            assert result.phase_count == 0 and result.rounds == 0
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024])
+    def test_liu_tarjan_rounds_logarithmic_on_path(self, n):
+        assert run_engine(path_graph(n), "liu_tarjan", "local").rounds <= 5 * np.log2(n)
 
 
 # ---------------------------------------------------------------------------

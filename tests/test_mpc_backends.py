@@ -1,7 +1,8 @@
 """Tests for the pluggable execution backends (local + sharded).
 
 Covers the operation semantics (both backends must compute identical
-results — the differential suites rely on bit-equality), the shard-cap
+results — the differential suites rely on bit-equality), the operand
+checks every backend shares (pools included), the shard-cap
 enforcement property (``MachineMemoryError`` exactly when the input
 exceeds ``max_shards × shard_memory``), and the agreement between the
 engine's machine accounting and the backend's observed fleet.
@@ -12,11 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph.csr import CSRIndex
 from repro.mpc import (
     BackendStats,
     LocalBackend,
     MachineMemoryError,
     MPCEngine,
+    ProcessBackend,
+    RpcBackend,
     ShardedArray,
     ShardedBackend,
     make_backend,
@@ -115,11 +119,79 @@ class TestOperationSemantics:
         assert np.array_equal(new_labels, expected)
 
     @pytest.mark.parametrize("factory", BOTH)
+    def test_csr_min_label(self, factory, csr_min_label_reference):
+        """Vertex 4 is isolated (an empty run); vertices 1 and 3 carry
+        self-loops; the rows span several 16-word shards."""
+        edges = np.array([(0, 2), (1, 1), (2, 3), (3, 3), (5, 6), (6, 0)])
+        index = CSRIndex.from_edges(7, edges)
+        labels = np.array([5, 1, 7, 3, 9, 2, 8], dtype=np.int64)
+        got = factory().csr_min_label(labels, index.indptr, index.indices)
+        want = csr_min_label_reference(labels, index.indptr, index.indices)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert got[0][4] == labels[4]
+
+    @pytest.mark.parametrize("factory", BOTH)
     def test_scatter_roundtrip(self, factory):
         values = np.arange(40)
         placed = factory().scatter(values)
         assert np.array_equal(np.asarray(placed.data if isinstance(
             placed, ShardedArray) else placed), values)
+
+
+#: Every backend family, pools forced onto their workers: a malformed
+#: operand must be rejected before any pool would run a kernel.
+ALL_FOUR = {
+    "local": LocalBackend,
+    "sharded": lambda: ShardedBackend(shard_memory=4),
+    "process": lambda: ProcessBackend(4, workers=2, min_parallel_items=0),
+    "rpc": lambda: RpcBackend(4, workers=2, min_wire_items=0),
+}
+KEYS = np.array([3, 1, 2, 1, 3, 0, 2, 2, 1, 0])
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FOUR))
+class TestKeyedOperandChecks:
+    """``sort`` and ``reduce_by_key`` reject the same malformed operands
+    with the same ``ValueError`` on every backend."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda b: b.reduce_by_key(KEYS, np.arange(12), op="sum"),
+            lambda b: b.reduce_by_key(KEYS, np.arange(8), op="min"),
+            lambda b: b.reduce_by_key(KEYS.reshape(2, 5), np.arange(10)),
+            lambda b: b.reduce_by_key(KEYS, np.arange(10), op="median"),
+            lambda b: b.sort(np.arange(12), order_by=KEYS),
+            lambda b: b.sort(np.arange(10), order_by=KEYS.reshape(5, 2)),
+            lambda b: b.sort(KEYS.reshape(2, 5)),
+        ],
+        ids=[
+            "reduce-more-values", "reduce-fewer-values", "reduce-2d-keys",
+            "reduce-unknown-op", "sort-more-values", "sort-2d-keys",
+            "sort-2d-values",
+        ],
+    )
+    def test_rejects_malformed(self, name, call):
+        backend = ALL_FOUR[name]()
+        try:
+            with pytest.raises(ValueError, match="keys must be 1-D|unknown reducer"):
+                call(backend)
+        finally:
+            backend.close()
+
+    def test_accepts_row_values(self, name):
+        """2-D values keep working: one key per value row."""
+        backend = ALL_FOUR[name]()
+        values = np.arange(20).reshape(10, 2)
+        try:
+            order = np.argsort(KEYS, kind="stable")
+            assert np.array_equal(backend.sort(values, order_by=KEYS), values[order])
+            unique, reduced = backend.reduce_by_key(KEYS, values, op="sum")
+        finally:
+            backend.close()
+        assert np.array_equal(unique, [0, 1, 2, 3])
+        assert np.array_equal(reduced, [values[KEYS == k].sum(axis=0) for k in unique])
 
 
 class TestShardedAccounting:

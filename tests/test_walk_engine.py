@@ -27,7 +27,7 @@ from repro.mpc import (
     RpcBackend,
     ShardedBackend,
 )
-from repro.mpc.backends import popcount64
+from repro.mpc.kernels import popcount64
 
 
 class TestNextPowerOfTwo:

@@ -53,7 +53,7 @@ HEADER = """\
 > [benchmarks.md](benchmarks.md).
 
 This page lists every public class and function of the MPC simulator
-(`repro.mpc`: engine, execution backends, shared-memory arena, cluster),
+(`repro.mpc`: engine, execution backends, compute kernels, shared-memory arena),
 the Theorem 4 pipeline stages (`repro.core`), the pluggable
 connectivity engines (`repro.engines`), the streaming-update
 subsystem (`repro.streaming`), and the long-lived connectivity
