@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="worker-process pool size for the 'process' backend "
-        "(default: min(4, usable CPUs); e18 sweeps {1, N} when given)",
+        "(default: min(4, usable CPUs); e17 sweeps {1, N} when given)",
     )
     parser.add_argument(
         "--sketch-shards",

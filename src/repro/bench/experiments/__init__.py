@@ -24,13 +24,10 @@ from repro.bench.experiments import (  # noqa: F401  (imported for registration)
     e14_ablation_growth,
     e15_ablation_walk_length,
     e16_gap_vs_diameter,
-    e17_backend_comparison,
-    e18_parallel_scaling,
-    e19_arena_overhead,
+    e17_backend_parity,
     e21_engine_race,
     e22_streaming_updates,
     e23_rpc_service,
-    e24_csr_gather,
     e25_parallel_sketch,
 )
 
@@ -51,12 +48,9 @@ __all__ = [
     "e14_ablation_growth",
     "e15_ablation_walk_length",
     "e16_gap_vs_diameter",
-    "e17_backend_comparison",
-    "e18_parallel_scaling",
-    "e19_arena_overhead",
+    "e17_backend_parity",
     "e21_engine_race",
     "e22_streaming_updates",
     "e23_rpc_service",
-    "e24_csr_gather",
     "e25_parallel_sketch",
 ]

@@ -191,6 +191,35 @@ def validate_case_json(doc: dict) -> dict:
 
 # -- regression compare ------------------------------------------------------
 
+#: Record-field name suffixes :func:`compare_cases` gates.  Exchange
+#: barriers, payload bytes and shard occupancy are gated so a backend
+#: change that inflates communication fails --compare; "segments" gates
+#: shared-memory segment allocations so the arena's O(1)-allocations-
+#: per-run property cannot silently regress; "barriers" gates dispatch-
+#: barrier counts so plan fusion (one barrier per round plan, not one
+#: per op) cannot silently unfuse; "frames"/"wire_bytes" gate the RPC
+#: transport (op frames shipped and their serialized sizes —
+#: deterministic per plan, unlike heartbeats/retries) so a codec or
+#: dedup change that inflates wire traffic fails --compare; "words"
+#: gates sketch memory footprints (partial_words / sketch_words —
+#: "words_per_vertex" stays ungated by its suffix) so a sharding change
+#: that inflates resident sketch state fails --compare.
+COUNTER_SUFFIXES = (
+    "rounds",
+    "machines",
+    "phases",
+    "iterations",
+    "exchanges",
+    "bytes_exchanged",
+    "shard_count",
+    "shard_load",
+    "segments",
+    "barriers",
+    "frames",
+    "wire_bytes",
+    "words",
+)
+
 
 def compare_cases(
     old: dict,
@@ -200,8 +229,11 @@ def compare_cases(
 ) -> dict:
     """Diff two artifacts of the same benchmark.
 
-    Integer performance counters (fields named ``*rounds``, ``*machines``,
-    ``*phases``, ``*iterations``) are compared exactly; any increase is a
+    Numeric record fields whose names end in one of
+    :data:`COUNTER_SUFFIXES` — ``rounds``, ``machines``, ``phases``,
+    ``iterations``, ``exchanges``, ``bytes_exchanged``, ``shard_count``,
+    ``shard_load``, ``segments``, ``barriers``, ``frames``,
+    ``wire_bytes``, ``words`` — are compared exactly; any increase is a
     regression and clears ``ok``.  Wall-clock drifts with the host, so the
     per-case ``total_seconds`` is only *flagged* (beyond ``time_tolerance``
     fractional slowdown) — informational, never a gate: two artifacts from
@@ -216,40 +248,12 @@ def compare_cases(
 
     old_records = {r["key"]: r for r in old["records"]}
     new_records = {r["key"]: r for r in new["records"]}
-    # "exchanges" also matches bytes_exchanged; shard occupancy counters are
-    # gated so a backend change that inflates communication fails --compare;
-    # "segments" gates shared-memory segment allocations so the arena's
-    # O(1)-allocations-per-run property cannot silently regress; "barriers"
-    # gates dispatch-barrier counts so plan fusion (one barrier per round
-    # plan, not one per op) cannot silently unfuse; "frames"/"wire_bytes"
-    # gate the RPC transport (op frames shipped and their serialized
-    # sizes — deterministic per plan, unlike heartbeats/retries) so a
-    # codec or dedup change that inflates wire traffic fails --compare;
-    # "words" gates sketch memory footprints (partial_words /
-    # sketch_words — "words_per_vertex" stays ungated by its suffix) so
-    # a sharding change that inflates resident sketch state fails
-    # --compare.
-    counter_suffixes = (
-        "rounds",
-        "machines",
-        "phases",
-        "iterations",
-        "exchanges",
-        "shard_count",
-        "shard_load",
-        "segments",
-        "barriers",
-        "frames",
-        "wire_bytes",
-        "words",
-    )
-
     regressions, improvements, unchanged = [], [], []
     for key in sorted(old_records.keys() & new_records.keys()):
         before, after = old_records[key], new_records[key]
         for fname in sorted(before.keys() & after.keys()):
             b, a = before[fname], after[fname]
-            if not fname.endswith(counter_suffixes):
+            if not fname.endswith(COUNTER_SUFFIXES):
                 continue
             if not isinstance(b, (int, float)) or not isinstance(a, (int, float)):
                 continue

@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.leader_election import leader_election
 from repro.graph.components import canonical_labels
 from repro.mpc.engine import MPCEngine
-from repro.mpc.plan import PlanBuilder, submit_plan
+from repro.mpc.plan import PlanBuilder
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive_int
 
@@ -106,10 +106,9 @@ def contract_batch(
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 2)
     if batch.shape[0] == 0:
         return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
-    if engine is not None or backend is not None:
-        return submit_plan(
-            contract_plan(labels, batch), engine=engine, backend=backend
-        )
+    submitter = engine if engine is not None else backend
+    if submitter is not None:
+        return submitter.run_plan(contract_plan(labels, batch))
     cu = labels[batch[:, 0]]
     cv = labels[batch[:, 1]]
     cross = cu != cv
@@ -150,7 +149,6 @@ def grow_components(
     labels = np.arange(n, dtype=np.int64)
     tree_parts: "list[np.ndarray]" = []
     telemetry: "list[PhaseTelemetry]" = []
-    backend = engine.backend if engine is not None else None
 
     for phase_index, (batch, growth) in enumerate(zip(batches, growth_schedule), 1):
         growth = check_positive_int(growth, "growth target")
@@ -158,9 +156,7 @@ def grow_components(
 
         # Work first, charge second: the charge absorbs the backend
         # exchanges the contraction just materialised.
-        edges, representative = contract_batch(
-            labels, batch, backend=backend, engine=engine
-        )
+        edges, representative = contract_batch(labels, batch, engine=engine)
         if engine is not None:
             engine.charge_sort(batch.shape[0], label=f"contract phase {phase_index}")
         k = components_before
@@ -177,14 +173,12 @@ def grow_components(
         if matched.any():
             tree_parts.append(batch[representative[result.chosen_edge[matched]]])
 
-        if backend is not None:
+        if engine is not None:
             # One recorded round: search the leader table, canonicalise.
             builder = PlanBuilder("relabel")
             raw = builder.search(groups, labels)
             out = builder.transform("canonical_labels", raw)
-            (new_labels,) = submit_plan(
-                builder.build(out), engine=engine, backend=backend
-            )
+            (new_labels,) = engine.run_plan(builder.build(out))
         else:
             new_labels = canonical_labels(groups[labels])
 

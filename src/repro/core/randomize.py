@@ -88,7 +88,7 @@ def randomize_components(
         distributed as ``G(n_i, 2·batch_half_degree)`` per component).
     walk_mode:
         ``"direct"`` — vectorised independent walkers (the scale mode;
-        identical output distribution, see DESIGN.md);
+        identical output distribution);
         ``"layered"`` — the full Theorem 3 layered-graph data structure
         with independence detection (one walk per vertex per run; slower,
         faithful to the MPC data flow).

@@ -17,7 +17,7 @@ For machines of memory ``s = n^{Ω(1)}``:
    (Prop. 8.1) to one coordinator machine, which decodes all components
    locally.  O(1) rounds.
 
-Scale substitutions (DESIGN.md): ``d = ceil(c·n/s)`` (the paper's
+Scale substitutions: ``d = ceil(c·n/s)`` (the paper's
 ``n log⁴n / s`` polylog factor is meaningless at laptop ``n``), and the
 walk budget ``t = min(cap, c_t · d³ log n)`` — the cubic Barnes–Feige
 exponent is kept, the cap only guards wall-clock time.

@@ -9,7 +9,7 @@ vertex-disjoint — whose targets are therefore *mutually independent*
 Θ(log n) times in parallel and keeps, for each vertex, the target from the
 first run in which its path was disjoint (Theorem 3's proof).
 
-``direct_walk_targets`` is the scale substitute recorded in DESIGN.md: it
+``direct_walk_targets`` is the scale substitute: it
 samples the *same* product distribution ``⊗_v D_RW(v, t)`` directly (one
 independent walker per vertex and walk), and charges the engine the same
 round costs — used by the pipeline for large inputs where materialising the

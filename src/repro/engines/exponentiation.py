@@ -104,6 +104,7 @@ class ExponentiationEngine(ConnectivityEngine):
         # Input placement (capacity check + trace completeness).
         builder = PlanBuilder("scatter-input")
         mpc.run_plan(builder.build(builder.scatter(graph.edges)))
+        mpc.note_data_volume(graph.edges.size)
 
         cap = max(8, math.ceil(math.sqrt(max(n, 1))))
         max_phases = 2 * max(1, math.ceil(math.log2(max(n, 2)))) + 8
@@ -121,7 +122,7 @@ class ExponentiationEngine(ConnectivityEngine):
                     min_label_round_plan("exp-connect", labels, send, recv)
                 )
                 new_labels = np.asarray(new_labels)
-                mpc.charge_shuffle(int(send.size), label="connect")
+                mpc.charge_shuffle(n + int(send.size), label="connect")
                 mpc.charge_search(n, label="shortcut")
                 phases += 1
                 if np.array_equal(new_labels, labels):
@@ -141,7 +142,8 @@ class ExponentiationEngine(ConnectivityEngine):
                 # the deduped output: each midpoint span of capped size
                 # g emits at most g*(g-1) ordered pair keys.  Charging
                 # that bound keeps peak_machines honest about the join's
-                # materialised volume (e17 certifies fleet==accounting).
+                # materialised volume (the engine tests certify fleet ==
+                # accounting).
                 spans = np.minimum(
                     np.bincount(contracted.reshape(-1), minlength=n), cap + 1
                 )

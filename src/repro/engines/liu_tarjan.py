@@ -93,10 +93,10 @@ class LiuTarjanEngine(ConnectivityEngine):
                     )
                 )
                 new_labels = np.asarray(new_labels)
-                # Work first, charge second: the connect shuffle (the 2m
-                # CSR slots) and the shortcut search absorb the exchanges
-                # the plan made.
-                mpc.charge_shuffle(2 * graph.m, label="connect")
+                # Work first, charge second: the connect shuffle (the n
+                # labels plus the 2m CSR slots it holds) and the shortcut
+                # search absorb the exchanges the plan made.
+                mpc.charge_shuffle(n + 2 * graph.m, label="connect")
                 mpc.charge_search(n, label="shortcut")
                 iterations += 1
                 if np.array_equal(new_labels, labels):

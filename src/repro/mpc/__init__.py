@@ -46,12 +46,10 @@ from repro.mpc.plan import (
     RoundPlan,
     SlotRef,
     content_digest,
-    execute_plan,
     graph_digest,
     parent_local_steps,
     register_transform,
     replay,
-    submit_plan,
 )
 from repro.mpc.process_backend import (
     ProcessBackend,
@@ -91,12 +89,10 @@ __all__ = [
     "RpcWorkerError",
     "SlotRef",
     "content_digest",
-    "execute_plan",
     "graph_digest",
     "parent_local_steps",
     "register_transform",
     "replay",
-    "submit_plan",
     "ArenaLease",
     "ArenaLeaseError",
     "ShmArena",

@@ -113,16 +113,12 @@ TRANSPORT_STATS_ZERO = {
 #: Zeroed CSR block, same one-schema contract as
 #: :data:`ARENA_STATS_ZERO`.  ``csr_builds`` counts CSR index
 #: constructions an engine announced with
-#: :meth:`ExecutionBackend.note_csr_build`; ``csr_gathers`` counts
-#: indptr-sliced gather operations executed (``csr_min_label``);
-#: ``argsorts_avoided`` counts the sort-based exchanges those gathers
-#: replaced.  All three grow with the CSR work done, so none carries a
-#: gated compare suffix — the model counters (exchanges, bytes,
-#: barriers) keep their own gates.
+#: :meth:`ExecutionBackend.note_csr_build`; the gathers over those
+#: indexes count as ``op_counts["csr_min_label"]``.  ``csr_builds``
+#: carries no gated compare suffix — the model counters (exchanges,
+#: bytes, barriers) keep their own gates.
 CSR_STATS_ZERO = {
     "csr_builds": 0,
-    "csr_gathers": 0,
-    "argsorts_avoided": 0,
 }
 
 
@@ -151,8 +147,7 @@ class BackendStats:
     of an :class:`~repro.mpc.rpc.RpcBackend` (frames, payload bytes,
     digest-dedup hits, heartbeats, retries) under the same zero-filled
     one-schema contract (:data:`TRANSPORT_STATS_ZERO`).  ``csr`` carries
-    the CSR fast-path telemetry (index builds, indptr-sliced gathers,
-    argsorts avoided) under the :data:`CSR_STATS_ZERO` schema.
+    the CSR index builds under the :data:`CSR_STATS_ZERO` schema.
     """
 
     name: str
@@ -281,7 +276,7 @@ def _keyed(keys, values, op: "str | None" = None):
 class ExecutionBackend:
     """Protocol + shared bookkeeping for MPC data-plane backends.
 
-    Subclasses implement the five vectorised operations the pipeline
+    Subclasses implement the six vectorised operations the pipeline
     stages route their data movement through:
 
     * :meth:`scatter` — place an array on the fleet;
@@ -292,7 +287,9 @@ class ExecutionBackend:
       tallies, dedup);
     * :meth:`min_label_exchange` — one fused min-label broadcast level
       (edge copies co-located with the sending endpoint, one shipment to
-      the receiving home).
+      the receiving home);
+    * :meth:`csr_min_label` — the same level as indptr-sliced folds over
+      a frozen CSR index.
 
     Two seams outside the round plans share the same accounting/kernel
     split: the sketch ingest ops and :meth:`walk`, the random-walk
@@ -315,8 +312,6 @@ class ExecutionBackend:
         self._exchange_mark = 0
         self.plans_run = 0
         self.csr_builds = 0
-        self.csr_gathers = 0
-        self.argsorts_avoided = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -329,8 +324,6 @@ class ExecutionBackend:
         self._exchange_mark = 0
         self.plans_run = 0
         self.csr_builds = 0
-        self.csr_gathers = 0
-        self.argsorts_avoided = 0
 
     def close(self) -> None:
         """Release external resources (processes, files); no-op here.
@@ -369,11 +362,7 @@ class ExecutionBackend:
 
     def _csr_stats(self) -> dict:
         """The live CSR telemetry block (:data:`CSR_STATS_ZERO` schema)."""
-        return {
-            "csr_builds": self.csr_builds,
-            "csr_gathers": self.csr_gathers,
-            "argsorts_avoided": self.argsorts_avoided,
-        }
+        return {"csr_builds": self.csr_builds}
 
     # -- round plans ---------------------------------------------------------
 
@@ -621,12 +610,9 @@ class LocalBackend(ExecutionBackend):
         the broadcast loop addresses it in.
         """
         self._count_op("csr_min_label")
-        new_labels, incoming = self._kernel_csr_min_label(
+        return self._kernel_csr_min_label(
             _data(labels), _data(indptr), _data(indices)
         )
-        self.csr_gathers += 1
-        self.argsorts_avoided += 1
-        return new_labels, incoming
 
 
 class ShardedBackend(ExecutionBackend):
@@ -874,8 +860,6 @@ class ShardedBackend(ExecutionBackend):
             )
             crossing = int(np.count_nonzero(indices // s != owners // s))
             self._exchange(shards, crossing * incoming.itemsize)
-        self.csr_gathers += 1
-        self.argsorts_avoided += 1
         return new_labels, incoming
 
     def sketch_update(self, store, edges, weights) -> int:

@@ -28,8 +28,8 @@ Three things fall out of making the plan a first-class value:
   serializes the stream to JSON (:meth:`PlanTrace.save`).
 * **Rounds become replayable.**  :func:`replay` re-executes a captured
   stream against *any* backend and verifies the outputs bit-for-bit —
-  the differential seam a future async/RPC executor will be certified
-  through before it ever runs the live pipeline.
+  the differential seam every backend, the wire-protocol
+  :class:`~repro.mpc.rpc.RpcBackend` included, is certified through.
 
 Transforms — the machine-local glue between backend ops (computing
 contraction keys from endpoint labels, canonicalising a relabelling) —
@@ -148,7 +148,7 @@ class RoundPlan:
     operates on; ``steps`` is the op/transform sequence; ``outputs``
     names the slots whose values the round hands back to the algorithm
     layer.  Plans are immutable: build them with :class:`PlanBuilder`
-    and execute them with :func:`execute_plan` (or
+    and execute them with ``backend.run_plan(plan)`` (or
     ``engine.run_plan(plan)``, which also feeds the engine's trace).
     """
 
@@ -444,36 +444,6 @@ def run_plan_steps(backend, plan: RoundPlan, serial_steps=frozenset()):
     return tuple(env[name] for name in plan.outputs)
 
 
-def execute_plan(backend, plan: RoundPlan):
-    """Execute ``plan`` on ``backend`` (through its ``run_plan``).
-
-    The single entry point the algorithm layer and :func:`replay` use:
-    the backend chooses its own execution strategy (sequential steps by
-    default; the process backend fuses), and its ``plans`` counter
-    advances.  Returns the plan's output arrays as a tuple.
-    """
-    return backend.run_plan(plan)
-
-
-def submit_plan(plan: RoundPlan, *, engine=None, backend=None):
-    """Submit one recorded round: via the engine (traced) when present.
-
-    Algorithm-layer helper: stages receive either a full
-    :class:`~repro.mpc.engine.MPCEngine` (whose ``run_plan`` also feeds
-    trace capture) or a bare backend; this routes the plan accordingly.
-
-    Raises
-    ------
-    ValueError
-        Neither ``engine`` nor ``backend`` was provided.
-    """
-    if engine is not None:
-        return engine.run_plan(plan)
-    if backend is not None:
-        return execute_plan(backend, plan)
-    raise ValueError("submit_plan needs an engine or a backend")
-
-
 def parent_local_steps(plan: RoundPlan) -> frozenset:
     """Backend-op steps a fusing executor should run on serial kernels.
 
@@ -553,10 +523,6 @@ def content_digest(array) -> str:
     return h.hexdigest()[:24]
 
 
-#: Internal alias kept for the trace recorder's call sites.
-_digest = content_digest
-
-
 def graph_digest(n: int, edges) -> str:
     """Cache key for one concrete graph: vertex count + edge-array digest.
 
@@ -594,7 +560,7 @@ class PlanTrace:
         return len(self.entries)
 
     def _intern(self, value) -> str:
-        digest = _digest(value)
+        digest = content_digest(value)
         if digest not in self._arrays:
             self._arrays[digest] = _encode_array(value)
         return digest
@@ -755,7 +721,7 @@ def replay(
     try:
         for index, entry in enumerate(doc["plans"]):
             plan = _plan_from_json(entry, arrays)
-            replayed = execute_plan(resolved, plan)
+            replayed = resolved.run_plan(plan)
             expected = tuple(arrays[d] for d in entry["results"])
             outputs.append(replayed)
             recorded.append(expected)

@@ -443,7 +443,7 @@ class ProcessBackend(PooledBackend):
 
         Inherits the sequential walk (public operations keep all model
         accounting); the override only records how many dispatch
-        barriers each plan shape cost, which the ``e19_arena_overhead``
+        barriers each plan shape cost, which the ``e17_backend_parity``
         experiment reads per stage through ``stats().dispatch``.
         """
         before = self.dispatch_barriers

@@ -7,7 +7,7 @@ until the spectral gap passes the Friedman threshold (Prop. 4.3 / Cor. 4.4:
 ``λ₂ ≥ 4/5`` w.h.p. for ``d = 100``); graphs too large for one machine are
 built in parallel with a sort-based permutation sampler.
 
-Scale substitutions (recorded in DESIGN.md):
+Scale substitutions:
 
 * the paper fixes ``d = 100``; we default to smaller even degrees, with the
   acceptance threshold adapted per Friedman's bound

@@ -39,10 +39,10 @@ def test_list_mode(cli_case, capsys):
 
 
 def test_list_mode_shows_registered_experiments(capsys):
-    assert cli.main(["--list", "--filter", "e19"]) == 0
+    assert cli.main(["--list", "--filter", "e17"]) == 0
     out = capsys.readouterr().out
-    assert "e19_arena_overhead" in out
-    assert "tags=pipeline,backends,arena,plans" in out
+    assert "e17_backend_parity" in out
+    assert "tags=pipeline,backends,scaling,arena,plans,csr" in out
 
 
 def test_list_without_tags_prints_placeholder(capsys):

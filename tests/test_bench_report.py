@@ -1,10 +1,13 @@
 """Reporter: JSON schema round-trip, tables, regression compare."""
 
+import ast
 import json
+import pathlib
 
 import pytest
 
 from repro import bench
+from repro.bench.report import COUNTER_SUFFIXES
 
 NAME = "zz_test_report_case"
 
@@ -90,6 +93,26 @@ def test_compare_flags_counter_regressions(case_result, tmp_path):
     assert [e["field"] for e in diff["improvements"]] == ["peak_machines"]
     text = bench.format_comparison(diff)
     assert "REGRESSION point-a.sweep_rounds: 7 -> 12" in text
+
+
+def test_compare_gates_bytes_exchanged(case_result):
+    old = bench.case_to_json(case_result)
+    old["records"][0]["bytes_exchanged"] = 1000
+    new = json.loads(json.dumps(old))
+    new["records"][0]["bytes_exchanged"] = 1001
+    diff = bench.compare_cases(old, new)
+    assert not diff["ok"]
+    assert [e["field"] for e in diff["regressions"]] == ["bytes_exchanged"]
+
+
+def test_compare_docstrings_list_every_gated_suffix():
+    tool = pathlib.Path(__file__).resolve().parent.parent / "tools"
+    tool_doc = ast.get_docstring(
+        ast.parse((tool / "compare_bench_dirs.py").read_text())
+    )
+    for suffix in COUNTER_SUFFIXES:
+        assert f"``{suffix}``" in bench.compare_cases.__doc__, suffix
+        assert f"``*{suffix}``" in tool_doc, suffix
 
 
 def test_compare_flags_wall_clock_blowups_without_gating(case_result):

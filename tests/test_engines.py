@@ -10,6 +10,10 @@ gates:
   union-find ground truth across all 12 generator families on
   local/sharded/process±arena, with bit-identical labels and equal
   round counts;
+* **Accounting** — every registered engine on ``ShardedBackend`` at
+  δ = 0.3 over the 12 families: the shard fleet equals
+  ``peak_machines``, exchanges fit the charged rounds, and at most one
+  exchange goes unattributed;
 * **Replay** — a hypothesis property: each engine's recorded plans
   replay bit-identically (labels and exchange counters) on all three
   backends, for arbitrary random multigraphs;
@@ -20,6 +24,7 @@ gates:
   ``engine=``/``backend=`` seam composes.
 """
 
+import dataclasses
 import pathlib
 
 import numpy as np
@@ -56,6 +61,9 @@ GAP_BOUND = 0.1
 SEED = 23
 SIZE_OVERRIDES = {"complete": 64, "hypercube": 64}
 NEW_ENGINES = ("liu_tarjan", "exponentiation")
+#: A small machine memory (n^0.3), where an under-charged volume shows as
+#: a shard fleet larger than the machines the engine reports.
+ACCOUNTING_DELTA = 0.3
 
 
 def union_find_truth(graph) -> np.ndarray:
@@ -104,6 +112,29 @@ class TestEngineDifferential:
         assert np.array_equal(local.labels, sharded.labels)
         assert np.array_equal(local.labels, process.labels)
         assert local.rounds == sharded.rounds == process.rounds
+
+
+@pytest.mark.parametrize("engine", engine_names())
+@pytest.mark.parametrize("family", family_names())
+def test_sharded_fleet_matches_accounting(family, engine):
+    """At δ = 0.3 every engine charges the volume its operations hold.
+
+    The sharded fleet equals the engine's ``peak_machines``, the
+    materialised exchanges fit the charged rounds, and at most the
+    trailing stabilisation probe goes unattributed.
+    """
+    graph = build(family)
+    config = dataclasses.replace(CONFIG, delta=ACCOUNTING_DELTA)
+    mpc = MPCEngine.for_delta(
+        max(graph.n + graph.m, 2), ACCOUNTING_DELTA, backend=ShardedBackend()
+    )
+    result = get_engine(engine).run(
+        graph, GAP_BOUND, config=config, rng=SEED, mpc=mpc
+    )
+    stats = mpc.backend.stats()
+    assert stats.shard_count == mpc.peak_machines
+    assert stats.exchanges <= result.rounds
+    assert stats.exchanges - sum(c.exchanges for c in mpc.charges) <= 1
 
 
 @pytest.mark.parametrize("family", family_names())

@@ -19,7 +19,6 @@ from repro.mpc import (
     PlanTrace,
     ProcessBackend,
     ShardedBackend,
-    execute_plan,
     parent_local_steps,
     register_transform,
     replay,
@@ -115,7 +114,7 @@ class TestBuilderAndValidation:
             left, right = builder.transform(
                 name, np.array([1, 2, 3, 4], dtype=np.int64)
             )
-            a, b = execute_plan(LocalBackend(), builder.build([left, right]))
+            a, b = LocalBackend().run_plan(builder.build([left, right]))
             assert a.tolist() == [1, 3] and b.tolist() == [2, 4]
         finally:
             TRANSFORMS.pop(name, None)
@@ -186,7 +185,7 @@ class TestFusionAnalysis:
         plan = contract_plan(labels, batch)
 
         process_backend.reset()
-        fused = execute_plan(process_backend, plan)
+        fused = process_backend.run_plan(plan)
         # The search feeds the reduce, so it runs in the parent: the
         # search→reduce pair costs the reduce's barrier only.
         assert process_backend.dispatch_barriers == 1
@@ -194,7 +193,7 @@ class TestFusionAnalysis:
         assert process_backend.plan_barriers == {"contract": 1}
 
         serial = ShardedBackend(shard_memory=64)
-        reference = execute_plan(serial, plan)
+        reference = serial.run_plan(plan)
         assert (process_backend.exchanges, process_backend.bytes_exchanged) == (
             serial.exchanges, serial.bytes_exchanged
         )
@@ -317,7 +316,7 @@ class TestEagerVsPlanProperty:
         for name, args, params in ops:
             out = getattr(builder, name)(*args, **params)
             refs.extend(out if isinstance(out, tuple) else (out,))
-        return list(execute_plan(backend, builder.build(refs)))
+        return list(backend.run_plan(builder.build(refs)))
 
     def _check(self, backend, ops):
         backend.reset()

@@ -147,8 +147,7 @@ class TestDirectWalker:
 
     def test_lazy_distribution_matches_matrix(self):
         """Direct lazy walker matches the lazy walk distribution W̄^t e_v —
-        the distributional equivalence DESIGN.md claims for the scale
-        substitute."""
+        the distributional equivalence the scale substitute rests on."""
         g = cycle_graph(5)
         t = 6
         expected = walk_distribution(g, 0, t, lazy=True)

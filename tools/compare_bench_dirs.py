@@ -7,8 +7,10 @@ directory with :func:`repro.bench.report.compare_bench_files` — the same
 counter gates as ``python -m repro.bench --compare``, looped over the
 whole artifact set and rendered as readable per-benchmark tables.  Any
 ``*rounds`` / ``*machines`` / ``*phases`` / ``*iterations`` /
-``*exchanges`` / ``*shard_count`` / ``*shard_load`` / ``*segments`` /
-``*barriers`` counter increase exits 1; wall-clock drift is only
+``*exchanges`` / ``*bytes_exchanged`` / ``*shard_count`` /
+``*shard_load`` / ``*segments`` / ``*barriers`` / ``*frames`` /
+``*wire_bytes`` / ``*words`` counter increase exits 1 (the suffixes are
+``repro.bench.report.COUNTER_SUFFIXES``); wall-clock drift is only
 flagged.  Fresh artifacts with no committed baseline are listed as new
 (not a failure — commit them to arm the gate); committed artifacts the
 fresh run did not produce fail, because a silently vanishing benchmark
