@@ -40,7 +40,6 @@ import repro
 from repro.bench.registry import register_benchmark
 from repro.bench.workloads import Workload
 from repro.graph import components_agree, connected_components
-from repro.graph.csr import CSRIndex
 from repro.mpc import LocalBackend, MPCEngine, ProcessBackend, ShardedBackend
 from repro.mpc.process_backend import usable_cpu_count
 
@@ -102,7 +101,6 @@ def _roundstep(ctx, workers: int) -> "tuple[float, float, int]":
     graph = Workload("permutation_regular", n, {"degree": DEGREE}).build(
         ctx.seed + 1
     )
-    index = CSRIndex.from_graph(graph)
     send = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
     recv = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
     # Read-only so the arena pins them, exactly like the engines do —
@@ -115,7 +113,7 @@ def _roundstep(ctx, workers: int) -> "tuple[float, float, int]":
     ) as pool:
         # Warm each shape once (pool spawn, pinned uploads).
         pool.min_label_exchange(labels, send, recv)
-        pool.csr_min_label(labels, index.indptr, index.indices)
+        pool.csr_min_label(labels, graph.indptr, graph.heads)
         sort_labels = ctx.timeit(
             "roundstep-sort",
             lambda: pool.min_label_exchange(labels, send, recv)[0],
@@ -123,7 +121,7 @@ def _roundstep(ctx, workers: int) -> "tuple[float, float, int]":
         sort_seconds = ctx.timings[-1].best
         csr_labels = ctx.timeit(
             "roundstep-csr",
-            lambda: pool.csr_min_label(labels, index.indptr, index.indices)[0],
+            lambda: pool.csr_min_label(labels, graph.indptr, graph.heads)[0],
         )
         csr_seconds = ctx.timings[-1].best
     ctx.check(
@@ -131,7 +129,7 @@ def _roundstep(ctx, workers: int) -> "tuple[float, float, int]":
         np.array_equal(sort_labels, csr_labels),
         "one gather round must equal one sort round bit for bit",
     )
-    return sort_seconds, csr_seconds, int(index.indices.size)
+    return sort_seconds, csr_seconds, int(graph.heads.size)
 
 
 @register_benchmark(

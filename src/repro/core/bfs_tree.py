@@ -6,7 +6,9 @@ MPC round per BFS level: every vertex repeatedly adopts the minimum label
 among itself and its neighbours.  The wave from each component's minimum
 vertex reaches distance-``j`` vertices in round ``j``, so the process
 stabilises in ``max-component-diameter`` rounds — each counted on the
-engine — and the final parent pointers form a BFS spanning tree.
+engine — and the final parent pointers form a BFS spanning tree.  Each
+level is one ``csr_min_label`` fold over the frozen CSR arrays of the
+input's :class:`~repro.graph.graph.Graph`.
 
 Running to stabilisation also makes this the pipeline's honest fallback:
 even if the earlier probabilistic phases under-merged (possible at library
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.components import canonical_labels
-from repro.graph.csr import CSRIndex
+from repro.graph.graph import Graph
 from repro.mpc.backends import LocalBackend
 from repro.mpc.engine import MPCEngine
 from repro.mpc.plan import PlanBuilder
@@ -61,10 +63,11 @@ def broadcast_components(
     paper's O(1)-round regime of Claim 6.14, used by the adaptive variant,
     where an unconverged broadcast means "this gap guess was too large".
 
-    Every level folds each vertex's minimum over its run of one frozen
-    :class:`~repro.graph.csr.CSRIndex`: with an ``engine`` as a
-    ``csr_min_label`` plan (one recorded round on its data plane),
-    without one by the same op on a :class:`~repro.mpc.backends.LocalBackend`.
+    Every level folds each vertex's minimum over its adjacency run in
+    the frozen CSR arrays of one :class:`~repro.graph.graph.Graph`:
+    with an ``engine`` as a ``csr_min_label`` plan (one recorded round
+    on its data plane), without one by the same op on a
+    :class:`~repro.mpc.backends.LocalBackend`.
     """
     n = check_positive_int(n, "n")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -80,22 +83,22 @@ def broadcast_components(
         )
 
     m = edges.shape[0]
-    # The index's read-only owning buffers satisfy the arena pinning
+    # The graph's read-only owning CSR arrays satisfy the arena pinning
     # contract (one shared-memory upload for the whole broadcast) and the
     # wire digest cache (shipped once per worker).
-    index = CSRIndex.from_edges(n, edges)
+    graph = Graph(n, edges)
     if engine is not None:
         engine.backend.note_csr_build()
-    owner = index.slot_owners()
-    half = index.halfedges
+    indptr, heads, half = graph.indptr, graph.heads, graph.halfedges
+    owner = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
     # Incidence position of each CSR slot in the edge-list orientation
     # order: half-edge 2e + 1 (v -> u, received at u) is position e,
     # half-edge 2e (received at v) is position m + e.  Recording the
     # largest delivering position per vertex makes the tree independent
     # of the slot order within a run.
     pos = np.where(half & 1, half >> 1, m + (half >> 1))
-    runs = index.degrees > 0
-    starts = index.indptr[:-1][runs]
+    runs = graph.degrees > 0
+    starts = indptr[:-1][runs]
     local = LocalBackend() if engine is None else None
 
     rounds = 0
@@ -104,12 +107,10 @@ def broadcast_components(
             break
         if engine is not None:
             builder = PlanBuilder("broadcast-level")
-            outs = builder.csr_min_label(labels, index.indptr, index.indices)
+            outs = builder.csr_min_label(labels, indptr, heads)
             new_labels, incoming = engine.run_plan(builder.build(outs))
         else:
-            new_labels, incoming = local.csr_min_label(
-                labels, index.indptr, index.indices
-            )
+            new_labels, incoming = local.csr_min_label(labels, indptr, heads)
         improved = new_labels < labels
         if not improved.any():
             break

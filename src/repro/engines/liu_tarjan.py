@@ -6,9 +6,10 @@ its incident edges (*connect*), then shortcuts to its parent's label
 (*shortcut*).  Both halves of the round run as one fused
 :class:`~repro.mpc.plan.RoundPlan` (see
 :func:`repro.engines.base.csr_min_label_round_plan`): a
-``csr_min_label`` over a frozen :class:`~repro.graph.csr.CSRIndex` —
-one all-to-all shuffle — feeding a ``search`` over the freshly updated
-label table.
+``csr_min_label`` over the input graph's own frozen CSR arrays
+(:attr:`~repro.graph.graph.Graph.indptr`,
+:attr:`~repro.graph.graph.Graph.heads`) — one all-to-all shuffle —
+feeding a ``search`` over the freshly updated label table.
 
 Rounds: ``O(log n)`` in the worst case (label minima travel at least one
 hop per round and the shortcut halves pointer chains), with far fewer on
@@ -31,7 +32,6 @@ from repro.engines.base import (
     csr_min_label_round_plan,
     register_engine,
 )
-from repro.graph.csr import CSRIndex
 from repro.graph.graph import Graph
 from repro.mpc.plan import PlanBuilder
 
@@ -70,17 +70,10 @@ class LiuTarjanEngine(ConnectivityEngine):
 
         # Place the input on the data plane (capacity check + trace
         # completeness), exactly like the paper pipeline's opening round.
-        # The same opening plan also builds the frozen index at scatter
-        # time (a machine-local relayout of data the scatter already
-        # moved), so a captured trace replays the exact arrays every
-        # subsequent round binds.
+        # Every round then binds the graph's own frozen CSR arrays, which
+        # a captured trace records as ordinary plan bindings.
         builder = PlanBuilder("scatter-input")
-        scattered = builder.scatter(graph.edges)
-        csr_refs = builder.transform("build_csr", graph.edges, n=n)
-        _, indptr, indices, halfedges = mpc.run_plan(
-            builder.build([scattered, *csr_refs])
-        )
-        index = CSRIndex.adopt(n, indptr, indices, halfedges)
+        mpc.run_plan(builder.build(builder.scatter(graph.edges)))
         mpc.backend.note_csr_build()
 
         max_rounds = 4 * max(1, math.ceil(math.log2(max(n, 2)))) + 8
@@ -89,7 +82,7 @@ class LiuTarjanEngine(ConnectivityEngine):
             for _ in range(max_rounds):
                 (new_labels,) = mpc.run_plan(
                     csr_min_label_round_plan(
-                        "lt-round", labels, index.indptr, index.indices
+                        "lt-round", labels, graph.indptr, graph.heads
                     )
                 )
                 new_labels = np.asarray(new_labels)

@@ -19,6 +19,14 @@ two half-edges as well, both incident to its endpoint, which makes the
 degree convention automatic.  ``Graph.twin_slot`` maps a CSR slot to the
 CSR slot of the opposite half-edge — exactly the "rotation map" used by
 replacement/zig-zag products.
+
+The CSR arrays are frozen at construction: :attr:`Graph.indptr`,
+:attr:`Graph.heads` and :attr:`Graph.halfedges` are read-only,
+C-contiguous ``int64`` arrays owning their data, handed out as they are.
+That is what :class:`~repro.mpc.arena.ShmArena` pinning and the RPC
+wire's digest cache need, so the min-label broadcast and the Liu–Tarjan
+engine fold labels over a graph's own arrays; each row's slots are in
+port order (edge-id order).
 """
 
 from __future__ import annotations
@@ -86,6 +94,8 @@ class Graph:
         counts = np.bincount(src, minlength=self._n)
         self._indptr = np.zeros(self._n + 1, dtype=np.int64)
         np.cumsum(counts, out=self._indptr[1:])
+        for array in (self._indptr, self._heads, self._slot_halfedge):
+            array.flags.writeable = False
 
     # -- basic queries -------------------------------------------------------
 
@@ -109,17 +119,21 @@ class Graph:
 
     @property
     def indptr(self) -> np.ndarray:
-        view = self._indptr.view()
-        view.flags.writeable = False
-        return view
+        """CSR row pointers: vertex ``v`` owns slots
+        ``indptr[v]:indptr[v+1]``."""
+        return self._indptr
 
     @property
     def heads(self) -> np.ndarray:
         """CSR adjacency heads: ``heads[indptr[v]:indptr[v+1]]`` are the
         neighbours of ``v`` in port order."""
-        view = self._heads.view()
-        view.flags.writeable = False
-        return view
+        return self._heads
+
+    @property
+    def halfedges(self) -> np.ndarray:
+        """The half-edge id held by each CSR slot (``halfedges >> 1`` is
+        its edge id)."""
+        return self._slot_halfedge
 
     @cached_property
     def degrees(self) -> np.ndarray:

@@ -111,10 +111,10 @@ TRANSPORT_STATS_ZERO = {
 }
 
 #: Zeroed CSR block, same one-schema contract as
-#: :data:`ARENA_STATS_ZERO`.  ``csr_builds`` counts CSR index
-#: constructions an engine announced with
-#: :meth:`ExecutionBackend.note_csr_build`; the gathers over those
-#: indexes count as ``op_counts["csr_min_label"]``.  ``csr_builds``
+#: :data:`ARENA_STATS_ZERO`.  ``csr_builds`` counts the graph CSR
+#: adjacencies an engine bound and announced with
+#: :meth:`ExecutionBackend.note_csr_build`; the gathers over them
+#: count as ``op_counts["csr_min_label"]``.  ``csr_builds``
 #: carries no gated compare suffix — the model counters (exchanges,
 #: bytes, barriers) keep their own gates.
 CSR_STATS_ZERO = {
@@ -357,7 +357,8 @@ class ExecutionBackend:
         self._op_counts[op] = self._op_counts.get(op, 0) + 1
 
     def note_csr_build(self) -> None:
-        """Record that an engine built a CSR index for this execution."""
+        """Record that an engine bound a graph's CSR arrays for this
+        execution."""
         self.csr_builds += 1
 
     def _csr_stats(self) -> dict:

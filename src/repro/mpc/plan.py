@@ -379,21 +379,6 @@ def _t_canonical_labels(labels: np.ndarray) -> np.ndarray:
     return canonical_labels(labels)
 
 
-@register_transform("build_csr", n_out=3)
-def _t_build_csr(edges: np.ndarray, *, n: int):
-    """Build the frozen CSR triple ``(indptr, indices, halfedges)``.
-
-    Machine-local by the model's accounting: the scatter step that
-    placed the edge list already paid the data movement, and the CSR
-    arrays are a relayout of data each machine holds.  Registered so a
-    replayed trace rebuilds the index with exactly the deterministic
-    layout the capture used.
-    """
-    from repro.graph.csr import build_csr_arrays
-
-    return build_csr_arrays(edges, int(n))
-
-
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------

@@ -197,6 +197,7 @@ def decode_frame(data: bytes) -> "tuple[dict, bytes]":
 def pack_arrays(
     arrays: "dict[str, np.ndarray]",
     known: "set[str] | None" = None,
+    digests: "dict[int, tuple] | None" = None,
 ) -> "tuple[list[dict], bytes, list[str]]":
     """Encode named arrays for a frame blob, digest-deduplicated.
 
@@ -204,6 +205,9 @@ def pack_arrays(
     header, the concatenated payload, and the digests whose bytes were
     actually included.  An array whose digest is in ``known`` (or
     appeared earlier in this same frame) is sent as a bare reference.
+    ``digests`` memoises each array's digest by object identity; pass
+    one dict to every call that packs the same arrays (one barrier's
+    frames) and each array is hashed once.
 
     Raises
     ------
@@ -215,6 +219,7 @@ def pack_arrays(
     chunks: "list[bytes]" = []
     shipped: "list[str]" = []
     seen = set(known) if known is not None else set()
+    memo = {} if digests is None else digests
     offset = 0
     for slot, array in arrays.items():
         array = np.asarray(array)
@@ -225,7 +230,11 @@ def pack_arrays(
                 f"array {slot!r} has object dtype {array.dtype}; "
                 "only plain binary dtypes cross the wire"
             )
-        digest = content_digest(array)
+        # The memo holds the array too, so its id is never reused.
+        hit = memo.get(id(array))
+        if hit is None:
+            hit = memo[id(array)] = (array, content_digest(array))
+        digest = hit[1]
         if digest in seen:
             meta.append({"slot": slot, "digest": digest, "cached": True})
             continue
@@ -497,30 +506,38 @@ class _WorkerHandle:
         self.dead_kind: type = RpcWorkerError
 
 
+def stop_loop_thread(loop, thread, timeout: float) -> None:
+    """Stop an event loop running on ``thread``: cancel and drain every
+    task, stop the loop, join the thread (up to ``timeout`` seconds) and
+    close the loop.  A no-op on a missing or closed loop."""
+    if loop is None or loop.is_closed():
+        return
+
+    def _cancel_and_stop() -> None:
+        tasks = list(asyncio.all_tasks(loop))
+        for task in tasks:
+            task.cancel()
+
+        async def _drain() -> None:
+            # Let the cancellations actually run before stopping,
+            # else asyncio warns about destroyed pending tasks.
+            await asyncio.gather(*tasks, return_exceptions=True)
+            loop.stop()
+
+        asyncio.ensure_future(_drain())
+
+    with contextlib.suppress(RuntimeError):
+        loop.call_soon_threadsafe(_cancel_and_stop)
+    if thread is not None and thread.is_alive():
+        thread.join(timeout=timeout)
+    if not loop.is_running():
+        with contextlib.suppress(RuntimeError):
+            loop.close()
+
+
 def _stop_rpc_pool(procs, loop, thread, tempdir) -> None:
     """Finalizer: stop the loop thread, reap workers, remove the socket dir."""
-    if loop is not None and not loop.is_closed():
-
-        def _cancel_and_stop() -> None:
-            tasks = list(asyncio.all_tasks(loop))
-            for task in tasks:
-                task.cancel()
-
-            async def _drain() -> None:
-                # Let the cancellations actually run before stopping,
-                # else asyncio warns about destroyed pending tasks.
-                await asyncio.gather(*tasks, return_exceptions=True)
-                loop.stop()
-
-            asyncio.ensure_future(_drain())
-
-        with contextlib.suppress(RuntimeError):
-            loop.call_soon_threadsafe(_cancel_and_stop)
-        if thread is not None and thread.is_alive():
-            thread.join(timeout=2.0)
-        if not loop.is_running():
-            with contextlib.suppress(RuntimeError):
-                loop.close()
+    stop_loop_thread(loop, thread, timeout=2.0)
     for proc in procs:
         proc.join(timeout=1.0)
         if proc.is_alive():
@@ -873,6 +890,8 @@ class _RpcPool:
 
     async def _barrier_async(self, payloads) -> "list[dict]":
         calls = []
+        # The payloads share the op's input arrays: hash each one once.
+        digests: "dict[int, tuple]" = {}
         for handle, payload in zip(self._handles, payloads):
             if payload is None:
                 continue
@@ -880,10 +899,12 @@ class _RpcPool:
                 name: np.ascontiguousarray(a)
                 for name, a in payload["arrays"].items()
             }
-            meta, blob, shipped = pack_arrays(arrays, known=handle.digests)
+            meta, blob, shipped = pack_arrays(
+                arrays, known=handle.digests, digests=digests
+            )
             self.counters["digest_misses"] += len(shipped)
             self.counters["digest_hits"] += len(meta) - len(shipped)
-            evict = self._plan_eviction(handle, arrays, shipped)
+            evict = self._plan_eviction(handle, meta, shipped)
             header = {
                 "kind": "op",
                 "steps": payload["steps"],
@@ -927,29 +948,32 @@ class _RpcPool:
             raise first_error
         return results
 
-    def _plan_eviction(self, handle, arrays, shipped) -> "list[str]":
+    def _plan_eviction(self, handle, meta, shipped) -> "list[str]":
         """Keep each worker's digest cache under ``cache_bytes``.
 
         The parent drives eviction deterministically (FIFO by first
         shipment) and tells the worker which digests to drop in the op
-        frame, so both sides always agree on cache contents.
+        frame, so both sides always agree on cache contents.  Sizes come
+        from the frame's :func:`pack_arrays` metadata.
         """
-        by_digest = {
-            content_digest(a): int(np.ascontiguousarray(a).nbytes)
-            for a in arrays.values()
+        sizes = {
+            entry["digest"]: entry["nbytes"]
+            for entry in meta
+            if not entry.get("cached")
         }
         for digest in shipped:
             handle.digests.add(digest)
-            size = by_digest.get(digest, 0)
+            size = sizes[digest]
             handle.digest_order.append((digest, size))
             handle.cache_bytes += size
+        fresh = set(shipped)
         evict: "list[str]" = []
         while (
             handle.cache_bytes > self.cache_bytes
             and len(handle.digest_order) > len(shipped)
         ):
             digest, size = handle.digest_order.pop(0)
-            if digest in set(shipped):
+            if digest in fresh:
                 handle.digest_order.append((digest, size))
                 continue
             handle.digests.discard(digest)

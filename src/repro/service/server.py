@@ -27,6 +27,7 @@ from repro.mpc.rpc import (
     encode_frame,
     pack_arrays,
     read_frame_async,
+    stop_loop_thread,
     unpack_arrays,
 )
 from repro.service.protocol import SERVICE_OPS
@@ -34,26 +35,7 @@ from repro.service.protocol import SERVICE_OPS
 
 def _stop_server(loop, thread, tempdir) -> None:
     """Finalizer: stop the loop thread and remove the socket directory."""
-    if loop is not None and not loop.is_closed():
-
-        def _cancel_and_stop() -> None:
-            tasks = list(asyncio.all_tasks(loop))
-            for task in tasks:
-                task.cancel()
-
-            async def _drain() -> None:
-                await asyncio.gather(*tasks, return_exceptions=True)
-                loop.stop()
-
-            asyncio.ensure_future(_drain())
-
-        with contextlib.suppress(RuntimeError):
-            loop.call_soon_threadsafe(_cancel_and_stop)
-        if thread is not None and thread.is_alive():
-            thread.join(timeout=5.0)
-        if not loop.is_running():
-            with contextlib.suppress(RuntimeError):
-                loop.close()
+    stop_loop_thread(loop, thread, timeout=5.0)
     if tempdir is not None:
         with contextlib.suppress(OSError):
             tempdir.cleanup()

@@ -441,6 +441,8 @@ def _sample_cut_edges(
 ) -> "dict[int, tuple[int, int]]":
     """For every component of ``labels``, decode one (verified) cut edge
     from the component-summed sketch.  Returns ``{component: (u, v)}``."""
+    if labels.size == 0:
+        return {}
     k = int(labels.max()) + 1
     levels, rows, cols = sketch.shape
     cells = levels * rows * cols

@@ -248,12 +248,13 @@ class ShardedAGMSketch:
         if shards is None:
             shards = int(getattr(backend, "workers", 1) or 1)
         check_positive_int(shards, "shards")
-        shards = min(shards, n)
-        per = -(-n // shards)
+        shards = min(shards, max(n, 1))
+        per = max(1, -(-n // shards))
+        # The empty vertex set gets one empty owner range.
         ranges = [
             (start, min(n, start + per))
             for start in range(0, n, per)
-        ]
+        ] or [(0, 0)]
 
         rounds = len(specs)
         cells = specs[0].cells

@@ -15,7 +15,11 @@ from repro.graph import (
     planted_expander_components,
     star_graph,
 )
-from repro.sketch import AGMSketch, agm_connected_components
+from repro.sketch import (
+    AGMSketch,
+    agm_connected_components,
+    agm_decode_components,
+)
 
 
 class TestDecodingCorrectness:
@@ -241,6 +245,13 @@ class TestBugfixRegressions:
         coeff_sets = [tuple(h.coefficients.tolist()) for h in spec.row_hashes]
         coeff_sets.append(tuple(spec.level_hash.coefficients.tolist()))
         assert len(set(coeff_sets)) == len(coeff_sets)
+
+    def test_empty_vertex_set_decodes_to_empty_labels(self):
+        """``n = 0`` used to crash on the max of an empty label array."""
+        labels, _ = agm_connected_components(Graph(0, []), rng=22)
+        decoded = agm_decode_components(AGMSketch.empty(0, 22))
+        for got in (labels, decoded):
+            assert got.dtype == np.int64 and got.shape == (0,)
 
     def test_from_graph_reserves_verification_round(self):
         sketch = AGMSketch.from_graph(cycle_graph(16), rng=19, boruvka_rounds=5)

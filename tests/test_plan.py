@@ -23,7 +23,7 @@ from repro.mpc import (
     register_transform,
     replay,
 )
-from repro.mpc.plan import TRANSFORMS, load_trace
+from repro.mpc.plan import TRANSFORMS, content_digest, load_trace
 
 SEED = 31
 WORKERS = 2
@@ -547,7 +547,7 @@ class TestCSRTraceReplay:
         assert replay(on_path, backend="sharded").ok
         assert replay(off_path, backend="sharded").ok
 
-    def test_liu_tarjan_build_csr_round_trips(self, tmp_path):
+    def test_liu_tarjan_binds_graph_csr_and_round_trips(self, tmp_path):
         from repro.engines import get_engine
 
         graph = Workload("permutation_regular", 256, {"degree": 6}).build(
@@ -563,18 +563,21 @@ class TestCSRTraceReplay:
             )
             captured = mpc.backend.stats()
         doc = load_trace(path)
-        transforms = {
-            s["params"].get("name")
+        # The gathers bind the graph's own CSR arrays, which the trace
+        # records as plan bindings: the opening plan only scatters, and
+        # no step rebuilds the arrays on replay.
+        (opening,) = [e for e in doc["plans"] if e["name"] == "scatter-input"]
+        assert [s["op"] for s in opening["steps"]] == ["scatter"]
+        csr = {content_digest(graph.indptr), content_digest(graph.heads)}
+        gathers = [
+            {entry["bindings"][slot] for slot in step["inputs"][1:]}
             for entry in doc["plans"]
-            for s in entry["steps"]
-            if s["op"] == "transform"
-        }
-        # The CSR build happens *inside* the captured plan stream, so a
-        # replay reconstructs the exact arrays the gathers consumed.
-        assert "build_csr" in transforms
-        assert "csr_min_label" in trace_ops(path)
+            for step in entry["steps"]
+            if step["op"] == "csr_min_label"
+        ]
+        assert gathers and all(bound == csr for bound in gathers)
         assert result.labels.shape == (graph.n,)
-        for name in ("sharded", "process"):
+        for name in ("sharded", "process", "rpc"):
             replayed = replay(path, backend=name)
             assert replayed.ok, name
             assert replayed.stats.exchanges == captured.exchanges

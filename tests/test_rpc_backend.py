@@ -153,6 +153,24 @@ class TestKernelParity:
             <= 2 * rpc_backend.workers
         )
 
+    def test_each_op_input_is_digested_once(self, rpc_backend, monkeypatch):
+        """One op hashes each input once, not once per worker frame and
+        again for the cache-eviction sizes."""
+        import repro.mpc.rpc as rpc
+
+        _, _, table, queries = self._inputs()
+        rpc_backend.search(table, queries)  # ship once: the op below is warm
+        calls = []
+
+        def counting_digest(array):
+            calls.append(array.nbytes)
+            return content_digest(array)
+
+        monkeypatch.setattr(rpc, "content_digest", counting_digest)
+        rpc_backend.search(table, queries)
+        assert rpc_backend.workers == 2
+        assert len(calls) == 2  # table and queries
+
     def test_object_dtype_falls_back_to_serial(self, rpc_backend):
         values = np.array([{"a": 1}, {"b": 2}, None, "x"] * 64, dtype=object)
         keys = np.arange(values.shape[0])

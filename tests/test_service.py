@@ -7,6 +7,7 @@ and the digest-keyed cache never bleeds across graphs (one compute per
 distinct graph, no matter how many concurrent duplicates ask).
 """
 
+import os
 import threading
 
 import numpy as np
@@ -178,6 +179,17 @@ class TestServiceSemantics:
         finally:
             release.set()
             slow.close()
+
+    def test_close_stops_loop_thread_and_removes_socket_dir(self):
+        srv = ServiceServer(engine="liu_tarjan", config=CONFIG, seed=SEED)
+        srv.start()
+        thread, socket_dir = srv._thread, os.path.dirname(srv.address)
+        with ServiceClient(srv.address) as client:
+            assert client.ping()
+        assert thread.is_alive() and os.path.isdir(socket_dir)
+        srv.close()
+        assert not thread.is_alive()
+        assert not os.path.exists(socket_dir)
 
 
 class TestBackendsBehindService:

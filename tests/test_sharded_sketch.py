@@ -383,6 +383,23 @@ def test_backend_ingest_bit_identical_and_counted(name):
         backend.close()
 
 
+@pytest.mark.parametrize("name", ["in-process", "process", "rpc"])
+def test_empty_vertex_set_gets_one_empty_range(name):
+    """``n = 0`` used to divide by zero shards; it gets one empty owner
+    range on every backend and decodes to empty labels."""
+    backend = None if name == "in-process" else _make_backend(name)
+    try:
+        sharded = ShardedAGMSketch.empty(0, 38, backend=backend, **SMALL)
+        assert sharded.shard_ranges == [(0, 0)]
+        sharded.update_edges(np.empty((0, 2), dtype=np.int64))
+        labels = agm_decode_components(sharded.merge())
+        assert labels.dtype == np.int64 and labels.shape == (0,)
+        sharded.close()
+    finally:
+        if backend is not None:
+            backend.close()
+
+
 #: Run in a child interpreter: before arena-backed partials re-checked
 #: their lease on every read, this scenario read unmapped memory and the
 #: process died of SIGSEGV, which must fail the test, not the test run.
