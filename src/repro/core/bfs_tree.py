@@ -64,9 +64,9 @@ def broadcast_components(
     where an unconverged broadcast means "this gap guess was too large".
 
     Every level folds each vertex's minimum over its adjacency run in
-    the frozen CSR arrays of one :class:`~repro.graph.graph.Graph`:
-    with an ``engine`` as a ``csr_min_label`` plan (one recorded round
-    on its data plane), without one by the same op on a
+    the frozen CSR arrays of one :class:`~repro.graph.graph.Graph`, as
+    one ``csr_min_label`` plan on ``engine`` (a recorded round on its
+    data plane) or, without one, on a
     :class:`~repro.mpc.backends.LocalBackend`.
     """
     n = check_positive_int(n, "n")
@@ -99,18 +99,15 @@ def broadcast_components(
     pos = np.where(half & 1, half >> 1, m + (half >> 1))
     runs = graph.degrees > 0
     starts = indptr[:-1][runs]
-    local = LocalBackend() if engine is None else None
+    runner = engine if engine is not None else LocalBackend()
 
     rounds = 0
     while rounds < max_rounds:
         if stop_after is not None and rounds >= stop_after:
             break
-        if engine is not None:
-            builder = PlanBuilder("broadcast-level")
-            outs = builder.csr_min_label(labels, indptr, heads)
-            new_labels, incoming = engine.run_plan(builder.build(outs))
-        else:
-            new_labels, incoming = local.csr_min_label(labels, indptr, heads)
+        builder = PlanBuilder("broadcast-level")
+        outs = builder.csr_min_label(labels, indptr, heads)
+        new_labels, incoming = runner.run_plan(builder.build(outs))
         improved = new_labels < labels
         if not improved.any():
             break

@@ -14,7 +14,7 @@ vanishingly rare are handled by honest counted fallback rounds (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.utils.validation import check_in_range, check_positive_int
 
@@ -59,12 +59,10 @@ class PipelineConfig:
         Stop growing when components reach ``n^exponent`` (paper: 1/100
         with their constants; default 1/3 so the final contraction graph
         is small at laptop scale).
-    walk_rounds_cap:
-        Cap on parallel repetitions of ``SimpleRandomWalk`` when using the
-        layered-graph walker (paper: Θ(log n)).
-    leader_floor:
-        Lower bound on the leader probability, guarding degenerate
-        schedules at tiny ``n``.
+    broadcast_budget:
+        Rounds the min-label broadcast may take on a Corollary 7.1 gap
+        guess before the guess counts as too large (paper: ``O(1)``,
+        Claim 6.14).
     """
 
     delta: float = 0.25
@@ -76,8 +74,6 @@ class PipelineConfig:
     growth: int = 4                     # paper: Delta = 100 s
     max_phases: int = 4                 # paper: F = O(log log n)
     target_size_exponent: float = 1 / 3  # paper: 1/100
-    walk_rounds_cap: int = 24           # paper: Theta(log n)
-    leader_floor: float = 1e-4
     broadcast_budget: int = 8           # paper: O(1) rounds (Claim 6.14)
 
     def __post_init__(self) -> None:

@@ -22,11 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.leader_election import leader_election
-from repro.graph.components import canonical_labels
+from repro.mpc.backends import LocalBackend
 from repro.mpc.engine import MPCEngine
 from repro.mpc.plan import PlanBuilder
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive_int
+
+#: Floor on the leader probability ``1/Δ_i``, so that a huge growth
+#: target cannot make leaders vanish at library scale.
+LEADER_FLOOR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -84,42 +88,28 @@ def contract_plan(labels: np.ndarray, batch: np.ndarray):
 
 
 def contract_batch(
-    labels: np.ndarray, batch: np.ndarray, backend=None, *, engine=None
+    labels: np.ndarray, batch: np.ndarray, *, engine: "MPCEngine | None" = None
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Contraction graph of ``batch`` w.r.t. ``labels`` (Definition 2).
 
     Returns ``(edges, representative)``: deduplicated cross-component edges
-    in component ids, and for each one the index of an original batch edge
-    realising it (the certificate used for spanning trees).
+    in component ids, and for each one the index of the first original
+    batch edge realising it (the certificate used for spanning trees).
 
-    With an ``engine`` (preferred — the submitted plan lands in the
-    engine's trace) or a bare
-    :class:`~repro.mpc.backends.ExecutionBackend`, the round is recorded
-    by :func:`contract_plan` and submitted once: the endpoint
-    relabelling runs as one backend search and the dedup as one
-    reduce-by-key (min edge index per component pair — identical to the
-    ``np.unique`` first-occurrence semantics), so a sharded backend
-    enforces its caps and counts the communication, and the process
-    backend fuses the pair into a single dispatch barrier.
+    The round is recorded by :func:`contract_plan` and submitted once,
+    on ``engine`` (the plan lands in its trace) or, without one, on a
+    :class:`~repro.mpc.backends.LocalBackend`: the endpoint relabelling
+    runs as one backend search and the dedup as one reduce-by-key (min
+    edge index per component pair), so a sharded backend enforces its
+    caps and counts the communication, and the process backend fuses the
+    pair into a single dispatch barrier.
     """
     labels = np.asarray(labels, dtype=np.int64)
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 2)
     if batch.shape[0] == 0:
         return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
-    submitter = engine if engine is not None else backend
-    if submitter is not None:
-        return submitter.run_plan(contract_plan(labels, batch))
-    cu = labels[batch[:, 0]]
-    cv = labels[batch[:, 1]]
-    cross = cu != cv
-    idx = np.flatnonzero(cross)
-    if idx.size == 0:
-        return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
-    a = np.minimum(cu[idx], cv[idx])
-    b = np.maximum(cu[idx], cv[idx])
-    keys = a * (int(labels.max()) + 1) + b
-    _, first = np.unique(keys, return_index=True)
-    return np.stack([a[first], b[first]], axis=1), idx[first]
+    runner = engine if engine is not None else LocalBackend()
+    return runner.run_plan(contract_plan(labels, batch))
 
 
 def grow_components(
@@ -129,14 +119,16 @@ def grow_components(
     rng=None,
     *,
     engine: "MPCEngine | None" = None,
-    leader_floor: float = 1e-4,
 ) -> GrowResult:
     """Run ``GrowComponents`` over ``batches`` with the given per-phase
     growth targets (``Δ_i`` values).
 
     MPC cost per phase (Claim 6.6): one sort for the contraction/dedup, the
     two ``LeaderElection`` shuffles, and one search to re-label — all
-    ``O(1/δ)`` rounds.
+    ``O(1/δ)`` rounds.  Each phase's contraction and relabelling run as
+    plans on ``engine``, or on a
+    :class:`~repro.mpc.backends.LocalBackend` without one.  The leader
+    probability is ``1/Δ_i``, floored at :data:`LEADER_FLOOR`.
     """
     n = check_positive_int(n, "n")
     if len(batches) != len(growth_schedule):
@@ -145,6 +137,7 @@ def grow_components(
             f"{len(growth_schedule)} targets"
         )
     rng = ensure_rng(rng)
+    runner = engine if engine is not None else LocalBackend()
 
     labels = np.arange(n, dtype=np.int64)
     tree_parts: "list[np.ndarray]" = []
@@ -165,7 +158,7 @@ def grow_components(
             np.add.at(degrees, edges[:, 0], 1)
             np.add.at(degrees, edges[:, 1], 1)
 
-        leader_prob = float(min(1.0, max(leader_floor, 1.0 / growth)))
+        leader_prob = float(min(1.0, max(LEADER_FLOOR, 1.0 / growth)))
         result = leader_election(k, edges, leader_prob, rng, engine=engine)
 
         groups = result.groups
@@ -173,15 +166,11 @@ def grow_components(
         if matched.any():
             tree_parts.append(batch[representative[result.chosen_edge[matched]]])
 
-        if engine is not None:
-            # One recorded round: search the leader table, canonicalise.
-            builder = PlanBuilder("relabel")
-            raw = builder.search(groups, labels)
-            out = builder.transform("canonical_labels", raw)
-            (new_labels,) = engine.run_plan(builder.build(out))
-        else:
-            new_labels = canonical_labels(groups[labels])
-
+        # One recorded round: search the leader table, canonicalise.
+        builder = PlanBuilder("relabel")
+        raw = builder.search(groups, labels)
+        out = builder.transform("canonical_labels", raw)
+        (new_labels,) = runner.run_plan(builder.build(out))
         if engine is not None:
             engine.charge_search(n, label=f"relabel phase {phase_index}")
 

@@ -140,11 +140,12 @@ def mpc_connected_components(
     rng=None,
     engine: "MPCEngine | str | object | None" = None,
     backend: "str | ExecutionBackend | None" = None,
-    walk_mode: str = "direct",
-    finalize: bool = True,
 ) -> PipelineResult:
     """Theorem 4: find all connected components of ``graph``, given a lower
     bound on the spectral gap of each component.
+
+    The returned labels are always exact: a verification broadcast runs
+    to stabilisation after the three stages.
 
     Parameters
     ----------
@@ -177,11 +178,6 @@ def mpc_connected_components(
         ``MPCEngine`` is supplied its attached backend is used instead
         and this argument must stay ``None`` (:class:`ValueError`
         otherwise).
-    walk_mode:
-        Passed to the randomization step ("direct" or "layered").
-    finalize:
-        Run the verification/fallback broadcast (always on for end users;
-        the adaptive variant disables it between guesses).
     """
     # Lazy import: repro.engines depends on this module.
     from repro.engines import resolve_engine
@@ -197,8 +193,7 @@ def mpc_connected_components(
         algorithm, mpc = resolve_engine(engine), None
     with _accounting_engine(graph, config, mpc, backend) as mpc:
         return algorithm.run(
-            graph, spectral_gap_bound, config=config, rng=rng, mpc=mpc,
-            walk_mode=walk_mode, finalize=finalize,
+            graph, spectral_gap_bound, config=config, rng=rng, mpc=mpc
         )
 
 
@@ -209,10 +204,15 @@ def _run_stages(
     rng,
     engine: MPCEngine,
     *,
-    walk_mode: str,
-    finalize: bool,
+    finalize: bool = True,
 ) -> PipelineResult:
-    """The three Theorem 4 stages plus verification, on a ready engine."""
+    """The three Theorem 4 stages plus verification, on a ready engine.
+
+    ``finalize=False`` skips the verification broadcast and holds the
+    stage-3 broadcast to ``config.broadcast_budget`` rounds: the
+    Corollary 7.1 guess loop runs it that way on every guess but the
+    last, so an oversized gap guess visibly leaves components unfinished.
+    """
     if graph.m == 0:
         # Every vertex is isolated: nothing to do.
         labels = np.arange(graph.n, dtype=np.int64)
@@ -250,7 +250,6 @@ def _run_stages(
             batch_half_degree=config.batch_half_degree,
             rng=rng,
             engine=engine,
-            walk_mode=walk_mode,
         )
 
     with engine.phase("Step3-RandomGraphCC"):
@@ -319,7 +318,6 @@ def mpc_connected_components_adaptive(
     initial_gap: float = 0.5,
     gap_exponent: float = 1.1,
     min_gap: "float | None" = None,
-    walk_mode: str = "direct",
 ) -> AdaptiveResult:
     """Corollary 7.1: components without knowing the spectral gap.
 
@@ -349,8 +347,7 @@ def mpc_connected_components_adaptive(
     with _accounting_engine(graph, config, engine, backend) as engine:
         return _run_adaptive(
             graph, config, rng, engine,
-            initial_gap=initial_gap, gap_exponent=gap_exponent,
-            min_gap=min_gap, walk_mode=walk_mode,
+            initial_gap=initial_gap, gap_exponent=gap_exponent, min_gap=min_gap,
         )
 
 
@@ -363,7 +360,6 @@ def _run_adaptive(
     initial_gap: float,
     gap_exponent: float,
     min_gap: float,
-    walk_mode: str,
 ) -> AdaptiveResult:
     """The Corollary 7.1 guess loop, on a ready engine."""
     n = graph.n
@@ -379,16 +375,11 @@ def _run_adaptive(
         rounds_before = engine.rounds
         exhausted = gap_guess < min_gap
 
-        result = mpc_connected_components(
-            sub,
-            max(gap_guess, min_gap),
-            config=config,
-            rng=rng,
-            engine=engine,
-            walk_mode=walk_mode,
-            # On the last allowed guess, finalize so termination is certain.
-            finalize=exhausted,
+        gap = check_in_range(
+            max(gap_guess, min_gap), "spectral_gap_bound", 1e-12, 2.0
         )
+        # On the last allowed guess, finalize so termination is certain.
+        result = _run_stages(sub, gap, config, rng, engine, finalize=exhausted)
         labels = result.labels
 
         # Growability check (one sort): a label is final iff no edge of the

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.core.walk_engine import direct_walk_targets, independent_random_walks
+from repro.core.walk_engine import direct_walk_targets
 from repro.graph.graph import Graph
 from repro.mpc.engine import MPCEngine
 from repro.utils.rng import ensure_rng
@@ -72,7 +72,6 @@ def randomize_components(
     batch_half_degree: int,
     rng=None,
     engine: "MPCEngine | None" = None,
-    walk_mode: str = "direct",
 ) -> RandomizedGraph:
     """Lemma 5.1, batched for the Section 6 preprocessing.
 
@@ -86,12 +85,11 @@ def randomize_components(
         ``batches`` independent edge batches are produced, each giving every
         vertex ``batch_half_degree`` out-edges (so each batch is
         distributed as ``G(n_i, 2·batch_half_degree)`` per component).
-    walk_mode:
-        ``"direct"`` — vectorised independent walkers (the scale mode;
-        identical output distribution);
-        ``"layered"`` — the full Theorem 3 layered-graph data structure
-        with independence detection (one walk per vertex per run; slower,
-        faithful to the MPC data flow).
+
+    The ``batches · batch_half_degree`` mutually independent lazy walks
+    from every vertex come from :func:`direct_walk_targets`, which
+    samples the product distribution of Theorem 3's layered-graph data
+    structure directly and charges the engine that structure's rounds.
     """
     walk_length = check_positive_int(walk_length, "walk_length")
     batches = check_positive_int(batches, "batches")
@@ -100,32 +98,9 @@ def randomize_components(
     n = regular_graph.n
     total_walks = batches * batch_half_degree
 
-    if walk_mode == "direct":
-        targets = direct_walk_targets(
-            regular_graph,
-            walk_length,
-            total_walks,
-            rng,
-            lazy=True,
-            engine=engine,
-        )
-    elif walk_mode == "layered":
-        # Laziness via self-loops (Section 5.2): Δ loops double the degree
-        # and make the plain walk of the augmented graph the lazy walk of
-        # the original.
-        lazy_graph = regular_graph.with_self_loops(regular_graph.degree(0))
-        columns = []
-        charged_engine = engine
-        for _ in range(total_walks):
-            columns.append(
-                independent_random_walks(
-                    lazy_graph, walk_length, rng, engine=charged_engine
-                )
-            )
-            charged_engine = None  # parallel invocations: charge rounds once
-        targets = np.stack(columns, axis=1)
-    else:
-        raise ValueError(f"unknown walk_mode {walk_mode!r}")
+    targets = direct_walk_targets(
+        regular_graph, walk_length, total_walks, rng, engine=engine
+    )
 
     sources = np.repeat(np.arange(n, dtype=np.int64), batch_half_degree)
     batch_arrays = []

@@ -9,12 +9,12 @@ vertex-disjoint — whose targets are therefore *mutually independent*
 Θ(log n) times in parallel and keeps, for each vertex, the target from the
 first run in which its path was disjoint (Theorem 3's proof).
 
-``direct_walk_targets`` is the scale substitute: it
+``direct_walk_targets`` is the pipeline's walk sampler: it
 samples the *same* product distribution ``⊗_v D_RW(v, t)`` directly (one
-independent walker per vertex and walk), and charges the engine the same
-round costs — used by the pipeline for large inputs where materialising the
-``O(n t²)`` layered graph is wasteful.  Two facts make it cheap and
-parallel, without changing the distribution:
+independent walker per vertex and walk) instead of materialising the
+``O(n t²)`` layered graph, and charges the engine the same round costs
+(both charge through :func:`_charge_simple_random_walk`).  Two facts make
+it cheap and parallel, without changing the distribution:
 
 * a lazy ``t``-step walk, which stays put on each step with an independent
   fair coin, is distributed as a plain walk of ``Binomial(t, ½)`` steps —
@@ -35,10 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.layered import (
-    JumpTables,
-    SampledLayeredGraph,
     build_jump_tables,
-    is_power_of_two,
     paths_from_starts,
     sample_layered_graph,
 )
@@ -53,6 +50,28 @@ def next_power_of_two(x: int) -> int:
     """Smallest power of two ``>= x`` (``x`` must be positive)."""
     x = check_positive_int(x, "x")
     return 1 << (x - 1).bit_length()
+
+
+def _charge_simple_random_walk(engine: MPCEngine, n: int, t: int) -> int:
+    """Charge ``engine`` Theorem 3's rounds for one ``SimpleRandomWalk``
+    from ``n`` vertices with power-of-two length ``t``.
+
+    Under one ``"SimpleRandomWalk"`` phase: a shuffle that samples the
+    ``n·2t·(t+1)`` layered vertices of ``G_S``, ``log₂ t`` pointer-doubling
+    searches and ``log₂ t`` marking searches over them, and the sort of
+    the ``n·(t+1)`` path vertices that detects collisions.  Returns the
+    layered vertex count.
+    """
+    layered_size = n * (2 * t) * (t + 1)
+    doublings = t.bit_length() - 1
+    with engine.phase("SimpleRandomWalk"):
+        engine.charge_shuffle(layered_size, label="sample G_S")
+        for _ in range(doublings):
+            engine.charge_search(layered_size, label="pointer double")
+        for _ in range(doublings):
+            engine.charge_search(layered_size, label="mark paths")
+        engine.charge_sort(n * (t + 1), label="detect collisions")
+    return layered_size
 
 
 @dataclass(frozen=True)
@@ -95,14 +114,7 @@ def simple_random_walk(
     independent = detect_independence(paths)
 
     if engine is not None:
-        with engine.phase("SimpleRandomWalk"):
-            layered_size = sampled.vertex_count
-            engine.charge_shuffle(layered_size, label="sample G_S")
-            for _ in range(jumps.doubling_steps):
-                engine.charge_search(layered_size, label="pointer double")
-            for _ in range(jumps.doubling_steps):
-                engine.charge_search(layered_size, label="mark paths")
-            engine.charge_sort(graph.n * (t + 1), label="detect collisions")
+        _charge_simple_random_walk(engine, graph.n, t)
     return WalkRun(targets=targets, independent=independent, t=t)
 
 
@@ -178,18 +190,18 @@ def direct_walk_targets(
     walks_per_vertex: int,
     rng=None,
     *,
-    lazy: bool = True,
     engine: "MPCEngine | None" = None,
 ) -> np.ndarray:
-    """Sample ``walks_per_vertex`` mutually independent ``t``-step walk
-    endpoints from every vertex of a regular graph.
+    """Sample ``walks_per_vertex`` mutually independent ``t``-step lazy
+    walk endpoints from every vertex of a regular graph.
 
     Returns the ``(n, walks_per_vertex)`` int64 endpoints: the product
     distribution Theorem 3's data structure produces, so the pipeline
-    uses it interchangeably at scale, and the engine is charged the
-    rounds of :func:`independent_random_walks`.
+    uses it in place of that structure, and the engine is charged the
+    rounds of :func:`simple_random_walk` (Theorem 3 runs its Θ(log n)
+    repetitions in parallel, so they cost the rounds of one).
 
-    ``lazy=True`` walks the lazy chain.  The paper adds Δ self-loops for
+    The walk is the lazy chain.  The paper adds Δ self-loops for
     laziness (Section 5.2), which is the same as a fair stay coin per
     step; a walker that flips ``t`` independent stay coins makes
     ``Binomial(t, ½)`` moves, each a uniform port.  So every walker draws
@@ -220,19 +232,10 @@ def direct_walk_targets(
 
     root = int.from_bytes(rng.bytes(16), "little")
     backend = engine.backend if engine is not None else LocalBackend()
-    targets = backend.walk(graph.heads, degree, t, walks_per_vertex, root, lazy=lazy)
+    targets = backend.walk(graph.heads, degree, t, walks_per_vertex, root)
 
     if engine is not None:
-        t_pow = next_power_of_two(t)
-        with engine.phase("SimpleRandomWalk"):
-            layered_size = n * (2 * t_pow) * (t_pow + 1)
-            engine.charge_shuffle(layered_size, label="sample G_S")
-            doublings = int(np.log2(t_pow))
-            for _ in range(doublings):
-                engine.charge_search(layered_size, label="pointer double")
-            for _ in range(doublings):
-                engine.charge_search(layered_size, label="mark paths")
-            engine.charge_sort(n * (t_pow + 1), label="detect collisions")
-            engine.note_data_volume(layered_size * walks_per_vertex)
+        layered_size = _charge_simple_random_walk(engine, n, next_power_of_two(t))
+        engine.note_data_volume(layered_size * walks_per_vertex)
 
     return targets.T

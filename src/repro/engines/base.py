@@ -44,7 +44,9 @@ class ConnectivityEngine:
     be deterministic given ``(graph, rng seed, config)`` and must route
     every backend operation through ``mpc.run_plan`` so all execution
     backends produce bit-identical labels and the plan stream is
-    traceable/replayable.
+    traceable/replayable.  The one op outside plans is the paper
+    pipeline's walk sampler,
+    :meth:`~repro.mpc.backends.ExecutionBackend.walk`.
     """
 
     #: Registry key; also the value users pass as ``engine="..."``.
@@ -58,8 +60,6 @@ class ConnectivityEngine:
         config: "PipelineConfig | None" = None,
         rng=None,
         mpc: "MPCEngine | None" = None,
-        walk_mode: str = "direct",
-        finalize: bool = True,
     ) -> PipelineResult:
         """Compute connected components of ``graph``.
 
@@ -80,8 +80,6 @@ class ConnectivityEngine:
             ``MPCEngine.for_delta`` on the local backend is created when
             absent; pass your own to pick the backend or capture a
             trace.
-        walk_mode, finalize:
-            Paper-pipeline knobs, ignored by engines without walks.
 
         Returns
         -------

@@ -82,15 +82,13 @@ class ExponentiationEngine(ConnectivityEngine):
         config=None,
         rng=None,
         mpc=None,
-        walk_mode: str = "direct",
-        finalize: bool = True,
     ) -> PipelineResult:
         """Square-and-propagate until no cross-component edge remains.
 
-        ``spectral_gap_bound``, ``rng``, ``walk_mode``, and ``finalize``
-        are accepted for engine-contract uniformity and ignored: the
-        algorithm is deterministic and its round count depends on the
-        component diameters, not the spectral gap.
+        ``spectral_gap_bound`` and ``rng`` are accepted for
+        engine-contract uniformity and ignored: the algorithm is
+        deterministic and its round count depends on the component
+        diameters, not the spectral gap.
         """
         config, rng, mpc = self._ensure(graph, config, rng, mpc)
         n = graph.n

@@ -50,14 +50,12 @@ class LiuTarjanEngine(ConnectivityEngine):
         config=None,
         rng=None,
         mpc=None,
-        walk_mode: str = "direct",
-        finalize: bool = True,
     ) -> PipelineResult:
         """Propagate minimum labels to convergence; exact on any graph.
 
-        ``spectral_gap_bound``, ``rng``, ``walk_mode``, and ``finalize``
-        are accepted for engine-contract uniformity and ignored: the
-        algorithm is deterministic and needs no gap assumption.
+        ``spectral_gap_bound`` and ``rng`` are accepted for
+        engine-contract uniformity and ignored: the algorithm is
+        deterministic and needs no gap assumption.
         """
         config, rng, mpc = self._ensure(graph, config, rng, mpc)
         n = graph.n

@@ -36,15 +36,11 @@ class PaperEngine(ConnectivityEngine):
         config=None,
         rng=None,
         mpc=None,
-        walk_mode: str = "direct",
-        finalize: bool = True,
     ) -> PipelineResult:
-        """Run the unchanged three-stage pipeline on ``mpc``."""
+        """Run the unchanged three-stage pipeline, with verification, on
+        ``mpc``."""
         spectral_gap_bound = check_in_range(
             spectral_gap_bound, "spectral_gap_bound", 1e-12, 2.0
         )
         config, rng, mpc = self._ensure(graph, config, rng, mpc)
-        return _run_stages(
-            graph, spectral_gap_bound, config, rng, mpc,
-            walk_mode=walk_mode, finalize=finalize,
-        )
+        return _run_stages(graph, spectral_gap_bound, config, rng, mpc)

@@ -130,18 +130,10 @@ class PortfolioEngine(ConnectivityEngine):
         config=None,
         rng=None,
         mpc=None,
-        walk_mode: str = "direct",
-        finalize: bool = True,
     ) -> PipelineResult:
         """Measure features, pick a concrete engine, and delegate."""
         features = estimate_features(graph, spectral_gap_bound)
         chosen = get_engine(choose_engine(features))
         return chosen.run(
-            graph,
-            spectral_gap_bound,
-            config=config,
-            rng=rng,
-            mpc=mpc,
-            walk_mode=walk_mode,
-            finalize=finalize,
+            graph, spectral_gap_bound, config=config, rng=rng, mpc=mpc
         )

@@ -9,7 +9,6 @@ subgraph), and ``diameter`` supports the Claim 6.13 experiments.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from repro.graph.graph import Graph

@@ -29,7 +29,6 @@ from repro.mpc.backends import (
     BackendStats,
     ExecutionBackend,
     LocalBackend,
-    ShardedArray,
     ShardedBackend,
     backend_names,
     make_backend,
@@ -96,7 +95,6 @@ __all__ = [
     "ArenaLease",
     "ArenaLeaseError",
     "ShmArena",
-    "ShardedArray",
     "ShardedBackend",
     "backend_names",
     "default_worker_count",

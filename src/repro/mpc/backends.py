@@ -10,8 +10,8 @@ charges describe.  Four implementations ship:
   serial hook on the plain arrays; no partitioning, no caps, no
   communication counters.  This is the zero-overhead default.
 * :class:`ShardedBackend` — the scale substrate.  Data is kept as numpy
-  arrays partitioned into ``ceil(N/s)`` contiguous shards of at most ``s``
-  items (:class:`ShardedArray`); every operation enforces the per-shard
+  arrays in canonical layout over ``ceil(N/s)`` contiguous shards of at
+  most ``s`` words (see below); every operation enforces the per-shard
   memory cap *and* the per-round communication cap of the
   Beame–Koutris–Suciu model (raising
   :class:`~repro.mpc.machine.MachineMemoryError` on violation), while
@@ -196,61 +196,6 @@ class BackendStats:
         }
 
 
-class ShardedArray:
-    """A numpy array partitioned into contiguous shards of ``≤ s`` words.
-
-    The partition is positional (canonical layout) over the leading axis;
-    for multi-column arrays (e.g. ``(m, 2)`` edge lists) a row counts as
-    ``row_words`` words, so each shard holds at most
-    ``shard_memory // row_words`` rows and never exceeds the word cap.
-    The wrapper keeps the data as one contiguous buffer — shards are
-    views — so shard-local work stays vectorised while the shard structure
-    remains inspectable and enforceable.
-    """
-
-    def __init__(self, data: np.ndarray, shard_memory: int):
-        self.data = np.asarray(data)
-        self.shard_memory = check_positive_int(shard_memory, "shard_memory")
-        rows = int(self.data.shape[0])
-        self.row_words = int(self.data.size // rows) if rows else 1
-        self.rows_per_shard = max(1, self.shard_memory // self.row_words)
-
-    def __len__(self) -> int:
-        return int(self.data.shape[0])
-
-    @property
-    def shard_count(self) -> int:
-        """Number of shards in the canonical partition (at least 1)."""
-        return max(1, math.ceil(len(self) / self.rows_per_shard))
-
-    def shards(self) -> "list[np.ndarray]":
-        """The per-shard views, in canonical order (zero-copy)."""
-        r = self.rows_per_shard
-        return [self.data[i * r : (i + 1) * r] for i in range(self.shard_count)]
-
-    def loads(self) -> "list[int]":
-        """Words held per shard."""
-        return [int(shard.shape[0]) * self.row_words for shard in self.shards()]
-
-    @property
-    def max_load(self) -> int:
-        """Words held by the fullest shard."""
-        return max(self.loads())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ShardedArray(n={len(self)}, shards={self.shard_count}, "
-            f"s={self.shard_memory})"
-        )
-
-
-def _data(values) -> np.ndarray:
-    """Unwrap :class:`ShardedArray` or coerce to ``np.ndarray``."""
-    if isinstance(values, ShardedArray):
-        return values.data
-    return np.asarray(values)
-
-
 def _keyed(keys, values, op: "str | None" = None):
     """The operands of a keyed op (``sort``, ``reduce_by_key``) as arrays,
     checked alike on every backend before any capacity check or kernel:
@@ -261,8 +206,8 @@ def _keyed(keys, values, op: "str | None" = None):
     ValueError
         On any other operands.
     """
-    keys = _data(keys)
-    values = _data(values)
+    keys = np.asarray(keys)
+    values = np.asarray(values)
     if keys.ndim != 1 or values.shape[:1] != keys.shape:
         raise ValueError(
             "keys must be 1-D with one key per value row: got keys of "
@@ -389,7 +334,7 @@ class ExecutionBackend:
     # -- operations (subclass responsibility) --------------------------------
 
     def scatter(self, values):
-        """Place ``values`` on the fleet; returns the backend's handle."""
+        """Place ``values`` on the fleet; returns the placed array."""
         raise NotImplementedError
 
     def sort(self, values, order_by=None):
@@ -516,10 +461,8 @@ class ExecutionBackend:
         steps: int,
         columns: int,
         entropy: int,
-        *,
-        lazy: bool = True,
     ) -> np.ndarray:
-        """Walk ``columns`` independent ``steps``-step walkers from every
+        """Walk ``columns`` independent lazy ``steps``-step walkers from every
         vertex of a ``degree``-regular graph with CSR ``heads`` (vertex
         ``v``'s port ``p`` leads to ``heads[v·degree + p]``); returns the
         ``(columns, n)`` int64 endpoints, row ``c`` holding column ``c``.
@@ -532,7 +475,7 @@ class ExecutionBackend:
         or capacity charge: the caller charges Theorem 3's rounds for it.
         Subclasses override :meth:`_kernel_walk` to split the columns.
         """
-        heads = _data(heads)
+        heads = np.asarray(heads)
         degree = check_positive_int(degree, "degree")
         steps = check_positive_int(steps, "steps")
         columns = check_nonnegative_int(columns, "columns")
@@ -544,13 +487,12 @@ class ExecutionBackend:
         n = heads.shape[0] // degree
         if heads.size and (heads.min() < 0 or heads.max() >= n):
             raise ValueError(f"heads must lie in [0, {n})")
-        return self._kernel_walk(heads, degree, steps, columns, int(entropy), bool(lazy))
+        return self._kernel_walk(heads, degree, steps, columns, int(entropy))
 
-    def _kernel_walk(self, heads, degree, steps, columns, entropy, lazy) -> np.ndarray:
+    def _kernel_walk(self, heads, degree, steps, columns, entropy) -> np.ndarray:
         """Walk kernel: every column in this process."""
         (targets,) = walk_columns(
-            heads, lo=0, hi=columns, degree=degree, steps=steps, lazy=lazy,
-            entropy=entropy,
+            heads, lo=0, hi=columns, degree=degree, steps=steps, entropy=entropy
         )
         return targets
 
@@ -568,21 +510,21 @@ class LocalBackend(ExecutionBackend):
     def scatter(self, values) -> np.ndarray:
         """Return ``values`` as a plain array (no partitioning)."""
         self._count_op("scatter")
-        return _data(values)
+        return np.asarray(values)
 
     def sort(self, values, order_by=None) -> np.ndarray:
         """Stable sort of ``values`` by ``order_by`` (by the values
         themselves when ``None``); raises :class:`ValueError` unless the
         keys are 1-D with one per value row."""
         self._count_op("sort")
-        values = _data(values)
+        values = np.asarray(values)
         keys, values = _keyed(values if order_by is None else order_by, values)
         return self._kernel_sort(values, keys)[0]
 
     def search(self, table, queries) -> np.ndarray:
         """Plain gather: ``table[queries]``."""
         self._count_op("search")
-        return self._kernel_search(_data(table), _data(queries))
+        return self._kernel_search(np.asarray(table), np.asarray(queries))
 
     def reduce_by_key(self, keys, values, op: str = "min"):
         """Grouped fold; returns ``(sorted_unique_keys, reduced)``.
@@ -600,7 +542,9 @@ class LocalBackend(ExecutionBackend):
         ``labels[recv]`` by elementwise minimum.
         """
         self._count_op("min_label_exchange")
-        return self._kernel_min_label(_data(labels), _data(send), _data(recv))
+        return self._kernel_min_label(
+            np.asarray(labels), np.asarray(send), np.asarray(recv)
+        )
 
     def csr_min_label(self, labels, indptr, indices):
         """One min-label level as indptr-sliced folds (no partitioning).
@@ -612,7 +556,7 @@ class LocalBackend(ExecutionBackend):
         """
         self._count_op("csr_min_label")
         return self._kernel_csr_min_label(
-            _data(labels), _data(indptr), _data(indices)
+            np.asarray(labels), np.asarray(indptr), np.asarray(indices)
         )
 
 
@@ -736,18 +680,18 @@ class ShardedBackend(ExecutionBackend):
 
     # -- operations ----------------------------------------------------------
 
-    def scatter(self, values) -> ShardedArray:
-        """Place ``values`` on the fleet in canonical layout (one barrier).
+    def scatter(self, values) -> np.ndarray:
+        """Place ``values`` on the fleet in canonical layout (one barrier);
+        returns the placed array.
 
         Capacity and payload are counted in *words*: a row of a
-        multi-column array (e.g. one edge of an ``(m, 2)`` list) is
-        ``row_words`` words, matching the model's accounting."""
+        multi-column array (e.g. one edge of an ``(m, 2)`` list) is one
+        word per column, matching the model's accounting."""
         self._count_op("scatter")
-        values = _data(values)
-        words = int(values.size)
-        shards = self.ensure_capacity(words)
+        values = np.asarray(values)
+        shards = self.ensure_capacity(int(values.size))
         self._exchange(shards, int(values.nbytes))
-        return ShardedArray(values, self._s)
+        return values
 
     def sort(self, values, order_by=None) -> np.ndarray:
         """Global sort: argsort, then route item at rank ``r`` to shard
@@ -756,7 +700,7 @@ class ShardedBackend(ExecutionBackend):
         positions ``s, 2s, …``) are broadcast so every shard can route
         locally — their cost is counted into the same barrier."""
         self._count_op("sort")
-        values = _data(values)
+        values = np.asarray(values)
         keys, values = _keyed(values if order_by is None else order_by, values)
         n = int(values.shape[0])
         shards = self.ensure_capacity(n)
@@ -777,8 +721,8 @@ class ShardedBackend(ExecutionBackend):
         cost model prices search like sort, which covers the skew-free
         routing Goodrich's construction guarantees)."""
         self._count_op("search")
-        table = _data(table)
-        queries = _data(queries)
+        table = np.asarray(table)
+        queries = np.asarray(queries)
         # Capacity check first: a capped fleet must reject oversized input
         # before any (potentially pooled) compute runs.
         shards = self.ensure_capacity(int(table.shape[0]) + int(queries.shape[0]))
@@ -817,9 +761,9 @@ class ShardedBackend(ExecutionBackend):
         receiving endpoint's home — one barrier, payload = the incidences
         whose endpoints live on different shards."""
         self._count_op("min_label_exchange")
-        labels = _data(labels)
-        send = _data(send)
-        recv = _data(recv)
+        labels = np.asarray(labels)
+        send = np.asarray(send)
+        recv = np.asarray(recv)
         # Capacity check first (see search()).
         shards = self.ensure_capacity(int(labels.shape[0]) + int(send.shape[0]))
         new_labels, incoming = self._kernel_min_label(labels, send, recv)
@@ -843,9 +787,9 @@ class ShardedBackend(ExecutionBackend):
         contiguous gather plus ``reduceat`` folds instead of argsorted
         scatter."""
         self._count_op("csr_min_label")
-        labels = _data(labels)
-        indptr = _data(indptr)
-        indices = _data(indices)
+        labels = np.asarray(labels)
+        indptr = np.asarray(indptr)
+        indices = np.asarray(indices)
         # Capacity check first (see search()).
         shards = self.ensure_capacity(
             int(labels.shape[0]) + int(indices.shape[0])
@@ -876,8 +820,8 @@ class ShardedBackend(ExecutionBackend):
         (standing ingest services have no engine to attach one).
         """
         self._count_op("sketch_update")
-        edges = _data(edges)
-        weights = _data(weights)
+        edges = np.asarray(edges)
+        weights = np.asarray(weights)
         if self.shard_memory is not None:
             self.ensure_capacity(int(edges.size) + int(weights.size))
         applied = self._kernel_sketch_update(store, edges, weights)
@@ -1102,14 +1046,14 @@ class PooledBackend(ShardedBackend):
             lambda out, _: (out["folded"], out["incoming"]),
         )
 
-    def _kernel_walk(self, heads, degree, steps, columns, entropy, lazy):
+    def _kernel_walk(self, heads, degree, steps, columns, entropy):
         n = int(heads.shape[0]) // degree
         if not self._pooled(n * columns):
-            return super()._kernel_walk(heads, degree, steps, columns, entropy, lazy)
+            return super()._kernel_walk(heads, degree, steps, columns, entropy)
         plans = [
             [_step(
                 "walk", ["heads"], ["targets"], lo=lo, hi=hi, degree=degree,
-                steps=steps, lazy=lazy, entropy=entropy,
+                steps=steps, entropy=entropy,
             )]
             for lo, hi in position_blocks(columns, 1, self.workers)
         ]

@@ -287,17 +287,17 @@ def lazy_step_counts(rng: np.random.Generator, n: int, steps: int) -> np.ndarray
     return counts
 
 
-def walk_columns(heads, *, lo, hi, degree, steps, lazy, entropy):
-    """The walk kernel: endpoints of walk columns ``[lo, hi)``.
+def walk_columns(heads, *, lo, hi, degree, steps, entropy):
+    """The walk kernel: endpoints of lazy walk columns ``[lo, hi)``.
 
-    Column ``c`` walks one walker from every vertex of the
-    ``degree``-regular out-neighbour table ``heads`` and draws only from
-    ``SeedSequence(entropy, spawn_key=(c,))``; row ``c - lo`` of the
-    ``(hi - lo, n)`` int64 result holds its endpoints.  A lazy column
+    Column ``c`` walks one lazy ``steps``-step walker from every vertex
+    of the ``degree``-regular out-neighbour table ``heads`` and draws
+    only from ``SeedSequence(entropy, spawn_key=(c,))``; row ``c - lo``
+    of the ``(hi - lo, n)`` int64 result holds its endpoints.  A column
     draws every walker's move count (:func:`lazy_step_counts`), orders
     the walkers by it, longest first, and at step ``s`` advances only
-    the prefix still moving; a plain column moves every walker
-    ``steps`` times.  Each move is one uniform port draw and one gather.
+    the prefix still moving.  Each move is one uniform port draw and one
+    gather.
     """
     n = heads.shape[0] // degree
     index = np.int32 if n * degree <= np.iinfo(np.int32).max else np.int64
@@ -309,13 +309,9 @@ def walk_columns(heads, *, lo, hi, degree, steps, lazy, entropy):
     slot = np.empty(n, dtype=index)
     for column in range(lo, hi):
         rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(column,)))
-        if lazy:
-            counts = lazy_step_counts(rng, n, steps)
-            order = np.argsort(steps - counts, kind="stable")
-            moving = n - np.cumsum(np.bincount(counts, minlength=steps + 1)[:steps])
-        else:
-            order = np.arange(n)
-            moving = np.full(steps, n)
+        counts = lazy_step_counts(rng, n, steps)
+        order = np.argsort(steps - counts, kind="stable")
+        moving = n - np.cumsum(np.bincount(counts, minlength=steps + 1)[:steps])
         walkers = order.astype(index) * degree
         for active in moving.tolist():
             if active == 0:

@@ -36,9 +36,6 @@ contraction keys from endpoint labels, canonicalising a relabelling) —
 are *named, registered functions* (:func:`register_transform`), never
 lambdas, so a plan remains serializable and a replayed plan runs the
 same code the capture ran.
-
-Run ``python -m repro.mpc.plan`` for a self-contained capture→replay
-smoke check (used by CI's differential job).
 """
 
 from __future__ import annotations
@@ -464,14 +461,9 @@ def parent_local_steps(plan: RoundPlan) -> frozenset:
 # ---------------------------------------------------------------------------
 
 
-def _as_array(value) -> np.ndarray:
-    """Coerce a plan value (ndarray or backend handle) to an ndarray."""
-    return np.asarray(getattr(value, "data", value))
-
-
 def _encode_array(array: np.ndarray) -> dict:
     """JSON-able encoding of one array (dtype + shape + base64 payload)."""
-    array = np.ascontiguousarray(_as_array(array))
+    array = np.ascontiguousarray(array)
     return {
         "dtype": array.dtype.str,
         "shape": list(array.shape),
@@ -498,7 +490,7 @@ def content_digest(array) -> str:
     (:func:`graph_digest`).  Two arrays collide iff they are
     bit-identical in dtype, shape, and payload.
     """
-    array = _as_array(array)
+    array = np.asarray(array)
     if array.ndim:  # ascontiguousarray would flatten a 0-d to (1,)
         array = np.ascontiguousarray(array)
     h = hashlib.sha256()
@@ -711,7 +703,7 @@ def replay(
             outputs.append(replayed)
             recorded.append(expected)
             for slot, got, want in zip(plan.outputs, replayed, expected):
-                if not np.array_equal(_as_array(got), _as_array(want)):
+                if not np.array_equal(got, want):
                     label = f"{index}:{plan.name}/{slot}"
                     if verify:
                         raise ValueError(
@@ -730,110 +722,3 @@ def replay(
         mismatches=mismatches,
     )
 
-
-# ---------------------------------------------------------------------------
-# Smoke entry point (CI: capture on one backend, replay on the others)
-# ---------------------------------------------------------------------------
-
-
-def _smoke(argv: "list[str] | None" = None) -> int:  # pragma: no cover
-    """Capture a pipeline trace and replay it across backends (CI gate).
-
-    Exercised by ``tools/trace_replay_smoke.py`` in CI's differential
-    job rather than by the unit suite (which covers the same seam via
-    ``tests/test_plan.py``).
-    """
-    import argparse
-    import tempfile
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.mpc.plan",
-        description="Trace capture + replay smoke check.",
-    )
-    parser.add_argument("--n", type=int, default=512, help="graph size")
-    parser.add_argument(
-        "--capture", default="sharded", help="backend to capture the trace on"
-    )
-    parser.add_argument(
-        "--replay",
-        nargs="+",
-        default=["local", "process"],
-        help="backends to replay the trace on",
-    )
-    parser.add_argument(
-        "--out", default=None, help="trace path (default: a temp file)"
-    )
-    parser.add_argument(
-        "--engine",
-        default="paper",
-        help="connectivity engine whose plan stream is captured "
-        "(any repro.engines name; default: paper)",
-    )
-    args = parser.parse_args(argv)
-
-    import repro
-    from repro.bench.workloads import Workload
-    from repro.engines import get_engine
-    from repro.mpc import MPCEngine, make_backend
-
-    graph = Workload("permutation_regular", args.n, {"degree": 6}).build(7)
-    with contextlib.ExitStack() as stack:
-        if args.out is not None:
-            out = args.out
-        else:
-            tmpdir = stack.enter_context(
-                tempfile.TemporaryDirectory(prefix="repro-trace-")
-            )
-            out = str(pathlib.Path(tmpdir) / "trace.json")
-        config = repro.PipelineConfig(
-            delta=0.5, expander_degree=4, max_walk_length=32, oversample=4,
-            max_phases=2,
-        )
-        backend = make_backend(args.capture)
-        with MPCEngine.for_delta(
-            graph.n + graph.m, config.delta, backend=backend, trace=out
-        ) as engine:
-            # Through the engine registry so any algorithm's plan stream
-            # (paper pipeline, liu_tarjan, exponentiation) gets the same
-            # capture/replay gate.
-            result = get_engine(args.engine).run(
-                graph, 0.1, config=config, rng=7, mpc=engine
-            )
-            captured = engine.backend.stats()
-        print(
-            f"captured {len(engine.trace)} plans [{args.engine}] on "
-            f"{args.capture!r} -> {out} "
-            f"({result.rounds} rounds, {captured.exchanges} exchanges)"
-        )
-        for name in args.replay:
-            if name == "rpc":
-                # Force every op through the wire: the default
-                # min_wire_items threshold would keep smoke-scale ops on
-                # the serial kernels and certify nothing.
-                from repro.mpc.rpc import RpcBackend
-
-                rpc = RpcBackend(workers=2, min_wire_items=0)
-                try:
-                    replayed = replay(out, backend=rpc)
-                finally:
-                    rpc.close()
-            else:
-                replayed = replay(out, backend=name)
-            assert replayed.ok
-            # The accounting-only local backend legitimately reports zero
-            # exchanges; every enforced backend must reproduce the
-            # captured counters exactly.
-            expected = 0 if name == "local" else captured.exchanges
-            assert replayed.stats.exchanges == expected, (
-                f"replay on {name!r}: {replayed.stats.exchanges} exchanges "
-                f"vs {expected} expected"
-            )
-            print(
-                f"replayed {len(replayed.outputs)} plans on {name!r}: "
-                f"bit-identical outputs, {replayed.stats.exchanges} exchanges"
-            )
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised by the CI step
-    raise SystemExit(_smoke())

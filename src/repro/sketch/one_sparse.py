@@ -16,7 +16,7 @@ All counters are linear, so sketches of ``f`` and ``g`` add to a sketch of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -23,6 +23,15 @@ class TestValidation:
         assert config.growth == 8
         assert PipelineConfig().growth == 4  # original untouched
 
+    @pytest.mark.parametrize(
+        "field, value", [("walk_rounds_cap", 24), ("leader_floor", 1e-3)]
+    )
+    def test_fields_no_stage_reads_are_gone(self, field, value):
+        """No stage read either constant, so setting one changed nothing;
+        the pipeline now rejects them instead of ignoring them."""
+        with pytest.raises(TypeError):
+            PipelineConfig(**{field: value})
+
 
 class TestSchedules:
     def test_phase_count_is_log_log(self):

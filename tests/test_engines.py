@@ -25,6 +25,7 @@ gates:
 """
 
 import dataclasses
+import inspect
 import pathlib
 
 import numpy as np
@@ -293,6 +294,20 @@ class TestEngineRegistry:
     def test_base_run_is_abstract(self):
         with pytest.raises(NotImplementedError):
             ConnectivityEngine().run(build("cycle", 8), GAP_BOUND)
+
+    @pytest.mark.parametrize("name", ["abstract", *engine_names()])
+    def test_run_signature_is_the_contract(self, name):
+        """Every engine takes exactly the contract's arguments: no
+        paper-only knob for the other engines to accept and ignore."""
+        engine = ConnectivityEngine() if name == "abstract" else get_engine(name)
+        params = inspect.signature(engine.run).parameters
+        assert [(p, params[p].kind.name) for p in params] == [
+            ("graph", "POSITIONAL_OR_KEYWORD"),
+            ("spectral_gap_bound", "POSITIONAL_OR_KEYWORD"),
+            ("config", "KEYWORD_ONLY"),
+            ("rng", "KEYWORD_ONLY"),
+            ("mpc", "KEYWORD_ONLY"),
+        ]
 
     def test_paper_engine_matches_default_path(self):
         graph = build("permutation_regular", 256)

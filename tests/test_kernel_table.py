@@ -212,18 +212,17 @@ def test_csr_min_label_matches_serial(
     degree=st.integers(1, 6),
     steps=st.sampled_from([1, 2, 7, 63, 64, 65, 130]),
     columns=st.integers(1, 9),
-    lazy=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_walk_matches_serial(workers, n, degree, steps, columns, lazy, seed):
+def test_walk_matches_serial(workers, n, degree, steps, columns, seed):
     rng = np.random.default_rng(seed)
     heads = rng.integers(0, max(n, 1), n * degree)  # any out-neighbour table
     entropy = int(rng.integers(2**63))
     serial = ShardedBackend(shard_memory=16)
     pooled = InlineBackend(shard_memory=16, workers=workers)
     assert_bit_identical(
-        (serial.walk(heads, degree, steps, columns, entropy, lazy=lazy),),
-        (pooled.walk(heads, degree, steps, columns, entropy, lazy=lazy),),
+        (serial.walk(heads, degree, steps, columns, entropy),),
+        (pooled.walk(heads, degree, steps, columns, entropy),),
     )
 
 

@@ -21,7 +21,6 @@ from repro.mpc import (
     MPCEngine,
     ProcessBackend,
     RpcBackend,
-    ShardedArray,
     ShardedBackend,
     make_backend,
 )
@@ -31,25 +30,6 @@ BOTH = [LocalBackend, lambda: ShardedBackend(shard_memory=16)]
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
-
-
-class TestShardedArray:
-    def test_partition_shapes(self):
-        arr = ShardedArray(np.arange(10), 4)
-        assert arr.shard_count == 3
-        assert arr.loads() == [4, 4, 2]
-        assert arr.max_load == 4
-
-    def test_single_shard(self):
-        arr = ShardedArray(np.arange(3), 16)
-        assert arr.shard_count == 1
-        assert arr.loads() == [3]
-
-    def test_shards_are_views(self):
-        data = np.arange(8)
-        arr = ShardedArray(data, 4)
-        arr.shards()[0][0] = 99
-        assert data[0] == 99
 
 
 class TestOperationSemantics:
@@ -135,8 +115,8 @@ class TestOperationSemantics:
     def test_scatter_roundtrip(self, factory):
         values = np.arange(40)
         placed = factory().scatter(values)
-        assert np.array_equal(np.asarray(placed.data if isinstance(
-            placed, ShardedArray) else placed), values)
+        assert isinstance(placed, np.ndarray)
+        assert np.array_equal(placed, values)
 
 
 #: Every backend family, pools forced onto their workers: a malformed
@@ -267,8 +247,8 @@ class TestCapEnforcement:
                 with pytest.raises(MachineMemoryError):
                     backend.scatter(np.zeros(items, dtype=np.int64))
             else:
-                placed = backend.scatter(np.zeros(items, dtype=np.int64))
-                assert placed.max_load <= memory
+                backend.scatter(np.zeros(items, dtype=np.int64))
+                assert backend.stats().peak_shard_load <= memory
                 assert backend.stats().shard_count == max(
                     1, -(-items // memory)
                 )

@@ -15,9 +15,7 @@ from repro.graph import (
     connected_components,
     cycle_graph,
     dumbbell_graph,
-    min_component_spectral_gap,
     paper_random_graph,
-    path_graph,
     planted_expander_components,
     star_graph,
 )
@@ -74,14 +72,6 @@ class TestCorrectness:
         g = cycle_graph(60)
         result = mpc_connected_components(g, 0.005, config=FAST, rng=5)
         assert result.component_count == 1
-
-    def test_layered_walk_mode(self):
-        g = paper_random_graph(30, 8, rng=6)
-        config = FAST.with_overrides(max_walk_length=8, oversample=4)
-        result = mpc_connected_components(
-            g, 0.5, config=config, rng=6, walk_mode="layered"
-        )
-        assert components_agree(result.labels, connected_components(g))
 
 
 class TestRoundAccounting:

@@ -1,7 +1,10 @@
 """The round-plan IR: builder/validation, fusion analysis, eager-vs-plan
 bit-identity on every backend, and trace capture → replay round-trips."""
 
+import importlib.util
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +50,18 @@ def contract_inputs(n=40, m=60):
     labels = np.sort(g.integers(0, 8, n)).astype(np.int64)
     batch = g.integers(0, n, (m, 2)).astype(np.int64)
     return labels, batch
+
+
+def numpy_contraction(labels, batch):
+    """Definition 2 in plain numpy, the reference for the contract plan:
+    cross-component label pairs deduplicated by ``np.unique``, each with
+    the index of its first batch edge."""
+    cu, cv = labels[batch[:, 0]], labels[batch[:, 1]]
+    idx = np.flatnonzero(cu != cv)
+    a = np.minimum(cu[idx], cv[idx])
+    b = np.maximum(cu[idx], cv[idx])
+    _, first = np.unique(a * (int(labels.max()) + 1) + b, return_index=True)
+    return np.stack([a[first], b[first]], axis=1), idx[first]
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +357,14 @@ class TestEagerVsPlanProperty:
 
     def test_contract_round_matches_eager_calls(self):
         labels, batch = contract_inputs(n=64, m=300)
-        reference = contract_batch(labels, batch)  # pure numpy path
-        for backend in (
-            LocalBackend(),
-            ShardedBackend(shard_memory=32),
-        ):
-            edges, rep = contract_batch(labels, batch, backend=backend)
+        reference = numpy_contraction(labels, batch)
+        for backend in (None, LocalBackend(), ShardedBackend(shard_memory=32)):
+            engine = None if backend is None else MPCEngine(10**6, backend=backend)
+            edges, rep = contract_batch(labels, batch, engine=engine)
             assert np.array_equal(edges, reference[0])
             assert np.array_equal(rep, reference[1])
-            assert backend.stats().plans == 1
+            if backend is not None:
+                assert backend.stats().plans == 1
 
 
 # ---------------------------------------------------------------------------
@@ -581,3 +595,46 @@ class TestCSRTraceReplay:
             replayed = replay(path, backend=name)
             assert replayed.ok, name
             assert replayed.stats.exchanges == captured.exchanges
+
+
+# ---------------------------------------------------------------------------
+# The capture → replay smoke tool (CI's differential gate)
+# ---------------------------------------------------------------------------
+
+
+def smoke_tool():
+    """Import ``tools/trace_replay_smoke.py`` as a module."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "tools"
+    spec = importlib.util.spec_from_file_location(
+        "trace_replay_smoke", path / "trace_replay_smoke.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestReplaySmokeTool:
+    ARGS = ["--capture", "sharded", "--replay", "sharded", "process",
+            "--engine", "liu_tarjan"]
+
+    def test_liu_tarjan_capture_exchanges_and_replays(self, capsys):
+        assert smoke_tool().main(["--n", "512", *self.ARGS]) == 0
+        out = capsys.readouterr().out
+        (captured,) = re.findall(r"\((\d+) rounds, (\d+) exchanges\)", out)
+        assert int(captured[1]) > 0
+        (process,) = re.findall(r"on 'process': .* (\d+) dispatches", out)
+        assert int(process) > 0
+
+    def test_exchange_free_capture_fails(self, capsys):
+        """At n = 16 the whole input fits one shard: the exchange check
+        would compare 0 with 0, so the run fails instead of passing."""
+        assert smoke_tool().main(["--n", "16", *self.ARGS]) == 1
+        assert "made no exchange" in capsys.readouterr().err
+
+    def test_undispatched_pool_replay_fails(self, capsys, monkeypatch):
+        """A pool at its default size threshold runs the smoke-scale ops
+        on the serial kernels, which certifies nothing about the pool."""
+        tool = smoke_tool()
+        monkeypatch.setitem(tool.POOLS, "process", lambda: ProcessBackend(workers=2))
+        assert tool.main(["--n", "512", *self.ARGS]) == 1
+        assert "dispatched nothing" in capsys.readouterr().err

@@ -1,7 +1,6 @@
 """Tests for the randomization step (Lemma 5.1)."""
 
 import numpy as np
-import pytest
 
 from repro.core import randomize_components
 from repro.graph import (
@@ -96,24 +95,6 @@ class TestTargetUniformity:
 
 
 class TestModes:
-    def test_layered_mode_matches_interface(self):
-        g = permutation_regular_graph(12, 4, rng=0)
-        result = randomize_components(
-            g, 4, batches=1, batch_half_degree=2, rng=5, walk_mode="layered"
-        )
-        assert result.batch_count == 1
-        assert result.batches[0].shape == (24, 2)
-        truth = connected_components(g)
-        batch = result.batches[0]
-        assert np.all(truth[batch[:, 0]] == truth[batch[:, 1]])
-
-    def test_unknown_mode_rejected(self):
-        g = permutation_regular_graph(12, 4, rng=0)
-        with pytest.raises(ValueError, match="walk_mode"):
-            randomize_components(
-                g, 4, batches=1, batch_half_degree=2, walk_mode="psychic"
-            )
-
     def test_engine_charged(self):
         g = permutation_regular_graph(12, 4, rng=0)
         engine = MPCEngine(1000)

@@ -11,7 +11,6 @@ from repro.graph import (
     cycle_graph,
     empirical_mixing_time,
     mixing_time_bound,
-    min_component_spectral_gap,
     paper_random_graph,
     spectral_gap,
     star_graph,

@@ -5,7 +5,6 @@ import pytest
 
 from repro.graph import (
     Graph,
-    canonical_labels,
     complete_graph,
     component_count,
     components_agree,

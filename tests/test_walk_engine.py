@@ -156,12 +156,6 @@ class TestDirectWalker:
         chi2 = targets.size * np.sum((observed - expected) ** 2 / expected)
         assert chi2 < stats.chi2.ppf(0.999, 4)
 
-    def test_non_lazy_parity(self):
-        g = cycle_graph(8)
-        targets = direct_walk_targets(g, 4, 3, rng=0, lazy=False)
-        displacement = (targets - np.arange(8)[:, None]) % 8
-        assert np.all(displacement % 2 == 0)
-
     def test_columns_are_independent_walks(self):
         """Independence smoke test: correlation between two columns of
         endpoints across repetitions is near zero on a vertex-transitive
@@ -229,15 +223,6 @@ class TestDirectWalkerExactness:
             observed, predicted = observed[:-1], predicted[:-1]
         chi2 = np.sum((observed - predicted) ** 2 / predicted)
         assert chi2 < stats.chi2.ppf(0.999, observed.size - 1)
-
-    @pytest.mark.parametrize("t", [1, 64, 65])
-    def test_plain_walk_moves_every_step(self, t):
-        """``lazy=False`` walks exactly ``t`` steps: on an even cycle the
-        displacement has the parity of ``t`` for every walker."""
-        g = cycle_graph(8)
-        targets = direct_walk_targets(g, t, 50, rng=t, lazy=False)
-        displacement = (targets - np.arange(8)[:, None]) % 8
-        assert np.all(displacement % 2 == t % 2)
 
 
 class TestPopcount:
