@@ -19,14 +19,13 @@ from repro.core.grow import contract_batch
 from repro.core.leader_election import leader_election
 from repro.graph.components import canonical_labels
 from repro.graph.graph import Graph
-from repro.mpc.engine import MPCEngine
+from repro.mpc.engine import MPCEngine, ensure_engine
 from repro.utils.rng import ensure_rng
 
 
 @dataclass(frozen=True)
 class RandomMateResult:
     labels: np.ndarray
-    rounds: int
     iterations: int
     components_per_iteration: "list[int]"
 
@@ -46,6 +45,7 @@ def random_mate_components(
     comparisons against the pipeline are apples-to-apples.
     """
     rng = ensure_rng(rng)
+    engine = ensure_engine(engine)
     n = graph.n
     if max_iterations is None:
         max_iterations = 8 * max(1, int(np.ceil(np.log2(max(n, 2))))) + 16
@@ -54,9 +54,8 @@ def random_mate_components(
     history: "list[int]" = []
     iterations = 0
     while iterations < max_iterations:
-        contracted, _ = contract_batch(labels, edges)
-        if engine is not None:
-            engine.charge_sort(edges.shape[0], label="random-mate contraction")
+        contracted, _ = contract_batch(labels, edges, engine=engine)
+        engine.charge_sort(edges.shape[0], label="random-mate contraction")
         if contracted.shape[0] == 0:
             break
         k = int(labels.max()) + 1
@@ -66,10 +65,8 @@ def random_mate_components(
         iterations += 1
     else:
         raise RuntimeError("random mate did not converge")
-    rounds = engine.rounds if engine is not None else iterations
     return RandomMateResult(
         labels=labels,
-        rounds=rounds,
         iterations=iterations,
         components_per_iteration=history,
     )

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.graph.components import canonical_labels
 from repro.graph.graph import Graph
-from repro.mpc.engine import MPCEngine
+from repro.mpc.engine import MPCEngine, ensure_engine
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,7 @@ def shiloach_vishkin_components(
     max_iterations: "int | None" = None,
 ) -> ShiloachVishkinResult:
     """Connected components via hook-and-shortcut (O(log n) iterations)."""
+    engine = ensure_engine(engine)
     n = graph.n
     if max_iterations is None:
         max_iterations = 8 * max(1, int(np.ceil(np.log2(max(n, 2))))) + 16
@@ -65,9 +66,8 @@ def shiloach_vishkin_components(
         parent = parent[parent]
 
         iterations += 1
-        if engine is not None:
-            engine.charge_shuffle(edges.shape[0], label="SV hook")
-            engine.charge_search(n, label="SV shortcut")
+        engine.charge_shuffle(edges.shape[0], label="SV hook")
+        engine.charge_search(n, label="SV shortcut")
         if np.array_equal(parent, before):
             break
     else:

@@ -25,8 +25,7 @@ import numpy as np
 
 from repro.graph.components import canonical_labels
 from repro.graph.graph import Graph
-from repro.mpc.backends import LocalBackend
-from repro.mpc.engine import MPCEngine
+from repro.mpc.engine import MPCEngine, ensure_engine
 from repro.mpc.plan import PlanBuilder
 from repro.utils.validation import check_positive_int
 
@@ -66,10 +65,10 @@ def broadcast_components(
     Every level folds each vertex's minimum over its adjacency run in
     the frozen CSR arrays of one :class:`~repro.graph.graph.Graph`, as
     one ``csr_min_label`` plan on ``engine`` (a recorded round on its
-    data plane) or, without one, on a
-    :class:`~repro.mpc.backends.LocalBackend`.
+    data plane).
     """
     n = check_positive_int(n, "n")
+    engine = ensure_engine(engine)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if max_rounds is None:
         max_rounds = n
@@ -87,8 +86,7 @@ def broadcast_components(
     # contract (one shared-memory upload for the whole broadcast) and the
     # wire digest cache (shipped once per worker).
     graph = Graph(n, edges)
-    if engine is not None:
-        engine.backend.note_csr_build()
+    engine.backend.note_csr_build()
     indptr, heads, half = graph.indptr, graph.heads, graph.halfedges
     owner = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
     # Incidence position of each CSR slot in the edge-list orientation
@@ -99,7 +97,6 @@ def broadcast_components(
     pos = np.where(half & 1, half >> 1, m + (half >> 1))
     runs = graph.degrees > 0
     starts = indptr[:-1][runs]
-    runner = engine if engine is not None else LocalBackend()
 
     rounds = 0
     while rounds < max_rounds:
@@ -107,13 +104,12 @@ def broadcast_components(
             break
         builder = PlanBuilder("broadcast-level")
         outs = builder.csr_min_label(labels, indptr, heads)
-        new_labels, incoming = runner.run_plan(builder.build(outs))
+        new_labels, incoming = engine.run_plan(builder.build(outs))
         improved = new_labels < labels
         if not improved.any():
             break
         rounds += 1
-        if engine is not None:
-            engine.charge_shuffle(m, label="broadcast level")
+        engine.charge_shuffle(m, label="broadcast level")
         # Record a delivering edge for every improved vertex: an incidence
         # whose incoming label equals the new minimum.  The final recording
         # (the wave from the component minimum) forms the BFS tree.

@@ -118,12 +118,6 @@ class PipelineConfig:
         """Per-phase growth factors ``Δ_i = growth^{2^{i-1}}`` (Eq. 3)."""
         return [self.growth ** (2 ** (i - 1)) for i in range(1, self.phase_count(n) + 1)]
 
-    def walk_count(self, n: int) -> int:
-        """Walk targets needed per vertex: ``F`` batches of
-        ``batch_half_degree`` each (paper: ``50 log n`` per Lemma 5.1
-        invocation, repeated ``F·Δ·s/(100 log n)`` times — same product)."""
-        return self.phase_count(n) * self.batch_half_degree
-
     @property
     def effective_gap_retention(self) -> float:
         """``gap_retention`` or the degree-aware default ``0.8/(d+1)``."""

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.leader_election import leader_election
-from repro.mpc.backends import LocalBackend
-from repro.mpc.engine import MPCEngine
+from repro.mpc.engine import MPCEngine, ensure_engine
 from repro.mpc.plan import PlanBuilder
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive_int
@@ -97,19 +96,18 @@ def contract_batch(
     batch edge realising it (the certificate used for spanning trees).
 
     The round is recorded by :func:`contract_plan` and submitted once,
-    on ``engine`` (the plan lands in its trace) or, without one, on a
-    :class:`~repro.mpc.backends.LocalBackend`: the endpoint relabelling
+    on ``engine`` (the plan lands in its trace): the endpoint relabelling
     runs as one backend search and the dedup as one reduce-by-key (min
     edge index per component pair), so a sharded backend enforces its
     caps and counts the communication, and the process backend fuses the
     pair into a single dispatch barrier.
     """
+    engine = ensure_engine(engine)
     labels = np.asarray(labels, dtype=np.int64)
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 2)
     if batch.shape[0] == 0:
         return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
-    runner = engine if engine is not None else LocalBackend()
-    return runner.run_plan(contract_plan(labels, batch))
+    return engine.run_plan(contract_plan(labels, batch))
 
 
 def grow_components(
@@ -126,9 +124,8 @@ def grow_components(
     MPC cost per phase (Claim 6.6): one sort for the contraction/dedup, the
     two ``LeaderElection`` shuffles, and one search to re-label — all
     ``O(1/δ)`` rounds.  Each phase's contraction and relabelling run as
-    plans on ``engine``, or on a
-    :class:`~repro.mpc.backends.LocalBackend` without one.  The leader
-    probability is ``1/Δ_i``, floored at :data:`LEADER_FLOOR`.
+    plans on ``engine``.  The leader probability is ``1/Δ_i``, floored
+    at :data:`LEADER_FLOOR`.
     """
     n = check_positive_int(n, "n")
     if len(batches) != len(growth_schedule):
@@ -137,7 +134,7 @@ def grow_components(
             f"{len(growth_schedule)} targets"
         )
     rng = ensure_rng(rng)
-    runner = engine if engine is not None else LocalBackend()
+    engine = ensure_engine(engine)
 
     labels = np.arange(n, dtype=np.int64)
     tree_parts: "list[np.ndarray]" = []
@@ -150,8 +147,7 @@ def grow_components(
         # Work first, charge second: the charge absorbs the backend
         # exchanges the contraction just materialised.
         edges, representative = contract_batch(labels, batch, engine=engine)
-        if engine is not None:
-            engine.charge_sort(batch.shape[0], label=f"contract phase {phase_index}")
+        engine.charge_sort(batch.shape[0], label=f"contract phase {phase_index}")
         k = components_before
         degrees = np.zeros(k, dtype=np.int64)
         if edges.shape[0]:
@@ -170,9 +166,8 @@ def grow_components(
         builder = PlanBuilder("relabel")
         raw = builder.search(groups, labels)
         out = builder.transform("canonical_labels", raw)
-        (new_labels,) = runner.run_plan(builder.build(out))
-        if engine is not None:
-            engine.charge_search(n, label=f"relabel phase {phase_index}")
+        (new_labels,) = engine.run_plan(builder.build(out))
+        engine.charge_search(n, label=f"relabel phase {phase_index}")
 
         sizes = np.bincount(new_labels)
         telemetry.append(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.mpc.engine import MPCEngine
+from repro.mpc.engine import MPCEngine, ensure_engine
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_nonnegative_int, check_probability
 
@@ -82,6 +82,7 @@ def leader_election(
     leader_prob = check_probability(leader_prob, "leader_prob")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     rng = ensure_rng(rng)
+    engine = ensure_engine(engine)
 
     is_leader = rng.random(n) < leader_prob
     leader_of = np.full(n, -1, dtype=np.int64)
@@ -109,10 +110,9 @@ def leader_election(
             leader_of[src[winners]] = dst[winners]
             chosen_edge[src[winners]] = eid[winners]
 
-    if engine is not None:
-        with engine.phase("LeaderElection"):
-            engine.charge_shuffle(edges.shape[0], label="broadcast leader flags")
-            engine.charge_shuffle(edges.shape[0], label="choose leaders")
+    with engine.phase("LeaderElection"):
+        engine.charge_shuffle(edges.shape[0], label="broadcast leader flags")
+        engine.charge_shuffle(edges.shape[0], label="choose leaders")
 
     return LeaderElectionResult(
         is_leader=is_leader, leader_of=leader_of, chosen_edge=chosen_edge

@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.bfs_tree import broadcast_components
 from repro.core.grow import GrowResult, contract_batch, grow_components
 from repro.graph.components import canonical_labels
-from repro.mpc.engine import MPCEngine
+from repro.mpc.engine import MPCEngine, ensure_engine
 from repro.utils.rng import ensure_rng
 
 
@@ -60,14 +60,10 @@ def random_graph_components(
     the behaviour Corollary 7.1's growability check detects.
     """
     rng = ensure_rng(rng)
+    engine = ensure_engine(engine)
 
-    if engine is not None:
-        with engine.phase("GrowComponents"):
-            grow = grow_components(
-                n, batches, growth_schedule, rng, engine=engine
-            )
-    else:
-        grow = grow_components(n, batches, growth_schedule, rng)
+    with engine.phase("GrowComponents"):
+        grow = grow_components(n, batches, growth_schedule, rng, engine=engine)
 
     # Final contraction graph over the union of all batches.
     union = (
@@ -77,15 +73,12 @@ def random_graph_components(
     )
     edges, representative = contract_batch(grow.labels, union, engine=engine)
     k = int(grow.labels.max()) + 1 if grow.labels.size else 0
+    engine.charge_sort(union.shape[0], label="final contraction")
 
-    if engine is not None:
-        engine.charge_sort(union.shape[0], label="final contraction")
-        with engine.phase("Broadcast"):
-            result = broadcast_components(
-                max(k, 1), edges, engine=engine, stop_after=broadcast_budget
-            )
-    else:
-        result = broadcast_components(max(k, 1), edges, stop_after=broadcast_budget)
+    with engine.phase("Broadcast"):
+        result = broadcast_components(
+            max(k, 1), edges, engine=engine, stop_after=broadcast_budget
+        )
 
     final_labels = canonical_labels(result.labels[grow.labels])
 

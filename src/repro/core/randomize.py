@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.walk_engine import direct_walk_targets
 from repro.graph.graph import Graph
-from repro.mpc.engine import MPCEngine
+from repro.mpc.engine import MPCEngine, ensure_engine
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive_int
 
@@ -95,6 +95,7 @@ def randomize_components(
     batches = check_positive_int(batches, "batches")
     batch_half_degree = check_positive_int(batch_half_degree, "batch_half_degree")
     rng = ensure_rng(rng)
+    engine = ensure_engine(engine)
     n = regular_graph.n
     total_walks = batches * batch_half_degree
 
@@ -108,7 +109,6 @@ def randomize_components(
         cols = targets[:, b * batch_half_degree : (b + 1) * batch_half_degree]
         batch_arrays.append(np.stack([sources, cols.ravel()], axis=1))
 
-    if engine is not None:
-        engine.charge_shuffle(n * total_walks, label="materialize H edges")
+    engine.charge_shuffle(n * total_walks, label="materialize H edges")
 
     return RandomizedGraph(n=n, batches=batch_arrays, walk_length=walk_length)

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.graph.components import canonical_labels
 from repro.graph.graph import Graph
-from repro.mpc.engine import MPCEngine
+from repro.mpc.engine import MPCEngine, ensure_engine
 from repro.products.expanders import regular_graph_construction
 from repro.products.replacement import ReplacementProduct, replacement_product
 from repro.utils.rng import ensure_rng
@@ -82,6 +82,7 @@ def regularize(
     wiring (Lemma 4.6), both ``O(1/δ)`` rounds, charged on ``engine``.
     """
     rng = ensure_rng(rng)
+    engine = ensure_engine(engine)
     degrees = np.asarray(graph.degrees)
     isolated = np.flatnonzero(degrees == 0)
     core = np.flatnonzero(degrees > 0)

@@ -40,8 +40,7 @@ from repro.core.layered import (
     sample_layered_graph,
 )
 from repro.graph.graph import Graph
-from repro.mpc.backends import LocalBackend
-from repro.mpc.engine import MPCEngine
+from repro.mpc.engine import MPCEngine, ensure_engine
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive_int
 
@@ -103,7 +102,14 @@ def simple_random_walk(
     (Theorem 3): ``O(log t)`` doubling iterations, each a parallel search
     over the ``O(n t²)`` layered vertices, plus the marking pass.
     """
-    rng = ensure_rng(rng)
+    engine = ensure_engine(engine)
+    run = _walk_run(graph, t, ensure_rng(rng))
+    _charge_simple_random_walk(engine, graph.n, run.t)
+    return run
+
+
+def _walk_run(graph: Graph, t: int, rng: np.random.Generator) -> WalkRun:
+    """One uncharged ``SimpleRandomWalk`` + ``DetectIndependence`` run."""
     t = next_power_of_two(t)
     sampled = sample_layered_graph(graph, t, rng)
     jumps = build_jump_tables(sampled)
@@ -112,9 +118,6 @@ def simple_random_walk(
     endpoints = paths[:, -1]
     targets = sampled.base_vertex(endpoints)
     independent = detect_independence(paths)
-
-    if engine is not None:
-        _charge_simple_random_walk(engine, graph.n, t)
     return WalkRun(targets=targets, independent=independent, t=t)
 
 
@@ -162,25 +165,27 @@ def independent_random_walks(
     (probability ``2^{-max_runs}`` per vertex by Lemma 5.3).
     """
     rng = ensure_rng(rng)
+    engine = ensure_engine(engine)
     targets = np.full(graph.n, -1, dtype=np.int64)
     pending = np.ones(graph.n, dtype=bool)
     runs = 0
-    charged_engine = engine
+    layered_size = 0
     while pending.any():
         if runs >= max_runs:
             raise RuntimeError(
                 f"{int(pending.sum())} vertices lack independent walks "
                 f"after {max_runs} runs (Lemma 5.3 gives p>=1/2 per run)"
             )
-        run = simple_random_walk(graph, t, rng, engine=charged_engine)
-        charged_engine = None  # parallel runs: rounds charged once
+        run = _walk_run(graph, t, rng)
+        if runs == 0:
+            # Parallel runs: rounds charged once, after the first.
+            layered_size = _charge_simple_random_walk(engine, graph.n, run.t)
         adopt = pending & run.independent
         targets[adopt] = run.targets[adopt]
         pending &= ~run.independent
         runs += 1
-    if engine is not None:
-        # Data volume scales with the number of parallel repetitions.
-        engine.note_data_volume(graph.n * (2 * t) * (t + 1) * runs)
+    # Data volume scales with the number of parallel repetitions.
+    engine.note_data_volume(layered_size * runs)
     return targets
 
 
@@ -213,11 +218,12 @@ def direct_walk_targets(
     stream ``SeedSequence(root, spawn_key=(column,))``, where ``root`` is
     drawn once from ``rng``.  The columns run as the backend's ``walk``
     op (:meth:`~repro.mpc.backends.ExecutionBackend.walk`, on the
-    engine's backend, or in-process without an engine), which the pools
-    split across workers by column; a seed gives bit-identical endpoints
-    on every backend and every worker count.  The empty graph gives an
-    empty ``(0, walks_per_vertex)`` array.
+    engine's backend), which the pools split across workers by column; a
+    seed gives bit-identical endpoints on every backend and every worker
+    count.  The empty graph gives an empty ``(0, walks_per_vertex)``
+    array.
     """
+    engine = ensure_engine(engine)
     t = check_positive_int(t, "t")
     walks_per_vertex = check_positive_int(walks_per_vertex, "walks_per_vertex")
     if not graph.is_regular():
@@ -231,11 +237,8 @@ def direct_walk_targets(
     rng = ensure_rng(rng)
 
     root = int.from_bytes(rng.bytes(16), "little")
-    backend = engine.backend if engine is not None else LocalBackend()
-    targets = backend.walk(graph.heads, degree, t, walks_per_vertex, root)
+    targets = engine.backend.walk(graph.heads, degree, t, walks_per_vertex, root)
 
-    if engine is not None:
-        layered_size = _charge_simple_random_walk(engine, n, next_power_of_two(t))
-        engine.note_data_volume(layered_size * walks_per_vertex)
-
+    layered_size = _charge_simple_random_walk(engine, n, next_power_of_two(t))
+    engine.note_data_volume(layered_size * walks_per_vertex)
     return targets.T

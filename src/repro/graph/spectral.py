@@ -78,7 +78,13 @@ def spectral_gap(graph: Graph) -> float:
         spectrum = laplacian_spectrum(graph)
         return float(max(spectrum[1], 0.0))
     norm_adj = normalized_adjacency(graph)
-    vals = spla.eigsh(norm_adj, k=2, which="LA", return_eigenvectors=False, tol=1e-8)
+    # A fixed start vector makes the gap a function of the graph alone
+    # (ARPACK's default start is random).  Not all-ones: that is the top
+    # eigenvector of a regular graph's N, where the Krylov space collapses.
+    v0 = np.random.default_rng(0).random(graph.n)
+    vals = spla.eigsh(
+        norm_adj, k=2, which="LA", return_eigenvectors=False, tol=1e-8, v0=v0
+    )
     mu2 = float(np.min(vals))
     return max(1.0 - mu2, 0.0)
 

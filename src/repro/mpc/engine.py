@@ -330,3 +330,16 @@ class MPCEngine:
             f"MPCEngine(s={self.machine_memory}, rounds={self.rounds}, "
             f"machines={self.peak_machines})"
         )
+
+
+def ensure_engine(engine: "MPCEngine | None" = None) -> MPCEngine:
+    """Return ``engine``, or a throwaway engine for a bare stage call.
+
+    The stages' twin of :func:`repro.utils.rng.ensure_rng`: each stage
+    calls it once at entry and passes the result down, so every plan,
+    phase and charge runs on one path whatever the caller passed.  The
+    throwaway runs on a :class:`~repro.mpc.backends.LocalBackend` whose
+    one machine holds any input (every charge costs one round); nobody
+    reads its counters.
+    """
+    return engine if engine is not None else MPCEngine(2**62)

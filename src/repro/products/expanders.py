@@ -27,7 +27,7 @@ from repro.graph.components import component_count
 from repro.graph.generators import permutation_regular_graph
 from repro.graph.graph import Graph
 from repro.graph.spectral import spectral_gap
-from repro.mpc.engine import MPCEngine
+from repro.mpc.engine import MPCEngine, ensure_engine
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive_int
 
@@ -127,27 +127,27 @@ def regular_graph_construction(
     (Lemma 4.5): sizes up to the machine memory are built locally in O(1)
     rounds (packed many-per-machine); larger ones via the parallel
     sort-based permutation sampler in ``O(1/δ)`` rounds — charged on
-    ``engine`` when provided.
+    ``engine``.
     """
     rng = ensure_rng(rng)
+    engine = ensure_engine(engine)
     distinct = sorted({check_positive_int(s, "size") for s in sizes})
     total_work = sum(distinct) * d
 
-    if engine is not None:
-        with engine.phase("RegularGraphConstruction"):
-            small = [s for s in distinct if s * d <= engine.machine_memory]
-            large = [s for s in distinct if s * d > engine.machine_memory]
-            if small:
-                # Step 1: local construction, one shuffle to place them.
-                engine.charge_shuffle(sum(small) * d, label="pack small expanders")
-            if large:
-                # Step 2: all large expanders are built by ONE parallel
-                # sort over the union of their permutation keys (keys are
-                # tagged by (size, permutation index), Lemma 4.5).
-                large_work = sum(large) * d
-                engine.charge_shuffle(large_work, label="sample permutation keys")
-                engine.charge_sort(large_work, label="sort permutation keys")
-            engine.note_data_volume(total_work)
+    with engine.phase("RegularGraphConstruction"):
+        small = [s for s in distinct if s * d <= engine.machine_memory]
+        large = [s for s in distinct if s * d > engine.machine_memory]
+        if small:
+            # Step 1: local construction, one shuffle to place them.
+            engine.charge_shuffle(sum(small) * d, label="pack small expanders")
+        if large:
+            # Step 2: all large expanders are built by ONE parallel
+            # sort over the union of their permutation keys (keys are
+            # tagged by (size, permutation index), Lemma 4.5).
+            large_work = sum(large) * d
+            engine.charge_shuffle(large_work, label="sample permutation keys")
+            engine.charge_sort(large_work, label="sort permutation keys")
+        engine.note_data_volume(total_work)
 
     return {
         s: build_expander(s, d, gap_threshold=gap_threshold, rng=rng)[0]

@@ -10,8 +10,8 @@ vertices, its components correspond 1-1 to those of ``G``, and by
 Proposition 4.2 its spectral gap is ``Ω(d⁻¹ λ₂(G) λ_H²)``.
 
 The construction is fully vectorised over the port (rotation) maps exposed
-by :class:`repro.graph.Graph` and charges the ``O(1/δ)`` MPC rounds of
-Lemma 4.6 when given an engine.
+by :class:`repro.graph.Graph` and charges the engine the ``O(1/δ)`` MPC
+rounds of Lemma 4.6.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.mpc.engine import MPCEngine
+from repro.mpc.engine import MPCEngine, ensure_engine
 from repro.utils.validation import check_positive_int
 
 
@@ -83,6 +83,7 @@ def replacement_product(
         (from :func:`repro.products.expanders.regular_graph_construction`);
         ``clouds[k]`` must have exactly ``k`` vertices.
     """
+    engine = ensure_engine(engine)
     if base.n == 0:
         raise ValueError("replacement product of an empty graph")
     degrees = np.asarray(base.degrees)
@@ -152,14 +153,13 @@ def replacement_product(
     )
     product = Graph(total, edges)
 
-    if engine is not None:
-        with engine.phase("ReplacementProduct"):
-            # Lemma 4.6: annotate each base edge with both endpoints' cloud
-            # offsets (a parallel search), then one shuffle to materialise
-            # the product edges next to their clouds.
-            engine.charge_search(2 * base.m, label="annotate ports")
-            engine.charge_shuffle(2 * base.m + edges.shape[0], label="emit product edges")
-            engine.note_data_volume(edges.shape[0] + total)
+    with engine.phase("ReplacementProduct"):
+        # Lemma 4.6: annotate each base edge with both endpoints' cloud
+        # offsets (a parallel search), then one shuffle to materialise
+        # the product edges next to their clouds.
+        engine.charge_search(2 * base.m, label="annotate ports")
+        engine.charge_shuffle(2 * base.m + edges.shape[0], label="emit product edges")
+        engine.note_data_volume(edges.shape[0] + total)
 
     return ReplacementProduct(
         graph=product,

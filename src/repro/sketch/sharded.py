@@ -15,8 +15,8 @@ knows the ingest was parallel.
 
 Where the partials live is the backend's business:
 
-* no backend / ``local`` / ``sharded`` — plain numpy arrays, updated by
-  the vectorized per-shard kernel in-process;
+* ``local`` (the default) / ``sharded`` — plain numpy arrays, updated
+  by the vectorized per-shard kernel in-process;
 * ``process`` — pinned :class:`~repro.mpc.arena.ShmArena` segments from
   the persistent arena; workers attach once and scatter in place, so
   the parent never copies a partial;
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.mpc.backends import LocalBackend
 from repro.sketch.agm import (
     AGMSketch,
     _checked_batch,
@@ -199,16 +200,15 @@ class ShardedAGMSketch:
 
     Drop-in ingest replacement for :class:`~repro.sketch.agm.AGMSketch`:
     ``update_edges`` routes batches through the owning backend's
-    ``sketch_update`` seam (or the in-process kernel without a backend),
-    and :meth:`merge` lays the partials end to end as one
-    :class:`AGMSketch` — bit-identical to one fed the same stream — for
-    unchanged decoding.  Created with the same seed, ``empty`` draws the
+    ``sketch_update`` seam, and :meth:`merge` lays the partials end to
+    end as one :class:`AGMSketch` — bit-identical to one fed the same
+    stream — for unchanged decoding.  Created with the same seed, ``empty`` draws the
     exact randomness ``AGMSketch.empty`` would (the
     :class:`~repro.sketch.agm.RoundSpec` contract), which is what makes
     the bit-identity testable.
     """
 
-    def __init__(self, n, specs, store, ranges, *, backend=None, stats=None):
+    def __init__(self, n, specs, store, ranges, *, backend, stats=None):
         self.n = n
         self.backend = backend
         self.stats = stats if stats is not None else SketchStats()
@@ -236,12 +236,16 @@ class ShardedAGMSketch:
     ) -> "ShardedAGMSketch":
         """A zero sharded sketch over ``shards`` contiguous owner ranges.
 
-        ``shards=None`` defaults to the backend's worker count (1 without
-        a backend).  Partial placement follows the backend: plain arrays
-        in-process, persistent-arena shm segments on the process backend,
+        ``backend=None`` ingests on a fresh
+        :class:`~repro.mpc.backends.LocalBackend`.  ``shards=None``
+        defaults to the backend's worker count (1 without workers).
+        Partial placement follows the backend: plain arrays in-process,
+        persistent-arena shm segments on the process backend,
         worker-resident state on the rpc backend.  ``stats`` lets a
         caller accumulate counters across rebuilds.
         """
+        if backend is None:
+            backend = LocalBackend()
         specs, params = _draw_layout(
             n, rng, boruvka_rounds=boruvka_rounds, sparsity=sparsity, rows=rows
         )
@@ -262,12 +266,12 @@ class ShardedAGMSketch:
         kind = "memory"
         token = None
         residency = None
-        if backend is not None and getattr(backend, "name", "") == "rpc":
+        if getattr(backend, "name", "") == "rpc":
             kind = "resident"
             token = f"sketch{next(_TOKENS)}"
             residency = backend.sketch_residency()
             partials = [SketchPartial(vlo, vhi, None) for vlo, vhi in ranges]
-        elif backend is not None and hasattr(backend, "persistent_lease"):
+        elif hasattr(backend, "persistent_lease"):
             kind = "arena"
             for vlo, vhi in ranges:
                 lease = backend.persistent_lease(
@@ -318,10 +322,7 @@ class ShardedAGMSketch:
         batch = _checked_batch(edges, weights, self.n)
         if batch is None:
             return
-        if self.backend is None:
-            self._store.apply_serial(*batch)
-        else:
-            self.backend.sketch_update(self._store, *batch)
+        self.backend.sketch_update(self._store, *batch)
         self.stats.shard_updates += self.shard_count
 
     def merge(self) -> AGMSketch:
@@ -337,10 +338,7 @@ class ShardedAGMSketch:
         once the sketch is closed.
         """
         self._check_open()
-        if self.backend is None:
-            parts = self._store.local_partial_data()
-        else:
-            parts = self.backend.sketch_collect(self._store)
+        parts = self.backend.sketch_collect(self._store)
         if len(parts) == 1 and self._store.kind == "memory":
             block = parts[0].view()
         else:
@@ -362,8 +360,5 @@ class ShardedAGMSketch:
         """Release backend-held partial state (arena leases, worker
         residency); idempotent.  Later updates and merges raise."""
         self._closed = True
-        if self.backend is not None:
-            release = getattr(self.backend, "sketch_release", None)
-            if release is not None:
-                release(self._store)
+        self.backend.sketch_release(self._store)
         self._store.close()

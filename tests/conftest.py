@@ -18,15 +18,15 @@ from repro.graph.components import canonical_labels
 from repro.mpc.plan import PlanBuilder
 
 
-def sort_layout_broadcast(n, edges, *, engine=None, max_rounds=None,
+def sort_layout_broadcast(n, edges, *, engine, max_rounds=None,
                           stop_after=None):
     """Reference for :func:`repro.core.bfs_tree.broadcast_components`.
 
-    Same signature and result, but no CSR index: every level scatters
-    each edge copy's sending-endpoint label to its receiving endpoint
-    over the two orientation arrays — one ``min_label_exchange`` plan
-    step with an engine, ``np.minimum.at`` without one — and an improved
-    vertex records its largest delivering orientation position.
+    Same result, but no CSR index: every level scatters each edge copy's
+    sending-endpoint label to its receiving endpoint over the two
+    orientation arrays — one ``min_label_exchange`` plan step on
+    ``engine`` — and an improved vertex records its largest delivering
+    orientation position.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if max_rounds is None:
@@ -50,20 +50,14 @@ def sort_layout_broadcast(n, edges, *, engine=None, max_rounds=None,
     while rounds < max_rounds:
         if stop_after is not None and rounds >= stop_after:
             break
-        if engine is not None:
-            builder = PlanBuilder("broadcast-level")
-            outs = builder.min_label_exchange(labels, send, recv)
-            new_labels, incoming = engine.run_plan(builder.build(outs))
-        else:
-            incoming = labels[send]
-            new_labels = labels.copy()
-            np.minimum.at(new_labels, recv, incoming)
+        builder = PlanBuilder("broadcast-level")
+        outs = builder.min_label_exchange(labels, send, recv)
+        new_labels, incoming = engine.run_plan(builder.build(outs))
         improved = new_labels < labels
         if not improved.any():
             break
         rounds += 1
-        if engine is not None:
-            engine.charge_shuffle(m, label="broadcast level")
+        engine.charge_shuffle(m, label="broadcast level")
         delivering = np.flatnonzero(incoming == new_labels[recv])
         targets = recv[delivering]
         hit = improved[targets]

@@ -1,9 +1,15 @@
 """Tests for the baseline connectivity algorithms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.baselines import random_mate_components, shiloach_vishkin_components
+from repro.baselines import (
+    RandomMateResult,
+    random_mate_components,
+    shiloach_vishkin_components,
+)
 from repro.graph import (
     Graph,
     community_graph,
@@ -15,7 +21,7 @@ from repro.graph import (
     permutation_regular_graph,
     star_graph,
 )
-from repro.mpc import MPCEngine
+from repro.mpc import MPCEngine, PlanTrace, ShardedBackend
 
 ALL_BASELINES = [
     ("random-mate", lambda g, rng: random_mate_components(g, rng=rng).labels),
@@ -82,3 +88,20 @@ class TestRoundScaling:
             engine = MPCEngine(64)
             runner(engine)
             assert engine.rounds > 0
+
+    def test_random_mate_contracts_on_its_engine(self):
+        """Every contraction runs as a plan on the caller's engine: a
+        sharded engine traces it and counts its exchanges, and the
+        rounds and iterations are those of the charges alone."""
+        trace = PlanTrace()
+        engine = MPCEngine(16, backend=ShardedBackend(), trace=trace)
+        result = random_mate_components(cycle_graph(64), rng=0, engine=engine)
+        assert len(trace) > 0
+        assert engine.backend.stats().op_counts["reduce_by_key"] == len(trace)
+        assert engine.backend.exchanges > 0
+        assert (engine.rounds, result.iterations) == (30, 7)
+
+    def test_random_mate_result_has_no_rounds(self):
+        """Rounds are read off the engine, not the result."""
+        names = {field.name for field in dataclasses.fields(RandomMateResult)}
+        assert "rounds" not in names

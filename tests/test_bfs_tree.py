@@ -115,8 +115,9 @@ class TestEngineIndependence:
     @given(graph=multigraphs(),
            stop_after=st.one_of(st.none(), st.integers(0, 3)))
     def test_same_result_without_and_with_an_engine(self, graph, stop_after):
-        """The in-process loop and the engine's ``csr_min_label`` plans
-        give the same labels, rounds and tree, on any data plane."""
+        """A bare call (on a throwaway local engine) and a caller's
+        engine give the same labels, rounds and tree, on any data
+        plane."""
         n, edges = graph
         bare = broadcast_components(n, edges, stop_after=stop_after)
         for backend in (LocalBackend(), ShardedBackend()):

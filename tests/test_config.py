@@ -60,14 +60,14 @@ class TestSchedules:
         size_after = config.growth ** (2**f - 1)
         assert size_after >= n ** config.target_size_exponent or f == config.max_phases
 
-    def test_walk_count(self):
-        config = PipelineConfig()
-        n = 10_000
-        assert config.walk_count(n) == config.phase_count(n) * config.batch_half_degree
-
     def test_batch_half_degree(self):
         config = PipelineConfig(growth=4, oversample=8)
         assert config.batch_half_degree == 16
+
+    def test_no_walk_count(self):
+        """``randomize_components`` derives its walk count from
+        ``batches · batch_half_degree``; the config carries no copy."""
+        assert not hasattr(PipelineConfig(), "walk_count")
 
 
 class TestWalkLength:

@@ -78,6 +78,14 @@ class TestSpectralGap:
         dense_spec = laplacian_spectrum(g)
         assert sparse_gap == pytest.approx(float(dense_spec[1]), abs=1e-5)
 
+    def test_sparse_path_is_repeatable(self):
+        """The Lanczos path starts from a fixed vector, so the gap is a
+        function of the graph alone: repeated calls are bit-identical."""
+        g = permutation_regular_graph(700, 8, rng=0)
+        gaps = [spectral_gap(g) for _ in range(3)]
+        assert gaps[0] == gaps[1] == gaps[2]
+        assert abs(gaps[0] - float(laplacian_spectrum(g)[1])) < 1e-9
+
     def test_gap_shrinks_with_weaker_bridge(self):
         strong = dumbbell_graph(40, 8, bridges=20, rng=0)
         weak = dumbbell_graph(40, 8, bridges=1, rng=0)

@@ -129,6 +129,17 @@ class TestIndependentRandomWalks:
         simple_random_walk(g, 8, rng=1, engine=single)
         assert engine.rounds == single.rounds
 
+    def test_data_volume_counts_the_rounded_length(self):
+        """Every run builds the layered graph of ``t`` rounded up to a
+        power of two, so t = 5 notes the volume t = 8 does."""
+        g = permutation_regular_graph(64, 4, rng=0)
+        volumes = []
+        for t in (5, 8):
+            engine = MPCEngine(2**20)
+            independent_random_walks(g, t, rng=0, engine=engine)
+            volumes.append(engine.peak_items)
+        assert volumes[0] == volumes[1] > 64 * 16 * 9
+
     def test_max_runs_exceeded_raises(self):
         g = complete_graph(4)
         with pytest.raises(RuntimeError, match="independent walks"):
