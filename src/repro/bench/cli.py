@@ -23,7 +23,7 @@ from repro.bench.report import (
     render_case,
     write_case_json,
 )
-from repro.bench.runner import run_case
+from repro.bench.runner import BenchCheckError, run_case
 from repro.engines import engine_names
 from repro.mpc.backends import backend_names
 
@@ -170,7 +170,11 @@ def main(argv: "list[str] | None" = None) -> int:
         except Exception as exc:  # noqa: BLE001 - report every failing case
             failures.append((spec.name, exc))
             traceback.print_exc()
-            continue
+            if not isinstance(exc, BenchCheckError):
+                continue
+            # A failed check still writes what the case measured, marked
+            # ``ok: false``, so the counter compare diffs it.
+            result = exc.result
         print(render_case(result))
         if not args.no_json:
             path = write_case_json(result, args.json_dir)

@@ -234,10 +234,17 @@ def compare_cases(
     ``iterations``, ``exchanges``, ``bytes_exchanged``, ``shard_count``,
     ``shard_load``, ``segments``, ``barriers``, ``frames``,
     ``wire_bytes``, ``words`` — are compared exactly; any increase is a
-    regression and clears ``ok``.  Wall-clock drifts with the host, so the
-    per-case ``total_seconds`` is only *flagged* (beyond ``time_tolerance``
-    fractional slowdown) — informational, never a gate: two artifacts from
-    different machines must not fail on speed alone.
+    regression and clears ``ok``.  So does a record key of ``old`` that
+    ``new`` dropped (``removed_keys``: its counters left the gate), and a
+    failed shape check in either artifact (``failed_checks``, each
+    tagged with its ``side``: the case stopped there, so records past it
+    are missing, but the counters it recorded are still diffed; a
+    baseline written by a failed run must not shrink the gate).
+    Wall-clock
+    drifts with the host, so the per-case ``total_seconds`` is only
+    *flagged* (beyond ``time_tolerance`` fractional slowdown) —
+    informational, never a gate: two artifacts from different machines
+    must not fail on speed alone.
     """
     validate_case_json(old)
     validate_case_json(new)
@@ -267,6 +274,13 @@ def compare_cases(
 
     old_t, new_t = old["total_seconds"], new["total_seconds"]
     slower = old_t > 0 and (new_t - old_t) / old_t > time_tolerance
+    removed = sorted(old_records.keys() - new_records.keys())
+    failed_checks = [
+        {**check, "side": side}
+        for side, case in (("old", old), ("new", new))
+        for check in case["checks"]
+        if not check["ok"]
+    ]
 
     return {
         "name": old["name"],
@@ -276,9 +290,10 @@ def compare_cases(
         "improvements": improvements,
         "unchanged": len(unchanged),
         "added_keys": sorted(new_records.keys() - old_records.keys()),
-        "removed_keys": sorted(old_records.keys() - new_records.keys()),
+        "removed_keys": removed,
+        "failed_checks": failed_checks,
         "total_seconds": {"old": old_t, "new": new_t, "flagged_slower": slower},
-        "ok": not regressions,
+        "ok": not (regressions or removed or failed_checks),
     }
 
 
@@ -301,6 +316,12 @@ def format_comparison(diff: dict) -> str:
         f"[{diff['name']}] {diff['old_sha'][:12]} -> {diff['new_sha'][:12]}: "
         + ("OK" if diff["ok"] else "REGRESSED")
     ]
+    for check in diff["failed_checks"]:
+        lines.append(
+            f"  FAILED CHECK {check['name']}"
+            + (" in the old artifact" if check["side"] == "old" else "")
+            + (f": {check['detail']}" if check.get("detail") else "")
+        )
     for entry in diff["regressions"]:
         lines.append(
             f"  REGRESSION {entry['key']}.{entry['field']}: "
@@ -319,5 +340,7 @@ def format_comparison(diff: dict) -> str:
     if diff["added_keys"]:
         lines.append(f"  new records: {', '.join(diff['added_keys'])}")
     if diff["removed_keys"]:
-        lines.append(f"  dropped records: {', '.join(diff['removed_keys'])}")
+        lines.append(
+            f"  REGRESSION dropped records: {', '.join(diff['removed_keys'])}"
+        )
     return "\n".join(lines)

@@ -25,7 +25,14 @@ DEFAULT_TIMING = {"smoke": (1, 3), "full": (0, 1)}
 
 
 class BenchCheckError(AssertionError):
-    """A paper-shape check failed during a benchmark run."""
+    """A paper-shape check failed during a benchmark run.
+
+    ``result`` is the :class:`CaseResult` collected up to the failed
+    check (its last check has ``ok: false``) when :func:`run_case`
+    raised it, so the CLI can still write the case's artifact.
+    """
+
+    result: "CaseResult | None" = None
 
 
 @dataclass
@@ -252,6 +259,9 @@ def run_case(
 
     Raises
     ------
+    BenchCheckError
+        A shape check failed; its ``result`` holds what the case
+        collected up to that check.
     KeyError
         ``name`` is not a registered benchmark.
     ValueError
@@ -271,26 +281,33 @@ def run_case(
         sketch_shards=sketch_shards,
     )
     start = time.perf_counter()
-    # Scope the --workers override so every backend the experiment
-    # constructs by name (including inside the pipeline) honours it.
-    with default_workers(ctx.workers):
-        spec.func(ctx)
-    total = time.perf_counter() - start
-    return CaseResult(
-        name=spec.name,
-        title=spec.title,
-        suite=suite,
-        seed=ctx.seed,
-        backend=ctx.backend,
-        engine=ctx.engine,
-        workers=ctx.workers,
-        sketch_shards=ctx.sketch_shards,
-        params=dict(ctx.params),
-        headers=spec.headers,
-        rows=ctx.rows,
-        records=ctx.records,
-        timings=ctx.timings,
-        checks=ctx.checks,
-        notes=([spec.notes] if spec.notes else []) + list(ctx.notes),
-        total_seconds=total,
-    )
+
+    def collected() -> CaseResult:
+        return CaseResult(
+            name=spec.name,
+            title=spec.title,
+            suite=suite,
+            seed=ctx.seed,
+            backend=ctx.backend,
+            engine=ctx.engine,
+            workers=ctx.workers,
+            sketch_shards=ctx.sketch_shards,
+            params=dict(ctx.params),
+            headers=spec.headers,
+            rows=ctx.rows,
+            records=ctx.records,
+            timings=ctx.timings,
+            checks=ctx.checks,
+            notes=([spec.notes] if spec.notes else []) + list(ctx.notes),
+            total_seconds=time.perf_counter() - start,
+        )
+
+    try:
+        # Scope the --workers override so every backend the experiment
+        # constructs by name (including inside the pipeline) honours it.
+        with default_workers(ctx.workers):
+            spec.func(ctx)
+    except BenchCheckError as exc:
+        exc.result = collected()
+        raise
+    return collected()

@@ -28,13 +28,17 @@ charges describe.  Four implementations ship:
   :mod:`repro.mpc` imports their modules).
 
 The layers are explicit in the code.  All compute lives in
-:mod:`repro.mpc.kernels`.  The serial ``_kernel_*`` hooks are written
-once, on :class:`ExecutionBackend`; every public op checks its operands,
-does its accounting (nothing on the local backend; capacity checks and
-exchange/byte counting on :class:`ShardedBackend`), and delegates the
-computation to a hook.  :class:`PooledBackend` overrides only the hooks,
-so the pools are counter-identical to :class:`ShardedBackend` by
-construction, which is what the differential suite asserts.
+:mod:`repro.mpc.kernels`.  Every public op and every serial
+``_kernel_*`` hook is written once, on :class:`ExecutionBackend`: the op
+checks its operands, checks capacity, delegates the computation to a
+hook and records its barrier.  :class:`ShardedBackend` overrides only
+the two fleet hooks, the one that sizes the fleet and enforces its caps
+and the one that counts barriers and bytes between shards (one machine
+finds one shard and counts nothing), and :class:`PooledBackend`
+overrides only the compute hooks, so the pools are counter-identical to
+:class:`ShardedBackend` by construction, which is what the differential
+suite asserts.  Where a sketch's partials live is the one other thing a
+backend decides, in its ``_place_sketch_partials`` hook.
 
 Shard layout convention
 -----------------------
@@ -49,6 +53,7 @@ crossed shard boundaries.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -219,10 +224,10 @@ def _keyed(keys, values, op: "str | None" = None):
 
 
 class ExecutionBackend:
-    """Protocol + shared bookkeeping for MPC data-plane backends.
+    """The MPC data plane on one machine, and the one definition of every op.
 
-    Subclasses implement the six vectorised operations the pipeline
-    stages route their data movement through:
+    Eight public operations carry the data movement of the pipeline
+    stages and the streaming sketch:
 
     * :meth:`scatter` — place an array on the fleet;
     * :meth:`sort` — global sort (argsort + shard-boundary splitters);
@@ -234,29 +239,44 @@ class ExecutionBackend:
       (edge copies co-located with the sending endpoint, one shipment to
       the receiving home);
     * :meth:`csr_min_label` — the same level as indptr-sliced folds over
-      a frozen CSR index.
+      a frozen CSR index;
+    * :meth:`sketch_update` / :meth:`sketch_collect` — the sharded AGM
+      sketch's ingest and decode-time gather.
 
-    Two seams outside the round plans share the same accounting/kernel
-    split: the sketch ingest ops and :meth:`walk`, the random-walk
-    sampler of the randomization step.
+    Each is written once, here: it counts itself, checks its operands,
+    checks capacity (:meth:`ensure_capacity`), calls a serial
+    ``_kernel_*`` hook and records the barrier it crossed
+    (:meth:`_exchange`).  The counters, :meth:`reset`,
+    :meth:`take_exchange_delta` and :meth:`stats` live here too.  On
+    this one machine every input fits one shard and no barrier is
+    recorded, so :class:`LocalBackend` is this class under its name.
+    :class:`ShardedBackend` overrides only the fleet hooks
+    :meth:`ensure_capacity` and :meth:`_exchange` (the ``shards > 1``
+    branches, which read its shard size ``_s``, run only there), and
+    the pools override only the ``_kernel_*`` hooks and
+    :meth:`_place_sketch_partials`, so every backend reports the same
+    counters by construction.  Hooks never mutate their inputs and
+    return arrays they own.
 
-    The serial ``_kernel_*`` compute hooks live here, once, for every
-    backend: the public ops of the subclasses count, check and account,
-    then call a hook, and the pools override only the hooks.  Hooks
-    never mutate their inputs and return arrays they own.
-
-    The engine additionally calls :meth:`ensure_capacity` for every charge
-    it records, so resource bounds are enforced across the *whole*
+    :meth:`walk`, the random-walk sampler of the randomization step, is
+    the one seam outside the round plans with no op count.  The engine
+    additionally calls :meth:`ensure_capacity` for every charge it
+    records, so resource bounds are enforced across the *whole*
     pipeline, including stages whose data never materialises here.
     """
 
     name = "abstract"
+    #: Per-shard capacity in words; ``None`` on one machine (no cap).
+    shard_memory: "int | None" = None
+    #: Hard fleet size; ``None`` when the fleet is uncapped.
+    max_shards: "int | None" = None
+    #: OS-process pool size; ``None`` for the in-process backends.
+    workers: "int | None" = None
 
     def __init__(self) -> None:
-        self._op_counts: "dict[str, int]" = {}
-        self._exchange_mark = 0
-        self.plans_run = 0
-        self.csr_builds = 0
+        # Not self.reset(): a subclass's reset may clear state that its
+        # __init__ has not made yet.
+        ExecutionBackend.reset(self)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -265,10 +285,14 @@ class ExecutionBackend:
 
     def reset(self) -> None:
         """Clear all counters (heavy resources like pools may survive)."""
-        self._op_counts.clear()
+        self._op_counts: "dict[str, int]" = {}
         self._exchange_mark = 0
         self.plans_run = 0
         self.csr_builds = 0
+        self.shard_count = 0
+        self.peak_shard_load = 0
+        self.exchanges = 0
+        self.bytes_exchanged = 0
 
     def close(self) -> None:
         """Release external resources (processes, files); no-op here.
@@ -286,15 +310,29 @@ class ExecutionBackend:
         return 1
 
     def take_exchange_delta(self) -> int:
-        """Exchanges executed since the previous call (charge attribution)."""
-        return 0
+        """Exchanges since the previous call (engine charge attribution)."""
+        delta = self.exchanges - self._exchange_mark
+        self._exchange_mark = self.exchanges
+        return delta
+
+    def _exchange(self, shards: int, nbytes: int) -> None:
+        """Record one all-to-all barrier; one machine crosses none, even
+        for a sketch whose partials it holds as several shards."""
 
     def stats(self) -> BackendStats:
-        """Snapshot of this backend's resource counters."""
+        """Snapshot of this backend's resource counters (see
+        :class:`BackendStats`)."""
         return BackendStats(
             name=self.name,
+            shard_memory=self.shard_memory,
+            max_shards=self.max_shards,
+            shard_count=self.shard_count,
+            peak_shard_load=self.peak_shard_load,
+            exchanges=self.exchanges,
+            bytes_exchanged=self.bytes_exchanged,
             op_counts=dict(self._op_counts),
             plans=self.plans_run,
+            workers=self.workers,
             csr=self._csr_stats(),
         )
 
@@ -331,46 +369,154 @@ class ExecutionBackend:
         """Step indices to pin to serial kernels (none by default)."""
         return frozenset()
 
-    # -- operations (subclass responsibility) --------------------------------
+    def _serial_kernels(self):
+        """Scope pinning the kernels under it to their serial hooks;
+        every kernel here is serial already, so it does nothing."""
+        return contextlib.nullcontext()
 
-    def scatter(self, values):
-        """Place ``values`` on the fleet; returns the placed array."""
-        raise NotImplementedError
+    # -- operations ----------------------------------------------------------
 
-    def sort(self, values, order_by=None):
-        """Globally stable-sort ``values`` (by ``order_by`` when given)."""
-        raise NotImplementedError
+    def scatter(self, values) -> np.ndarray:
+        """Place ``values`` on the fleet in canonical layout (one barrier);
+        returns the placed array.
 
-    def search(self, table, queries):
-        """Annotate integer ``queries`` with ``table`` entries
-        (``table[queries]``).
-        """
-        raise NotImplementedError
+        Capacity and payload are counted in *words*: a row of a
+        multi-column array (e.g. one edge of an ``(m, 2)`` list) is one
+        word per column, matching the model's accounting."""
+        self._count_op("scatter")
+        values = np.asarray(values)
+        shards = self.ensure_capacity(int(values.size))
+        self._exchange(shards, int(values.nbytes))
+        return values
+
+    def sort(self, values, order_by=None) -> np.ndarray:
+        """Globally stable-sort ``values`` by ``order_by`` (by the values
+        themselves when ``None``); raises :class:`ValueError` unless the
+        keys are 1-D with one per value row.
+
+        Routing sends the item at rank ``r`` to shard ``r // s``, so each
+        shard receives at most ``s`` items; the shard-boundary splitters
+        (the sorted values at positions ``s, 2s, …``) are broadcast so
+        every shard can route locally — their cost is counted into the
+        same barrier."""
+        self._count_op("sort")
+        values = np.asarray(values)
+        keys, values = _keyed(values if order_by is None else order_by, values)
+        n = int(values.shape[0])
+        shards = self.ensure_capacity(n)
+        out, order = self._kernel_sort(values, keys)
+        if shards > 1:
+            s = self._s
+            ranks = np.arange(n, dtype=np.int64)
+            moved = int(np.count_nonzero(order // s != ranks // s))
+            splitter_bytes = (shards - 1) * shards * out.itemsize
+            self._exchange(shards, moved * out.itemsize + splitter_bytes)
+        return out
+
+    def search(self, table, queries) -> np.ndarray:
+        """Parallel search: annotate integer ``queries`` with ``table``
+        entries (``table[queries]``).
+
+        Query at position ``p`` lives on shard ``p // s``; the key it
+        references lives on shard ``key // s`` — crossing pairs ship the
+        query over and the annotation back in one barrier (the cost
+        model prices search like sort, which covers the skew-free
+        routing Goodrich's construction guarantees)."""
+        self._count_op("search")
+        table = np.asarray(table)
+        queries = np.asarray(queries)
+        # Capacity check first: a capped fleet must reject oversized input
+        # before any (potentially pooled) compute runs.
+        shards = self.ensure_capacity(int(table.shape[0]) + int(queries.shape[0]))
+        result = self._kernel_search(table, queries)
+        if shards > 1:
+            s = self._s
+            home = queries // s
+            origin = np.arange(queries.shape[0], dtype=np.int64) // s
+            crossing = int(np.count_nonzero(home != origin))
+            self._exchange(
+                shards, crossing * (queries.itemsize + result.itemsize)
+            )
+        return result
 
     def reduce_by_key(self, keys, values, op: str = "min"):
-        """Group ``values`` by ``keys`` and fold with ``op``; returns
-        ``(sorted_unique_keys, reduced)``.
-        """
-        raise NotImplementedError
+        """Group ``values`` by ``keys`` and fold with ``op``; returns the
+        sorted unique keys and one reduced value per key.
+
+        Raises :class:`ValueError` for an unknown ``op``, keys that are
+        not 1-D, or a key count that differs from the value rows.
+        Routing is by key rank (argsort); groups straddling a shard
+        boundary combine their partials in the same barrier (≤ 1 partial
+        per boundary)."""
+        self._count_op("reduce_by_key")
+        keys, values = _keyed(keys, values, op)
+        n = int(keys.shape[0])
+        shards = self.ensure_capacity(n)
+        unique, reduced, order = self._kernel_reduce(keys, values, op)
+        if shards > 1 and order is not None:
+            s = self._s
+            ranks = np.arange(n, dtype=np.int64)
+            moved = int(np.count_nonzero(order // s != ranks // s))
+            partial_bytes = (shards - 1) * (keys.itemsize + values.itemsize)
+            self._exchange(shards, moved * keys.itemsize + partial_bytes)
+        return unique, reduced
 
     def min_label_exchange(self, labels, send, recv):
-        """One fused min-label broadcast level; returns
-        ``(new_labels, incoming)``.
-        """
-        raise NotImplementedError
+        """One min-label broadcast level; returns ``(new_labels,
+        incoming)`` with ``incoming = labels[send]`` folded onto
+        ``labels[recv]`` by elementwise minimum.
+
+        Each edge copy reads its sending endpoint's label locally
+        (co-located with it) and ships it to the receiving endpoint's
+        home — one barrier, payload = the incidences whose endpoints live
+        on different shards."""
+        self._count_op("min_label_exchange")
+        labels = np.asarray(labels)
+        send = np.asarray(send)
+        recv = np.asarray(recv)
+        # Capacity check first (see search()).
+        shards = self.ensure_capacity(int(labels.shape[0]) + int(send.shape[0]))
+        new_labels, incoming = self._kernel_min_label(labels, send, recv)
+        if shards > 1:
+            s = self._s
+            crossing = int(np.count_nonzero(send // s != recv // s))
+            self._exchange(shards, crossing * incoming.itemsize)
+        return new_labels, incoming
 
     def csr_min_label(self, labels, indptr, indices):
         """One min-label broadcast level over a pinned CSR index; returns
-        ``(new_labels, incoming)``.
+        ``(new_labels, incoming)``, ``incoming`` in CSR slot order.
 
         Semantically identical to :meth:`min_label_exchange` on the
-        incidence arrays the index was built from: CSR slots enumerate
-        the same directed-incidence multiset, so labels, exchange
-        barriers, and payload bytes match bit for bit — only the kernel
-        changes (contiguous ``reduceat`` folds over indptr-sliced
-        neighbour runs instead of scattered ``minimum.at``).
-        """
-        raise NotImplementedError
+        incidence arrays the index enumerates: CSR slot ``p`` holds the
+        incidence *sending* from ``indices[p]`` to the slot's owning row
+        — the same directed-incidence multiset as the concatenated
+        orientation arrays — so labels, the capacity check
+        (``n + 2m`` words), the barrier count, and the crossing payload
+        (incidences whose endpoints live on different shards) match the
+        sort-based level bit for bit.  Only the kernel differs: a
+        contiguous gather plus ``reduceat`` folds instead of argsorted
+        scatter."""
+        self._count_op("csr_min_label")
+        labels = np.asarray(labels)
+        indptr = np.asarray(indptr)
+        indices = np.asarray(indices)
+        # Capacity check first (see search()).
+        shards = self.ensure_capacity(
+            int(labels.shape[0]) + int(indices.shape[0])
+        )
+        new_labels, incoming = self._kernel_csr_min_label(
+            labels, indptr, indices
+        )
+        if shards > 1:
+            s = self._s
+            owners = np.repeat(
+                np.arange(indptr.shape[0] - 1, dtype=np.int64),
+                np.diff(indptr),
+            )
+            crossing = int(np.count_nonzero(indices // s != owners // s))
+            self._exchange(shards, crossing * incoming.itemsize)
+        return new_labels, incoming
 
     # -- serial compute hooks ------------------------------------------------
 
@@ -414,25 +560,48 @@ class ExecutionBackend:
     # -- sketch ingest seam ---------------------------------------------------
     #
     # The streaming layer's sharded AGM sketch routes its update batches
-    # through these three ops (see ``repro.sketch.sharded``).  The store
+    # through these ops (see ``repro.sketch.sharded``).  The store
     # argument is a ``SketchPartialStore``: shard partials plus the
-    # plain-array kernel parameters.  The defaults run the shared
-    # in-process kernel; subclasses override the ``_kernel_*`` hooks to
-    # move the same scatter into pool workers (process) or keep partials
-    # resident across the wire (rpc) — accounting stays in the public ops
-    # so every backend reports identical op/exchange counters.
+    # plain-array kernel parameters.  The backend a sketch ingests on
+    # places its partials once (``_place_sketch_partials``) and owns
+    # them from then on: zeroed arrays here, persistent-arena segments
+    # on the process pool, worker-resident state on the rpc pool.
+
+    def _place_sketch_partials(self, store) -> None:
+        """Place a new sketch's shard partials: zeroed arrays in this
+        process, updated by the shared kernel in place."""
+        for part in store.partials:
+            part.data = np.zeros(store.partial_shape(part), dtype=np.int64)
 
     def sketch_update(self, store, edges, weights) -> int:
-        """Fan one signed edge-update batch out to the sketch shard
-        partials; returns the number of incidence updates applied."""
+        """Broadcast one signed edge-update batch to the sketch shard
+        partials; returns the number of incidence updates applied.
+
+        Capacity is charged on the batch in flight (the edge endpoints
+        plus their weights — the partials themselves are standing state,
+        not a message); the broadcast to ``store.shard_count`` owner
+        ranges is one barrier when more than one shard listens.  A
+        backend without ``shard_memory`` skips the capacity check
+        (standing ingest services have no engine to attach one).
+        """
         self._count_op("sketch_update")
-        return self._kernel_sketch_update(store, edges, weights)
+        edges = np.asarray(edges)
+        weights = np.asarray(weights)
+        if self.shard_memory is not None:
+            self.ensure_capacity(int(edges.size) + int(weights.size))
+        applied = self._kernel_sketch_update(store, edges, weights)
+        self._exchange(store.shard_count, int(edges.nbytes + weights.nbytes))
+        return applied
 
     def sketch_collect(self, store) -> "list[np.ndarray]":
-        """Gather the shard partial arrays to the coordinator (decode-time
-        merge reads them once)."""
+        """Gather the shard partials to the coordinator for a decode-time
+        merge — one barrier carrying the partial payloads."""
         self._count_op("sketch_collect")
-        return self._kernel_sketch_collect(store)
+        parts = self._kernel_sketch_collect(store)
+        self._exchange(
+            store.shard_count, int(sum(int(p.nbytes) for p in parts))
+        )
+        return parts
 
     def sketch_release(self, store) -> None:
         """Drop backend-held partial state for ``store`` (best effort;
@@ -500,68 +669,22 @@ class ExecutionBackend:
 class LocalBackend(ExecutionBackend):
     """Accounting-only backend: the serial hooks on plain arrays, no caps.
 
-    Each operation counts itself, checks its operands and runs the
-    serial hook, so results, RNG streams and round charges equal every
-    other backend's — the zero-overhead default.
+    Every op is :class:`ExecutionBackend`'s on one machine: it counts
+    itself, checks its operands and runs the serial hook, so results,
+    RNG streams and round charges equal every other backend's — the
+    zero-overhead default.
     """
 
     name = "local"
 
-    def scatter(self, values) -> np.ndarray:
-        """Return ``values`` as a plain array (no partitioning)."""
-        self._count_op("scatter")
-        return np.asarray(values)
-
-    def sort(self, values, order_by=None) -> np.ndarray:
-        """Stable sort of ``values`` by ``order_by`` (by the values
-        themselves when ``None``); raises :class:`ValueError` unless the
-        keys are 1-D with one per value row."""
-        self._count_op("sort")
-        values = np.asarray(values)
-        keys, values = _keyed(values if order_by is None else order_by, values)
-        return self._kernel_sort(values, keys)[0]
-
-    def search(self, table, queries) -> np.ndarray:
-        """Plain gather: ``table[queries]``."""
-        self._count_op("search")
-        return self._kernel_search(np.asarray(table), np.asarray(queries))
-
-    def reduce_by_key(self, keys, values, op: str = "min"):
-        """Grouped fold; returns ``(sorted_unique_keys, reduced)``.
-
-        Raises :class:`ValueError` for an unknown ``op``, keys that are
-        not 1-D, or a key count that differs from the value rows.
-        """
-        self._count_op("reduce_by_key")
-        keys, values = _keyed(keys, values, op)
-        unique, reduced, _ = self._kernel_reduce(keys, values, op)
-        return unique, reduced
-
-    def min_label_exchange(self, labels, send, recv):
-        """One min-label level: ``incoming = labels[send]`` folded onto
-        ``labels[recv]`` by elementwise minimum.
-        """
-        self._count_op("min_label_exchange")
-        return self._kernel_min_label(
-            np.asarray(labels), np.asarray(send), np.asarray(recv)
-        )
-
-    def csr_min_label(self, labels, indptr, indices):
-        """One min-label level as indptr-sliced folds (no partitioning).
-
-        Returns the same ``(new_labels, incoming)`` the sort-based
-        :meth:`min_label_exchange` produces for the incidence arrays the
-        index enumerates — ``incoming`` is in CSR slot order, the order
-        the broadcast loop addresses it in.
-        """
-        self._count_op("csr_min_label")
-        return self._kernel_csr_min_label(
-            np.asarray(labels), np.asarray(indptr), np.asarray(indices)
-        )
-
 
 class ShardedBackend(ExecutionBackend):
     """Vectorised sharded executor with enforced memory/communication caps.
+
+    The ops and counters are :class:`ExecutionBackend`'s; this class
+    supplies the fleet they run on: :meth:`ensure_capacity` sizes it and
+    enforces the caps, and :meth:`_exchange` counts the barriers and
+    bytes the ops report.
 
     Parameters
     ----------
@@ -593,10 +716,6 @@ class ShardedBackend(ExecutionBackend):
             max_shards = check_positive_int(max_shards, "max_shards")
         self.shard_memory = shard_memory
         self.max_shards = max_shards
-        self.shard_count = 0
-        self.peak_shard_load = 0
-        self.exchanges = 0
-        self.bytes_exchanged = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -604,14 +723,6 @@ class ShardedBackend(ExecutionBackend):
         """Adopt the engine's machine memory as ``s`` when unset."""
         if self.shard_memory is None:
             self.shard_memory = check_positive_int(machine_memory, "machine_memory")
-
-    def reset(self) -> None:
-        """Clear the shard/communication counters."""
-        super().reset()
-        self.shard_count = 0
-        self.peak_shard_load = 0
-        self.exchanges = 0
-        self.bytes_exchanged = 0
 
     # -- enforcement / accounting --------------------------------------------
 
@@ -651,200 +762,20 @@ class ShardedBackend(ExecutionBackend):
         )
         return shards
 
-    def take_exchange_delta(self) -> int:
-        """Exchanges since the previous call (engine charge attribution)."""
-        delta = self.exchanges - self._exchange_mark
-        self._exchange_mark = self.exchanges
-        return delta
-
     def _exchange(self, shards: int, nbytes: int) -> None:
         """Record one all-to-all barrier (single-shard ops are local)."""
         if shards > 1:
             self.exchanges += 1
             self.bytes_exchanged += int(nbytes)
 
-    def stats(self) -> BackendStats:
-        """Snapshot the shard/communication counters (see :class:`BackendStats`)."""
-        return BackendStats(
-            name=self.name,
-            shard_memory=self.shard_memory,
-            max_shards=self.max_shards,
-            shard_count=self.shard_count,
-            peak_shard_load=self.peak_shard_load,
-            exchanges=self.exchanges,
-            bytes_exchanged=self.bytes_exchanged,
-            op_counts=dict(self._op_counts),
-            plans=self.plans_run,
-            csr=self._csr_stats(),
-        )
-
-    # -- operations ----------------------------------------------------------
-
-    def scatter(self, values) -> np.ndarray:
-        """Place ``values`` on the fleet in canonical layout (one barrier);
-        returns the placed array.
-
-        Capacity and payload are counted in *words*: a row of a
-        multi-column array (e.g. one edge of an ``(m, 2)`` list) is one
-        word per column, matching the model's accounting."""
-        self._count_op("scatter")
-        values = np.asarray(values)
-        shards = self.ensure_capacity(int(values.size))
-        self._exchange(shards, int(values.nbytes))
-        return values
-
-    def sort(self, values, order_by=None) -> np.ndarray:
-        """Global sort: argsort, then route item at rank ``r`` to shard
-        ``r // s``.  Each shard receives at most ``s`` items by
-        construction; the shard-boundary splitters (the sorted values at
-        positions ``s, 2s, …``) are broadcast so every shard can route
-        locally — their cost is counted into the same barrier."""
-        self._count_op("sort")
-        values = np.asarray(values)
-        keys, values = _keyed(values if order_by is None else order_by, values)
-        n = int(values.shape[0])
-        shards = self.ensure_capacity(n)
-        out, order = self._kernel_sort(values, keys)
-        if shards > 1:
-            s = self._s
-            ranks = np.arange(n, dtype=np.int64)
-            moved = int(np.count_nonzero(order // s != ranks // s))
-            splitter_bytes = (shards - 1) * shards * out.itemsize
-            self._exchange(shards, moved * out.itemsize + splitter_bytes)
-        return out
-
-    def search(self, table, queries) -> np.ndarray:
-        """Parallel search: annotate integer ``queries`` with ``table``
-        entries.  Query at position ``p`` lives on shard ``p // s``; the
-        key it references lives on shard ``key // s`` — crossing pairs
-        ship the query over and the annotation back in one barrier (the
-        cost model prices search like sort, which covers the skew-free
-        routing Goodrich's construction guarantees)."""
-        self._count_op("search")
-        table = np.asarray(table)
-        queries = np.asarray(queries)
-        # Capacity check first: a capped fleet must reject oversized input
-        # before any (potentially pooled) compute runs.
-        shards = self.ensure_capacity(int(table.shape[0]) + int(queries.shape[0]))
-        result = self._kernel_search(table, queries)
-        if shards > 1:
-            s = self._s
-            home = queries // s
-            origin = np.arange(queries.shape[0], dtype=np.int64) // s
-            crossing = int(np.count_nonzero(home != origin))
-            self._exchange(
-                shards, crossing * (queries.itemsize + result.itemsize)
-            )
-        return result
-
-    def reduce_by_key(self, keys, values, op: str = "min"):
-        """Group ``values`` by ``keys`` and fold with ``op``; returns the
-        sorted unique keys and one reduced value per key.  Routing is by
-        key rank (argsort); groups straddling a shard boundary combine
-        their partials in the same barrier (≤ 1 partial per boundary)."""
-        self._count_op("reduce_by_key")
-        keys, values = _keyed(keys, values, op)
-        n = int(keys.shape[0])
-        shards = self.ensure_capacity(n)
-        unique, reduced, order = self._kernel_reduce(keys, values, op)
-        if shards > 1 and order is not None:
-            s = self._s
-            ranks = np.arange(n, dtype=np.int64)
-            moved = int(np.count_nonzero(order // s != ranks // s))
-            partial_bytes = (shards - 1) * (keys.itemsize + values.itemsize)
-            self._exchange(shards, moved * keys.itemsize + partial_bytes)
-        return unique, reduced
-
-    def min_label_exchange(self, labels, send, recv):
-        """One min-label broadcast level: each edge copy reads its sending
-        endpoint's label locally (co-located with it) and ships it to the
-        receiving endpoint's home — one barrier, payload = the incidences
-        whose endpoints live on different shards."""
-        self._count_op("min_label_exchange")
-        labels = np.asarray(labels)
-        send = np.asarray(send)
-        recv = np.asarray(recv)
-        # Capacity check first (see search()).
-        shards = self.ensure_capacity(int(labels.shape[0]) + int(send.shape[0]))
-        new_labels, incoming = self._kernel_min_label(labels, send, recv)
-        if shards > 1:
-            s = self._s
-            crossing = int(np.count_nonzero(send // s != recv // s))
-            self._exchange(shards, crossing * incoming.itemsize)
-        return new_labels, incoming
-
-    def csr_min_label(self, labels, indptr, indices):
-        """One min-label broadcast level over a pinned CSR index.
-
-        Accounting is identical to :meth:`min_label_exchange` on the
-        incidence arrays the index enumerates: CSR slot ``p`` holds the
-        incidence *sending* from ``indices[p]`` to the slot's owning row
-        — the same directed-incidence multiset as the concatenated
-        orientation arrays — so the capacity check
-        (``n + 2m`` words), the barrier count, and the crossing payload
-        (incidences whose endpoints live on different shards) match the
-        sort-based level bit for bit.  Only the kernel differs: a
-        contiguous gather plus ``reduceat`` folds instead of argsorted
-        scatter."""
-        self._count_op("csr_min_label")
-        labels = np.asarray(labels)
-        indptr = np.asarray(indptr)
-        indices = np.asarray(indices)
-        # Capacity check first (see search()).
-        shards = self.ensure_capacity(
-            int(labels.shape[0]) + int(indices.shape[0])
-        )
-        new_labels, incoming = self._kernel_csr_min_label(
-            labels, indptr, indices
-        )
-        if shards > 1:
-            s = self._s
-            owners = np.repeat(
-                np.arange(indptr.shape[0] - 1, dtype=np.int64),
-                np.diff(indptr),
-            )
-            crossing = int(np.count_nonzero(indices // s != owners // s))
-            self._exchange(shards, crossing * incoming.itemsize)
-        return new_labels, incoming
-
-    def sketch_update(self, store, edges, weights) -> int:
-        """Broadcast one update batch to the sketch shard partials.
-
-        Capacity is charged on the batch in flight (the edge endpoints
-        plus their weights — the partials themselves are standing state,
-        not a message); the broadcast to ``store.shard_count`` owner
-        ranges is one barrier when more than one shard listens.  Compute
-        delegates to :meth:`_kernel_sketch_update`, so the process/rpc
-        subclasses report identical counters by construction.  A backend
-        constructed without ``shard_memory`` skips the capacity check
-        (standing ingest services have no engine to attach one).
-        """
-        self._count_op("sketch_update")
-        edges = np.asarray(edges)
-        weights = np.asarray(weights)
-        if self.shard_memory is not None:
-            self.ensure_capacity(int(edges.size) + int(weights.size))
-        applied = self._kernel_sketch_update(store, edges, weights)
-        self._exchange(store.shard_count, int(edges.nbytes + weights.nbytes))
-        return applied
-
-    def sketch_collect(self, store) -> "list[np.ndarray]":
-        """Gather the shard partials to the coordinator for a decode-time
-        merge — one barrier carrying the partial payloads."""
-        self._count_op("sketch_collect")
-        parts = self._kernel_sketch_collect(store)
-        self._exchange(
-            store.shard_count, int(sum(int(p.nbytes) for p in parts))
-        )
-        return parts
-
 
 class PooledBackend(ShardedBackend):
     """Sharded execution on a pool of workers, whatever the transport.
 
     Accounting (capacity enforcement, exchange/byte counters, op counts)
-    stays in the :class:`ShardedBackend` public operations; this class
-    overrides only the ``_kernel_*`` compute hooks, planning each into
+    stays in the public operations and :class:`ShardedBackend`'s fleet
+    hooks; this class overrides only the ``_kernel_*`` compute hooks,
+    planning each into
     per-worker steps over :data:`~repro.mpc.kernels.KERNELS` and
     assembling the replies, so results *and* counters are bit-identical
     to the serial backend.  Subclasses supply the transport:
@@ -876,12 +807,6 @@ class PooledBackend(ShardedBackend):
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def stats(self):
-        """Sharded counters plus the pool size."""
-        snapshot = super().stats()
-        snapshot.workers = self.workers
-        return snapshot
 
     # -- transport (subclass responsibility) ---------------------------------
 

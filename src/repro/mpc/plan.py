@@ -391,9 +391,8 @@ def run_plan_steps(backend, plan: RoundPlan, serial_steps=frozenset()):
     eager code did), transform steps call the registered function
     in-process.  ``serial_steps`` is a set of step indices the backend
     wants pinned to its serial kernels (see
-    :func:`parent_local_steps`); it is honoured through the backend's
-    ``_serial_kernels()`` context manager when one exists and is a
-    no-op otherwise.
+    :func:`parent_local_steps`); each runs inside the backend's
+    ``_serial_kernels()`` scope.
 
     Raises
     ------
@@ -411,7 +410,7 @@ def run_plan_steps(backend, plan: RoundPlan, serial_steps=frozenset()):
             op = getattr(backend, step.op)
             scope = (
                 backend._serial_kernels()
-                if index in serial_steps and hasattr(backend, "_serial_kernels")
+                if index in serial_steps
                 else contextlib.nullcontext()
             )
             with scope:

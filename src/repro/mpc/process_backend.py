@@ -56,7 +56,8 @@ their results must reach the parent before the next dispatch can be
 planned anyway, so the contract stage's search→reduce pair costs one
 barrier.  Fusion changes only dispatch cost — round counters, exchange
 counters, and results stay bit-identical, because all accounting lives
-in the :class:`~repro.mpc.backends.ShardedBackend` public operations,
+in the public operations of :class:`~repro.mpc.backends.ExecutionBackend`
+and the fleet hooks of :class:`~repro.mpc.backends.ShardedBackend`,
 which this class never overrides.
 
 Determinism
@@ -325,7 +326,8 @@ class ProcessBackend(PooledBackend):
     :class:`~repro.mpc.backends.PooledBackend`, so results *and*
     counters are bit-identical to the serial sharded backend while the
     heavy numpy work runs in parallel.  This class supplies the
-    transport: arena shared-memory bindings and pipe dispatch.
+    transport: arena shared-memory bindings and pipe dispatch, and
+    places sketch partials in persistent-arena segments.
 
     Parameters
     ----------
@@ -492,20 +494,21 @@ class ProcessBackend(PooledBackend):
             merged["bytes_reserved"] = live["bytes_reserved"]
         return merged
 
-    def persistent_lease(self, shape, dtype):
-        """A zero-initialised lease from the persistent arena.
+    def _place_sketch_partials(self, store) -> None:
+        """Place each shard partial in a zeroed lease from the persistent
+        arena.
 
-        Pool workers attach the segment once and keep the mapping — the
-        residency contract the sharded sketch builds on: shard partials
-        live here, workers scatter into them in place, and the parent
-        reads the same memory at merge time without ever copying a
-        partial.  The caller owns the lease (``release()`` returns the
-        segment to the arena); leases survive pool restarts because the
-        parent owns the arena.
+        Pool workers attach the segment once and keep the mapping:
+        workers scatter into the partials in place, and the parent reads
+        the same memory at merge time without ever copying a partial.
+        The partial owns its lease (releasing it returns the segment to
+        the arena); leases survive pool restarts because the parent owns
+        the arena.
         """
-        lease = self._persistent_arena().acquire(shape, dtype)
-        lease.view[...] = 0
-        return lease
+        arena = self._persistent_arena()
+        for part in store.partials:
+            part.lease = arena.acquire(store.partial_shape(part), np.int64)
+            part.lease.view[...] = 0
 
     # -- dispatch ------------------------------------------------------------
 
@@ -604,20 +607,17 @@ class ProcessBackend(PooledBackend):
     def _kernel_sketch_update(self, store, edges, weights) -> int:
         """Scatter one update batch into the shm-resident shard partials.
 
-        Arena-backed stores dispatch one fused plan per worker — one
-        ``sketch_update`` step per owned shard — with the batch shared
-        transiently and the hash coefficient arrays pinned (uploaded
-        once, reused every batch).  Workers scatter straight into the
-        cached persistent-arena segments, so the parent copies zero
-        partial bytes; small batches (and non-arena stores) take the
-        serial kernel, which writes the very same shm views parent-side.
+        One fused plan per worker — one ``sketch_update`` step per owned
+        shard — with the batch shared transiently and the hash
+        coefficient arrays pinned (uploaded once, reused every batch).
+        Workers scatter straight into the cached persistent-arena
+        segments, so the parent copies zero partial bytes; small batches
+        take the serial kernel, which writes the very same shm views
+        parent-side.
         """
-        if (
-            store.kind != "arena"
-            or not self._pooled(int(edges.size) + int(weights.size))
-            or not plain(edges, weights)
-        ):
-            return store.apply_serial(edges, weights)
+        words = int(edges.size) + int(weights.size)
+        if not (self._pooled(words) and plain(edges, weights)):
+            return super()._kernel_sketch_update(store, edges, weights)
         return self._pooled_sketch_update(
             store, edges, weights, [part.descriptor for part in store.partials]
         )

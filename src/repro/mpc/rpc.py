@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import itertools
 import json
 import os
 import socket
@@ -1078,6 +1079,8 @@ class RpcBackend(PooledBackend):
         # explicit close(); worker-resident sketch stores snapshot it so
         # partial loss is detected parent-side before any dispatch.
         self._pool_generation = 0
+        # Keys of the sketches whose partials live in this pool's workers.
+        self._sketch_tokens = itertools.count()
         self._transport = {
             key: 0 for key in TRANSPORT_STATS_ZERO if key != "workers_restarted"
         }
@@ -1186,16 +1189,20 @@ class RpcBackend(PooledBackend):
 
     # -- sketch residency (worker-resident partials) --------------------------
 
-    def sketch_residency(self) -> int:
-        """Start the pool if needed and return its generation stamp.
+    def _place_sketch_partials(self, store) -> None:
+        """Keep a new sketch's shard partials in the workers; the parent
+        holds no copy.
 
-        A :class:`~repro.sketch.sharded.SketchPartialStore` created
-        against this backend records the stamp; every later sketch op
-        re-checks it, so partials lost to a pool restart fail loudly
-        (typed :class:`RpcWorkerError`) instead of silently resetting.
+        Starts the pool if needed and stamps ``store`` with a fresh key
+        (``token``) and the pool generation (``residency``).  Workers
+        create each partial zeroed on first touch; every later sketch op
+        re-checks the stamp, so partials lost to a pool restart fail
+        loudly (typed :class:`RpcWorkerError`) instead of silently
+        resetting.
         """
         self._ensure_pool()
-        return self._pool_generation
+        store.token = f"sketch{next(self._sketch_tokens)}"
+        store.residency = self._pool_generation
 
     def _check_residency(self, store) -> None:
         """Raise if ``store``'s resident partials predate the live pool."""
@@ -1208,14 +1215,8 @@ class RpcBackend(PooledBackend):
     def _resident_partials(self, store) -> "list[dict]":
         """Per shard, the worker-state spec of its resident partial: the
         key it lives under and the shape it is created zeroed with."""
-        params = store.params
-        rounds = int(params["bases"].shape[0])
-        cells = params["levels"] * int(params["row_coeffs"].shape[1]) * params["cols"]
         return [
-            {
-                "key": f"{store.token}/{shard}",
-                "shape": [rounds, 3, part.vhi - part.vlo, cells],
-            }
+            {"key": f"{store.token}/{shard}", "shape": store.partial_shape(part)}
             for shard, part in enumerate(store.partials)
         ]
 
@@ -1228,8 +1229,6 @@ class RpcBackend(PooledBackend):
         only the edges and weights.  Partials never cross the wire here
         — only the per-shard applied counts come back.
         """
-        if store.kind != "resident":
-            return super()._kernel_sketch_update(store, edges, weights)
         self._ensure_pool()
         self._check_residency(store)
         return self._pooled_sketch_update(
@@ -1239,8 +1238,6 @@ class RpcBackend(PooledBackend):
     def _kernel_sketch_collect(self, store) -> "list[np.ndarray]":
         """Fetch the worker-resident partials for a decode-time merge —
         the one moment partial payloads cross the wire."""
-        if store.kind != "resident":
-            return super()._kernel_sketch_collect(store)
         pool = self._ensure_pool()
         self._check_residency(store)
         specs = self._resident_partials(store)
@@ -1260,9 +1257,7 @@ class RpcBackend(PooledBackend):
     def _kernel_sketch_release(self, store) -> None:
         """Drop the worker-resident partials (best effort: a dead or
         already-replaced pool has nothing left to release)."""
-        if store.kind != "resident" or self._pool is None:
-            return
-        if store.residency != self._pool_generation:
+        if self._pool is None or store.residency != self._pool_generation:
             return
         keys = [spec["key"] for spec in self._resident_partials(store)]
         payloads = [

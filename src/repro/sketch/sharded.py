@@ -13,7 +13,9 @@ partials laid end to end along the vertex axis
 :class:`~repro.sketch.agm.AGMSketch` fed the same stream — decode never
 knows the ingest was parallel.
 
-Where the partials live is the backend's business:
+Where the partials live is the backend's business: the backend a
+sketch ingests on places them once, in its ``_place_sketch_partials``
+hook, and owns them from then on.
 
 * ``local`` (the default) / ``sharded`` — plain numpy arrays, updated
   by the vectorized per-shard kernel in-process;
@@ -34,7 +36,7 @@ run.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +53,6 @@ from repro.utils.validation import check_positive_int
 
 #: The :meth:`SketchStats.to_json` key set, zero-filled.
 SKETCH_STATS_ZERO = {"shard_updates": 0, "merges": 0, "partial_words": 0}
-
-_TOKENS = itertools.count()
 
 
 @dataclass
@@ -86,14 +86,15 @@ class SketchPartial:
     :attr:`data` is the live ``(rounds, 3, vhi - vlo, cells)`` array — a
     plain array in-process, an arena-lease view on the process backend,
     or ``None`` when the partial is resident in an rpc worker.  ``lease``
-    keeps the arena segment alive for the arena-backed case.
+    keeps the arena segment alive for the arena-backed case; the
+    backend that places the partial sets one or the other.
     """
 
-    def __init__(self, vlo: int, vhi: int, data=None, lease=None):
+    def __init__(self, vlo: int, vhi: int, data=None):
         self.vlo = vlo
         self.vhi = vhi
         self._data = data
-        self.lease = lease
+        self.lease = None
 
     @property
     def data(self) -> "np.ndarray | None":
@@ -134,44 +135,55 @@ class SketchPartialStore:
 
     Backends receive this object through
     :meth:`~repro.mpc.backends.ExecutionBackend.sketch_update` /
-    ``sketch_collect``: it carries the shard partials, the plain-array
-    kernel parameters (``params``), and — for worker-resident (rpc)
-    stores — the residency ``token`` plus the pool-generation snapshot
-    that makes partial loss loud instead of silent.
+    ``sketch_collect``: it carries one :class:`SketchPartial` per owner
+    range and the plain-array kernel parameters (``params``).  The
+    partials start empty; the backend the sketch ingests on places them
+    (``_place_sketch_partials``).  ``token`` and ``residency`` stay
+    ``None`` unless that backend keeps the partials in its workers: the
+    rpc backend records the key they live under and its pool generation,
+    which makes partial loss loud instead of silent.
     """
 
-    def __init__(
-        self,
-        partials: "list[SketchPartial]",
-        params: dict,
-        *,
-        kind: str = "memory",
-        token: "str | None" = None,
-        residency: "int | None" = None,
-    ):
-        self.partials = partials
+    def __init__(self, ranges: "list[tuple[int, int]]", params: dict):
+        self.partials = [SketchPartial(vlo, vhi) for vlo, vhi in ranges]
         self.params = params
-        self.kind = kind
-        self.token = token
-        self.residency = residency
+        self.token: "str | None" = None
+        self.residency: "int | None" = None
 
     @property
     def shard_count(self) -> int:
         """Number of shard partials."""
         return len(self.partials)
 
+    def partial_shape(self, part: SketchPartial) -> "tuple[int, int, int, int]":
+        """The ``(rounds, 3, vhi - vlo, cells)`` shape of ``part``'s
+        counter block."""
+        params = self.params
+        rounds = int(params["bases"].shape[0])
+        cells = params["levels"] * int(params["row_coeffs"].shape[1]) * params["cols"]
+        return (rounds, 3, part.vhi - part.vlo, cells)
+
+    def local_partial_data(self) -> "list[np.ndarray]":
+        """The partial arrays, for in-process updates and merge reads.
+
+        Raises :class:`RuntimeError` when a partial is not held in this
+        process (worker-resident, or released).
+        """
+        blocks = [part.data for part in self.partials]
+        if any(block is None for block in blocks):
+            raise RuntimeError(
+                "sketch partials are worker-resident (or released), not "
+                "held in this process; go through the owning backend"
+            )
+        return blocks
+
     def apply_serial(self, edges: np.ndarray, weights: np.ndarray) -> int:
         """Run the shared kernel over every partial in-process; returns
         incidence updates applied."""
-        if self.kind == "resident":
-            raise RuntimeError(
-                "worker-resident sketch partials cannot be updated "
-                "in-process; dispatch through the owning backend"
-            )
         applied = 0
-        for part in self.partials:
+        for part, block in zip(self.partials, self.local_partial_data()):
             applied += sketch_update_partial(
-                part.data,
+                block,
                 edges,
                 weights,
                 vlo=part.vlo,
@@ -179,15 +191,6 @@ class SketchPartialStore:
                 **self.params,
             )
         return applied
-
-    def local_partial_data(self) -> "list[np.ndarray]":
-        """The partial arrays, for in-process merge reads."""
-        if self.kind == "resident":
-            raise RuntimeError(
-                "worker-resident sketch partials must be collected "
-                "through the owning backend"
-            )
-        return [part.data for part in self.partials]
 
     def close(self) -> None:
         """Release any arena leases held by the partials (idempotent)."""
@@ -208,17 +211,15 @@ class ShardedAGMSketch:
     the bit-identity testable.
     """
 
-    def __init__(self, n, specs, store, ranges, *, backend, stats=None):
+    def __init__(self, n, specs, store, *, backend, stats=None):
         self.n = n
         self.backend = backend
         self.stats = stats if stats is not None else SketchStats()
         self._specs = specs
         self._store = store
-        self._ranges = ranges
         self._closed = False
         self.stats.partial_words = sum(
-            len(specs) * 3 * (vhi - vlo) * specs[0].cells
-            for vlo, vhi in ranges
+            math.prod(store.partial_shape(part)) for part in store.partials
         )
 
     @classmethod
@@ -239,10 +240,8 @@ class ShardedAGMSketch:
         ``backend=None`` ingests on a fresh
         :class:`~repro.mpc.backends.LocalBackend`.  ``shards=None``
         defaults to the backend's worker count (1 without workers).
-        Partial placement follows the backend: plain arrays in-process,
-        persistent-arena shm segments on the process backend,
-        worker-resident state on the rpc backend.  ``stats`` lets a
-        caller accumulate counters across rebuilds.
+        The backend places the partials (see the module docs).
+        ``stats`` lets a caller accumulate counters across rebuilds.
         """
         if backend is None:
             backend = LocalBackend()
@@ -250,7 +249,7 @@ class ShardedAGMSketch:
             n, rng, boruvka_rounds=boruvka_rounds, sparsity=sparsity, rows=rows
         )
         if shards is None:
-            shards = int(getattr(backend, "workers", 1) or 1)
+            shards = backend.workers or 1
         check_positive_int(shards, "shards")
         shards = min(shards, max(n, 1))
         per = max(1, -(-n // shards))
@@ -259,48 +258,19 @@ class ShardedAGMSketch:
             (start, min(n, start + per))
             for start in range(0, n, per)
         ] or [(0, 0)]
-
-        rounds = len(specs)
-        cells = specs[0].cells
-        partials: "list[SketchPartial]" = []
-        kind = "memory"
-        token = None
-        residency = None
-        if getattr(backend, "name", "") == "rpc":
-            kind = "resident"
-            token = f"sketch{next(_TOKENS)}"
-            residency = backend.sketch_residency()
-            partials = [SketchPartial(vlo, vhi, None) for vlo, vhi in ranges]
-        elif hasattr(backend, "persistent_lease"):
-            kind = "arena"
-            for vlo, vhi in ranges:
-                lease = backend.persistent_lease(
-                    (rounds, 3, vhi - vlo, cells), np.int64
-                )
-                partials.append(SketchPartial(vlo, vhi, lease=lease))
-        else:
-            partials = [
-                SketchPartial(
-                    vlo,
-                    vhi,
-                    np.zeros((rounds, 3, vhi - vlo, cells), dtype=np.int64),
-                )
-                for vlo, vhi in ranges
-            ]
-        store = SketchPartialStore(
-            partials, params, kind=kind, token=token, residency=residency
-        )
-        return cls(n, specs, store, ranges, backend=backend, stats=stats)
+        store = SketchPartialStore(ranges, params)
+        backend._place_sketch_partials(store)
+        return cls(n, specs, store, backend=backend, stats=stats)
 
     @property
     def shard_count(self) -> int:
         """Number of owner-range shards."""
-        return len(self._ranges)
+        return self._store.shard_count
 
     @property
     def shard_ranges(self) -> "list[tuple[int, int]]":
         """The contiguous ``[vlo, vhi)`` owner ranges, in order."""
-        return list(self._ranges)
+        return [(part.vlo, part.vhi) for part in self._store.partials]
 
     def words_per_vertex(self) -> int:
         """Sketch size per vertex in machine words (matches
@@ -331,15 +301,16 @@ class ShardedAGMSketch:
         The owner ranges are contiguous and disjoint, and every partial's
         fingerprints are already reduced mod p, so one concatenation
         along the vertex axis is bit-identical to the sketch fed the
-        same update stream, and decoding is unchanged.  A lone
-        in-process (plain array) partial is not copied: the result views
-        it, so it follows later updates.  Arena and worker-resident
-        partials are always copied out.  Raises :class:`RuntimeError`
-        once the sketch is closed.
+        same update stream, and decoding is unchanged.  A lone partial
+        that owns its memory (a plain in-process array) is not copied:
+        the result views it, so it follows later updates.  Partials over
+        memory they do not own (an arena segment the backend recycles, a
+        received wire frame) are always copied out.  Raises
+        :class:`RuntimeError` once the sketch is closed.
         """
         self._check_open()
         parts = self.backend.sketch_collect(self._store)
-        if len(parts) == 1 and self._store.kind == "memory":
+        if len(parts) == 1 and parts[0].flags.owndata:
             block = parts[0].view()
         else:
             block = np.concatenate(parts, axis=2)

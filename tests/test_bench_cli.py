@@ -109,6 +109,42 @@ def test_failing_case_sets_exit_code(tmp_path, capsys):
         bench.unregister_benchmark("zz_test_cli_failing")
 
 
+def test_failed_check_still_writes_its_artifact(tmp_path, capsys):
+    name = "zz_test_cli_gate_miss"
+    probe = {"fail": False}
+
+    @bench.register_benchmark(
+        name, title="gate miss", headers=["x"], smoke={"seed": 1},
+        full={"seed": 1},
+    )
+    def _gated(ctx):
+        ctx.record("pt", row=[1], x=1, cli_rounds=4)
+        ctx.check("timing-gate", not probe["fail"], "1.16x < 1.3x")
+        ctx.record("after", row=[2], x=2, cli_rounds=5)
+
+    try:
+        baseline = tmp_path / "baseline"
+        assert cli.main(["--filter", name, "--json-dir", str(baseline)]) == 0
+        probe["fail"] = True
+        fresh = tmp_path / "fresh"
+        assert cli.main(["--filter", name, "--json-dir", str(fresh)]) == 1
+        assert f"FAILED {name}" in capsys.readouterr().err
+        # The case wrote what it measured before the check failed.
+        doc = json.loads((fresh / f"BENCH_{name}.json").read_text())
+        assert doc["checks"] == [
+            {"name": "timing-gate", "ok": False, "detail": "1.16x < 1.3x"}
+        ]
+        assert [r["key"] for r in doc["records"]] == ["pt"]
+        # The compare diffs its counters, names the check and fails.
+        path = f"BENCH_{name}.json"
+        assert cli.main(["--compare", str(baseline / path), str(fresh / path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAILED CHECK timing-gate: 1.16x < 1.3x" in out
+        assert "REGRESSION dropped records: after" in out
+    finally:
+        bench.unregister_benchmark(name)
+
+
 def test_compare_mode(cli_case, tmp_path, capsys):
     result = bench.run_case(NAME, suite="smoke")
     old_dir, new_dir = tmp_path / "old", tmp_path / "new"

@@ -133,7 +133,47 @@ def test_compare_tracks_added_and_removed_keys(case_result):
     diff = bench.compare_cases(old, new)
     assert diff["added_keys"] == ["point-c"]
     assert diff["removed_keys"] == ["point-b"]
-    assert diff["ok"]  # renames aren't counter regressions
+    # point-b's counters left the gate: a dropped key is a regression.
+    assert not diff["ok"]
+    assert diff["regressions"] == []
+    assert "REGRESSION dropped records: point-b" in bench.format_comparison(diff)
+
+
+def test_compare_allows_added_keys(case_result):
+    old = bench.case_to_json(case_result)
+    new = json.loads(json.dumps(old))
+    new["records"].append({**new["records"][1], "key": "point-c"})
+    diff = bench.compare_cases(old, new)
+    assert diff["added_keys"] == ["point-c"]
+    assert diff["removed_keys"] == []
+    assert diff["ok"]
+
+
+def test_compare_fails_on_a_failed_check(case_result):
+    old = bench.case_to_json(case_result)
+    new = json.loads(json.dumps(old))
+    new["checks"] = [{"name": "shape", "ok": False, "detail": "too slow"}]
+    diff = bench.compare_cases(old, new)
+    assert not diff["ok"]
+    assert diff["regressions"] == [] and diff["removed_keys"] == []
+    assert [(c["name"], c["side"]) for c in diff["failed_checks"]] == [("shape", "new")]
+    assert "FAILED CHECK shape: too slow" in bench.format_comparison(diff)
+
+
+def test_compare_fails_on_a_failed_check_in_the_old_artifact(case_result):
+    # A baseline written by a failed run stops at its failed check, so
+    # records the fresh run adds past it would otherwise pass as new.
+    new = bench.case_to_json(case_result)
+    old = json.loads(json.dumps(new))
+    old["records"] = old["records"][:1]
+    old["checks"] = [{"name": "shape", "ok": False, "detail": "too slow"}]
+    diff = bench.compare_cases(old, new)
+    assert diff["added_keys"] and diff["removed_keys"] == []
+    assert not diff["ok"]
+    assert [(c["name"], c["side"]) for c in diff["failed_checks"]] == [("shape", "old")]
+    assert "FAILED CHECK shape in the old artifact: too slow" in (
+        bench.format_comparison(diff)
+    )
 
 
 def test_compare_bench_files(case_result, tmp_path):

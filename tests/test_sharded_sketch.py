@@ -237,15 +237,19 @@ def test_sketch_stats_schema_and_accounting():
 
 
 def test_resident_store_refuses_in_process_access():
-    sharded = ShardedAGMSketch.empty(8, 1, shards=2, **SMALL)
-    store = sharded._store
-    store.kind = "resident"
-    with pytest.raises(RuntimeError, match="resident"):
-        store.apply_serial(
-            np.array([[0, 1]], dtype=np.int64), np.array([1], dtype=np.int64)
-        )
-    with pytest.raises(RuntimeError, match="resident"):
-        store.local_partial_data()
+    backend = RpcBackend(workers=2, min_wire_items=0)
+    try:
+        sharded = ShardedAGMSketch.empty(8, 1, shards=2, backend=backend, **SMALL)
+        store = sharded._store
+        with pytest.raises(RuntimeError, match="resident"):
+            store.apply_serial(
+                np.array([[0, 1]], dtype=np.int64), np.array([1], dtype=np.int64)
+            )
+        with pytest.raises(RuntimeError, match="resident"):
+            store.local_partial_data()
+        sharded.close()
+    finally:
+        backend.close()
 
 
 def test_partial_descriptor_requires_lease():
@@ -366,7 +370,8 @@ def test_backend_ingest_bit_identical_and_counted(name):
         sharded = ShardedAGMSketch.empty(
             n, 37, shards=2, backend=backend, **SMALL
         )
-        for edges, weights in _random_batches(rng, n):
+        batches = _random_batches(rng, n)
+        for edges, weights in batches:
             mono.update_edges(edges, weights)
             sharded.update_edges(edges, weights)
             for round_sketch in reference.rounds:
@@ -374,9 +379,17 @@ def test_backend_ingest_bit_identical_and_counted(name):
         merged = sharded.merge()
         assert _sketches_equal(mono, merged)
         assert _sketches_equal(reference, merged)
-        counts = backend.stats().op_counts
-        assert counts["sketch_update"] == 3
-        assert counts["sketch_collect"] == 1
+        stats = backend.stats()
+        assert stats.op_counts["sketch_update"] == 3
+        assert stats.op_counts["sketch_collect"] == 1
+        # One machine crosses no barrier.  Every fleet counts one
+        # barrier per update broadcast (carrying the batch) and one for
+        # the collect (carrying every partial word).
+        batch_bytes = sum(e.nbytes + w.nbytes for e, w in batches)
+        partial_bytes = 8 * sharded.stats.partial_words
+        expected = (4, batch_bytes + partial_bytes) if name != "local" else (0, 0)
+        assert (stats.exchanges, stats.bytes_exchanged) == expected
+        assert partial_bytes > 0
         sharded.close()
         assert backend.stats().op_counts.get("sketch_release", 0) == 1
     finally:

@@ -10,11 +10,14 @@ whole artifact set and rendered as readable per-benchmark tables.  Any
 ``*exchanges`` / ``*bytes_exchanged`` / ``*shard_count`` /
 ``*shard_load`` / ``*segments`` / ``*barriers`` / ``*frames`` /
 ``*wire_bytes`` / ``*words`` counter increase exits 1 (the suffixes are
-``repro.bench.report.COUNTER_SUFFIXES``); wall-clock drift is only
-flagged.  Fresh artifacts with no committed baseline are listed as new
-(not a failure — commit them to arm the gate); committed artifacts the
-fresh run did not produce fail, because a silently vanishing benchmark
-is itself a regression.
+``repro.bench.report.COUNTER_SUFFIXES``), and so do a record the fresh
+artifact dropped and a shape check failed in either artifact (a failed
+case still writes its artifact, so its counters are diffed too, and a
+baseline written by a failed run fails until it is rewritten);
+wall-clock drift is only flagged.  Fresh artifacts with no committed
+baseline are listed as new (not a failure — commit them to arm the
+gate); committed artifacts the fresh run did not produce fail, because
+a silently vanishing benchmark is itself a regression.
 
 Usage (CI's bench-smoke job)::
 
