@@ -14,17 +14,11 @@ change wall-clock, never results or accounting.  Expected shape:
   counters (rounds, exchanges, bytes, shards, peak shard load)
   identical to sharded;
 * the arena pool (2 workers, or ``--workers N``): O(size classes)
-  shared-memory segments cold and none warm (recycled leases and
-  pinned-input hits), plan fusion engaged, and the min-label broadcast
-  run as ``csr_min_label``; per-stage dispatch barriers are recorded;
-* two wall-clock gates, after every counter check: the full tier's best
+  shared-memory segments cold and none warm (recycled leases);
+  per-stage dispatch barriers are recorded;
+* one wall-clock gate, after every counter check: the full tier's best
   pool speedup over one worker, armed only with at least two usable
-  CPUs; and the isolated round step — one ``csr_min_label`` against one
-  sort-based ``min_label_exchange`` on a warm pool of the arena size —
-  at least 1.3× faster at smoke scale (a CSR worker folds only its own
-  contiguous slot range; the sort-based fold mask-scans all ``2m``
-  incidences per worker) and never slower at the full tier's
-  ``n = 10^6``, where the label gathers of both kernels miss cache.
+  CPUs.
 
 The case runs the paper pipeline whatever ``--backend`` and ``--engine``
 say; ``--workers N`` changes the pool sweep to ``{1, N}``.
@@ -47,7 +41,7 @@ DEGREE = 6
 GAP_BOUND = 0.25
 DELTA = 0.3
 
-#: Pool size of the arena checks and the round step without ``--workers``.
+#: Pool size of the arena checks without ``--workers``.
 ARENA_WORKERS = 2
 
 #: Ceiling on cold-run segment allocations: one segment per (size class ×
@@ -61,10 +55,6 @@ PLAN_SHAPES = {
     "relabel": "relabel",
     "broadcast-level": "broadcast",
 }
-
-#: Round-step speedup floors: smoke gate, full tier's never-slower floor.
-MIN_ROUNDSTEP_SPEEDUP = 1.3
-FULL_ROUNDSTEP_FLOOR = 1.0
 
 
 def _run(graph, seed: int, config, backend):
@@ -94,44 +84,6 @@ def _counters(result, stats) -> dict:
     }
 
 
-def _roundstep(ctx, workers: int) -> "tuple[float, float, int]":
-    """Time one sort-based and one CSR min-label round on a warm pool;
-    returns ``(sort_seconds, csr_seconds, incidences)``."""
-    n = ctx.params["roundstep_n"]
-    graph = Workload("permutation_regular", n, {"degree": DEGREE}).build(
-        ctx.seed + 1
-    )
-    send = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
-    recv = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
-    # Read-only so the arena pins them, exactly like the engines do —
-    # the timed calls then measure the kernels, not first-time uploads.
-    send.setflags(write=False)
-    recv.setflags(write=False)
-    labels = np.arange(n, dtype=np.int64)
-    with ProcessBackend(
-        shard_memory=n + 2 * graph.m, workers=workers, min_parallel_items=0
-    ) as pool:
-        # Warm each shape once (pool spawn, pinned uploads).
-        pool.min_label_exchange(labels, send, recv)
-        pool.csr_min_label(labels, graph.indptr, graph.heads)
-        sort_labels = ctx.timeit(
-            "roundstep-sort",
-            lambda: pool.min_label_exchange(labels, send, recv)[0],
-        )
-        sort_seconds = ctx.timings[-1].best
-        csr_labels = ctx.timeit(
-            "roundstep-csr",
-            lambda: pool.csr_min_label(labels, graph.indptr, graph.heads)[0],
-        )
-        csr_seconds = ctx.timings[-1].best
-    ctx.check(
-        "roundstep-labels-identical",
-        np.array_equal(sort_labels, csr_labels),
-        "one gather round must equal one sort round bit for bit",
-    )
-    return sort_seconds, csr_seconds, int(graph.heads.size)
-
-
 @register_benchmark(
     "e17_backend_parity",
     title="Backend parity: the paper pipeline on local, sharded and process",
@@ -145,7 +97,6 @@ def _roundstep(ctx, workers: int) -> "tuple[float, float, int]":
         "oversample": 6,
         "max_phases": 4,
         "min_speedup": 0.0,
-        "roundstep_n": 500000,
     },
     full={
         "sizes": [20000, 100000],
@@ -155,18 +106,14 @@ def _roundstep(ctx, workers: int) -> "tuple[float, float, int]":
         "oversample": 4,
         "max_phases": 2,
         "min_speedup": 1.5,
-        "roundstep_n": 1000000,
     },
     notes=(
         "Expected shape: labels, rounds and model counters bit-identical "
         "on every backend and pool size, fleet == peak_machines; the "
         "arena pool allocates O(size classes) segments cold and none "
-        "warm, fuses plans and runs the CSR broadcast; the full-tier "
-        "pool speedup gate arms on multi-CPU hosts, and the isolated CSR "
-        "round step beats the sort-based one (>= 1.3x smoke, never "
-        "slower full)."
+        "warm; the full-tier pool speedup gate arms on multi-CPU hosts."
     ),
-    tags=("pipeline", "backends", "scaling", "arena", "plans", "csr"),
+    tags=("pipeline", "backends", "scaling", "arena", "plans"),
 )
 def e17_backend_parity(ctx):
     params = ctx.params
@@ -263,21 +210,7 @@ def e17_backend_parity(ctx):
                 warm_segments == 0,
                 f"warm runs allocated {warm_segments} new segments",
             )
-            ctx.check(
-                "arena-recycles-leases",
-                warm["recycled"] > 0 and warm["pinned_hits"] > 0,
-            )
-            ctx.check(
-                "fusion-engages",
-                dispatch["serial_fused"] > 0,
-                f"{dispatch['serial_fused']} plan steps kept in the parent",
-            )
-            ctx.check(
-                "csr-engages",
-                stats.csr["csr_builds"] > 0
-                and stats.op_counts.get("csr_min_label", 0) > 0,
-                f"{stats.csr}, {stats.op_counts}",
-            )
+            ctx.check("arena-recycles-leases", warm["recycled"] > 0)
 
         baseline_seconds = baseline_seconds or seconds
         speedup = baseline_seconds / seconds if seconds > 0 else 0.0
@@ -297,35 +230,15 @@ def e17_backend_parity(ctx):
             shm_segments=cold["segments"],
             warm_segments=warm_segments,
             leases_recycled=warm["recycled"],
-            pinned_hits=warm["pinned_hits"],
             dispatch_barriers=dispatch["barriers"],
-            serial_fused_steps=dispatch["serial_fused"],
             **{f"{stem}_barriers": dispatch["plan_barriers"].get(shape, 0)
                for shape, stem in PLAN_SHAPES.items()},
             shm_mbytes_copied=dispatch["shm_bytes_copied"] / 1e6,
-            csr_builds=stats.csr["csr_builds"],
             engine=ctx.account(engine),
         )
 
-    # -- the round step, then the two wall-clock gates ----------------------
-    sort_seconds, csr_seconds, incidences = _roundstep(ctx, arena_workers)
-    rs_speedup = sort_seconds / csr_seconds if csr_seconds > 0 else float("inf")
-    ctx.record(
-        "roundstep",
-        row=[params["roundstep_n"], f"roundstep-w{arena_workers}",
-             f"{csr_seconds:.4f}", f"{rs_speedup:.2f}x"] + ["-"] * 7,
-        n=params["roundstep_n"],
-        incidences=incidences,
-        workers=arena_workers,
-        sort_seconds=sort_seconds,
-        csr_seconds=csr_seconds,
-        speedup=rs_speedup,
-    )
-    timing = (
-        f"best pool speedup {best_speedup:.2f}x over workers=1; round step "
-        f"csr {csr_seconds * 1e3:.1f} ms vs sort {sort_seconds * 1e3:.1f} ms "
-        f"({rs_speedup:.2f}x)"
-    )
+    # -- the wall-clock gate -------------------------------------------------
+    timing = f"best pool speedup {best_speedup:.2f}x over workers=1"
     ctx.note(timing)
     min_speedup = params["min_speedup"]
     if min_speedup > 0 and max(sweep) > 1 and cpus >= 2:
@@ -337,7 +250,3 @@ def e17_backend_parity(ctx):
             "pool speedup gate skipped: "
             + ("single-CPU host" if cpus < 2 else "record-only tier")
         )
-    floor = FULL_ROUNDSTEP_FLOOR if ctx.is_full else MIN_ROUNDSTEP_SPEEDUP
-    ctx.check(
-        "roundstep-speedup", rs_speedup >= floor, f"{timing}; need >= {floor}x"
-    )

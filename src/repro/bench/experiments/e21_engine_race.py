@@ -5,7 +5,7 @@ same generator families through the same dispatch seam
 (``mpc_connected_components(..., engine=)``), on the true-parallel
 :class:`~repro.mpc.ProcessBackend` — so the race compares *algorithms*,
 never data planes.  Per family and engine the artifact records MPC
-rounds, algorithm phases, dispatch barriers (plan-fusion quality),
+rounds, algorithm phases, dispatch barriers,
 materialised exchanges, bytes moved, and wall-clock seconds, all under
 the ``--compare`` counter gates.  Expected shape:
 

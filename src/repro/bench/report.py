@@ -196,8 +196,8 @@ def validate_case_json(doc: dict) -> dict:
 #: change that inflates communication fails --compare; "segments" gates
 #: shared-memory segment allocations so the arena's O(1)-allocations-
 #: per-run property cannot silently regress; "barriers" gates dispatch-
-#: barrier counts so plan fusion (one barrier per round plan, not one
-#: per op) cannot silently unfuse; "frames"/"wire_bytes" gate the RPC
+#: barrier counts so an op cannot silently start paying a pool barrier
+#: it did not pay before; "frames"/"wire_bytes" gate the RPC
 #: transport (op frames shipped and their serialized sizes —
 #: deterministic per plan, unlike heartbeats/retries) so a codec or
 #: dedup change that inflates wire traffic fails --compare; "words"

@@ -7,8 +7,8 @@ among itself and its neighbours.  The wave from each component's minimum
 vertex reaches distance-``j`` vertices in round ``j``, so the process
 stabilises in ``max-component-diameter`` rounds — each counted on the
 engine — and the final parent pointers form a BFS spanning tree.  Each
-level is one ``csr_min_label`` fold over the frozen CSR arrays of the
-input's :class:`~repro.graph.graph.Graph`.
+level is one ``min_label_exchange`` over the two orientations of the
+edge list.
 
 Running to stabilisation also makes this the pipeline's honest fallback:
 even if the earlier probabilistic phases under-merged (possible at library
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.components import canonical_labels
-from repro.graph.graph import Graph
 from repro.mpc.engine import MPCEngine, ensure_engine
 from repro.mpc.plan import PlanBuilder
 from repro.utils.validation import check_positive_int
@@ -62,10 +61,19 @@ def broadcast_components(
     paper's O(1)-round regime of Claim 6.14, used by the adaptive variant,
     where an unconverged broadcast means "this gap guess was too large".
 
-    Every level folds each vertex's minimum over its adjacency run in
-    the frozen CSR arrays of one :class:`~repro.graph.graph.Graph`, as
-    one ``csr_min_label`` plan on ``engine`` (a recorded round on its
-    data plane).
+    Every level is one ``min_label_exchange`` plan on ``engine`` (a
+    recorded round on its data plane): edge copy ``p`` of the send list
+    ``u ⧺ v`` carries its sending endpoint's label to the receiving
+    endpoint ``(v ⧺ u)[p]``.  An improved vertex records the largest
+    position ``p`` that delivered its new label, so the tree does not
+    depend on how a backend orders the deliveries.
+
+    Raises
+    ------
+    ValueError
+        An edge endpoint lies outside ``[0, n)``.
+    RuntimeError
+        The broadcast did not stabilise within ``max_rounds`` rounds.
     """
     n = check_positive_int(n, "n")
     engine = ensure_engine(engine)
@@ -76,48 +84,38 @@ def broadcast_components(
     labels = np.arange(n, dtype=np.int64)
     parent_edge = np.full(n, -1, dtype=np.int64)
 
-    if edges.shape[0] == 0:
+    m = edges.shape[0]
+    if m == 0:
         return BroadcastResult(
             labels=labels, tree_edges=np.empty(0, dtype=np.int64), rounds=0
         )
+    if edges.min() < 0 or edges.max() >= n:
+        raise ValueError("edge endpoint out of range [0, n)")
 
-    m = edges.shape[0]
-    # The graph's read-only owning CSR arrays satisfy the arena pinning
-    # contract (one shared-memory upload for the whole broadcast) and the
-    # wire digest cache (shipped once per worker).
-    graph = Graph(n, edges)
-    engine.backend.note_csr_build()
-    indptr, heads, half = graph.indptr, graph.heads, graph.halfedges
-    owner = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
-    # Incidence position of each CSR slot in the edge-list orientation
-    # order: half-edge 2e + 1 (v -> u, received at u) is position e,
-    # half-edge 2e (received at v) is position m + e.  Recording the
-    # largest delivering position per vertex makes the tree independent
-    # of the slot order within a run.
-    pos = np.where(half & 1, half >> 1, m + (half >> 1))
-    runs = graph.degrees > 0
-    starts = indptr[:-1][runs]
+    send = np.concatenate([edges[:, 0], edges[:, 1]])
+    recv = np.concatenate([edges[:, 1], edges[:, 0]])
 
     rounds = 0
     while rounds < max_rounds:
         if stop_after is not None and rounds >= stop_after:
             break
         builder = PlanBuilder("broadcast-level")
-        outs = builder.csr_min_label(labels, indptr, heads)
+        outs = builder.min_label_exchange(labels, send, recv)
         new_labels, incoming = engine.run_plan(builder.build(outs))
         improved = new_labels < labels
         if not improved.any():
             break
         rounds += 1
         engine.charge_shuffle(m, label="broadcast level")
-        # Record a delivering edge for every improved vertex: an incidence
-        # whose incoming label equals the new minimum.  The final recording
-        # (the wave from the component minimum) forms the BFS tree.
-        cand = np.where(incoming == new_labels[owner], pos, -1)
+        # An improved vertex records its largest delivering position; the
+        # final recording (the wave from the component minimum) forms the
+        # BFS tree.
+        delivering = np.flatnonzero(incoming == new_labels[recv])
+        targets = recv[delivering]
+        hit = improved[targets]
         best = np.full(n, -1, dtype=np.int64)
-        if starts.size:
-            best[runs] = np.maximum.reduceat(cand, starts)
-        sel = improved & (best >= 0)
+        np.maximum.at(best, targets[hit], delivering[hit])
+        sel = best >= 0
         parent_edge[sel] = best[sel] % m
         labels = new_labels
     else:

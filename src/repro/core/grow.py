@@ -73,9 +73,7 @@ def contract_plan(labels: np.ndarray, batch: np.ndarray):
     One search (endpoint relabelling) feeding one reduce-by-key (dedup:
     min edge index per component pair), glued by the registered
     ``contract_keys`` / ``unpack_pair_keys`` transforms; outputs are
-    ``(edges, representative)``.  Because the search's output feeds the
-    later reduce, a fusing backend executes the whole round in a single
-    dispatch barrier.
+    ``(edges, representative)``.
     """
     builder = PlanBuilder("contract")
     k = int(labels.max()) + 1
@@ -99,8 +97,7 @@ def contract_batch(
     on ``engine`` (the plan lands in its trace): the endpoint relabelling
     runs as one backend search and the dedup as one reduce-by-key (min
     edge index per component pair), so a sharded backend enforces its
-    caps and counts the communication, and the process backend fuses the
-    pair into a single dispatch barrier.
+    caps and counts the communication.
     """
     engine = ensure_engine(engine)
     labels = np.asarray(labels, dtype=np.int64)

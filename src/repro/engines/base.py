@@ -6,9 +6,9 @@ the same three seams every other layer of the stack already uses:
 
 * every communication round is a :class:`~repro.mpc.plan.RoundPlan`
   built with :class:`~repro.mpc.plan.PlanBuilder` and submitted through
-  :meth:`~repro.mpc.engine.MPCEngine.run_plan`, so ProcessBackend
-  fusion, ShmArena leasing, and ``MPCEngine(trace=...)`` capture/replay
-  apply to a new algorithm with zero backend work;
+  :meth:`~repro.mpc.engine.MPCEngine.run_plan`, so the worker pools
+  and ``MPCEngine(trace=...)`` capture/replay apply to a new algorithm
+  with zero backend work;
 * round *charges* go through the same :class:`~repro.mpc.engine.MPCEngine`
   cost model, so ``result.rounds`` is comparable across engines;
 * the result is the same :class:`~repro.core.pipeline.PipelineResult`
@@ -213,11 +213,11 @@ def _t_wedge_keys(sorted_pairs: np.ndarray, *, k: int, cap: int) -> np.ndarray:
 
 
 def incidence_arrays(edges: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """Both orientations of an edge list as read-only ``(send, recv)``.
+    """Both orientations of an edge list as read-only ``(send, recv)``:
+    incidence ``p`` carries ``send[p]``'s label to ``recv[p]``.
 
     The arrays are loop-invariant across an engine's label-propagation
-    rounds; marking them read-only lets an arena-backed process backend
-    pin them in shared memory once instead of re-copying every round.
+    rounds, so a captured trace stores them once (by content digest).
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     send = np.concatenate([edges[:, 0], edges[:, 1]])
@@ -230,38 +230,16 @@ def incidence_arrays(edges: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
 def min_label_round_plan(
     name: str, labels: np.ndarray, send: np.ndarray, recv: np.ndarray
 ) -> RoundPlan:
-    """One connect-and-shortcut round as a single fused plan.
+    """One connect-and-shortcut round as a single plan.
 
     Three steps: a ``min_label_exchange`` ships every vertex's label
     across its incident edges and folds the minimum (the *connect* step
     of Liu–Tarjan), a ``search`` reads each vertex's parent's label
     (the *parent-pointer shortcut*), and an ``elementwise_min``
-    transform merges the two.  Because the exchange output feeds the
-    later search, a fusing backend runs the whole round in one dispatch
-    barrier.
+    transform merges the two.
     """
     builder = PlanBuilder(name)
     connected, _incoming = builder.min_label_exchange(labels, send, recv)
-    shortcut = builder.search(connected, connected)
-    merged = builder.transform("elementwise_min", connected, shortcut)
-    return builder.build([merged])
-
-
-def csr_min_label_round_plan(
-    name: str, labels: np.ndarray, indptr: np.ndarray, indices: np.ndarray
-) -> RoundPlan:
-    """One connect-and-shortcut round on a frozen CSR index.
-
-    The gather-shaped twin of :func:`min_label_round_plan`: a
-    ``csr_min_label`` folds each vertex's minimum over its contiguous
-    CSR slot run (no argsort, no scatter), then the same ``search`` +
-    ``elementwise_min`` shortcut.  Labels, rounds, and every gated
-    counter are bit-identical to the sort-based plan — binding the
-    read-only CSR arrays into every round lets arena-backed backends pin
-    them once and the RPC wire dedup them by content digest.
-    """
-    builder = PlanBuilder(name)
-    connected, _incoming = builder.csr_min_label(labels, indptr, indices)
     shortcut = builder.search(connected, connected)
     merged = builder.transform("elementwise_min", connected, shortcut)
     return builder.build([merged])

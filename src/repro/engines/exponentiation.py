@@ -8,11 +8,11 @@ per-vertex degree cap keeping the squared graph sparse.
 
 Each phase runs three plans through :meth:`MPCEngine.run_plan`:
 
-1. **connect+shortcut** — the same fused min-label round the Liu–Tarjan
+1. **connect+shortcut** — the same min-label round the Liu–Tarjan
    engine uses, over the current doubled edge set;
 2. **contract** — the reused :func:`repro.core.grow.contract_plan`
-   (search → ``contract_keys`` → min-reduce → unpack, one fused
-   dispatch) drops intra-component edges and dedups;
+   (search → ``contract_keys`` → min-reduce → unpack) drops
+   intra-component edges and dedups;
 3. **square** — one global ``sort`` by midpoint co-locates every label's
    incidence span, the ``wedge_keys`` transform emits capped 2-hop pair
    keys machine-locally, and a min-reduce dedups them.

@@ -3,13 +3,12 @@
 The simplest of the "simple concurrent connected components" framework
 variants: every round each vertex adopts the minimum label offered over
 its incident edges (*connect*), then shortcuts to its parent's label
-(*shortcut*).  Both halves of the round run as one fused
+(*shortcut*).  Both halves of the round run as one
 :class:`~repro.mpc.plan.RoundPlan` (see
-:func:`repro.engines.base.csr_min_label_round_plan`): a
-``csr_min_label`` over the input graph's own frozen CSR arrays
-(:attr:`~repro.graph.graph.Graph.indptr`,
-:attr:`~repro.graph.graph.Graph.heads`) — one all-to-all shuffle —
-feeding a ``search`` over the freshly updated label table.
+:func:`repro.engines.base.min_label_round_plan`): a
+``min_label_exchange`` over both orientations of the edge list — one
+all-to-all shuffle — feeding a ``search`` over the freshly updated
+label table.
 
 Rounds: ``O(log n)`` in the worst case (label minima travel at least one
 hop per round and the shortcut halves pointer chains), with far fewer on
@@ -29,7 +28,8 @@ from repro.core.pipeline import PipelineResult
 from repro.engines.base import (
     ConnectivityEngine,
     canonicalize_plan,
-    csr_min_label_round_plan,
+    incidence_arrays,
+    min_label_round_plan,
     register_engine,
 )
 from repro.graph.graph import Graph
@@ -68,24 +68,20 @@ class LiuTarjanEngine(ConnectivityEngine):
 
         # Place the input on the data plane (capacity check + trace
         # completeness), exactly like the paper pipeline's opening round.
-        # Every round then binds the graph's own frozen CSR arrays, which
-        # a captured trace records as ordinary plan bindings.
         builder = PlanBuilder("scatter-input")
         mpc.run_plan(builder.build(builder.scatter(graph.edges)))
-        mpc.backend.note_csr_build()
+        send, recv = incidence_arrays(graph.edges)
 
         max_rounds = 4 * max(1, math.ceil(math.log2(max(n, 2)))) + 8
         iterations = 0
         with mpc.phase("LiuTarjan"):
             for _ in range(max_rounds):
                 (new_labels,) = mpc.run_plan(
-                    csr_min_label_round_plan(
-                        "lt-round", labels, graph.indptr, graph.heads
-                    )
+                    min_label_round_plan("lt-round", labels, send, recv)
                 )
                 new_labels = np.asarray(new_labels)
                 # Work first, charge second: the connect shuffle (the n
-                # labels plus the 2m CSR slots it holds) and the shortcut
+                # labels plus the 2m incidences it holds) and the shortcut
                 # search absorb the exchanges the plan made.
                 mpc.charge_shuffle(n + 2 * graph.m, label="connect")
                 mpc.charge_search(n, label="shortcut")

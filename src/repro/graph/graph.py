@@ -22,11 +22,9 @@ replacement/zig-zag products.
 
 The CSR arrays are frozen at construction: :attr:`Graph.indptr`,
 :attr:`Graph.heads` and :attr:`Graph.halfedges` are read-only,
-C-contiguous ``int64`` arrays owning their data, handed out as they are.
-That is what :class:`~repro.mpc.arena.ShmArena` pinning and the RPC
-wire's digest cache need, so the min-label broadcast and the Liu–Tarjan
-engine fold labels over a graph's own arrays; each row's slots are in
-port order (edge-id order).
+C-contiguous ``int64`` arrays owning their data, handed out as they are
+(the walk sampler reads a regular graph's ``heads`` as its port table);
+each row's slots are in port order (edge-id order).
 """
 
 from __future__ import annotations

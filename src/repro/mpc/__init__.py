@@ -17,8 +17,7 @@ with ``mpc_connected_components(..., backend="local" | "sharded" |
 Every backend speaks the round-plan IR of :mod:`repro.mpc.plan`: the
 algorithm layer records each MPC round's op sequence in a
 :class:`RoundPlan` (via :class:`PlanBuilder`) and submits it once
-through ``engine.run_plan``; the process backend fuses plans into fewer
-dispatch barriers, and ``MPCEngine(trace=...)`` +
+through ``engine.run_plan``, and ``MPCEngine(trace=...)`` +
 :func:`repro.mpc.plan.replay` capture and re-execute the plan stream on
 any backend.
 """
@@ -46,7 +45,6 @@ from repro.mpc.plan import (
     SlotRef,
     content_digest,
     graph_digest,
-    parent_local_steps,
     register_transform,
     replay,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "SlotRef",
     "content_digest",
     "graph_digest",
-    "parent_local_steps",
     "register_transform",
     "replay",
     "ArenaLease",

@@ -32,16 +32,6 @@ the leases a real discipline rather than a raw buffer pool:
   the lifecycle test re-attaches every name and expects
   ``FileNotFoundError``.
 
-**Pinned leases** extend recycling across *operations*: an input array
-marked read-only (``array.flags.writeable`` is ``False`` with no base)
-can be shared once via :meth:`ShmArena.share_pinned` and re-used by every
-subsequent operation that passes the same array object — the frozen CSR
-arrays of the label-broadcast loop stop being re-copied on every
-level.  Reuse is content-verified (a vectorised
-compare, cheaper than the copy it saves), so a pinned buffer can never
-serve stale data.  A ``weakref`` on the array releases the pinned lease
-when the caller drops it.
-
 This buffer-lease discipline is also the prerequisite for any future
 async/RPC executor: a remote data plane needs exactly this "allocate
 once, lease per op, generation-check on reuse" contract.
@@ -158,11 +148,10 @@ class ArenaLease:
     def release(self) -> None:
         """Return the segment to the arena's free list (idempotent).
 
-        Releasing a lease that is already stale — the arena closed, or a
-        pinned lease was evicted — is a no-op: release is the cleanup
-        path (``with`` blocks, ``finally`` clauses), and cleanup must
-        not mask the error that invalidated the lease.  Only the *data*
-        accessors raise on staleness.
+        Releasing a lease after its arena closed is a no-op: release is
+        the cleanup path (``with`` blocks, ``finally`` clauses), and
+        cleanup must not mask the error that invalidated the lease.
+        Only the *data* accessors raise on staleness.
         """
         if self._released or not self.alive:
             self._released = True
@@ -208,13 +197,10 @@ class ShmArena:
     def __init__(self):
         self._segments: "list[_Segment]" = []
         self._closed = False
-        # Pinned read-only inputs: id(array) -> (weakref, lease).
-        self._pinned: "dict[int, tuple]" = {}
         self.segments_created = 0
         self.bytes_reserved = 0
         self.leases_issued = 0
         self.leases_recycled = 0
-        self.pinned_hits = 0
         self._live_leases = 0
         self.peak_live_leases = 0
         self._finalizer = weakref.finalize(
@@ -237,7 +223,7 @@ class ShmArena:
 
         ``segments`` is the number of shared-memory segments ever created
         by this arena — the quantity the arena exists to keep O(1) per
-        run; ``leases`` / ``recycled`` / ``pinned_hits`` break down how
+        run; ``leases`` / ``recycled`` break down how
         demand was served; ``bytes_reserved`` is the total capacity held.
         """
         return {
@@ -246,7 +232,6 @@ class ShmArena:
             "bytes_reserved": self.bytes_reserved,
             "leases": self.leases_issued,
             "recycled": self.leases_recycled,
-            "pinned_hits": self.pinned_hits,
             "peak_live_leases": self.peak_live_leases,
         }
 
@@ -295,61 +280,6 @@ class ShmArena:
         lease.view[...] = array
         return lease
 
-    def share_pinned(self, array: np.ndarray) -> "tuple[ArenaLease, bool] | None":
-        """Share a *read-only* array once and reuse the lease on repeats.
-
-        Returns ``(lease, copied)`` when ``array`` qualifies for pinning
-        (non-writeable with no base array) — ``copied`` is True iff this
-        call wrote the array into shared memory, False on a verified
-        cache hit — and ``None`` otherwise, in which case the caller
-        must fall back to :meth:`share` and manage the lease's lifetime
-        itself.
-
-        Reuse is *content-verified*: a hit compares the cached shared
-        copy against the array (a vectorised compare is cheaper than
-        the copy it saves, and it makes the cache correct even if the
-        contents changed behind the read-only flag — e.g. through a
-        writeable view taken before the flag was set).  A detected
-        change refreshes the shared copy in place.
-
-        Pinned leases are owned by the arena: a weak reference on the
-        array releases them when the caller drops it, and :meth:`close`
-        releases the rest.  Callers must not release pinned leases
-        themselves.
-        """
-        if array.flags.writeable or array.base is not None:
-            return None
-        key = id(array)
-        entry = self._pinned.get(key)
-        if entry is not None:
-            ref, lease = entry
-            if (
-                ref() is array
-                and lease.alive
-                and lease.shape == array.shape
-                and lease.dtype == array.dtype
-            ):
-                view = lease.view
-                if np.array_equal(view, array):
-                    self.pinned_hits += 1
-                    return lease, False
-                view[...] = array  # mutated behind the flag: refresh
-                return lease, True
-            self._pinned.pop(key, None)
-            if lease.alive:
-                lease.release()
-        lease = self.share(array)
-        self._pinned[key] = (
-            weakref.ref(array, lambda _ref: self._evict_pinned(key)),
-            lease,
-        )
-        return lease, True
-
-    def _evict_pinned(self, key: int) -> None:
-        entry = self._pinned.pop(key, None)
-        if entry is not None and not self._closed and entry[1].alive:
-            entry[1].release()
-
     def _release_segment(self, segment: _Segment) -> None:
         segment.generation += 1  # invalidates every outstanding lease tag
         segment.in_use = False
@@ -361,12 +291,11 @@ class ShmArena:
         """Unlink every segment and invalidate all leases (idempotent).
 
         After closing, nothing this arena created remains attachable by
-        name; live leases (including pinned ones) turn stale.
+        name; live leases turn stale.
         """
         if self._closed:
             return
         self._closed = True
-        self._pinned.clear()
         for segment in self._segments:
             segment.generation += 1
         self._finalizer()

@@ -21,9 +21,11 @@ charges describe.  Four implementations ship:
 * :class:`~repro.mpc.process_backend.ProcessBackend` and
   :class:`~repro.mpc.rpc.RpcBackend` — the worker pools.  Both subclass
   :class:`PooledBackend`, which keeps the sharded accounting and plans
-  each compute hook into per-worker steps over the block kernels of
-  :mod:`repro.mpc.kernels`; they differ only in how arrays reach the
-  workers (shared memory or socket frames).  Selected with
+  the sort, reduce, walk and sketch-ingest hooks into per-worker steps
+  over the block kernels of :mod:`repro.mpc.kernels` (search and the
+  min-label level always run in the parent); they differ
+  only in how arrays reach the workers (shared memory or socket
+  frames).  Selected with
   ``backend="process"`` or ``backend="rpc"`` (registered when
   :mod:`repro.mpc` imports their modules).
 
@@ -35,7 +37,7 @@ hook and records its barrier.  :class:`ShardedBackend` overrides only
 the two fleet hooks, the one that sizes the fleet and enforces its caps
 and the one that counts barriers and bytes between shards (one machine
 finds one shard and counts nothing), and :class:`PooledBackend`
-overrides only the compute hooks, so the pools are counter-identical to
+overrides only some compute hooks, so the pools are counter-identical to
 :class:`ShardedBackend` by construction, which is what the differential
 suite asserts.  Where a sketch's partials live is the one other thing a
 backend decides, in its ``_place_sketch_partials`` hook.
@@ -53,7 +55,6 @@ crossed shard boundaries.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -63,7 +64,6 @@ from repro.mpc.kernels import (
     _REDUCERS,
     _grouped_reduce,
     _step,
-    csr_min_fold,
     key_bounds,
     partitionable,
     plain,
@@ -84,7 +84,6 @@ ARENA_STATS_ZERO = {
     "bytes_reserved": 0,
     "leases": 0,
     "recycled": 0,
-    "pinned_hits": 0,
     "peak_live_leases": 0,
 }
 
@@ -94,7 +93,6 @@ DISPATCH_STATS_ZERO = {
     "messages": 0,
     "steps": 0,
     "shm_bytes_copied": 0,
-    "serial_fused": 0,
     "plan_barriers": {},
 }
 
@@ -115,13 +113,10 @@ TRANSPORT_STATS_ZERO = {
     "workers_restarted": 0,
 }
 
-#: Zeroed CSR block, same one-schema contract as
-#: :data:`ARENA_STATS_ZERO`.  ``csr_builds`` counts the graph CSR
-#: adjacencies an engine bound and announced with
-#: :meth:`ExecutionBackend.note_csr_build`; the gathers over them
-#: count as ``op_counts["csr_min_label"]``.  ``csr_builds``
-#: carries no gated compare suffix — the model counters (exchanges,
-#: bytes, barriers) keep their own gates.
+#: Zeroed CSR block.  No backend builds a CSR index any more, so every
+#: backend emits it as it is; it stays in the schema because the e2e
+#: benchmark harness (``benchmarks/e2e/harness.py``) reads
+#: ``stats["csr"]["csr_builds"]`` on every answer.
 CSR_STATS_ZERO = {
     "csr_builds": 0,
 }
@@ -142,17 +137,17 @@ class BackendStats:
     ``workers`` is the OS-process pool size of a
     :class:`~repro.mpc.process_backend.ProcessBackend` (``None`` for the
     in-process backends); ``arena`` and ``dispatch`` carry that backend's
-    shared-memory arena counters (segment allocations, lease recycling,
-    pinned-input hits) and dispatch telemetry (barriers, worker messages,
-    fused steps, bytes copied into shared memory, plan-fusion savings) —
+    shared-memory arena counters (segment allocations, lease recycling)
+    and dispatch telemetry (barriers, worker messages, steps, bytes
+    copied into shared memory, barriers per plan name) —
     ``None`` on the dataclass for backends without a worker pool, but
     :meth:`to_json` always emits both blocks (zeroed where not
     applicable) so ``--compare`` and downstream tooling never
     special-case the backend.  ``transport`` carries the wire telemetry
     of an :class:`~repro.mpc.rpc.RpcBackend` (frames, payload bytes,
     digest-dedup hits, heartbeats, retries) under the same zero-filled
-    one-schema contract (:data:`TRANSPORT_STATS_ZERO`).  ``csr`` carries
-    the CSR index builds under the :data:`CSR_STATS_ZERO` schema.
+    one-schema contract (:data:`TRANSPORT_STATS_ZERO`).  :meth:`to_json`
+    also emits the zeroed :data:`CSR_STATS_ZERO` block.
     """
 
     name: str
@@ -168,7 +163,6 @@ class BackendStats:
     arena: "dict | None" = None
     dispatch: "dict | None" = None
     transport: "dict | None" = None
-    csr: "dict | None" = None
 
     def to_json(self) -> dict:
         """Plain-dict form embedded in ``MPCEngine.summary()`` and the
@@ -197,7 +191,7 @@ class BackendStats:
             "transport": dict(
                 TRANSPORT_STATS_ZERO if self.transport is None else self.transport
             ),
-            "csr": dict(CSR_STATS_ZERO if self.csr is None else self.csr),
+            "csr": dict(CSR_STATS_ZERO),
         }
 
 
@@ -226,7 +220,7 @@ def _keyed(keys, values, op: "str | None" = None):
 class ExecutionBackend:
     """The MPC data plane on one machine, and the one definition of every op.
 
-    Eight public operations carry the data movement of the pipeline
+    Seven public operations carry the data movement of the pipeline
     stages and the streaming sketch:
 
     * :meth:`scatter` — place an array on the fleet;
@@ -238,14 +232,13 @@ class ExecutionBackend:
     * :meth:`min_label_exchange` — one fused min-label broadcast level
       (edge copies co-located with the sending endpoint, one shipment to
       the receiving home);
-    * :meth:`csr_min_label` — the same level as indptr-sliced folds over
-      a frozen CSR index;
     * :meth:`sketch_update` / :meth:`sketch_collect` — the sharded AGM
       sketch's ingest and decode-time gather.
 
     Each is written once, here: it counts itself, checks its operands,
-    checks capacity (:meth:`ensure_capacity`), calls a serial
-    ``_kernel_*`` hook and records the barrier it crossed
+    checks capacity (:meth:`ensure_capacity`), computes its result
+    (``search`` and ``min_label_exchange`` inline, the others through a
+    serial ``_kernel_*`` hook) and records the barrier it crossed
     (:meth:`_exchange`).  The counters, :meth:`reset`,
     :meth:`take_exchange_delta` and :meth:`stats` live here too.  On
     this one machine every input fits one shard and no barrier is
@@ -288,7 +281,6 @@ class ExecutionBackend:
         self._op_counts: "dict[str, int]" = {}
         self._exchange_mark = 0
         self.plans_run = 0
-        self.csr_builds = 0
         self.shard_count = 0
         self.peak_shard_load = 0
         self.exchanges = 0
@@ -333,46 +325,23 @@ class ExecutionBackend:
             op_counts=dict(self._op_counts),
             plans=self.plans_run,
             workers=self.workers,
-            csr=self._csr_stats(),
         )
 
     def _count_op(self, op: str) -> None:
         self._op_counts[op] = self._op_counts.get(op, 0) + 1
-
-    def note_csr_build(self) -> None:
-        """Record that an engine bound a graph's CSR arrays for this
-        execution."""
-        self.csr_builds += 1
-
-    def _csr_stats(self) -> dict:
-        """The live CSR telemetry block (:data:`CSR_STATS_ZERO` schema)."""
-        return {"csr_builds": self.csr_builds}
 
     # -- round plans ---------------------------------------------------------
 
     def run_plan(self, plan: RoundPlan) -> tuple:
         """Execute one :class:`~repro.mpc.plan.RoundPlan`; returns its outputs.
 
-        The default is sequential step execution through the *public*
-        operations — behaviourally identical to the eager calls the plan
-        records, so results, capacity enforcement, and every
-        exchange/byte counter match the unplanned execution bit for bit
-        on any backend.  Subclasses with a dispatch layer may override
-        :meth:`_plan_serial_steps` (or this method) to fuse the plan
-        into fewer barriers; fusion must never change results or model
-        counters, only dispatch cost.
+        Steps run in order through the *public* operations —
+        behaviourally identical to the eager calls the plan records, so
+        results, capacity enforcement, and every exchange/byte counter
+        match the unplanned execution bit for bit on any backend.
         """
         self.plans_run += 1
-        return run_plan_steps(self, plan, self._plan_serial_steps(plan))
-
-    def _plan_serial_steps(self, plan: RoundPlan) -> frozenset:
-        """Step indices to pin to serial kernels (none by default)."""
-        return frozenset()
-
-    def _serial_kernels(self):
-        """Scope pinning the kernels under it to their serial hooks;
-        every kernel here is serial already, so it does nothing."""
-        return contextlib.nullcontext()
+        return run_plan_steps(self, plan)
 
     # -- operations ----------------------------------------------------------
 
@@ -426,9 +395,9 @@ class ExecutionBackend:
         table = np.asarray(table)
         queries = np.asarray(queries)
         # Capacity check first: a capped fleet must reject oversized input
-        # before any (potentially pooled) compute runs.
+        # before any compute runs.
         shards = self.ensure_capacity(int(table.shape[0]) + int(queries.shape[0]))
-        result = self._kernel_search(table, queries)
+        result = table[queries]
         if shards > 1:
             s = self._s
             home = queries // s
@@ -476,45 +445,12 @@ class ExecutionBackend:
         recv = np.asarray(recv)
         # Capacity check first (see search()).
         shards = self.ensure_capacity(int(labels.shape[0]) + int(send.shape[0]))
-        new_labels, incoming = self._kernel_min_label(labels, send, recv)
+        incoming = labels[send]
+        new_labels = labels.copy()
+        np.minimum.at(new_labels, recv, incoming)
         if shards > 1:
             s = self._s
             crossing = int(np.count_nonzero(send // s != recv // s))
-            self._exchange(shards, crossing * incoming.itemsize)
-        return new_labels, incoming
-
-    def csr_min_label(self, labels, indptr, indices):
-        """One min-label broadcast level over a pinned CSR index; returns
-        ``(new_labels, incoming)``, ``incoming`` in CSR slot order.
-
-        Semantically identical to :meth:`min_label_exchange` on the
-        incidence arrays the index enumerates: CSR slot ``p`` holds the
-        incidence *sending* from ``indices[p]`` to the slot's owning row
-        — the same directed-incidence multiset as the concatenated
-        orientation arrays — so labels, the capacity check
-        (``n + 2m`` words), the barrier count, and the crossing payload
-        (incidences whose endpoints live on different shards) match the
-        sort-based level bit for bit.  Only the kernel differs: a
-        contiguous gather plus ``reduceat`` folds instead of argsorted
-        scatter."""
-        self._count_op("csr_min_label")
-        labels = np.asarray(labels)
-        indptr = np.asarray(indptr)
-        indices = np.asarray(indices)
-        # Capacity check first (see search()).
-        shards = self.ensure_capacity(
-            int(labels.shape[0]) + int(indices.shape[0])
-        )
-        new_labels, incoming = self._kernel_csr_min_label(
-            labels, indptr, indices
-        )
-        if shards > 1:
-            s = self._s
-            owners = np.repeat(
-                np.arange(indptr.shape[0] - 1, dtype=np.int64),
-                np.diff(indptr),
-            )
-            crossing = int(np.count_nonzero(indices // s != owners // s))
             self._exchange(shards, crossing * incoming.itemsize)
         return new_labels, incoming
 
@@ -526,36 +462,10 @@ class ExecutionBackend:
         order = np.argsort(keys, kind="stable")
         return values[order], order
 
-    def _kernel_search(self, table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        """Gather hook: ``table[queries]``."""
-        return table[queries]
-
     def _kernel_reduce(self, keys: np.ndarray, values: np.ndarray, op: str):
         """Grouped-reduce hook: ``(unique_keys, reduced, order)`` from
         :func:`~repro.mpc.kernels._grouped_reduce`."""
         return _grouped_reduce(keys, values, op)
-
-    def _kernel_min_label(
-        self, labels: np.ndarray, send: np.ndarray, recv: np.ndarray
-    ):
-        """Min-label hook: ``(new_labels, incoming)`` with
-        ``incoming = labels[send]`` scattered by elementwise minimum onto
-        ``new_labels[recv]``."""
-        incoming = labels[send]
-        new_labels = labels.copy()
-        np.minimum.at(new_labels, recv, incoming)
-        return new_labels, incoming
-
-    def _kernel_csr_min_label(
-        self, labels: np.ndarray, indptr: np.ndarray, indices: np.ndarray
-    ):
-        """CSR min-label hook: ``(new_labels, incoming)``, the block fold
-        :func:`~repro.mpc.kernels.csr_min_fold` over the one block
-        ``[0, n)`` and ``incoming = labels[indices]`` in CSR slot order."""
-        (new_labels,) = csr_min_fold(
-            labels, indptr, indices, lo=0, hi=labels.shape[0]
-        )
-        return new_labels, labels[indices]
 
     # -- sketch ingest seam ---------------------------------------------------
     #
@@ -774,11 +684,14 @@ class PooledBackend(ShardedBackend):
 
     Accounting (capacity enforcement, exchange/byte counters, op counts)
     stays in the public operations and :class:`ShardedBackend`'s fleet
-    hooks; this class overrides only the ``_kernel_*`` compute hooks,
-    planning each into
-    per-worker steps over :data:`~repro.mpc.kernels.KERNELS` and
-    assembling the replies, so results *and* counters are bit-identical
-    to the serial backend.  Subclasses supply the transport:
+    hooks; this class overrides only the sort, reduce and walk compute
+    hooks (and gives its subclasses the pooled sketch ingest), planning
+    each into per-worker steps over :data:`~repro.mpc.kernels.KERNELS`
+    and assembling the replies, so results *and* counters are
+    bit-identical to the serial backend.  ``search`` and
+    ``min_label_exchange`` are never planned: one gather or one
+    ``minimum.at`` in the parent is faster than dispatching it.
+    Subclasses supply the transport:
 
     * ``_pooled(words)`` — whether an operation of that size uses the
       pool (below it, the serial hooks of :class:`ExecutionBackend`
@@ -818,9 +731,6 @@ class PooledBackend(ShardedBackend):
 
     # -- planning ------------------------------------------------------------
 
-    def _blocks(self, n: int) -> "list[tuple[int, int]]":
-        return position_blocks(n, self._s, self.workers)
-
     def _buckets(self, keys: np.ndarray) -> "list[tuple]":
         n = int(keys.shape[0])
         return key_bounds(keys, max(1, min(self.workers, self.shards_for(n))))
@@ -834,38 +744,6 @@ class PooledBackend(ShardedBackend):
             and partitionable(keys)
             and plain(values)
         )
-
-    def _labelable(self, labels: np.ndarray, slots: np.ndarray) -> bool:
-        """Whether a min-label level takes the pool: 1-D plain labels
-        and 1-D incidence slots."""
-        return (
-            self._pooled(int(labels.shape[0]) + int(slots.shape[0]))
-            and labels.ndim == 1
-            and slots.ndim == 1
-            and plain(labels)
-        )
-
-    def _kernel_search(self, table: np.ndarray, queries: np.ndarray):
-        n = int(queries.shape[0])
-        if not (
-            self._pooled(n)
-            and queries.ndim == 1
-            and queries.dtype.kind in "iu"
-            and table.ndim <= 2
-            and plain(table)
-        ):
-            return super()._kernel_search(table, queries)
-        plans = [
-            [_step("search", ["table", "queries"], ["found"], lo=lo, hi=hi)]
-            for lo, hi in self._blocks(n)
-        ]
-        (found,) = self._execute(
-            {"table": table, "queries": queries},
-            {"found": ((n,) + table.shape[1:], table.dtype)},
-            plans,
-            lambda out, _: (out["found"],),
-        )
-        return found
 
     def _kernel_sort(self, values: np.ndarray, keys: np.ndarray):
         if not self._sortable(keys, values):
@@ -918,59 +796,6 @@ class PooledBackend(ShardedBackend):
             finish,
         )
 
-    def _kernel_min_label(
-        self, labels: np.ndarray, send: np.ndarray, recv: np.ndarray
-    ):
-        if not self._labelable(labels, send):
-            return super()._kernel_min_label(labels, send, recv)
-        return self._label_level(
-            {"labels": labels, "send": send, "recv": recv}, "send", "min_fold"
-        )
-
-    def _kernel_csr_min_label(
-        self, labels: np.ndarray, indptr: np.ndarray, indices: np.ndarray
-    ):
-        if not self._labelable(labels, indices):
-            return super()._kernel_csr_min_label(labels, indptr, indices)
-        return self._label_level(
-            {"labels": labels, "indptr": indptr, "indices": indices},
-            "indices",
-            "csr_min_fold",
-        )
-
-    def _label_level(self, arrays: dict, sources: str, fold: str):
-        """One min-label level: per worker, a gather step over a block of
-        the ``sources`` slots and a ``fold`` step (reading every array)
-        over a block of labels, fused in one message — both read only
-        the immutable inputs and write disjoint outputs, so no barrier
-        is needed between them."""
-        labels = arrays["labels"]
-        slots = int(arrays[sources].shape[0])
-        pos_blocks = self._blocks(slots)
-        label_blocks = self._blocks(int(labels.shape[0]))
-        gather_inputs, fold_inputs = ["labels", sources], list(arrays)
-        plans = []
-        for w in range(max(len(pos_blocks), len(label_blocks))):
-            steps = []
-            if w < len(pos_blocks):
-                lo, hi = pos_blocks[w]
-                steps.append(_step(
-                    "gather_incoming", gather_inputs, ["incoming"], lo=lo, hi=hi
-                ))
-            if w < len(label_blocks):
-                lo, hi = label_blocks[w]
-                steps.append(_step(fold, fold_inputs, ["folded"], lo=lo, hi=hi))
-            plans.append(steps)
-        return self._execute(
-            arrays,
-            {
-                "incoming": ((slots,), labels.dtype),
-                "folded": (labels.shape, labels.dtype),
-            },
-            plans,
-            lambda out, _: (out["folded"], out["incoming"]),
-        )
-
     def _kernel_walk(self, heads, degree, steps, columns, entropy):
         n = int(heads.shape[0]) // degree
         if not self._pooled(n * columns):
@@ -980,7 +805,7 @@ class PooledBackend(ShardedBackend):
                 "walk", ["heads"], ["targets"], lo=lo, hi=hi, degree=degree,
                 steps=steps, entropy=entropy,
             )]
-            for lo, hi in position_blocks(columns, 1, self.workers)
+            for lo, hi in position_blocks(columns, self.workers)
         ]
         (targets,) = self._execute(
             {"heads": heads},
@@ -1011,7 +836,7 @@ class PooledBackend(ShardedBackend):
             for shard, part in enumerate(store.partials)
         ]
         plans = [
-            steps[lo:hi] for lo, hi in position_blocks(len(steps), 1, self.workers)
+            steps[lo:hi] for lo, hi in position_blocks(len(steps), self.workers)
         ]
         (applied,) = self._execute(
             {

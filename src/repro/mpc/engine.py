@@ -218,8 +218,7 @@ class MPCEngine:
         """Execute one recorded round on the data plane; returns its outputs.
 
         This is the single seam every algorithm-layer round passes
-        through: the backend chooses its execution strategy (sequential
-        steps, or fused dispatch on the process backend), and when the
+        through: the backend executes its steps, and when the
         engine was constructed with ``trace=...`` the plan and its
         outputs are appended to the capture.  Round *charges* stay
         separate — callers still charge the engine for the round, and

@@ -5,8 +5,7 @@ The backends of :mod:`repro.mpc.backends` only call into this module —
 it imports nothing from them:
 
 * the serial hooks of :class:`~repro.mpc.backends.ExecutionBackend` run
-  :func:`_grouped_reduce`, :func:`csr_min_fold` over the one block
-  ``[0, n)``, and :func:`walk_columns` over every column;
+  :func:`_grouped_reduce` and :func:`walk_columns` over every column;
 * :class:`~repro.mpc.backends.PooledBackend` plans each op into
   per-worker steps over :data:`KERNELS`, and its two transports
   (:class:`~repro.mpc.process_backend.ProcessBackend` over shared
@@ -25,35 +24,21 @@ the ACK.
 
 Partitioning
 ------------
-Work follows the canonical shard layout
-:class:`~repro.mpc.backends.ShardedBackend` accounts for: with
-``shard_count`` shards of ``s`` words, each worker owns
-``ceil(shard_count / workers)`` consecutive shards.
-
-* ``search`` — query positions are split into shard-aligned blocks;
-  each worker gathers ``table[queries[lo:hi]]`` for its block.
 * ``sort`` / ``reduce_by_key`` — sample sort: a deterministic sample of
   the keys yields ``W - 1`` splitters, and each worker stable-sorts the
   keys in its splitter range (original positions ascending break ties,
   so the buckets laid end to end *are* the global stable argsort, bit
   for bit).  Reduce also folds each group in its bucket; key ranges are
   disjoint, so no combine step is needed.
-* ``min_label_exchange`` — two steps per worker in one message: a
-  gather fills ``incoming = labels[send]`` for a position block, and a
-  fold owns a label block and applies ``minimum.at`` for exactly the
-  incidences received there (min is commutative, associative, and
-  idempotent, so any partition gives the serial result).  The fold finds
-  its incidences by scanning the full arrays: the compares are cheap,
-  the scalar scatter they feed is what the partition divides.
-* ``csr_min_label`` — the same gather, and a fold that reads the
-  contiguous slot range ``indptr[lo]:indptr[hi]`` its label block owns,
-  with no scan.
 * ``sketch_update`` — each worker owns a contiguous group of sketch
-  shard partials and scatters the batch into each of them in place.
-* ``walk`` — each worker walks a contiguous block of walk columns.  A
-  column seeds its own random stream, so any split gives the serial
-  endpoints.
+  shard partials (:func:`position_blocks`) and scatters the batch into
+  each of them in place.
+* ``walk`` — each worker walks a contiguous block of walk columns
+  (:func:`position_blocks`).  A column seeds its own random stream, so
+  any split gives the serial endpoints.
 
+``search`` and ``min_label_exchange`` have no block kernel: one gather
+or one ``minimum.at`` in the parent costs less than dispatching it.
 Inputs the range partition cannot handle exactly (non-finite float
 keys, object dtypes, unsupported shapes) take the serial hooks, as do
 operations below the pool's size threshold.
@@ -78,19 +63,12 @@ _REDUCERS = {
 # ---------------------------------------------------------------------------
 
 
-def position_blocks(n: int, s: int, workers: int) -> "list[tuple[int, int]]":
-    """Shard-aligned position blocks: worker ``w`` owns the
-    ``ceil(shard_count / workers)`` consecutive shards of block ``w``.
-    """
-    shards = max(1, math.ceil(n / s))
-    per_worker = math.ceil(shards / min(workers, shards))
-    blocks = []
-    for w in range(workers):
-        lo = w * per_worker * s
-        if lo >= n:
-            break
-        blocks.append((lo, min(n, (w + 1) * per_worker * s)))
-    return blocks
+def position_blocks(n: int, workers: int) -> "list[tuple[int, int]]":
+    """Contiguous blocks of ``[0, n)``, at most one per worker: block
+    ``w`` holds the ``ceil(n / workers)`` positions from
+    ``w · ceil(n / workers)`` on."""
+    per_worker = math.ceil(max(1, n) / min(workers, max(1, n)))
+    return [(lo, min(n, lo + per_worker)) for lo in range(0, n, per_worker)]
 
 
 def key_bounds(keys: np.ndarray, buckets: int) -> "list[tuple]":
@@ -157,13 +135,6 @@ def reduced_dtype(values: np.ndarray, op: str) -> np.dtype:
 # ---------------------------------------------------------------------------
 
 
-def gather(table, queries, *, lo, hi):
-    """``table[queries[lo:hi]]`` for one position block: the search
-    kernel, and the incoming gather ``labels[send[lo:hi]]`` of a
-    min-label level."""
-    return (table[queries[lo:hi]],)
-
-
 def sort_bucket(keys, values, *, lo, hi):
     """Stable-sort the keys in ``[lo, hi)``: returns the bucket's slice of
     the global stable argsort, the values gathered through it, and the
@@ -207,32 +178,6 @@ def reduce_bucket(keys, values, *, lo, hi, op):
     else:
         unique, reduced, seg = keys[:0], values[:0], idx
     return seg, unique, reduced, np.array([offset], dtype=np.int64)
-
-
-def min_fold(labels, send, recv, *, lo, hi):
-    """The new labels of block ``[lo, hi)``: each folds, by minimum, the
-    labels of the incidences whose receiving endpoint it is."""
-    out = labels[lo:hi].copy()
-    mask = (recv >= lo) & (recv < hi)
-    targets = recv[mask].astype(np.intp, copy=False)
-    targets -= lo  # in place: the masked gather is already a private copy
-    np.minimum.at(out, targets, labels[send[mask]])
-    return (out,)
-
-
-def csr_min_fold(labels, indptr, indices, *, lo, hi):
-    """The CSR fold of block ``[lo, hi)``: its vertices own the slot range
-    ``indptr[lo]:indptr[hi]``, so one ``minimum.reduceat`` over the
-    non-empty runs folds every row."""
-    out = labels[lo:hi].copy()
-    block_ptr = indptr[lo : hi + 1]
-    base = block_ptr[0]
-    nz = np.diff(block_ptr) > 0
-    if nz.any():
-        incoming = labels[indices[base : block_ptr[-1]]]
-        starts = (block_ptr[:-1] - base)[nz]
-        out[nz] = np.minimum(out[nz], np.minimum.reduceat(incoming, starts))
-    return (out,)
 
 
 def sketch_update(
@@ -328,12 +273,8 @@ def walk_columns(heads, *, lo, hi, degree, steps, entropy):
 
 #: The kernel table: step op name → block kernel.
 KERNELS = {
-    "search": gather,
     "sort": sort_bucket,
     "reduce": reduce_bucket,
-    "gather_incoming": gather,
-    "min_fold": min_fold,
-    "csr_min_fold": csr_min_fold,
     "sketch_update": sketch_update,
     "walk": walk_columns,
 }

@@ -13,16 +13,10 @@ submitted once.
 
 Three things fall out of making the plan a first-class value:
 
-* **Fusion becomes a backend decision.**  Every backend executes plans
-  through :meth:`~repro.mpc.backends.ExecutionBackend.run_plan`
-  (default: sequential step execution, exactly the eager behaviour).
-  The process backend overrides the *analysis* only: a step whose
-  output feeds a later backend op in the same plan is pinned to the
-  serial kernels (:func:`parent_local_steps`), because its result must
-  be materialised in the parent anyway before the next dispatch can be
-  planned — so the contract stage's search→reduce pair costs one
-  dispatch barrier instead of two, with bit-identical results and
-  model counters (all accounting stays in the public operations).
+* **One executor.**  Every backend executes plans through
+  :meth:`~repro.mpc.backends.ExecutionBackend.run_plan`, which walks the
+  steps through the backend's *public* operations — exactly the eager
+  behaviour, so results and every model counter match the eager calls.
 * **Rounds become traceable.**  :class:`PlanTrace` records every plan
   an engine executed — step graph, input arrays, and outputs — and
   serializes the stream to JSON (:meth:`PlanTrace.save`).
@@ -41,7 +35,6 @@ same code the capture ran.
 from __future__ import annotations
 
 import base64
-import contextlib
 import hashlib
 import json
 import pathlib
@@ -61,7 +54,6 @@ BACKEND_OPS = {
     "search": 1,
     "reduce_by_key": 2,
     "min_label_exchange": 2,
-    "csr_min_label": 2,
 }
 
 #: Registry of named machine-local transforms (see
@@ -230,9 +222,7 @@ class PlanBuilder:
     def bind(self, array) -> SlotRef:
         """Bind a concrete array as a plan input; returns its slot ref.
 
-        The array object itself is stored (not copied), so read-only
-        arrays keep their identity and an arena-backed backend can
-        still pin them across plans.
+        The array object itself is stored, not copied.
         """
         ref = SlotRef(self._slot("in"))
         self._bindings[ref.name] = array
@@ -279,19 +269,6 @@ class PlanBuilder:
         """Record one min-label level; returns ``(new_labels, incoming)``."""
         return self._add(
             "min_label_exchange", (labels, send, recv), {}, 2, "labels"
-        )
-
-    def csr_min_label(self, labels, indptr, indices):
-        """Record one CSR-gather min-label level; returns
-        ``(new_labels, incoming)``.
-
-        The indptr-sliced counterpart of :meth:`min_label_exchange`:
-        binding the frozen CSR arrays keeps their identity, so an
-        arena-backed backend pins them across every level of a broadcast
-        loop and the RPC backend ships them once per content digest.
-        """
-        return self._add(
-            "csr_min_label", (labels, indptr, indices), {}, 2, "labels"
         )
 
     # -- transforms ----------------------------------------------------------
@@ -381,7 +358,7 @@ def _t_canonical_labels(labels: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def run_plan_steps(backend, plan: RoundPlan, serial_steps=frozenset()):
+def run_plan_steps(backend, plan: RoundPlan):
     """Execute ``plan`` on ``backend`` step by step; returns its outputs.
 
     This is the shared sequential executor behind every backend's
@@ -389,10 +366,7 @@ def run_plan_steps(backend, plan: RoundPlan, serial_steps=frozenset()):
     steps call the backend's *public* operations (so capacity
     enforcement and every exchange/byte counter behave exactly as the
     eager code did), transform steps call the registered function
-    in-process.  ``serial_steps`` is a set of step indices the backend
-    wants pinned to its serial kernels (see
-    :func:`parent_local_steps`); each runs inside the backend's
-    ``_serial_kernels()`` scope.
+    in-process.
 
     Raises
     ------
@@ -401,20 +375,13 @@ def run_plan_steps(backend, plan: RoundPlan, serial_steps=frozenset()):
     """
     plan.validate()
     env: dict = dict(plan.bindings)
-    for index, step in enumerate(plan.steps):
+    for step in plan.steps:
         args = [env[name] for name in step.inputs]
         if step.op == "transform":
             params = {k: v for k, v in step.params.items() if k != "name"}
             result = TRANSFORMS[step.params["name"]](*args, **params)
         else:
-            op = getattr(backend, step.op)
-            scope = (
-                backend._serial_kernels()
-                if index in serial_steps
-                else contextlib.nullcontext()
-            )
-            with scope:
-                result = op(*args, **step.params)
+            result = getattr(backend, step.op)(*args, **step.params)
         values = result if isinstance(result, tuple) else (result,)
         if len(values) != len(step.outputs):
             raise PlanError(
@@ -423,36 +390,6 @@ def run_plan_steps(backend, plan: RoundPlan, serial_steps=frozenset()):
             )
         env.update(zip(step.outputs, values))
     return tuple(env[name] for name in plan.outputs)
-
-
-def parent_local_steps(plan: RoundPlan) -> frozenset:
-    """Backend-op steps a fusing executor should run on serial kernels.
-
-    A backend op whose output feeds a *later backend op* in the same
-    plan (directly or through any chain of transforms) must be
-    materialised in the parent before that later dispatch can be
-    planned — its shared-memory round-trip buys nothing, so a fusing
-    backend executes it serially and saves the barrier.  This is the
-    analysis that fuses the contract stage's search→reduce pair into
-    one dispatch.  Ops whose outputs only feed transforms or the plan's
-    outputs keep their parallel dispatch.
-
-    Returns the set of step indices to pin to serial kernels.
-    """
-    pinned = set()
-    for i, step in enumerate(plan.steps):
-        if step.op == "transform":
-            continue
-        frontier = set(step.outputs)
-        for j in range(i + 1, len(plan.steps)):
-            later = plan.steps[j]
-            if not frontier.intersection(later.inputs):
-                continue
-            if later.op != "transform":
-                pinned.add(i)
-                break
-            frontier.update(later.outputs)
-    return frozenset(pinned)
 
 
 # ---------------------------------------------------------------------------

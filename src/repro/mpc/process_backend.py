@@ -34,31 +34,22 @@ Shared-memory blocks come from a persistent
 allocated once (rounded to power-of-two size classes), leased per
 operation with generation tags, and recycled across operations and
 rounds, so a pipeline run performs O(size classes) segment allocations
-instead of O(ops).  Inputs the caller marks read-only (such as the
-frozen CSR arrays of the broadcast loop) are *pinned*: uploaded once
-and re-leased by every subsequent operation that passes the same array.
-Workers cache their segment attachments by name for the arena's
-lifetime, so the per-operation IPC setup is just the plan descriptor.
+instead of O(ops).  Workers cache their segment attachments by name for
+the arena's lifetime, so the per-operation IPC setup is just the plan
+descriptor.
 
-Fused dispatch
---------------
+Dispatch
+--------
 Worker messages carry *plans* — lists of kernel steps executed
-back-to-back without returning to the parent.  A
-``min_label_exchange`` dispatches its incoming-gather and its min-fold
-as two fused steps per worker (each worker reads only the immutable
-input ``labels``, so no barrier is needed between the steps).  Each
-step's outputs are written straight into the operation's shared-memory
-output blocks (:func:`repro.mpc.kernels.place`), so replies carry only
-spans and scalars.  Across a :class:`~repro.mpc.plan.RoundPlan`, the
-steps whose outputs feed a later backend op
-(:func:`~repro.mpc.plan.parent_local_steps`) run on the serial kernels:
-their results must reach the parent before the next dispatch can be
-planned anyway, so the contract stage's search→reduce pair costs one
-barrier.  Fusion changes only dispatch cost — round counters, exchange
-counters, and results stay bit-identical, because all accounting lives
-in the public operations of :class:`~repro.mpc.backends.ExecutionBackend`
-and the fleet hooks of :class:`~repro.mpc.backends.ShardedBackend`,
-which this class never overrides.
+back-to-back without returning to the parent (a sketch ingest sends one
+step per owned shard partial).  Each step's outputs are written
+straight into the operation's shared-memory output blocks
+(:func:`repro.mpc.kernels.place`), so replies carry only spans and
+scalars.  Round counters, exchange counters, and results match the
+serial backend bit for bit, because all accounting lives in the public
+operations of :class:`~repro.mpc.backends.ExecutionBackend` and the
+fleet hooks of :class:`~repro.mpc.backends.ShardedBackend`, which this
+class never overrides.
 
 Determinism
 -----------
@@ -94,7 +85,7 @@ import numpy as np
 from repro.mpc.arena import ShmArena
 from repro.mpc.backends import ARENA_STATS_ZERO, BACKENDS, PooledBackend
 from repro.mpc.kernels import place, plain, run_step
-from repro.mpc.plan import RoundPlan, parent_local_steps
+from repro.mpc.plan import RoundPlan
 from repro.utils.validation import check_nonnegative_int, check_positive_int
 
 #: Below this many words an operation runs on the serial kernels: the
@@ -194,7 +185,7 @@ def _attach(desc) -> np.ndarray:
 
 
 def _run_plan(steps: list, inputs: dict, dests: dict) -> dict:
-    """Worker-side: run a fused plan over attached inputs, placing each
+    """Worker-side: run a plan over attached inputs, placing each
     step's outputs into the attached destination blocks; returns the
     merged :func:`~repro.mpc.kernels.place` replies."""
     env = {name: _attach(desc) for name, desc in inputs.items()}
@@ -206,14 +197,21 @@ def _run_plan(steps: list, inputs: dict, dests: dict) -> dict:
     return reply
 
 
-def _worker_main(conn) -> None:
+def _worker_main(conn, parent_ends) -> None:
     """Worker process loop: execute step plans until EOF / ``None``.
 
-    Each message is ``(steps, inputs, dests)`` — a fused plan of kernel
-    steps plus the descriptors of the arrays they read and of the
-    blocks their outputs land in — executed back-to-back; one reply
-    carries every step's spans and scalars.
+    Each message is ``(steps, inputs, dests)`` — a plan of kernel steps
+    plus the descriptors of the arrays they read and of the blocks
+    their outputs land in — executed back-to-back; one reply carries
+    every step's spans and scalars.
+
+    A forked worker inherits the parent's end of its own pipe and of
+    every earlier worker's.  It closes them first, so the parent holds
+    the only copy of each: once the parent dies, even by ``SIGKILL``,
+    ``recv`` sees EOF and the worker exits.
     """
+    for end in parent_ends:
+        end.close()
     while True:
         try:
             message = conn.recv()
@@ -257,7 +255,7 @@ def _shutdown_pool(procs: list, pipes: list) -> None:
 
 def _fold_arena_stats(totals: dict, stats: dict) -> None:
     """Add one arena's lifetime counters into ``totals`` (peak: max)."""
-    for field in ("segments", "leases", "recycled", "pinned_hits"):
+    for field in ("segments", "leases", "recycled"):
         totals[field] += stats[field]
     totals["peak_live_leases"] = max(
         totals["peak_live_leases"], stats["peak_live_leases"]
@@ -268,10 +266,7 @@ class _OpBuffers:
     """One operation's shared-memory handout from the persistent arena.
 
     ``share``/``alloc`` return descriptors (and views); :meth:`finish`
-    releases every non-pinned lease back to the arena so the segments
-    recycle.  Inputs that qualify for pinning (read-only, no base)
-    bypass the per-op lease list entirely — their leases belong to the
-    arena and persist across operations.
+    releases every lease back to the arena so the segments recycle.
     """
 
     def __init__(self, arena: ShmArena):
@@ -281,13 +276,6 @@ class _OpBuffers:
 
     def share(self, array: np.ndarray) -> tuple:
         """Place ``array`` in shared memory; returns its descriptor."""
-        array = np.ascontiguousarray(array)
-        pinned = self._arena.share_pinned(array)
-        if pinned is not None:
-            lease, copied = pinned
-            if copied:
-                self.bytes_copied += int(array.nbytes)
-            return lease.descriptor
         lease = self._arena.share(array)
         self._leases.append(lease)
         self.bytes_copied += int(array.nbytes)
@@ -375,11 +363,9 @@ class ProcessBackend(PooledBackend):
         self._procs: list = []
         self._pipes: list = []
         self._finalizer = None
-        self._serial_depth = 0
         self.dispatch_barriers = 0
         self.dispatch_messages = 0
         self.dispatch_steps = 0
-        self.dispatch_serial_fused = 0
         self.shm_bytes_copied = 0
         self.plan_barriers: "dict[str, int]" = {}
 
@@ -415,30 +401,10 @@ class ProcessBackend(PooledBackend):
         self.dispatch_barriers = 0
         self.dispatch_messages = 0
         self.dispatch_steps = 0
-        self.dispatch_serial_fused = 0
         self.shm_bytes_copied = 0
         self.plan_barriers = {}
 
     # -- round plans ---------------------------------------------------------
-
-    @contextlib.contextmanager
-    def _serial_kernels(self):
-        """Pin the kernels under this scope to their serial fallbacks.
-
-        Used by plan execution for steps the fusion analysis keeps in
-        the parent (:meth:`_plan_serial_steps`); nesting is allowed and
-        counted once per scope in ``dispatch_serial_fused``.
-        """
-        self._serial_depth += 1
-        self.dispatch_serial_fused += 1
-        try:
-            yield
-        finally:
-            self._serial_depth -= 1
-
-    def _plan_serial_steps(self, plan: RoundPlan) -> frozenset:
-        """The fusion analysis: steps whose outputs feed a later op."""
-        return parent_local_steps(plan)
 
     def run_plan(self, plan: RoundPlan) -> tuple:
         """Execute a plan, attributing dispatch barriers to its name.
@@ -464,11 +430,13 @@ class ProcessBackend(PooledBackend):
         ctx = _mp_context()
         for _ in range(self.workers):
             parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(target=_worker_main, args=(child_conn,), daemon=True)
+            self._pipes.append(parent_conn)
+            proc = ctx.Process(
+                target=_worker_main, args=(child_conn, list(self._pipes)), daemon=True
+            )
             proc.start()
             child_conn.close()
             self._procs.append(proc)
-            self._pipes.append(parent_conn)
         self._finalizer = weakref.finalize(
             self, _shutdown_pool, list(self._procs), list(self._pipes)
         )
@@ -514,7 +482,7 @@ class ProcessBackend(PooledBackend):
 
     def _dispatch(self, messages: "list[tuple]") -> "list[dict]":
         """One exchange barrier: send ``messages[i]`` — ``(steps, inputs,
-        dests)``, a fused plan plus its descriptors — to worker ``i`` and
+        dests)``, a plan plus its descriptors — to worker ``i`` and
         gather every reply.
 
         Messages without steps are skipped.  Returns one reply dict per
@@ -562,17 +530,13 @@ class ProcessBackend(PooledBackend):
     # -- transport -----------------------------------------------------------
 
     def _pooled(self, words: int) -> bool:
-        return (
-            self._serial_depth == 0
-            and words > 0
-            and words >= self.min_parallel_items
-        )
+        return words > 0 and words >= self.min_parallel_items
 
     def _execute(self, arrays, dests, plans, finish, resident=None):
         """Run one planned operation over arena shared memory.
 
-        Inputs are shared (pinned when read-only), destinations are
-        leased uninitialised, and each worker's message carries only the
+        Inputs are copied into leases, destinations are leased
+        uninitialised, and each worker's message carries only the
         descriptors its steps name; ``resident`` maps names to
         descriptors already in shared memory (sketch partials).  Results
         that are destination views are copied out before the leases
@@ -607,10 +571,9 @@ class ProcessBackend(PooledBackend):
     def _kernel_sketch_update(self, store, edges, weights) -> int:
         """Scatter one update batch into the shm-resident shard partials.
 
-        One fused plan per worker — one ``sketch_update`` step per owned
-        shard — with the batch shared transiently and the hash
-        coefficient arrays pinned (uploaded once, reused every batch).
-        Workers scatter straight into the cached persistent-arena
+        One plan per worker — one ``sketch_update`` step per owned
+        shard — with the batch and the hash coefficient arrays shared
+        transiently.  Workers scatter straight into the cached persistent-arena
         segments, so the parent copies zero partial bytes; small batches
         take the serial kernel, which writes the very same shm views
         parent-side.
@@ -633,7 +596,6 @@ class ProcessBackend(PooledBackend):
             "messages": self.dispatch_messages,
             "steps": self.dispatch_steps,
             "shm_bytes_copied": self.shm_bytes_copied,
-            "serial_fused": self.dispatch_serial_fused,
             "plan_barriers": dict(self.plan_barriers),
         }
         return snapshot

@@ -28,8 +28,8 @@ Arrays are *content-digest deduplicated* per worker
 (:func:`repro.mpc.plan.content_digest`, the same identity trace files
 and the service cache use): the parent tracks which digests each worker
 holds and ships a bare digest reference instead of payload bytes on
-every repeat — the loop-invariant incidence arrays of the broadcast
-stage cross the wire once per worker, not once per round.
+every repeat — the hash coefficient arrays of a sketch ingest stream
+cross the wire once per worker, not once per batch.
 
 Execution model
 ---------------
@@ -599,7 +599,7 @@ class _RpcPool:
         """Bind the rendezvous socket, fork workers, accept them all.
 
         Raises :class:`RpcTimeoutError` when a worker fails to connect
-        within ``connect_timeout`` (after bounded respawn retries).
+        within ``connect_timeout``.
         """
         self._tempdir = tempfile.TemporaryDirectory(prefix="repro-rpc-")
         self.socket_path = os.path.join(
@@ -648,32 +648,18 @@ class _RpcPool:
         """Accept every worker's connection and start its reader task."""
         loop = asyncio.get_running_loop()
         deadline = time.monotonic() + self.connect_timeout
-        delay = 0.05
         accepted = 0
-        attempts = 0
         while accepted < self.workers:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise RpcTimeoutError(
-                    f"only {accepted}/{self.workers} workers connected "
-                    f"within {self.connect_timeout:.1f}s"
-                )
+            remaining = max(0.0, deadline - time.monotonic())
             try:
                 conn, _ = await asyncio.wait_for(
                     loop.sock_accept(listener), timeout=remaining
                 )
             except (asyncio.TimeoutError, TimeoutError):
-                # Bounded retry-and-backoff: respawn any dead stragglers
-                # before giving up on the deadline above.
-                attempts += 1
-                if attempts > self.max_retries:
-                    raise RpcTimeoutError(
-                        f"only {accepted}/{self.workers} workers connected "
-                        f"within {self.connect_timeout:.1f}s"
-                    ) from None
-                await asyncio.sleep(delay)
-                delay *= self.backoff
-                continue
+                raise RpcTimeoutError(
+                    f"only {accepted}/{self.workers} workers connected "
+                    f"within {self.connect_timeout:.1f}s"
+                ) from None
             reader, writer = await asyncio.open_connection(sock=conn)
             frame = await read_frame_async(reader)
             if frame is None or frame[0].get("kind") != "hello":
@@ -954,8 +940,11 @@ class _RpcPool:
 
         The parent drives eviction deterministically (FIFO by first
         shipment) and tells the worker which digests to drop in the op
-        frame, so both sides always agree on cache contents.  Sizes come
-        from the frame's :func:`pack_arrays` metadata.
+        frame, so both sides always agree on cache contents.  A digest
+        the frame names, shipped or referenced, is never evicted by it:
+        the worker drops the evicted digests before it decodes the
+        frame.  Sizes come from the frame's :func:`pack_arrays`
+        metadata.
         """
         sizes = {
             entry["digest"]: entry["nbytes"]
@@ -967,19 +956,17 @@ class _RpcPool:
             size = sizes[digest]
             handle.digest_order.append((digest, size))
             handle.cache_bytes += size
-        fresh = set(shipped)
+        named = {entry["digest"] for entry in meta}
         evict: "list[str]" = []
-        while (
-            handle.cache_bytes > self.cache_bytes
-            and len(handle.digest_order) > len(shipped)
-        ):
-            digest, size = handle.digest_order.pop(0)
-            if digest in fresh:
-                handle.digest_order.append((digest, size))
-                continue
-            handle.digests.discard(digest)
-            handle.cache_bytes -= size
-            evict.append(digest)
+        kept: "list[tuple[str, int]]" = []
+        for digest, size in handle.digest_order:
+            if handle.cache_bytes > self.cache_bytes and digest not in named:
+                handle.digests.discard(digest)
+                handle.cache_bytes -= size
+                evict.append(digest)
+            else:
+                kept.append((digest, size))
+        handle.digest_order = kept
         return evict
 
 
@@ -1024,8 +1011,7 @@ class RpcBackend(PooledBackend):
         Base seconds to await one op/ACK before the retry schedule.
     max_retries:
         Bounded retry budget: extra exponentially-backed-off waits per
-        call (and respawn attempts at connect time) before the typed
-        :class:`RpcTimeoutError`.
+        call before the typed :class:`RpcTimeoutError`.
     backoff:
         Multiplier applied to the deadline on each retry.
     heartbeat_interval / heartbeat_timeout:
@@ -1248,7 +1234,7 @@ class RpcBackend(PooledBackend):
                 "returns": [f"partial_{shard}" for shard in range(lo, hi)],
                 "resident": {f"partial_{i}": specs[i] for i in range(lo, hi)},
             }
-            for lo, hi in position_blocks(len(specs), 1, self.workers)
+            for lo, hi in position_blocks(len(specs), self.workers)
         ]
         # Workers own contiguous shard groups and ACK in return order.
         replies = pool.barrier(payloads)
@@ -1262,7 +1248,7 @@ class RpcBackend(PooledBackend):
         keys = [spec["key"] for spec in self._resident_partials(store)]
         payloads = [
             {"steps": [], "arrays": {}, "returns": [], "release": keys[lo:hi]}
-            for lo, hi in position_blocks(len(keys), 1, self.workers)
+            for lo, hi in position_blocks(len(keys), self.workers)
         ]
         with contextlib.suppress(RpcError):
             self._pool.barrier(payloads)

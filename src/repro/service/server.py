@@ -87,9 +87,12 @@ class ServiceServer:
         self.spectral_gap_bound = float(spectral_gap_bound)
         self.config = config
         self.seed = int(seed)
-        self._backend_spec = backend
-        self._backend = None
-        self._owns_backend = False
+        from repro.mpc.backends import ExecutionBackend, make_backend
+
+        # Pools start on their first operation, so resolving a name here
+        # spawns nothing.
+        self._owns_backend = not isinstance(backend, ExecutionBackend)
+        self._backend = make_backend("local" if backend is None else backend)
         self._path = path
         self._tempdir: "tempfile.TemporaryDirectory | None" = None
         self._loop: "asyncio.AbstractEventLoop | None" = None
@@ -117,13 +120,6 @@ class ServiceServer:
         """Bind the socket and serve until :meth:`close` (returns self)."""
         if self._started:
             return self
-        from repro.mpc.backends import ExecutionBackend, make_backend
-
-        if isinstance(self._backend_spec, ExecutionBackend):
-            self._backend = self._backend_spec
-        else:
-            self._backend = make_backend(self._backend_spec)
-            self._owns_backend = True
         if self._path is None:
             self._tempdir = tempfile.TemporaryDirectory(prefix="repro-svc-")
             self._path = os.path.join(
@@ -165,7 +161,7 @@ class ServiceServer:
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
-        if self._backend is not None and self._owns_backend:
+        if self._owns_backend:
             self._backend.close()
         self._started = False
 
@@ -357,7 +353,7 @@ class ServiceServer:
         return {
             "graphs": len(self._graphs),
             "engine": self.engine,
-            "backend": getattr(self._backend, "name", None) or "local",
+            "backend": self._backend.name,
             "hit_rate": (
                 self._counters["cache_hits"] / queries if queries else 0.0
             ),

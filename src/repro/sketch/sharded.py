@@ -19,8 +19,8 @@ hook, and owns them from then on.
 
 * ``local`` (the default) / ``sharded`` — plain numpy arrays, updated
   by the vectorized per-shard kernel in-process;
-* ``process`` — pinned :class:`~repro.mpc.arena.ShmArena` segments from
-  the persistent arena; workers attach once and scatter in place, so
+* ``process`` — :class:`~repro.mpc.arena.ShmArena` segments leased for
+  the sketch's lifetime from the persistent arena; workers attach once and scatter in place, so
   the parent never copies a partial;
 * ``rpc`` — partials are *resident in the workers* (the parent holds no
   copy); update batches ship digest-deduped over the wire and partials

@@ -21,7 +21,6 @@ variant — instead of relying on finalizers that race pool shutdown at
 interpreter exit.
 """
 
-import gc
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -166,64 +165,6 @@ class TestNoAliasing:
                     pass
                 peak = max(peak, size)
             assert arena.stats()["segments"] <= max(1, peak.bit_length())
-
-
-# ---------------------------------------------------------------------------
-# Pinned read-only inputs
-# ---------------------------------------------------------------------------
-
-
-class TestPinnedInputs:
-    def test_writable_arrays_are_not_pinned(self):
-        with ShmArena() as arena:
-            assert arena.share_pinned(np.arange(10)) is None
-
-    def test_views_are_not_pinned(self):
-        with ShmArena() as arena:
-            base = np.arange(10)
-            view = base[2:]
-            view.setflags(write=False)
-            assert arena.share_pinned(view) is None
-
-    def test_repeat_shares_hit_the_cache(self):
-        with ShmArena() as arena:
-            array = np.arange(500)
-            array.setflags(write=False)
-            first, copied_first = arena.share_pinned(array)
-            second, copied_second = arena.share_pinned(array)
-            assert first is second
-            assert copied_first and not copied_second
-            assert arena.stats()["pinned_hits"] == 1
-            assert arena.stats()["segments"] == 1
-            assert np.array_equal(first.view, np.arange(500))
-
-    def test_mutation_behind_the_flag_is_detected_and_refreshed(self):
-        # A writeable view taken before the read-only flag flip can still
-        # change the contents; the verified reuse must refresh the shared
-        # copy instead of serving stale data.
-        with ShmArena() as arena:
-            array = np.arange(500)
-            backdoor = array[:]
-            array.setflags(write=False)
-            lease, _ = arena.share_pinned(array)
-            backdoor[0] = 999_999
-            lease_again, copied = arena.share_pinned(array)
-            assert lease_again is lease
-            assert copied  # refresh counted as a copy, not a hit
-            assert lease.view[0] == 999_999
-            assert arena.stats()["pinned_hits"] == 0
-
-    def test_dropping_the_array_releases_the_pin(self):
-        with ShmArena() as arena:
-            array = np.arange(500)
-            array.setflags(write=False)
-            lease, _ = arena.share_pinned(array)
-            name = lease.segment_name
-            del array
-            gc.collect()
-            assert not lease.alive  # weakref released the lease
-            recycled = arena.acquire((100,), np.int64)
-            assert recycled.segment_name == name
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def test_list_mode_shows_registered_experiments(capsys):
     assert cli.main(["--list", "--filter", "e17"]) == 0
     out = capsys.readouterr().out
     assert "e17_backend_parity" in out
-    assert "tags=pipeline,backends,scaling,arena,plans,csr" in out
+    assert "tags=pipeline,backends,scaling,arena,plans " in out
 
 
 def test_list_without_tags_prints_placeholder(capsys):

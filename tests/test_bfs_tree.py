@@ -17,7 +17,15 @@ from repro.graph import (
     path_graph,
     permutation_regular_graph,
 )
-from repro.mpc import LocalBackend, MPCEngine, ShardedBackend
+from repro.bench.workloads import Workload, family_names
+from repro.mpc import (
+    LocalBackend,
+    MPCEngine,
+    ProcessBackend,
+    RpcBackend,
+    ShardedBackend,
+    content_digest,
+)
 
 
 class TestCorrectness:
@@ -128,3 +136,85 @@ class TestEngineIndependence:
             assert np.array_equal(result.labels, bare.labels)
             assert result.rounds == bare.rounds
             assert np.array_equal(result.tree_edges, bare.tree_edges)
+
+
+# ---------------------------------------------------------------------------
+# Golden trees: which delivering edge each vertex records
+# ---------------------------------------------------------------------------
+
+
+#: Per family: digests of ``tree_edges`` and ``labels``, rounds, and the
+#: exchanges and bytes of a 64-word fleet, recorded when each level was
+#: a CSR fold (which an independent sort-layout reference matched).
+BROADCAST_GOLDEN = {
+    "complete": ("c4c67c67ece2f185adf00512", "726839811188f24ed62bab00", 1, 2, 0),
+    "cycle": ("2c0227b4ce7002ff4965a2f4", "798e3b5bd772bd86a2aba37c", 48, 49, 3136),
+    "dumbbell": ("aa06e6209b012eca22d4facf", "798e3b5bd772bd86a2aba37c", 6, 7, 13216),
+    "erdos_renyi": ("d4794bc207c274dd2b6296a6", "798e3b5bd772bd86a2aba37c", 5, 6, 16224),
+    "expander_path": ("d3c4d3ceedf8beb2eddebda0", "798e3b5bd772bd86a2aba37c", 21, 22, 14784),
+    "grid": ("60dfc192786f4beda7505af7", "b3e55a8527cc8b75250b78c7", 18, 19, 5168),
+    "hypercube": ("9ffae0adf343b937a55f19e1", "726839811188f24ed62bab00", 6, 7, 0),
+    "paper_random": ("3ed2d1d0c001733535dc8112", "798e3b5bd772bd86a2aba37c", 4, 5, 19760),
+    "path": ("58ee08614f9a4a8ee918a4fe", "798e3b5bd772bd86a2aba37c", 95, 96, 4608),
+    "permutation_regular": ("055975ecabbf58775ff49404", "798e3b5bd772bd86a2aba37c", 4, 5, 16320),
+    "ring_of_expanders": ("e8592c149a06d17d3260bc66", "798e3b5bd772bd86a2aba37c", 12, 13, 8944),
+    "star": ("58ee08614f9a4a8ee918a4fe", "798e3b5bd772bd86a2aba37c", 1, 2, 1536),
+}
+
+
+def multigraph_family(family: str):
+    """The family at laptop size with every fifth vertex carrying a
+    self-loop pair, every seventh edge doubled and every third reversed,
+    shuffled: ties between parallel deliveries decide the tree."""
+    graph = Workload(family, {"complete": 64, "hypercube": 64}.get(family, 96)).build(23)
+    edges = graph.edges
+    loops = np.repeat(np.arange(0, graph.n, 5, dtype=np.int64), 2).reshape(-1, 2)
+    extra = np.concatenate([edges, loops, edges[::7], edges[::3, ::-1]])
+    return graph.n, extra[np.random.default_rng(23).permutation(extra.shape[0])]
+
+
+class TestGoldenTree:
+    def test_small_multigraph_tree(self):
+        """Self-loops, parallel and reversed copies, and an isolated
+        vertex.  Each improved vertex keeps its largest delivering
+        position ``p`` of ``u ⧺ v`` (tree edge ``p mod m``): vertex 1 the
+        later copy of ``(0, 1)`` (edge 4), and vertices 2, 5 and 6 the
+        reversed copies (edges 2, 7 and 10), whose deliveries sit in the
+        second half."""
+        edges = np.array(
+            [(0, 0), (1, 2), (2, 1), (0, 1), (0, 1), (3, 3),
+             (4, 5), (5, 4), (1, 2), (2, 6), (6, 2), (5, 5)],
+            dtype=np.int64,
+        )
+        result = broadcast_components(8, edges)
+        assert result.labels.tolist() == [0, 0, 0, 1, 2, 2, 0, 3]
+        assert result.tree_edges.tolist() == [4, 2, 7, 10]
+        assert result.rounds == 3
+
+    @pytest.mark.parametrize("family", family_names())
+    def test_family_tree_matches_parent(self, family):
+        """The same tree, labels and rounds on every data plane, and the
+        recorded exchanges and bytes on every enforced one."""
+        tree, labels, rounds, exchanges, nbytes = BROADCAST_GOLDEN[family]
+        n, edges = multigraph_family(family)
+        backends = {
+            "local": LocalBackend(),
+            "sharded": ShardedBackend(),
+            "process": ProcessBackend(workers=2, min_parallel_items=0),
+            "rpc": RpcBackend(workers=2, min_wire_items=0),
+        }
+        try:
+            for name, backend in backends.items():
+                engine = MPCEngine(64, backend=backend)
+                result = broadcast_components(n, edges, engine=engine)
+                assert content_digest(result.tree_edges) == tree, name
+                assert content_digest(result.labels) == labels, name
+                assert result.rounds == rounds, name
+                if name != "local":
+                    stats = backend.stats()
+                    assert (stats.exchanges, stats.bytes_exchanged) == (
+                        exchanges, nbytes
+                    ), name
+        finally:
+            for backend in backends.values():
+                backend.close()

@@ -1,10 +1,9 @@
 """Property and unit tests for the Graph's frozen CSR arrays.
 
-The min-label broadcast and the Liu–Tarjan engine bind
-:attr:`Graph.indptr`, :attr:`Graph.heads` and :attr:`Graph.halfedges`
-as they are, and ``ShmArena`` pinning and the RPC wire's digest dedup
-ship them, so the invariants here are load-bearing for every CSR
-gather: the ``indptr[-1] == 2m`` slot accounting, rows in port order,
+The walk sampler, the replacement products and the sequential
+components read :attr:`Graph.indptr`, :attr:`Graph.heads` and
+:attr:`Graph.halfedges` as they are, so the invariants here are
+load-bearing: the ``indptr[-1] == 2m`` slot accounting, rows in port order,
 exact edge-list round-trips, the read-only/owning zero-copy contract,
 and build determinism — on generated inputs covering empty graphs,
 isolated vertices, duplicate/parallel edges, and self-loops.
@@ -104,8 +103,8 @@ def test_build_is_deterministic(drawn):
 @given(multigraph_inputs())
 def test_zero_copy_contract(drawn):
     """``indptr``, ``heads`` and ``halfedges`` are the graph's own frozen
-    buffers — C-contiguous int64, read-only and owning their data, the
-    preconditions of ShmArena pinning — handed out as they are."""
+    buffers — C-contiguous int64, read-only and owning their data —
+    handed out as they are."""
     g = Graph(*drawn)
     for name in ("indptr", "heads", "halfedges"):
         array = getattr(g, name)

@@ -27,7 +27,13 @@ from repro.baselines import random_mate_components, shiloach_vishkin_components
 from repro.bench.workloads import Workload, family_names
 from repro.graph import canonical_labels, components_agree
 from repro.graph.union_find import DisjointSetUnion
-from repro.mpc import MPCEngine, ProcessBackend, RpcBackend, ShardedBackend
+from repro.mpc import (
+    MPCEngine,
+    ProcessBackend,
+    RpcBackend,
+    ShardedBackend,
+    content_digest,
+)
 
 #: Laptop-scale constants: short capped walks under-mix on the weakly
 #: connected families, and the honest verification broadcast finishes the
@@ -103,12 +109,6 @@ class TestDifferential:
         assert np.array_equal(local.labels, process.labels)
         assert np.array_equal(local.labels, rpc.labels)
         assert local.rounds == sharded.rounds == process.rounds == rpc.rounds
-        # The min-label broadcast runs on a CSR index on every data plane.
-        for name, result in (("sharded", sharded), ("process", process),
-                             ("rpc", rpc)):
-            stats = result.engine.backend.stats()
-            assert stats.csr["csr_builds"] > 0, name
-            assert stats.op_counts["csr_min_label"] > 0, name
 
     @pytest.mark.parametrize("baseline", sorted(BASELINES))
     def test_baselines_match_truth(self, family, baseline):
@@ -118,60 +118,48 @@ class TestDifferential:
 
 
 # ---------------------------------------------------------------------------
-# CSR broadcast vs the sort-layout reference, per family, per backend
+# The sharded pipeline pinned to its recorded counters, per family
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("family", family_names())
-class TestCSRDifferential:
-    """The CSR gather broadcast must be invisible everywhere but the
-    ``csr`` counters: labels, rounds, exchanges, and byte counts are
-    bit-identical to the sort-layout reference broadcast
-    (``sort_broadcast`` in ``tests/conftest.py``, one
-    ``min_label_exchange`` scatter per level) on every family and every
-    backend."""
+#: Per family: the labels digest, rounds, exchanges, bytes, shard count
+#: and peak shard load of the sharded pipeline, recorded when each
+#: broadcast level was a CSR fold (which an independent sort-layout
+#: reference matched).
+PIPELINE_GOLDEN = {
+    "complete": ("726839811188f24ed62bab00", 42, 10, 4691976, 24590, 5541),
+    "cycle": ("21c1c69c0801bdee423585fb", 56, 6, 340840, 8981, 1445),
+    "dumbbell": ("21c1c69c0801bdee423585fb", 42, 7, 1634312, 17074, 3044),
+    "erdos_renyi": ("21c1c69c0801bdee423585fb", 42, 7, 2093392, 18311, 3451),
+    "expander_path": ("21c1c69c0801bdee423585fb", 46, 7, 1548824, 17123, 3059),
+    "grid": ("91c22e847cf922e423bcc203", 42, 6, 702272, 12469, 1973),
+    "hypercube": ("726839811188f24ed62bab00", 41, 6, 392200, 12672, 1024),
+    "paper_random": ("21c1c69c0801bdee423585fb", 42, 7, 1698560, 17069, 3041),
+    "path": ("21c1c69c0801bdee423585fb", 73, 6, 336088, 8952, 1442),
+    "permutation_regular": ("21c1c69c0801bdee423585fb", 42, 6, 1249856, 15285, 2547),
+    "ring_of_expanders": ("21c1c69c0801bdee423585fb", 43, 7, 1555976, 17134, 3061),
+    "star": ("21c1c69c0801bdee423585fb", 41, 6, 361680, 8952, 1442),
+}
 
-    def _sharded(self, graph):
+
+@pytest.mark.parametrize("family", family_names())
+class TestPipelineGolden:
+    def test_sharded_matches_parent(self, family):
+        graph = build(family)
         backend = ShardedBackend()
         result = repro.mpc_connected_components(
             graph, GAP_BOUND, config=CONFIG, rng=SEED, backend=backend
         )
-        return result, backend.stats()
-
-    def test_sharded_counters_identical(self, family, sort_broadcast):
-        graph = build(family)
-        with sort_broadcast():
-            off, off_stats = self._sharded(graph)
-        on, on_stats = self._sharded(graph)
-        assert components_agree(off.labels, union_find_truth(graph))
-        assert np.array_equal(on.labels, off.labels)
-        assert on.rounds == off.rounds
+        stats = backend.stats()
+        assert components_agree(result.labels, union_find_truth(graph))
         assert (
-            on_stats.exchanges,
-            on_stats.bytes_exchanged,
-            on_stats.shard_count,
-            on_stats.peak_shard_load,
-        ) == (
-            off_stats.exchanges,
-            off_stats.bytes_exchanged,
-            off_stats.shard_count,
-            off_stats.peak_shard_load,
-        )
-        # Only the CSR counters may differ: the CSR broadcast builds an
-        # index and runs csr_min_label, and the reference never does.
-        assert on_stats.csr["csr_builds"] > 0
-        assert on_stats.op_counts["csr_min_label"] > 0
-        assert all(v == 0 for v in off_stats.csr.values())
-        assert "csr_min_label" not in off_stats.op_counts
-
-    def test_pool_backends_match_sort_reference(self, family, sort_broadcast):
-        graph = build(family)
-        with sort_broadcast():
-            off, _ = self._sharded(graph)
-        for backend in ("local", "process", "rpc"):
-            result = run_pipeline(graph, backend)
-            assert np.array_equal(result.labels, off.labels), backend
-            assert result.rounds == off.rounds, backend
+            content_digest(result.labels),
+            result.rounds,
+            stats.exchanges,
+            stats.bytes_exchanged,
+            stats.shard_count,
+            stats.peak_shard_load,
+        ) == PIPELINE_GOLDEN[family]
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,8 @@ an in-process transport — each worker's steps through
 :func:`~repro.mpc.kernels.run_step` on read-only inputs, outputs placed
 with :func:`~repro.mpc.kernels.place` — and require the assembled
 outputs to equal the serial hooks of ``ExecutionBackend`` bit for bit,
-in values and dtypes.  The serial CSR hook runs the pooled block fold
-itself, so both are held against a tests-side ``np.minimum.at``
-reference instead.  No process is spawned, so the suite runs in seconds
-and the kernels count toward coverage.
+in values and dtypes.  No process is spawned, so the suite runs in
+seconds and the kernels count toward coverage.
 """
 
 import numpy as np
@@ -137,72 +135,6 @@ def test_reduce_by_key_matches_serial(layout, data, op):
         serial._kernel_reduce(keys, values, op),
         pooled._kernel_reduce(keys, values, op),
     )
-
-
-@hyp_settings
-@given(
-    layout=layouts(),
-    table_rows=st.integers(1, 40),
-    n=st.integers(0, 48),
-    query_dtype=st.sampled_from([np.int64, np.int32, np.uint8]),
-    columns=st.sampled_from([None, 3]),
-    seed=st.integers(0, 2**16),
-)
-def test_search_matches_serial(layout, table_rows, n, query_dtype, columns, seed):
-    serial, pooled = backends(layout)
-    rng = np.random.default_rng(seed)
-    shape = (table_rows,) if columns is None else (table_rows, columns)
-    table = rng.integers(-(10**9), 10**9, shape)
-    queries = rng.integers(0, table_rows, n).astype(query_dtype)
-    assert_bit_identical(
-        (serial._kernel_search(table, queries),),
-        (pooled._kernel_search(table, queries),),
-    )
-
-
-@hyp_settings
-@given(
-    layout=layouts(),
-    vertices=st.integers(1, 40),
-    m=st.integers(0, 48),
-    label_dtype=st.sampled_from([np.int64, np.int32, np.float64]),
-    seed=st.integers(0, 2**16),
-)
-def test_min_label_exchange_matches_serial(
-    layout, vertices, m, label_dtype, seed
-):
-    serial, pooled = backends(layout)
-    rng = np.random.default_rng(seed)
-    labels = rng.integers(0, 4, vertices).astype(label_dtype)  # ties
-    send = rng.integers(0, vertices, m)
-    recv = rng.integers(0, vertices, m)
-    assert_bit_identical(
-        serial._kernel_min_label(labels, send, recv),
-        pooled._kernel_min_label(labels, send, recv),
-    )
-
-
-@hyp_settings
-@given(
-    layout=layouts(),
-    degrees=st.lists(st.integers(0, 4), min_size=1, max_size=40),
-    label_dtype=st.sampled_from([np.int64, np.int32]),
-    seed=st.integers(0, 2**16),
-)
-def test_csr_min_label_matches_serial(
-    csr_min_label_reference, layout, degrees, label_dtype, seed
-):
-    """The serial hook runs the pooled block fold over one block, so
-    both are held against the ``np.minimum.at`` reference instead."""
-    serial, pooled = backends(layout)
-    rng = np.random.default_rng(seed)
-    vertices = len(degrees)  # degree-0 rows are common by construction
-    indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
-    indices = rng.integers(0, vertices, int(indptr[-1]))
-    labels = rng.integers(0, 10**6, vertices).astype(label_dtype)
-    expected = csr_min_label_reference(labels, indptr, indices)
-    assert_bit_identical(expected, serial._kernel_csr_min_label(labels, indptr, indices))
-    assert_bit_identical(expected, pooled._kernel_csr_min_label(labels, indptr, indices))
 
 
 @hyp_settings

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import Graph
 from repro.mpc import (
     BackendStats,
     LocalBackend,
@@ -97,19 +96,6 @@ class TestOperationSemantics:
         expected = labels.copy()
         np.minimum.at(expected, recv, labels[send])
         assert np.array_equal(new_labels, expected)
-
-    @pytest.mark.parametrize("factory", BOTH)
-    def test_csr_min_label(self, factory, csr_min_label_reference):
-        """Vertex 4 is isolated (an empty run); vertices 1 and 3 carry
-        self-loops; the rows span several 16-word shards."""
-        edges = np.array([(0, 2), (1, 1), (2, 3), (3, 3), (5, 6), (6, 0)])
-        graph = Graph(7, edges)
-        labels = np.array([5, 1, 7, 3, 9, 2, 8], dtype=np.int64)
-        got = factory().csr_min_label(labels, graph.indptr, graph.heads)
-        want = csr_min_label_reference(labels, graph.indptr, graph.heads)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
-        assert got[0][4] == labels[4]
 
     @pytest.mark.parametrize("factory", BOTH)
     def test_scatter_roundtrip(self, factory):

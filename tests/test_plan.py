@@ -1,5 +1,6 @@
-"""The round-plan IR: builder/validation, fusion analysis, eager-vs-plan
-bit-identity on every backend, and trace capture → replay round-trips."""
+"""The round-plan IR: builder/validation, dispatch barriers per plan,
+eager-vs-plan bit-identity on every backend, and trace capture → replay
+round-trips."""
 
 import importlib.util
 import json
@@ -22,7 +23,6 @@ from repro.mpc import (
     PlanTrace,
     ProcessBackend,
     ShardedBackend,
-    parent_local_steps,
     register_transform,
     replay,
 )
@@ -162,49 +162,20 @@ class TestBuilderAndValidation:
 
 
 # ---------------------------------------------------------------------------
-# Fusion analysis
+# Dispatch barriers per plan
 # ---------------------------------------------------------------------------
 
 
-class TestFusionAnalysis:
-    def test_contract_plan_pins_the_search(self):
-        labels, batch = contract_inputs()
-        plan = contract_plan(labels, batch)
-        # Step 0 is the search whose output feeds the reduce via the
-        # contract_keys transform: parent-local, barrier saved.
-        assert parent_local_steps(plan) == {0}
-
-    def test_terminal_ops_keep_their_dispatch(self):
-        builder = PlanBuilder("relabel")
-        raw = builder.search(np.arange(8), np.arange(8))
-        out = builder.transform("canonical_labels", raw)
-        plan = builder.build(out)
-        assert parent_local_steps(plan) == frozenset()
-
-    def test_single_op_plans_pin_nothing(self):
-        builder = PlanBuilder("level")
-        outs = builder.min_label_exchange(
-            np.arange(6), np.array([0, 1]), np.array([1, 0])
-        )
-        assert parent_local_steps(builder.build(outs)) == frozenset()
-
-    def test_direct_op_to_op_dependency_is_pinned(self):
-        builder = PlanBuilder("chain")
-        sorted_ref = builder.sort(np.array([3, 1, 2]))
-        builder.search(sorted_ref, np.array([0, 2]))
-        plan = builder.build(sorted_ref)
-        assert 0 in parent_local_steps(plan)
-
+class TestPlanBarriers:
     def test_process_contract_plan_costs_one_barrier(self, process_backend):
         labels, batch = contract_inputs(n=80, m=600)
         plan = contract_plan(labels, batch)
 
         process_backend.reset()
-        fused = process_backend.run_plan(plan)
-        # The search feeds the reduce, so it runs in the parent: the
+        pooled = process_backend.run_plan(plan)
+        # The search runs in the parent: the
         # search→reduce pair costs the reduce's barrier only.
         assert process_backend.dispatch_barriers == 1
-        assert process_backend.dispatch_serial_fused == 1
         assert process_backend.plan_barriers == {"contract": 1}
 
         serial = ShardedBackend(shard_memory=64)
@@ -212,49 +183,8 @@ class TestFusionAnalysis:
         assert (process_backend.exchanges, process_backend.bytes_exchanged) == (
             serial.exchanges, serial.bytes_exchanged
         )
-        for a, b in zip(fused, reference):
+        for a, b in zip(pooled, reference):
             assert np.array_equal(a, b)
-
-    def test_full_pipeline_barriers_strictly_drop(self, monkeypatch):
-        graph = Workload("permutation_regular", 384, {"degree": 6}).build(SEED)
-        runs = {}
-        for fused in (True, False):
-            with monkeypatch.context() as patch:
-                if not fused:
-                    # Per-op reference: no step is pinned to the parent,
-                    # so every pooled op pays its own barrier.
-                    patch.setattr(
-                        ProcessBackend, "_plan_serial_steps",
-                        lambda self, plan: frozenset(),
-                    )
-                backend = ProcessBackend(
-                    workers=WORKERS, min_parallel_items=0
-                )
-                try:
-                    engine = MPCEngine.for_delta(
-                        graph.n + graph.m, CONFIG.delta, backend=backend
-                    )
-                    result = repro.mpc_connected_components(
-                        graph, 0.1, config=CONFIG, rng=SEED, engine=engine
-                    )
-                    stats = backend.stats()
-                    runs[fused] = (result.labels, result.rounds, stats)
-                finally:
-                    backend.close()
-        labels_f, rounds_f, stats_f = runs[True]
-        labels_u, rounds_u, stats_u = runs[False]
-        assert np.array_equal(labels_f, labels_u)
-        assert rounds_f == rounds_u
-        assert (stats_f.exchanges, stats_f.bytes_exchanged) == (
-            stats_u.exchanges, stats_u.bytes_exchanged
-        )
-        assert stats_u.dispatch["serial_fused"] == 0
-        # The acceptance criterion: plan fusion strictly cuts the
-        # pipeline's dispatch barriers (the contract search→reduce pair).
-        assert stats_f.dispatch["barriers"] < stats_u.dispatch["barriers"]
-        contract_f = stats_f.dispatch["plan_barriers"]["contract"]
-        contract_u = stats_u.dispatch["plan_barriers"]["contract"]
-        assert contract_f < contract_u
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +322,13 @@ def capture_pipeline(tmp_path, backend, *, n=256):
     return path, result, captured, trace
 
 
+def trace_ops(path) -> set:
+    doc = load_trace(path)
+    return {
+        s["op"] for entry in doc["plans"] for s in entry["steps"]
+    }
+
+
 class TestTraceRoundTrip:
     def test_capture_writes_on_close(self, tmp_path):
         path, result, captured, trace = capture_pipeline(
@@ -509,31 +446,26 @@ class TestTraceRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# Trace capture + replay: the CSR plan steps
+# Trace capture + replay: the pipeline over a CSR-form graph
 # ---------------------------------------------------------------------------
 
 
-def trace_ops(path) -> set:
-    doc = load_trace(path)
-    return {
-        s["op"] for entry in doc["plans"] for s in entry["steps"]
-    }
-
-
 class TestCSRTraceReplay:
-    """CSR plan steps must survive the capture → replay round trip on
-    every backend: the frozen indptr/indices arrays travel as ordinary
-    plan bindings, so a replay reproduces the gather rounds (outputs and
-    gated counters) bit for bit."""
+    """A pipeline capture over a CSR-form :class:`Graph` must survive the
+    capture → replay round trip on every backend: the broadcast's
+    ``min_label_exchange`` levels bind the edge list's two orientations
+    as ordinary plan bindings, so a replay reproduces those rounds
+    (outputs and gated counters) bit for bit."""
 
     def test_csr_capture_replays_on_all_backends(self, tmp_path):
         path, result, captured, _ = capture_pipeline(
             tmp_path, ShardedBackend()
         )
-        assert "csr_min_label" in trace_ops(path)
+        assert "min_label_exchange" in trace_ops(path)
         for name in ("sharded", "local", "process", "rpc"):
             replayed = replay(path, backend=name)
             assert replayed.ok, name
+            assert replayed.stats.op_counts == captured.op_counts, name
             if name != "local":
                 # Enforced backends adopt the trace's machine memory, so
                 # the gated counters reproduce exactly.
@@ -541,28 +473,20 @@ class TestCSRTraceReplay:
                 assert (replayed.stats.bytes_exchanged
                         == captured.bytes_exchanged)
 
-    def test_sort_capture_is_csr_free_and_equivalent(
-        self, tmp_path, sort_broadcast
-    ):
-        on_path, on_result, *_ = capture_pipeline(
-            tmp_path / "on", ShardedBackend()
-        )
-        with sort_broadcast():
-            off_path, off_result, *_ = capture_pipeline(
-                tmp_path / "off", ShardedBackend()
-            )
-        off_ops = trace_ops(off_path)
-        assert "csr_min_label" not in off_ops
-        assert "min_label_exchange" in off_ops
-        assert np.array_equal(on_result.labels, off_result.labels)
-        assert on_result.rounds == off_result.rounds
-        # A trace replays the steps it recorded, whichever broadcast
-        # captured them.
-        assert replay(on_path, backend="sharded").ok
-        assert replay(off_path, backend="sharded").ok
 
-    def test_liu_tarjan_binds_graph_csr_and_round_trips(self, tmp_path):
+# ---------------------------------------------------------------------------
+# Trace capture + replay: Liu–Tarjan's min-label rounds
+# ---------------------------------------------------------------------------
+
+
+class TestLiuTarjanTraceReplay:
+    """Liu–Tarjan's rounds bind the edge list's two orientations as
+    ordinary plan bindings, so a replay reproduces its min-label rounds
+    (outputs and gated counters) bit for bit."""
+
+    def test_liu_tarjan_binds_incidence_arrays_and_round_trips(self, tmp_path):
         from repro.engines import get_engine
+        from repro.engines.base import incidence_arrays
 
         graph = Workload("permutation_regular", 256, {"degree": 6}).build(
             SEED
@@ -577,19 +501,19 @@ class TestCSRTraceReplay:
             )
             captured = mpc.backend.stats()
         doc = load_trace(path)
-        # The gathers bind the graph's own CSR arrays, which the trace
-        # records as plan bindings: the opening plan only scatters, and
-        # no step rebuilds the arrays on replay.
+        # Every round binds the same two orientation arrays, which the
+        # trace records as plan bindings: the opening plan only scatters,
+        # and no step rebuilds the arrays on replay.
         (opening,) = [e for e in doc["plans"] if e["name"] == "scatter-input"]
         assert [s["op"] for s in opening["steps"]] == ["scatter"]
-        csr = {content_digest(graph.indptr), content_digest(graph.heads)}
-        gathers = [
-            {entry["bindings"][slot] for slot in step["inputs"][1:]}
+        incidences = [content_digest(a) for a in incidence_arrays(graph.edges)]
+        levels = [
+            [entry["bindings"][slot] for slot in step["inputs"][1:]]
             for entry in doc["plans"]
             for step in entry["steps"]
-            if step["op"] == "csr_min_label"
+            if step["op"] == "min_label_exchange"
         ]
-        assert gathers and all(bound == csr for bound in gathers)
+        assert levels and all(bound == incidences for bound in levels)
         assert result.labels.shape == (graph.n,)
         for name in ("sharded", "process", "rpc"):
             replayed = replay(path, backend=name)
@@ -614,21 +538,33 @@ def smoke_tool():
 
 
 class TestReplaySmokeTool:
-    ARGS = ["--capture", "sharded", "--replay", "sharded", "process",
-            "--engine", "liu_tarjan"]
+    ARGS = ["--capture", "sharded", "--replay", "sharded", "process"]
 
     def test_liu_tarjan_capture_exchanges_and_replays(self, capsys):
-        assert smoke_tool().main(["--n", "512", *self.ARGS]) == 0
+        """Liu–Tarjan's stream holds no op the pools run (no sort, no
+        reduce), so its process replay passes without dispatching."""
+        args = ["--n", "512", *self.ARGS, "--engine", "liu_tarjan"]
+        assert smoke_tool().main(args) == 0
         out = capsys.readouterr().out
         (captured,) = re.findall(r"\((\d+) rounds, (\d+) exchanges\)", out)
         assert int(captured[1]) > 0
+        assert "pooled ops: none" in out
+        (process,) = re.findall(r"on 'process': .* (\d+) dispatches", out)
+        assert int(process) == 0
+
+    def test_exponentiation_replay_dispatches_its_pooled_ops(self, capsys):
+        args = ["--n", "512", *self.ARGS, "--engine", "exponentiation"]
+        assert smoke_tool().main(args) == 0
+        out = capsys.readouterr().out
+        assert "pooled ops: reduce_by_key, sort" in out
         (process,) = re.findall(r"on 'process': .* (\d+) dispatches", out)
         assert int(process) > 0
 
     def test_exchange_free_capture_fails(self, capsys):
         """At n = 16 the whole input fits one shard: the exchange check
         would compare 0 with 0, so the run fails instead of passing."""
-        assert smoke_tool().main(["--n", "16", *self.ARGS]) == 1
+        args = ["--n", "16", *self.ARGS, "--engine", "liu_tarjan"]
+        assert smoke_tool().main(args) == 1
         assert "made no exchange" in capsys.readouterr().err
 
     def test_undispatched_pool_replay_fails(self, capsys, monkeypatch):
@@ -636,5 +572,6 @@ class TestReplaySmokeTool:
         on the serial kernels, which certifies nothing about the pool."""
         tool = smoke_tool()
         monkeypatch.setitem(tool.POOLS, "process", lambda: ProcessBackend(workers=2))
-        assert tool.main(["--n", "512", *self.ARGS]) == 1
+        args = ["--n", "512", *self.ARGS, "--engine", "exponentiation"]
+        assert tool.main(args) == 1
         assert "dispatched nothing" in capsys.readouterr().err

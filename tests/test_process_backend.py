@@ -9,6 +9,14 @@ forces each operation through the worker processes — without it,
 laptop-scale inputs would silently use the serial fallback.
 """
 
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+
 import numpy as np
 import pytest
 
@@ -39,6 +47,16 @@ def pair():
 
 def rng():
     return np.random.default_rng(1234)
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie awaiting its reaper
+    has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -126,18 +144,6 @@ class TestKernelParity:
         recv = rng().integers(0, 2000, 7000)
         nl1, inc1 = serial.min_label_exchange(labels, send, recv)
         nl2, inc2 = parallel.min_label_exchange(labels, send, recv)
-        assert np.array_equal(nl1, nl2)
-        assert np.array_equal(inc1, inc2)
-
-    def test_csr_min_label_with_degree_zero_rows(self, pair):
-        serial, parallel = pair
-        degrees = rng().integers(0, 4, 1500)
-        degrees[::5] = 0  # isolated vertices: empty neighbour runs
-        indptr = np.concatenate([[0], np.cumsum(degrees)])
-        indices = rng().integers(0, 1500, int(indptr[-1]))
-        labels = rng().integers(0, 10**9, 1500)
-        nl1, inc1 = serial.csr_min_label(labels, indptr, indices)
-        nl2, inc2 = parallel.csr_min_label(labels, indptr, indices)
         assert np.array_equal(nl1, nl2)
         assert np.array_equal(inc1, inc2)
 
@@ -273,8 +279,17 @@ class TestPoolLifecycle:
         # operation's leases are still held; the cleanup must not mask
         # the worker-death diagnostic with an ArenaLeaseError.
         _, parallel = pair
-        parallel._ensure_pool()
-        parallel._pipes[0].close()  # simulate a worker dying mid-command
+        start_pool = parallel._ensure_pool
+
+        def worker_dies_after_the_liveness_check():
+            start_pool()
+            del parallel._ensure_pool  # one shot: the restart below is real
+            # Simulate a worker dying mid-command.  Closing the pipe before
+            # the check would let the worker see EOF and exit, and the
+            # check would then restart the pool instead.
+            parallel._pipes[0].close()
+
+        parallel._ensure_pool = worker_dies_after_the_liveness_check
         with pytest.raises(RuntimeError, match="died mid-dispatch"):
             parallel.sort(rng().integers(0, 9, 2000))
         # Pool and arena restart cleanly on the next operation.
@@ -290,6 +305,44 @@ class TestPoolLifecycle:
         parallel.reset()
         assert parallel.stats().exchanges == 0
         assert parallel._procs == procs  # pool survives engine resets
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/stat"), reason="reads process state in /proc"
+    )
+    def test_workers_exit_when_the_parent_is_killed(self):
+        """A killed parent runs no cleanup; its workers must still see
+        EOF on their pipes and exit, not block in ``recv`` forever."""
+        script = textwrap.dedent("""
+            import numpy as np
+            from repro.mpc import ProcessBackend
+
+            backend = ProcessBackend(64, workers=2, min_parallel_items=0)
+            backend.sort(np.arange(1000)[::-1].copy())
+            print(*(proc.pid for proc in backend._procs), flush=True)
+            input()  # hold the pool until killed
+        """)
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script], env=env, text=True,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        )
+        workers = []
+        try:
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(workers) == 2
+            parent.send_signal(signal.SIGKILL)
+            parent.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, workers))
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_workers_validation(self):
         with pytest.raises(ValueError):
@@ -387,7 +440,7 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Arena integration and fused dispatch
+# Arena integration and dispatch
 # ---------------------------------------------------------------------------
 
 
@@ -413,33 +466,21 @@ class TestArenaIntegration:
         assert parallel.arena_stats()["segments"] == segments
         assert parallel.stats().dispatch["barriers"] == 0  # run counters clear
 
-    def test_pinned_inputs_upload_once(self, pair):
-        _, parallel = pair
-        labels = rng().integers(0, 10**9, 2000)
-        send = rng().integers(0, 2000, 7000)
-        recv = rng().integers(0, 2000, 7000)
-        send.setflags(write=False)
-        recv.setflags(write=False)
-        first = parallel.min_label_exchange(labels, send, recv)
-        copied_once = parallel.shm_bytes_copied
-        second = parallel.min_label_exchange(labels, send, recv)
-        assert np.array_equal(first[0], second[0])
-        assert parallel.arena_stats()["pinned_hits"] == 2  # send and recv
-        # The second exchange re-uploaded only the labels, not the 2×7000
-        # incidence words.
-        assert parallel.shm_bytes_copied - copied_once == labels.nbytes
-
-    def test_min_label_is_one_fused_barrier(self, pair):
+    def test_min_label_and_search_run_in_the_parent(self, pair):
+        """Search and the min-label level have no pooled kernel: one
+        gather or ``minimum.at`` in the parent beats a dispatch."""
         serial, parallel = pair
         labels = rng().integers(0, 10**9, 2000)
         send = rng().integers(0, 2000, 7000)
         recv = rng().integers(0, 2000, 7000)
-        nl_s, _ = serial.min_label_exchange(labels, send, recv)
-        nl_p, _ = parallel.min_label_exchange(labels, send, recv)
-        assert np.array_equal(nl_s, nl_p)
-        dispatch = parallel.stats().dispatch
-        assert dispatch["barriers"] == 1  # gather + fold fused, one barrier
-        assert dispatch["steps"] > dispatch["messages"]  # plans carry >1 step
+        nl_s, inc_s = serial.min_label_exchange(labels, send, recv)
+        nl_p, inc_p = parallel.min_label_exchange(labels, send, recv)
+        assert np.array_equal(nl_s, nl_p) and np.array_equal(inc_s, inc_p)
+        assert np.array_equal(
+            serial.search(labels, send), parallel.search(labels, send)
+        )
+        assert parallel.stats().dispatch["barriers"] == 0
+        assert not parallel._procs  # the pool never started
 
     def test_stats_embed_arena_and_dispatch(self, pair):
         serial, parallel = pair

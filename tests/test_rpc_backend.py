@@ -24,6 +24,7 @@ from repro.mpc import (
     replay,
 )
 from repro.mpc.backends import TRANSPORT_STATS_ZERO
+from repro.mpc.plan import load_trace
 
 SEED = 23
 CONFIG = repro.PipelineConfig(
@@ -69,7 +70,13 @@ def test_replay_certifies_rpc_backend(tmp_path, engine_name):
         assert replayed.stats.bytes_exchanged == captured.bytes_exchanged
         assert replayed.stats.op_counts == captured.op_counts
         transport = rpc.transport_stats()
-        if captured.exchanges:
+        # Sorts and reduces cross the wire; Liu–Tarjan's stream has
+        # neither (its search and min-label level run in the parent).
+        ops = {
+            step["op"] for plan in load_trace(path)["plans"]
+            for step in plan["steps"]
+        }
+        if ops & {"sort", "reduce_by_key"}:
             assert transport["op_frames"] > 0
             assert transport["op_wire_bytes"] > 0
     finally:
@@ -115,16 +122,6 @@ class TestKernelParity:
         )
         assert np.array_equal(labels_a, labels_b)
         assert np.array_equal(incoming_a, incoming_b)
-        degrees = np.random.default_rng(4).integers(0, 3, 900)
-        degrees[::4] = 0  # isolated vertices: empty neighbour runs
-        indptr = np.concatenate([[0], np.cumsum(degrees)])
-        indices = np.random.default_rng(5).integers(0, 900, int(indptr[-1]))
-        labels_a, incoming_a = ref.csr_min_label(labels, indptr, indices)
-        labels_b, incoming_b = rpc_backend.csr_min_label(
-            labels, indptr, indices
-        )
-        assert np.array_equal(labels_a, labels_b)
-        assert np.array_equal(incoming_a, incoming_b)
         # The sharded accounting is inherited, not reimplemented: the
         # model counters agree exactly.
         assert ref.stats().exchanges == rpc_backend.stats().exchanges
@@ -140,10 +137,10 @@ class TestKernelParity:
             backend.close()
 
     def test_digest_dedup_ships_repeats_as_references(self, rpc_backend):
-        _, _, table, queries = self._inputs()
+        keys, values, _, _ = self._inputs()
         before = dict(rpc_backend.transport_stats())
-        rpc_backend.search(table, queries)
-        rpc_backend.search(table, queries)
+        rpc_backend.sort(values, order_by=keys)
+        rpc_backend.sort(values, order_by=keys)
         after = rpc_backend.transport_stats()
         # The second identical op resolves both arrays from the worker
         # caches: strictly more hits, no new misses beyond the first.
@@ -158,8 +155,8 @@ class TestKernelParity:
         again for the cache-eviction sizes."""
         import repro.mpc.rpc as rpc
 
-        _, _, table, queries = self._inputs()
-        rpc_backend.search(table, queries)  # ship once: the op below is warm
+        keys, values, _, _ = self._inputs()
+        rpc_backend.sort(values, order_by=keys)  # ship once: the op below is warm
         calls = []
 
         def counting_digest(array):
@@ -167,9 +164,36 @@ class TestKernelParity:
             return content_digest(array)
 
         monkeypatch.setattr(rpc, "content_digest", counting_digest)
-        rpc_backend.search(table, queries)
+        rpc_backend.sort(values, order_by=keys)
         assert rpc_backend.workers == 2
-        assert len(calls) == 2  # table and queries
+        assert len(calls) == 2  # keys and values
+
+    def test_small_cache_evicts_and_keeps_serial_results(self):
+        """A frame never evicts a cached digest it references: the
+        worker drops evicted digests before decoding the frame."""
+        backend = RpcBackend(
+            shard_memory=64, workers=2, min_wire_items=0, cache_bytes=50_000
+        )
+        ref = ShardedBackend(shard_memory=64)
+        rng = np.random.default_rng(SEED)
+        values = rng.integers(0, 1 << 40, 4000)  # 32 kB: cached by sort 1
+        keys = [rng.integers(0, 500, 4000) for _ in range(3)]
+        try:
+            # Sort 1 fills each worker's cache past its budget; sort 2
+            # references ``values`` and ships a new key array, so the
+            # eviction must drop the first keys, never ``values``.
+            for k in keys:
+                assert np.array_equal(
+                    backend.sort(values, order_by=k), ref.sort(values, order_by=k)
+                )
+            for op in ("min", "sum"):
+                got = backend.reduce_by_key(keys[0], values, op)
+                want = ref.reduce_by_key(keys[0], values, op)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert backend.dead_workers() == []
+            assert backend.workers_restarted == 0
+        finally:
+            backend.close()
 
     def test_object_dtype_falls_back_to_serial(self, rpc_backend):
         values = np.array([{"a": 1}, {"b": 2}, None, "x"] * 64, dtype=object)
@@ -200,7 +224,7 @@ class TestStatsSchema:
     def test_reset_clears_transport_counters(self):
         backend = RpcBackend(shard_memory=64, workers=2, min_wire_items=0)
         try:
-            backend.search(np.arange(100), np.arange(50))
+            backend.sort(np.arange(100)[::-1].copy())
             assert backend.transport_stats()["op_frames"] > 0
             backend.reset()
             assert backend.transport_stats() == dict(TRANSPORT_STATS_ZERO)

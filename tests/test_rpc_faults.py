@@ -26,6 +26,11 @@ from repro.mpc import (
 
 pytestmark = pytest.mark.slow
 
+#: The probe op: a sort runs on the workers at ``min_wire_items=0``
+#: (search and the min-label level always run in the parent).
+SMALL = np.arange(80)[::-1].copy()
+SORTED = np.arange(80)
+
 
 def shm_entries() -> set:
     """Names currently present in the system shared-memory namespace."""
@@ -60,11 +65,10 @@ class TestWorkerDeath:
             shard_memory=64, workers=2, min_wire_items=0,
             call_timeout=30.0, heartbeat_interval=30.0,
         )
-        table = np.arange(5000, dtype=np.int64)
-        queries = np.arange(4000, dtype=np.int64) % 5000
-        expected = table[queries]
+        values = np.random.default_rng(0).permutation(5000)
+        expected = np.arange(5000)
         try:
-            assert np.array_equal(backend.search(table, queries), expected)
+            assert np.array_equal(backend.sort(values), expected)
             pool = backend._ensure_pool()
             procs = [h.proc for h in pool._handles]
             victim = procs[0]
@@ -77,7 +81,7 @@ class TestWorkerDeath:
             def in_flight():
                 start = time.monotonic()
                 try:
-                    backend.search(table, queries + 1)
+                    backend.sort(values + 1)
                 except RpcError as exc:
                     failure["exc"] = exc
                 failure["elapsed"] = time.monotonic() - start
@@ -93,7 +97,7 @@ class TestWorkerDeath:
             assert pool.failed
             # The pool fails closed, then recovers on the next op via a
             # lazy restart — and the restarted fleet is correct.
-            assert np.array_equal(backend.search(table, queries), expected)
+            assert np.array_equal(backend.sort(values), expected)
             assert backend.workers_restarted == 1
         finally:
             backend.close()
@@ -102,7 +106,7 @@ class TestWorkerDeath:
     def test_dead_worker_before_op_raises_typed(self):
         backend = RpcBackend(shard_memory=64, workers=2, min_wire_items=0)
         try:
-            backend.search(np.arange(100), np.arange(80))
+            backend.sort(SMALL)
             pool = backend._ensure_pool()
             os.kill(pool._handles[1].proc.pid, signal.SIGKILL)
             assert wait_until(lambda: pool.failed)
@@ -113,14 +117,13 @@ class TestWorkerDeath:
                         None,
                         {
                             "steps": [
-                                {"op": "search",
-                                 "inputs": ["table", "queries"],
-                                 "outputs": ["found"],
-                                 "params": {"lo": 0, "hi": 8}},
+                                {"op": "sort",
+                                 "inputs": ["keys", "keys"],
+                                 "outputs": ["order", "sorted", "offset"],
+                                 "params": {"lo": None, "hi": None}},
                             ],
-                            "arrays": {"table": np.arange(10),
-                                       "queries": np.arange(8)},
-                            "returns": ["found"],
+                            "arrays": {"keys": SMALL},
+                            "returns": ["sorted"],
                         },
                     ]
                 )
@@ -128,8 +131,8 @@ class TestWorkerDeath:
             with pytest.raises(RpcError, match="closed"):
                 pool.barrier([None, None])
             # The backend itself recovers with a fresh pool.
-            out = backend.search(np.arange(100), np.arange(80))
-            assert np.array_equal(out, np.arange(80))
+            out = backend.sort(SMALL)
+            assert np.array_equal(out, SORTED)
             assert backend.workers_restarted == 1
         finally:
             backend.close()
@@ -143,7 +146,7 @@ class TestHeartbeat:
             heartbeat_interval=0.15, heartbeat_timeout=0.3, max_retries=0,
         )
         try:
-            backend.search(np.arange(100), np.arange(80))
+            backend.sort(SMALL)
             pool = backend._ensure_pool()
             procs = [h.proc for h in pool._handles]
             victim = procs[0]
@@ -157,8 +160,8 @@ class TestHeartbeat:
             finally:
                 os.kill(victim.pid, signal.SIGCONT)
             # Recovery: the next operation restarts the pool.
-            out = backend.search(np.arange(100), np.arange(80))
-            assert np.array_equal(out, np.arange(80))
+            out = backend.sort(SMALL)
+            assert np.array_equal(out, SORTED)
             assert backend.workers_restarted == 1
         finally:
             backend.close()
@@ -170,7 +173,7 @@ class TestHeartbeat:
             heartbeat_interval=0.05, heartbeat_timeout=2.0,
         )
         try:
-            backend.search(np.arange(100), np.arange(80))
+            backend.sort(SMALL)
             pool = backend._ensure_pool()
             assert wait_until(
                 lambda: backend.transport_stats()["heartbeats"] >= 2,
@@ -189,7 +192,7 @@ class TestCallTimeout:
             heartbeat_interval=60.0,
         )
         try:
-            backend.search(np.arange(100), np.arange(80))
+            backend.sort(SMALL)
             pool = backend._ensure_pool()
             victims = [h.proc for h in pool._handles]
             for proc in victims:
@@ -197,7 +200,7 @@ class TestCallTimeout:
             try:
                 start = time.monotonic()
                 with pytest.raises(RpcTimeoutError, match="did not ACK"):
-                    backend.search(np.arange(100), np.arange(80))
+                    backend.sort(SMALL)
                 elapsed = time.monotonic() - start
                 # One base wait + one backed-off retry, plus slack:
                 # far under a hang, comfortably over the base timeout.
@@ -216,10 +219,8 @@ class TestDuplicateAck:
     def test_duplicate_ack_fails_closed_then_recovers(self):
         baseline = shm_entries()
         backend = RpcBackend(shard_memory=64, workers=2, min_wire_items=0)
-        table = np.arange(64, dtype=np.int64)
-        queries = np.arange(32, dtype=np.int64)
         try:
-            backend.search(table, queries)
+            backend.sort(SMALL)
             pool = backend._ensure_pool()
             procs = [h.proc for h in pool._handles]
             # The dup_ack debug knob makes the worker repeat its ACK
@@ -229,19 +230,19 @@ class TestDuplicateAck:
                 [
                     {
                         "steps": [
-                            {"op": "search",
-                             "inputs": ["table", "queries"],
-                             "outputs": ["found"],
-                             "params": {"lo": 0, "hi": 32}},
+                            {"op": "sort",
+                             "inputs": ["keys", "keys"],
+                             "outputs": ["order", "sorted", "offset"],
+                             "params": {"lo": None, "hi": None}},
                         ],
-                        "arrays": {"table": table, "queries": queries},
-                        "returns": ["found"],
+                        "arrays": {"keys": SMALL},
+                        "returns": ["sorted"],
                         "dup_ack": True,
                     },
                     None,
                 ]
             )
-            assert np.array_equal(replies[0]["found"], table[queries])
+            assert np.array_equal(replies[0]["sorted"], SORTED)
             assert wait_until(lambda: pool.failed, timeout=5.0)
             assert any(
                 "duplicate or unmatched ACK" in reason
@@ -260,8 +261,8 @@ class TestDuplicateAck:
                     ]
                 )
             # ...and the backend recovers by restarting it.
-            out = backend.search(table, queries)
-            assert np.array_equal(out, table[queries])
+            out = backend.sort(SMALL)
+            assert np.array_equal(out, SORTED)
             assert backend.workers_restarted == 1
         finally:
             backend.close()
@@ -272,7 +273,7 @@ class TestLifecycleHygiene:
     def test_close_is_idempotent_and_leaves_no_sockets(self):
         baseline = shm_entries()
         backend = RpcBackend(shard_memory=64, workers=2, min_wire_items=0)
-        backend.search(np.arange(100), np.arange(80))
+        backend.sort(SMALL)
         pool = backend._ensure_pool()
         procs = [h.proc for h in pool._handles]
         path = pool.socket_path
@@ -284,10 +285,10 @@ class TestLifecycleHygiene:
     def test_closed_backend_restarts_on_demand(self):
         backend = RpcBackend(shard_memory=64, workers=2, min_wire_items=0)
         try:
-            backend.search(np.arange(100), np.arange(80))
+            backend.sort(SMALL)
             backend.close()
-            out = backend.search(np.arange(100), np.arange(80))
-            assert np.array_equal(out, np.arange(80))
+            out = backend.sort(SMALL)
+            assert np.array_equal(out, SORTED)
         finally:
             backend.close()
 
@@ -305,6 +306,6 @@ class TestLifecycleHygiene:
         )
         try:
             with pytest.raises(RpcTimeoutError, match="workers connected"):
-                backend.search(np.arange(100), np.arange(80))
+                backend.sort(SMALL)
         finally:
             backend.close()

@@ -193,13 +193,24 @@ class TestServiceSemantics:
 
 
 class TestBackendsBehindService:
+    def test_unstarted_server_reports_its_backend(self):
+        for spec in ("rpc", "sharded", "process"):
+            srv = ServiceServer(backend=spec)
+            try:
+                assert srv.stats()["backend"] == spec
+            finally:
+                srv.close()
+        assert ServiceServer().stats()["backend"] == "local"
+
     def test_service_over_rpc_backend_matches_local(self):
+        # Exponentiation's sorts and reduces cross the wire (search and
+        # the min-label level run in the parent on every backend).
         graph = build("dumbbell")
-        ref = reference_labels(graph)
+        ref = reference_labels(graph, engine="exponentiation")
         backend = RpcBackend(workers=2, min_wire_items=0)
         try:
             with ServiceServer(
-                engine="liu_tarjan", backend=backend, config=CONFIG,
+                engine="exponentiation", backend=backend, config=CONFIG,
                 seed=SEED,
             ) as srv:
                 with ServiceClient(srv.address) as client:

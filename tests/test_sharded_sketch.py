@@ -431,8 +431,16 @@ backend = ProcessBackend(shard_memory=256, workers=2, min_parallel_items=1000)
 try:
     conn = StreamingConnectivity(12, rng=3, backend=backend, sketch_shards=2)
     conn.apply(EventBatch.insert([[0, 1], [2, 3]]))
-    backend._ensure_pool()
-    backend._pipes[0].close()
+    start_pool = backend._ensure_pool
+
+    def worker_dies_after_the_liveness_check():
+        # Closing the pipe before the check would let the worker see
+        # EOF and exit, and the check would restart the pool instead.
+        start_pool()
+        del backend._ensure_pool  # one shot
+        backend._pipes[0].close()
+
+    backend._ensure_pool = worker_dies_after_the_liveness_check
     with pytest.raises(RuntimeError, match="died"):
         backend.sort(np.random.default_rng(0).integers(0, 9, 2000))
     with pytest.raises(ArenaLeaseError):
