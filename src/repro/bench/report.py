@@ -84,18 +84,28 @@ def render_case(result: CaseResult) -> str:
 
 
 def git_sha(cwd: "str | None" = None) -> str:
-    """The commit being measured: git HEAD, then $GITHUB_SHA, else unknown."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=cwd or pathlib.Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=False,
+    """The commit being measured: git HEAD, then $GITHUB_SHA, else unknown.
+
+    HEAD gains a ``-dirty`` suffix when a tracked file under the
+    repository's ``src/`` differs from it, so an artifact written from
+    an edited tree does not name a commit that did not produce it.
+    Nothing outside ``src/`` counts: the ``BENCH_*.json`` artifacts a
+    regeneration has already rewritten must not mark the later ones.
+    """
+    where = cwd or pathlib.Path(__file__).resolve().parent
+
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            ["git", *args], cwd=where, capture_output=True, text=True,
+            timeout=10, check=False,
         )
+
+    try:
+        out = git("rev-parse", "HEAD")
         if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
+            sha = out.stdout.strip()
+            edited = git("diff", "--quiet", "HEAD", "--", ":(top)src")
+            return f"{sha}-dirty" if edited.returncode == 1 else sha
     except (OSError, subprocess.SubprocessError):
         pass
     return os.environ.get("GITHUB_SHA", "unknown")
@@ -309,6 +319,47 @@ def compare_bench_files(
         load_case_json(new_path),
         time_tolerance=time_tolerance,
     )
+
+
+#: A record field is *time* when its name contains one of these: its
+#: value follows the host's speed, so :func:`exact_differences` skips it.
+TIME_FIELD_MARKERS = ("seconds", "per_sec", "speedup")
+
+#: Stands in for the side of an :func:`exact_differences` entry that
+#: lacks the field or record.
+_ABSENT = "<absent>"
+
+
+def exact_differences(old: dict, new: dict) -> "list[dict]":
+    """Every non-time record field on which two artifacts of the same
+    benchmark differ: ``{"field", "old", "new"}`` per difference, with
+    ``field`` the record key and the path into it (``key.a.b[2]``).
+
+    Records pair by key.  Nested dicts and lists are compared entry by
+    entry, and a field or record present on one side only differs
+    (``"<absent>"`` on the other).  Only fields whose names contain one
+    of :data:`TIME_FIELD_MARKERS` are skipped, at any depth.
+    """
+    validate_case_json(old)
+    validate_case_json(new)
+    old_records = {r["key"]: r for r in old["records"]}
+    new_records = {r["key"]: r for r in new["records"]}
+    diffs: "list[dict]" = []
+
+    def visit(path: str, a, b) -> None:
+        if isinstance(a, dict) and isinstance(b, dict):
+            for name in sorted(a.keys() | b.keys()):
+                if not any(marker in name for marker in TIME_FIELD_MARKERS):
+                    visit(f"{path}.{name}", a.get(name, _ABSENT), b.get(name, _ABSENT))
+        elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+            for i, (x, y) in enumerate(zip(a, b)):
+                visit(f"{path}[{i}]", x, y)
+        elif a != b and not (a != a and b != b):  # two NaNs agree
+            diffs.append({"field": path, "old": a, "new": b})
+
+    for key in sorted(old_records.keys() | new_records.keys()):
+        visit(key, old_records.get(key, _ABSENT), new_records.get(key, _ABSENT))
+    return diffs
 
 
 def format_comparison(diff: dict) -> str:

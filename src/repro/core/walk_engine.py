@@ -41,6 +41,7 @@ from repro.core.layered import (
 )
 from repro.graph.graph import Graph
 from repro.mpc.engine import MPCEngine, ensure_engine
+from repro.mpc.kernels import stable_order
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive_int
 
@@ -133,7 +134,7 @@ def detect_independence(paths: np.ndarray) -> np.ndarray:
     """
     k, _ = paths.shape
     flat = paths.ravel()
-    order = np.argsort(flat, kind="stable")
+    order = stable_order(flat)
     sorted_vertices = flat[order]
     # Boundaries of equal runs.
     new_run = np.empty(sorted_vertices.size, dtype=bool)

@@ -12,6 +12,7 @@ import numpy as np
 import scipy.sparse.csgraph as csgraph
 
 from repro.graph.graph import Graph
+from repro.mpc.kernels import stable_order
 
 
 def connected_components(graph: Graph) -> np.ndarray:
@@ -28,7 +29,7 @@ def canonical_labels(labels: np.ndarray) -> np.ndarray:
     """Relabel arbitrary component labels to ``0..k-1`` in first-seen order."""
     labels = np.asarray(labels)
     _, first_pos = np.unique(labels, return_index=True)
-    order = np.argsort(first_pos, kind="stable")
+    order = stable_order(first_pos)
     remap = np.empty(order.size, dtype=np.int64)
     remap[order] = np.arange(order.size)
     _, inverse = np.unique(labels, return_inverse=True)

@@ -35,6 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from repro.mpc.kernels import stable_order
 from repro.utils.validation import check_nonnegative_int
 
 
@@ -84,7 +85,7 @@ class Graph:
         dst[0::2] = self._edges[:, 1]
         src[1::2] = self._edges[:, 1]
         dst[1::2] = self._edges[:, 0]
-        order = np.argsort(src, kind="stable")
+        order = stable_order(src)
         self._slot_halfedge = order  # CSR slot -> half-edge id
         self._halfedge_slot = np.empty_like(order)
         self._halfedge_slot[order] = np.arange(2 * m, dtype=np.int64)

@@ -15,8 +15,9 @@ charges describe.  Four implementations ship:
   memory cap *and* the per-round communication cap of the
   Beame–Koutris–Suciu model (raising
   :class:`~repro.mpc.machine.MachineMemoryError` on violation), while
-  counting exchange barriers and bytes moved.  Sorting is argsort plus
-  shard-boundary splitters; search and reduce-by-key route by key home;
+  counting exchange barriers and bytes moved.  Sorting is one stable
+  order (:func:`~repro.mpc.kernels.stable_order`) plus shard-boundary
+  splitters; search and reduce-by-key route by key home;
   the min-label exchange is one fused shipment per level.
 * :class:`~repro.mpc.process_backend.ProcessBackend` and
   :class:`~repro.mpc.rpc.RpcBackend` — the worker pools.  Both subclass
@@ -69,6 +70,7 @@ from repro.mpc.kernels import (
     plain,
     position_blocks,
     reduced_dtype,
+    stable_order,
     walk_columns,
 )
 from repro.mpc.machine import MachineMemoryError
@@ -224,7 +226,8 @@ class ExecutionBackend:
     stages and the streaming sketch:
 
     * :meth:`scatter` — place an array on the fleet;
-    * :meth:`sort` — global sort (argsort + shard-boundary splitters);
+    * :meth:`sort` — global stable sort (one stable order +
+      shard-boundary splitters);
     * :meth:`search` — annotate integer queries against a table
       (Goodrich parallel search: the cost model prices it like a sort);
     * :meth:`reduce_by_key` — group by key and fold (contractions,
@@ -414,9 +417,9 @@ class ExecutionBackend:
 
         Raises :class:`ValueError` for an unknown ``op``, keys that are
         not 1-D, or a key count that differs from the value rows.
-        Routing is by key rank (argsort); groups straddling a shard
-        boundary combine their partials in the same barrier (≤ 1 partial
-        per boundary)."""
+        Routing is by key rank (the stable order); groups straddling a
+        shard boundary combine their partials in the same barrier (≤ 1
+        partial per boundary)."""
         self._count_op("reduce_by_key")
         keys, values = _keyed(keys, values, op)
         n = int(keys.shape[0])
@@ -458,8 +461,8 @@ class ExecutionBackend:
 
     def _kernel_sort(self, values: np.ndarray, keys: np.ndarray):
         """Stable sort hook: ``(values[order], order)`` for the stable
-        argsort ``order`` of ``keys``."""
-        order = np.argsort(keys, kind="stable")
+        order (:func:`~repro.mpc.kernels.stable_order`) of ``keys``."""
+        order = stable_order(keys)
         return values[order], order
 
     def _kernel_reduce(self, keys: np.ndarray, values: np.ndarray, op: str):

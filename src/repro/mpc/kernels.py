@@ -5,7 +5,8 @@ The backends of :mod:`repro.mpc.backends` only call into this module —
 it imports nothing from them:
 
 * the serial hooks of :class:`~repro.mpc.backends.ExecutionBackend` run
-  :func:`_grouped_reduce` and :func:`walk_columns` over every column;
+  :func:`stable_order`, :func:`_grouped_reduce` and :func:`walk_columns`
+  over every column;
 * :class:`~repro.mpc.backends.PooledBackend` plans each op into
   per-worker steps over :data:`KERNELS`, and its two transports
   (:class:`~repro.mpc.process_backend.ProcessBackend` over shared
@@ -25,11 +26,11 @@ the ACK.
 Partitioning
 ------------
 * ``sort`` / ``reduce_by_key`` — sample sort: a deterministic sample of
-  the keys yields ``W - 1`` splitters, and each worker stable-sorts the
-  keys in its splitter range (original positions ascending break ties,
-  so the buckets laid end to end *are* the global stable argsort, bit
-  for bit).  Reduce also folds each group in its bucket; key ranges are
-  disjoint, so no combine step is needed.
+  the keys yields ``W - 1`` splitters, and each worker takes the
+  :func:`stable_order` of the keys in its splitter range (original
+  positions ascending break ties, so the buckets laid end to end *are*
+  the global stable order, bit for bit).  Reduce also folds each group
+  in its bucket; key ranges are disjoint, so no combine step is needed.
 * ``sketch_update`` — each worker owns a contiguous group of sketch
   shard partials (:func:`position_blocks`) and scatters the batch into
   each of them in place.
@@ -59,6 +60,46 @@ _REDUCERS = {
 
 
 # ---------------------------------------------------------------------------
+# The stable order
+# ---------------------------------------------------------------------------
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """The stable argsort of 1-D ``keys``, bit for bit, as a fresh int64
+    array that owns its data.
+
+    Integer keys of 4 or 8 bytes sort as one packed ``uint64`` word per
+    key, ``(key - min) << b | position`` with ``b`` the bit length of
+    ``n - 1``.  The words are distinct, so numpy's unstable (SIMD) sort
+    orders them exactly as a stable sort orders the keys, and masking
+    the positions back out gives the permutation.  Everything else takes
+    ``np.argsort(kind="stable")``: non-integer keys, 1- and 2-byte keys
+    (numpy radix-sorts those already), ``n < 2``, and key spans whose
+    bit length plus ``b`` exceeds 64.
+    """
+    keys = np.asarray(keys)
+    n = keys.shape[0]
+    if keys.dtype.kind not in "iu" or keys.dtype.itemsize < 4 or n < 2:
+        return np.argsort(keys, kind="stable")
+    lo = int(keys.min())
+    shift = (n - 1).bit_length()
+    if (int(keys.max()) - lo).bit_length() + shift > 64:
+        return np.argsort(keys, kind="stable")
+    order = np.empty(n, dtype=np.int64)
+    words = order.view(np.uint64)
+    # Modulo 2⁶⁴, key - min is exact: the span fits in 64 bits.
+    np.subtract(
+        keys, np.uint64(lo % (1 << 64)), out=words, dtype=np.uint64,
+        casting="unsafe",
+    )
+    words <<= np.uint64(shift)
+    words |= np.arange(n, dtype=np.uint64)
+    words.sort()
+    words &= np.uint64((1 << shift) - 1)
+    return order
+
+
+# ---------------------------------------------------------------------------
 # Partition helpers
 # ---------------------------------------------------------------------------
 
@@ -81,7 +122,7 @@ def key_bounds(keys: np.ndarray, buckets: int) -> "list[tuple]":
     if buckets == 1:
         return [(None, None)]
     step = max(1, keys.shape[0] // (buckets * 64))
-    sample = np.sort(keys[::step], kind="stable")
+    sample = np.sort(keys[::step])
     positions = [(sample.shape[0] * i) // buckets for i in range(1, buckets)]
     splitters = np.unique(sample[positions])
     bounds = [None, *splitters.tolist(), None]
@@ -137,26 +178,27 @@ def reduced_dtype(values: np.ndarray, op: str) -> np.dtype:
 
 def sort_bucket(keys, values, *, lo, hi):
     """Stable-sort the keys in ``[lo, hi)``: returns the bucket's slice of
-    the global stable argsort, the values gathered through it, and the
+    the global stable order, the values gathered through it, and the
     slice's output offset."""
     idx, offset = bucket(keys, lo, hi)
-    seg = idx[np.argsort(keys[idx], kind="stable")]
+    seg = idx[stable_order(keys[idx])]
     return seg, values[seg], np.array([offset], dtype=np.int64)
 
 
 def _grouped_reduce(keys: np.ndarray, values: np.ndarray, op: str):
     """Sorted unique keys + per-group fold: ``(unique, reduced, order)``.
 
-    Stable argsort keeps equal keys in input order, so ``op="min"`` over
-    ascending index values reproduces ``np.unique(keys, return_index=True)``
-    exactly — the contraction dedup relies on that.  Also returns the sort
-    permutation (``None`` for empty input) so callers accounting for data
-    movement don't argsort twice.  The backend ops check the operands
-    (1-D keys, one per value row, a known ``op``) before calling it.
+    The stable order (:func:`stable_order`) keeps equal keys in input
+    order, so ``op="min"`` over ascending index values reproduces
+    ``np.unique(keys, return_index=True)`` exactly — the contraction
+    dedup relies on that.  Also returns the sort permutation (``None``
+    for empty input) so callers accounting for data movement don't sort
+    twice.  The backend ops check the operands (1-D keys, one per value
+    row, a known ``op``) before calling it.
     """
     if keys.shape[0] == 0:
         return keys.copy(), values.copy(), None
-    order = np.argsort(keys, kind="stable")
+    order = stable_order(keys)
     sorted_keys = keys[order]
     sorted_values = values[order]
     starts = np.empty(sorted_keys.shape[0], dtype=bool)
@@ -255,7 +297,7 @@ def walk_columns(heads, *, lo, hi, degree, steps, entropy):
     for column in range(lo, hi):
         rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(column,)))
         counts = lazy_step_counts(rng, n, steps)
-        order = np.argsort(steps - counts, kind="stable")
+        order = stable_order(steps - counts)
         moving = n - np.cumsum(np.bincount(counts, minlength=steps + 1)[:steps])
         walkers = order.astype(index) * degree
         for active in moving.tolist():

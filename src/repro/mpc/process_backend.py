@@ -83,7 +83,12 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.mpc.arena import ShmArena
-from repro.mpc.backends import ARENA_STATS_ZERO, BACKENDS, PooledBackend
+from repro.mpc.backends import (
+    ARENA_STATS_ZERO,
+    BACKENDS,
+    TRANSPORT_STATS_ZERO,
+    PooledBackend,
+)
 from repro.mpc.kernels import place, plain, run_step
 from repro.mpc.plan import RoundPlan
 from repro.utils.validation import check_nonnegative_int, check_positive_int
@@ -363,6 +368,10 @@ class ProcessBackend(PooledBackend):
         self._procs: list = []
         self._pipes: list = []
         self._finalizer = None
+        # Set when a worker died mid-operation and the pool was dropped:
+        # the next start is a restart.
+        self._pool_failed = False
+        self.workers_restarted = 0
         self.dispatch_barriers = 0
         self.dispatch_messages = 0
         self.dispatch_steps = 0
@@ -388,6 +397,7 @@ class ProcessBackend(PooledBackend):
         the parent unlinks; both restart lazily on the next operation,
         so a closed backend remains usable and its counters readable.
         """
+        self._pool_failed = False
         self._stop_pool()
         if self._arena is not None:
             # Counters outlive the arena: fold them into the lifetime totals.
@@ -398,6 +408,7 @@ class ProcessBackend(PooledBackend):
     def reset(self) -> None:
         """Clear run counters; the pool and the arena's segments survive."""
         super().reset()
+        self.workers_restarted = 0
         self.dispatch_barriers = 0
         self.dispatch_messages = 0
         self.dispatch_steps = 0
@@ -426,6 +437,11 @@ class ProcessBackend(PooledBackend):
     def _ensure_pool(self) -> None:
         if self._procs and all(p.is_alive() for p in self._procs):
             return
+        # Replacing a pool that lost a worker is a restart; the first
+        # start and a start after close() are not.
+        if self._procs or self._pool_failed:
+            self.workers_restarted += 1
+        self._pool_failed = False
         self._stop_pool()  # drop any half-dead pool first (arena survives)
         ctx = _mp_context()
         for _ in range(self.workers):
@@ -478,6 +494,12 @@ class ProcessBackend(PooledBackend):
             part.lease = arena.acquire(store.partial_shape(part), np.int64)
             part.lease.view[...] = 0
 
+    def _drop_failed_pool(self) -> None:
+        """Close the backend after a worker died mid-operation, and count
+        the next pool start as a restart."""
+        self.close()
+        self._pool_failed = True
+
     # -- dispatch ------------------------------------------------------------
 
     def _dispatch(self, messages: "list[tuple]") -> "list[dict]":
@@ -500,7 +522,7 @@ class ProcessBackend(PooledBackend):
             except (BrokenPipeError, OSError) as exc:
                 # Same contract as a recv failure: a dead worker means the
                 # pipes are desynchronised — drop the pool and report.
-                self.close()
+                self._drop_failed_pool()
                 raise RuntimeError(
                     f"process backend worker {i} died mid-dispatch"
                 ) from exc
@@ -515,7 +537,7 @@ class ProcessBackend(PooledBackend):
             except (EOFError, OSError) as exc:
                 # A dead worker desynchronises the pipes; drop the pool so
                 # the next operation starts from a clean slate.
-                self.close()
+                self._drop_failed_pool()
                 raise RuntimeError(
                     f"process backend worker {i} died mid-operation"
                 ) from exc
@@ -588,9 +610,16 @@ class ProcessBackend(PooledBackend):
     # -- reporting -----------------------------------------------------------
 
     def stats(self):
-        """Sharded counters plus pool size, arena, and dispatch telemetry."""
+        """Sharded counters plus pool size, arena, dispatch and restart telemetry.
+
+        Restarts are the transport block's ``workers_restarted``; its
+        other keys stay zero, as no wire is involved.
+        """
         snapshot = super().stats()  # name resolves to "process" already
         snapshot.arena = self.arena_stats()
+        snapshot.transport = {
+            **TRANSPORT_STATS_ZERO, "workers_restarted": self.workers_restarted
+        }
         snapshot.dispatch = {
             "barriers": self.dispatch_barriers,
             "messages": self.dispatch_messages,

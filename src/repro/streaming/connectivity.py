@@ -35,6 +35,7 @@ from repro.core.pipeline import PipelineConfig, mpc_connected_components
 from repro.graph.components import canonical_labels
 from repro.graph.graph import Graph
 from repro.mpc.backends import make_backend
+from repro.mpc.kernels import stable_order
 from repro.sketch.agm import agm_decode_components
 from repro.sketch.sharded import ShardedAGMSketch, SketchStats
 from repro.streaming.events import EventBatch
@@ -252,7 +253,7 @@ class StreamingConnectivity:
             return Graph(self.n, np.empty((0, 2), dtype=np.int64))
         ids = np.fromiter(self._multiplicity.keys(), dtype=np.int64)
         counts = np.fromiter(self._multiplicity.values(), dtype=np.int64)
-        order = np.argsort(ids, kind="stable")
+        order = stable_order(ids)
         ids, counts = ids[order], counts[order]
         expanded = np.repeat(ids, counts)
         return Graph(self.n, np.column_stack([expanded // self.n, expanded % self.n]))

@@ -1,13 +1,18 @@
 """Reporter: JSON schema round-trip, tables, regression compare."""
 
 import ast
+import importlib.util
 import json
 import pathlib
+import shutil
+import subprocess
 
 import pytest
 
 from repro import bench
-from repro.bench.report import COUNTER_SUFFIXES
+from repro.bench.report import COUNTER_SUFFIXES, git_sha
+
+TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 
 NAME = "zz_test_report_case"
 
@@ -192,3 +197,69 @@ def test_compare_rejects_different_benchmarks(case_result):
     new["name"] = "something_else"
     with pytest.raises(ValueError, match="different benchmarks"):
         bench.compare_cases(old, new)
+
+
+def _compare_tool():
+    spec = importlib.util.spec_from_file_location(
+        "compare_bench_dirs", TOOLS / "compare_bench_dirs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_exact_mode_fails_on_a_changed_counter_not_on_a_changed_time(
+    case_result, tmp_path, capsys
+):
+    tool = _compare_tool()
+    for marker in ("seconds", "per_sec", "speedup"):
+        assert f"``{marker}``" in tool.__doc__, marker
+    old = bench.case_to_json(case_result)
+    old["records"][0].update(
+        exchanges=4, seconds=0.5, engine={"exchanges": 4, "p50_seconds": 0.1}
+    )
+
+    def exact(**changes) -> int:
+        new = json.loads(json.dumps(old))
+        for path, value in changes.items():
+            *parents, name = path.split("__")
+            target = new["records"][0]
+            for parent in parents:
+                target = target[parent]
+            target[name] = value
+        for side, doc in (("a", old), ("b", new)):
+            (tmp_path / side).mkdir(exist_ok=True)
+            (tmp_path / side / f"BENCH_{NAME}.json").write_text(json.dumps(doc))
+        return tool.main([str(tmp_path / "a"), str(tmp_path / "b"), "--exact"])
+
+    assert exact() == 0
+    assert exact(seconds=9.0, engine__p50_seconds=9.0) == 0
+    assert exact(exchanges=5) == 1
+    assert "DIFFERS point-a.exchanges: 4 -> 5" in capsys.readouterr().out
+    assert exact(engine__exchanges=5) == 1
+    assert "DIFFERS point-a.engine.exchanges: 4 -> 5" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_git_sha_marks_edited_sources_dirty_but_not_artifacts(case_result, tmp_path):
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=bench", "-c", "user.email=bench@localhost",
+             "-c", "commit.gpgsign=false", *args],
+            cwd=tmp_path, check=True, capture_output=True, text=True,
+        ).stdout.strip()
+
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "module.py").write_text("x = 1\n")
+    (tmp_path / "BENCH_x.json").write_text("{}\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "seed")
+    head = git("rev-parse", "HEAD")
+    assert git_sha(tmp_path) == head
+    (tmp_path / "BENCH_x.json").write_text('{"rewritten": true}\n')
+    assert git_sha(tmp_path) == head
+    (tmp_path / "src" / "module.py").write_text("x = 2\n")
+    assert git_sha(tmp_path) == f"{head}-dirty"
+    doc = bench.case_to_json(case_result, sha=git_sha(tmp_path))
+    assert bench.validate_case_json(doc)["git_sha"] == f"{head}-dirty"

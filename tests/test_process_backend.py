@@ -297,6 +297,48 @@ class TestPoolLifecycle:
             parallel.sort(np.arange(10, 0, -1)), np.arange(1, 11)
         )
 
+    def test_pool_restarts_are_counted(self):
+        # Replacing a pool that lost a worker is one restart; the first
+        # start and a start after close() are not, and reset() clears it.
+        backend = ProcessBackend(64, workers=2, min_parallel_items=0)
+        values = np.arange(1000)[::-1].copy()
+
+        def restarts():
+            return backend.stats().to_json()["transport"]["workers_restarted"]
+
+        try:
+            backend.sort(values)
+            assert restarts() == 0
+            pids = {proc.pid for proc in backend._procs}
+            os.kill(backend._procs[0].pid, signal.SIGKILL)
+            backend._procs[0].join(timeout=10)
+            assert np.array_equal(backend.sort(values), np.sort(values))
+            assert not pids & {proc.pid for proc in backend._procs}
+            assert restarts() == 1
+            backend.close()
+            backend.sort(values)
+            assert restarts() == 1
+            backend.reset()
+            assert restarts() == 0
+        finally:
+            backend.close()
+
+    def test_restart_after_a_mid_operation_death_is_counted(self, pair):
+        _, parallel = pair
+        start_pool = parallel._ensure_pool
+
+        def worker_dies_after_the_liveness_check():
+            start_pool()
+            del parallel._ensure_pool
+            parallel._pipes[0].close()
+
+        parallel._ensure_pool = worker_dies_after_the_liveness_check
+        with pytest.raises(RuntimeError, match="died mid-dispatch"):
+            parallel.sort(rng().integers(0, 9, 2000))
+        assert parallel.stats().transport["workers_restarted"] == 0
+        parallel.sort(np.arange(10, 0, -1))
+        assert parallel.stats().transport["workers_restarted"] == 1
+
     def test_reset_keeps_pool_but_clears_counters(self, pair):
         _, parallel = pair
         parallel.sort(rng().integers(0, 9, 2000))
