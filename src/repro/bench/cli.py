@@ -94,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard-count override for streaming experiments that maintain "
         "a sharded AGM sketch (e25_parallel_sketch): edge updates are "
         "range-partitioned by owner vertex into K per-shard partials, "
-        "updated through the selected backend's ingest seam and merged by "
-        "linearity only at decode time (default: each experiment picks "
+        "updated through the selected backend's ingest seam and gathered "
+        "only at decode time (default: each experiment picks "
         "its own sweep)",
     )
     parser.add_argument(

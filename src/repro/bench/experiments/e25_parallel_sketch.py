@@ -2,9 +2,10 @@
 
 The tentpole measurement for :class:`~repro.sketch.ShardedAGMSketch`:
 edge updates range-partitioned by owner vertex into per-shard partials,
-updated through an execution backend's sketch-ingest seam and merged (laid
-end to end along the vertex axis) only at decode time.
-Expected shape:
+updated through an execution backend's sketch-ingest seam and gathered
+only at decode time; here they are also laid end to end along the vertex
+axis (:meth:`~repro.sketch.ShardedAGMSketch.merge`) to compare them with
+the monolith.  Expected shape:
 
 * **bit-identity** — for every generator family, the merged sharded
   sketch is bit-identical (totals, moments, fingerprints, every round)

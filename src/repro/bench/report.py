@@ -16,9 +16,18 @@ import platform
 import subprocess
 import time
 
-from repro.bench.runner import CaseResult
+import numpy as np
+import scipy
 
-SCHEMA_VERSION = 1
+from repro.bench.runner import CaseResult
+from repro.mpc.process_backend import usable_cpu_count
+
+#: Version 2 added the ``host`` block; version 1 artifacts still load.
+SCHEMA_VERSION = 2
+LOADABLE_SCHEMA_VERSIONS = (1, 2)
+
+#: Keys of a version-2 artifact's ``host`` block (see :func:`host_info`).
+HOST_KEYS = ("cpu_count", "usable_cpus", "numpy", "scipy", "platform")
 
 #: Keys every BENCH_*.json must carry (the round-trip contract).
 REQUIRED_KEYS = (
@@ -111,6 +120,19 @@ def git_sha(cwd: "str | None" = None) -> str:
     return os.environ.get("GITHUB_SHA", "unknown")
 
 
+def host_info() -> dict:
+    """The machine an artifact was measured on: its CPU count, the CPUs
+    this process may use, the numpy and scipy versions, and the
+    platform string."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "usable_cpus": usable_cpu_count(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
+    }
+
+
 def case_to_json(result: CaseResult, *, sha: "str | None" = None) -> dict:
     """Serialize one run into the stable artifact schema."""
     return {
@@ -132,6 +154,7 @@ def case_to_json(result: CaseResult, *, sha: "str | None" = None) -> dict:
         "git_sha": git_sha() if sha is None else sha,
         "created_unix": time.time(),
         "python": platform.python_version(),
+        "host": host_info(),
         "total_seconds": result.total_seconds,
         "params": _jsonable(result.params),
         "headers": list(result.headers),
@@ -184,15 +207,23 @@ def load_case_json(path: "str | pathlib.Path") -> dict:
 
 
 def validate_case_json(doc: dict) -> dict:
-    """Check the round-trip contract; returns ``doc`` for chaining."""
+    """Check the round-trip contract; returns ``doc`` for chaining.
+
+    Loads every version in :data:`LOADABLE_SCHEMA_VERSIONS`; from
+    version 2 on, the ``host`` block must carry :data:`HOST_KEYS`.
+    """
     missing = [key for key in REQUIRED_KEYS if key not in doc]
     if missing:
         raise ValueError(f"BENCH artifact missing required keys: {missing}")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    if doc["schema_version"] not in LOADABLE_SCHEMA_VERSIONS:
         raise ValueError(
             f"unsupported schema_version {doc['schema_version']!r} "
-            f"(expected {SCHEMA_VERSION})"
+            f"(expected one of {LOADABLE_SCHEMA_VERSIONS})"
         )
+    if doc["schema_version"] >= 2:
+        host = doc.get("host")
+        if not isinstance(host, dict) or any(key not in host for key in HOST_KEYS):
+            raise ValueError(f"BENCH artifact host block lacks one of {HOST_KEYS}")
     for record in doc["records"]:
         if "key" not in record:
             raise ValueError(f"record without a stable key: {record!r}")

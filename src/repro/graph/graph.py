@@ -288,8 +288,10 @@ class Graph:
             return NotImplemented
         if self._n != other._n or self.m != other.m:
             return False
-        mine = np.sort(np.sort(self._edges, axis=1), axis=0)
-        theirs = np.sort(np.sort(other._edges, axis=1), axis=0)
+        # Orient each edge, then order the rows: sorting whole columns
+        # would unpair the endpoints.
+        mine = np.sort(self._edges, axis=1)
+        theirs = np.sort(other._edges, axis=1)
         a = mine[np.lexsort(mine.T[::-1])]
         b = theirs[np.lexsort(theirs.T[::-1])]
         return bool(np.array_equal(a, b))

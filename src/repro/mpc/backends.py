@@ -507,8 +507,8 @@ class ExecutionBackend:
         return applied
 
     def sketch_collect(self, store) -> "list[np.ndarray]":
-        """Gather the shard partials to the coordinator for a decode-time
-        merge — one barrier carrying the partial payloads."""
+        """Gather the shard partials to the coordinator for a decode —
+        one barrier carrying the partial payloads."""
         self._count_op("sketch_collect")
         parts = self._kernel_sketch_collect(store)
         self._exchange(

@@ -484,7 +484,7 @@ class ProcessBackend(PooledBackend):
 
         Pool workers attach the segment once and keep the mapping:
         workers scatter into the partials in place, and the parent reads
-        the same memory at merge time without ever copying a partial.
+        the same memory at decode time without ever copying a partial.
         The partial owns its lease (releasing it returns the segment to
         the arena); leases survive pool restarts because the parent owns
         the arena.

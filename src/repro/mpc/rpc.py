@@ -1222,7 +1222,7 @@ class RpcBackend(PooledBackend):
         )
 
     def _kernel_sketch_collect(self, store) -> "list[np.ndarray]":
-        """Fetch the worker-resident partials for a decode-time merge —
+        """Fetch the worker-resident partials for a decode —
         the one moment partial payloads cross the wire."""
         pool = self._ensure_pool()
         self._check_residency(store)

@@ -20,12 +20,16 @@ is what :mod:`repro.streaming` builds on.
 Implementation notes: every counter of a sketch lives in one int64 block
 of shape ``(rounds, 3, n, levels * rows * cols)`` — per Borůvka round,
 the totals, moments and fingerprint planes of every vertex — so building
-from an edge array and summing by component label are single vectorised
-scatters.  A sketch split by owner vertex
-(:class:`~repro.sketch.sharded.ShardedAGMSketch`) is vertex-range blocks
-of the same layout, written by the same kernel
-(:func:`sketch_update_partial`).  The shared hash seeds are the
-"polylog(n) shared random bits" of Prop. 8.1.
+from an edge array is one vectorised scatter.  A sketch split by owner
+vertex (:class:`~repro.sketch.sharded.ShardedAGMSketch`) is vertex-range
+blocks of the same layout, written by the same kernel
+(:func:`sketch_update_partial`).  Decoding reads such ``(vlo, block)``
+partials in place — an :class:`AGMSketch` is the one-partial case — and
+sums a round by component label with one sparse one-hot product per
+partial, never laying the blocks end to end.  Fingerprint powers
+``r^i mod p`` come from two length-``n`` tables per round
+(:func:`_power_tables`).  The shared hash seeds are the "polylog(n)
+shared random bits" of Prop. 8.1.
 """
 
 from __future__ import annotations
@@ -33,15 +37,50 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.graph.components import canonical_labels
 from repro.graph.graph import Graph
 from repro.sketch.hashing import MERSENNE_P, KWiseHash
-from repro.sketch.one_sparse import _pow_mod
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive_int
 
-_P = np.uint64(MERSENNE_P)
+
+def _powers_of(base: int, length: int) -> np.ndarray:
+    """``base^j mod p`` for ``j`` in ``[0, length)`` as int64, filled by
+    doubling: each pass multiplies the filled prefix by one power."""
+    table = np.ones(length, dtype=np.int64)
+    filled = 1
+    while filled < length:
+        step = min(filled, length - filled)
+        table[filled : filled + step] = (
+            table[:step] * pow(base, filled, MERSENNE_P) % MERSENNE_P
+        )
+        filled += step
+    return table
+
+
+def _power_tables(base: int, n: int) -> "tuple[np.ndarray, np.ndarray]":
+    """The two length-``n`` fingerprint power tables of one round.
+
+    ``high[j] = r^(n·j)`` and ``low[j] = r^j`` (mod p), so an edge id
+    ``i < n²`` has ``r^i = high[i // n] · low[i mod n] (mod p)``
+    (:func:`_fingerprint_powers`).  Both factors are below p = 2³¹ − 1,
+    so their product fits in 64 bits.
+    """
+    return (
+        _powers_of(pow(base, n, MERSENNE_P), n),
+        _powers_of(base, n),
+    )
+
+
+def _fingerprint_powers(
+    base: int, n: int, quotient: np.ndarray, remainder: np.ndarray
+) -> np.ndarray:
+    """``base^i mod p`` for ids ``i = quotient·n + remainder``, looked up
+    in the round's two :func:`_power_tables`."""
+    high, low = _power_tables(base, n)
+    return high[quotient] * low[remainder] % MERSENNE_P
 
 
 def _scatter_edge_updates(
@@ -62,7 +101,9 @@ def _scatter_edge_updates(
 
     Every incidence update lands on levels ``0..depth`` of every hash
     row, so the (update, level, row) triples expand into a single flat
-    index array and each counter takes exactly one scatter.  int64
+    index array and each counter takes exactly one scatter; the
+    fingerprint cells it touched are then reduced mod p (the others
+    already are).  int64
     addition wraps with C semantics (commutative + associative), so the
     result is bit-identical to any per-level/per-row scatter order over
     the same contribution multiset — which is also why blocks of
@@ -85,6 +126,7 @@ def _scatter_edge_updates(
     np.add.at(flat_totals, flat_index, np.repeat(signed[rep], rows))
     np.add.at(flat_moments, flat_index, np.repeat((signed * ids)[rep], rows))
     np.add.at(flat_fingers, flat_index, np.repeat(finger_contrib[rep], rows))
+    flat_fingers[flat_index] %= MERSENNE_P
 
 
 def _hash_from_coefficients(coefficients: np.ndarray) -> KWiseHash:
@@ -120,8 +162,8 @@ def sketch_update_partial(
     arrives as plain arrays (``level_coeffs``: ``(rounds, 2)`` uint64,
     ``row_coeffs``: ``(rounds, rows, 2)`` uint64, ``bases``:
     ``(rounds,)`` int64) so the same kernel runs in-process, in
-    process-pool workers, and in rpc wire workers.  Fingerprints leave
-    reduced mod p.  Returns the number of incidence updates applied
+    process-pool workers, and in rpc wire workers.  Fingerprints enter
+    and leave reduced mod p.  Returns the number of incidence updates applied
     (those whose owner falls in the range); bounds/shape validation is
     the caller's job.
     """
@@ -149,6 +191,8 @@ def sketch_update_partial(
     owners = owners[in_shard] - vlo
     ids = ids[in_shard]
     signed = signed[in_shard]
+    quotient, remainder = np.divmod(ids, n)
+    signed_mod = signed % MERSENNE_P
 
     rounds = data.shape[0]
     rows = int(row_coeffs.shape[1])
@@ -158,10 +202,8 @@ def sketch_update_partial(
             _hash_from_coefficients(row_coeffs[r, i]) for i in range(rows)
         ]
         depth = level_hash.level(ids, levels - 1)
-        powers = _pow_mod(
-            np.full(ids.shape, int(bases[r])), ids, MERSENNE_P
-        ).astype(np.int64)
-        finger_contrib = ((signed % MERSENNE_P) * powers) % MERSENNE_P
+        powers = _fingerprint_powers(int(bases[r]), n, quotient, remainder)
+        finger_contrib = signed_mod * powers % MERSENNE_P
         _scatter_edge_updates(
             data[r, 0].reshape(-1),
             data[r, 1].reshape(-1),
@@ -176,7 +218,6 @@ def sketch_update_partial(
             rows,
             cols,
         )
-        data[r, 2] %= MERSENNE_P
     return int(owners.size)
 
 
@@ -435,99 +476,163 @@ class AGMSketch:
         message of Prop. 8.1)."""
         return sum(r.words_per_vertex() for r in self.rounds)
 
+    def partials(self) -> "list[tuple[int, np.ndarray]]":
+        """The counters as ``(vlo, block)`` partials, the form
+        :func:`agm_decode_components` reads: one, over ``[0, n)``."""
+        return [(0, self.block)]
+
+
+def _component_sums(planes, labels: np.ndarray, k: int) -> np.ndarray:
+    """One round's ``(3, k, cells)`` totals, moments and fingerprint
+    sums per component of ``labels`` (fingerprints not yet reduced).
+
+    ``planes`` lists the round's counters by owner range: ``(vlo,
+    rows)`` with ``rows`` of shape ``(3, vhi - vlo, cells)``.  Each
+    partial is summed in place by one int64 one-hot product, whose
+    column ``plane · (vhi - vlo) + v`` carries a 1 in row ``plane · k +
+    labels[vlo + v]``.  The sums are exact, so they do not depend on
+    the order of the partials or of their rows.
+    """
+    total = None
+    for vlo, rows in planes:
+        width = rows.shape[1]
+        owners = labels[vlo : vlo + width]
+        onehot = sp.csc_matrix(
+            (
+                np.ones(3 * width, dtype=np.int64),
+                (np.arange(3, dtype=np.int64)[:, None] * k + owners).reshape(-1),
+                np.arange(3 * width + 1, dtype=np.int64),
+            ),
+            shape=(3 * k, 3 * width),
+        )
+        sums = onehot @ rows.reshape(3 * width, -1)
+        if total is None:
+            total = sums
+        else:
+            total += sums
+    return total.reshape(3, k, -1)
+
 
 def _sample_cut_edges(
-    sketch: RoundSketch, labels: np.ndarray
+    round_sketch, planes, labels: np.ndarray
 ) -> "dict[int, tuple[int, int]]":
     """For every component of ``labels``, decode one (verified) cut edge
-    from the component-summed sketch.  Returns ``{component: (u, v)}``."""
+    from the component-summed sketch.  Returns ``{component: (u, v)}``.
+
+    ``round_sketch`` carries the round's ``n``, ``universe`` and
+    ``fingerprint_base`` (a :class:`RoundSketch` or a
+    :class:`RoundSpec`); ``planes`` holds its counters by owner range
+    (see :func:`_component_sums`).  Only cells with a nonzero total are
+    divided and checked, and each component keeps its last verified
+    cell in ``(level, row, col)`` order: the deepest level, so the
+    sparsest sub-vector.
+    """
     if labels.size == 0:
         return {}
+    n = round_sketch.n
     k = int(labels.max()) + 1
-    levels, rows, cols = sketch.shape
-    cells = levels * rows * cols
+    totals, moments, fingers = _component_sums(planes, labels, k)
+    cells = totals.shape[1]
 
-    totals = np.zeros((k, cells), dtype=np.int64)
-    moments = np.zeros((k, cells), dtype=np.int64)
-    fingers = np.zeros((k, cells), dtype=np.int64)
-    np.add.at(totals, labels, sketch.totals.reshape(sketch.n, cells))
-    np.add.at(moments, labels, sketch.moments.reshape(sketch.n, cells))
-    np.add.at(fingers, labels, sketch.fingers.reshape(sketch.n, cells))
-    fingers %= MERSENNE_P
-
-    nonzero = totals != 0
-    safe_totals = np.where(nonzero, totals, 1)
-    indices = moments // safe_totals
-    exact = nonzero & (indices * safe_totals == moments)
-    in_range = exact & (indices >= 0) & (indices < sketch.universe)
-
-    candidates = np.flatnonzero(in_range.reshape(-1))
+    candidates = np.flatnonzero(totals)
+    cell_totals = totals.reshape(-1)[candidates]
+    cell_moments = moments.reshape(-1)[candidates]
+    indices = cell_moments // cell_totals
+    one_sparse = (
+        (indices * cell_totals == cell_moments)
+        & (indices >= 0)
+        & (indices < round_sketch.universe)
+    )
+    candidates = candidates[one_sparse]
     if candidates.size == 0:
         return {}
-    flat_idx = indices.reshape(-1)[candidates]
-    flat_tot = totals.reshape(-1)[candidates]
-    flat_fin = fingers.reshape(-1)[candidates]
-    powers = _pow_mod(
-        np.full(flat_idx.shape, sketch.fingerprint_base), flat_idx, MERSENNE_P
-    ).astype(np.int64)
-    expected = ((flat_tot % MERSENNE_P) * powers) % MERSENNE_P
-    verified = expected == flat_fin
+    indices = indices[one_sparse]
+    quotient, remainder = np.divmod(indices, n)
+    powers = _fingerprint_powers(
+        round_sketch.fingerprint_base, n, quotient, remainder
+    )
+    expected = cell_totals[one_sparse] % MERSENNE_P * powers % MERSENNE_P
+    verified = expected == fingers.reshape(-1)[candidates] % MERSENNE_P
 
-    samples: "dict[int, tuple[int, int]]" = {}
-    # Prefer deeper levels (sparser sub-vectors) by scanning from the end;
-    # setdefault keeps the first (deepest) hit per component.
-    order = candidates[verified][::-1]
-    comp_of = order // cells
-    ids = indices.reshape(-1)[order]
-    for comp, edge_id in zip(comp_of.tolist(), ids.tolist()):
-        samples.setdefault(comp, (edge_id // sketch.n, edge_id % sketch.n))
-    return samples
+    candidates = candidates[verified]
+    quotient = quotient[verified]
+    remainder = remainder[verified]
+    components = candidates // cells
+    # Candidates ascend by (component, cell): keep each component's last.
+    last = np.append(components[1:] != components[:-1], True)
+    return dict(
+        zip(
+            components[last].tolist(),
+            zip(quotient[last].tolist(), remainder[last].tolist()),
+        )
+    )
 
 
 def _merge_samples(labels: np.ndarray, samples: "dict[int, tuple[int, int]]") -> np.ndarray:
-    """Merge every sampled cut edge (DSU semantics via repeated min)."""
+    """Merge every sampled cut edge: the components it joins share a label.
+
+    Each pass hooks the larger root of every sampled edge whose ends
+    still differ onto the smaller one (pointers only ever decrease, so
+    no cycle forms), then jumps every pointer to its root.  The labels
+    come out canonical, and the union's partition does not depend on
+    the order of the samples.
+    """
     k = int(labels.max()) + 1
+    ends = labels[np.array(list(samples.values()), dtype=np.int64).reshape(-1, 2)]
     parent = np.arange(k, dtype=np.int64)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _comp, (u, v) in samples.items():
-        ru, rv = find(int(labels[u])), find(int(labels[v]))
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    roots = np.array([find(int(c)) for c in range(k)], dtype=np.int64)
-    return canonical_labels(roots[labels])
+    while True:
+        roots = parent[ends]
+        roots = roots[roots[:, 0] != roots[:, 1]]
+        if roots.size == 0:
+            return canonical_labels(parent[labels])
+        parent[roots.max(axis=1)] = roots.min(axis=1)
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
 
 
-def agm_decode_components(sketch: AGMSketch) -> np.ndarray:
+def agm_decode_components(sketch) -> np.ndarray:
     """Borůvka over the sketch's merge rounds; returns canonical labels.
 
-    Consumes one fresh :class:`RoundSketch` per merge round, then
-    re-checks quiescence with the reserved verification round — a sketch
-    no merge ever touched, so the final check keeps the fresh-sketch
-    independence the module docstring requires.
+    ``sketch`` is an :class:`AGMSketch` or a
+    :class:`~repro.sketch.sharded.ShardedAGMSketch`: its ``rounds``
+    carry each round's randomness, and its ``partials()`` give the
+    counters as ``(vlo, block)`` pairs, read in place (a sharded
+    sketch gathers them with one ``sketch_collect`` and never lays them
+    end to end).  Only the rounds Borůvka consumes are read.
+
+    Consumes one fresh round per merge, then re-checks quiescence with
+    the reserved verification round — a sketch no merge ever touched,
+    so the final check keeps the fresh-sketch independence the module
+    docstring requires.
 
     Raises
     ------
     RuntimeError
         The merge rounds were exhausted before the verification round
         could certify quiescence (probability vanishing in the number of
-        rounds); rebuild the sketch with more rounds.
+        rounds); rebuild the sketch with more rounds.  Also raised by a
+        sharded sketch whose partials cannot be gathered (closed, or
+        lost with their pool).
     """
+    parts = sketch.partials()
+    rounds = sketch.rounds
+
+    def planes(r: int):
+        return [(vlo, block[r]) for vlo, block in parts]
+
     labels = np.arange(sketch.n, dtype=np.int64)
-    for round_sketch in sketch.merge_rounds:
-        samples = _sample_cut_edges(round_sketch, labels)
+    for r, round_sketch in enumerate(rounds[:-1]):
+        samples = _sample_cut_edges(round_sketch, planes(r), labels)
         if not samples:
             return canonical_labels(labels)
         labels = _merge_samples(labels, samples)
 
     # Merge rounds exhausted: verify quiescence with the reserved
     # (never-merged) verification sketch.
-    if _sample_cut_edges(sketch.verification_round, labels):
+    if _sample_cut_edges(rounds[-1], planes(len(rounds) - 1), labels):
         raise RuntimeError(
             "AGM decoding exhausted its Boruvka rounds before converging; "
             "rebuild the sketch with more rounds"

@@ -10,8 +10,11 @@ whose owner it holds.  The ranges are contiguous and disjoint, and every
 partial's fingerprints are reduced mod p at batch boundaries, so the
 partials laid end to end along the vertex axis
 (:meth:`ShardedAGMSketch.merge`) are **bit-identical** to an
-:class:`~repro.sketch.agm.AGMSketch` fed the same stream — decode never
-knows the ingest was parallel.
+:class:`~repro.sketch.agm.AGMSketch` fed the same stream.  Decoding
+needs no such copy: :func:`~repro.sketch.agm.agm_decode_components`
+reads the gathered partials in place (:meth:`ShardedAGMSketch.partials`)
+and sums each over its own range, so it returns the labels of that
+one-block sketch — decode never knows the ingest was parallel.
 
 Where the partials live is the backend's business: the backend a
 sketch ingests on places them once, in its ``_place_sketch_partials``
@@ -24,7 +27,7 @@ hook, and owns them from then on.
   the parent never copies a partial;
 * ``rpc`` — partials are *resident in the workers* (the parent holds no
   copy); update batches ship digest-deduped over the wire and partials
-  come back only at merge (decode) time.
+  come back only at decode time.
 
 :func:`~repro.sketch.agm.sketch_update_partial` is the one shared
 kernel: it operates on plain arrays (hash coefficients, not hash
@@ -44,6 +47,7 @@ import numpy as np
 from repro.mpc.backends import LocalBackend
 from repro.sketch.agm import (
     AGMSketch,
+    RoundSpec,
     _checked_batch,
     _draw_layout,
     sketch_update_partial,
@@ -57,11 +61,12 @@ SKETCH_STATS_ZERO = {"shard_updates": 0, "merges": 0, "partial_words": 0}
 
 @dataclass
 class SketchStats:
-    """Counters for sharded sketch ingest and decode-time merging.
+    """Counters for sharded sketch ingest and decode-time gathers.
 
     ``shard_updates`` counts per-shard kernel invocations (one per shard
-    per applied batch), ``merges`` counts decode-time merges into one
-    :class:`~repro.sketch.agm.AGMSketch`, and ``partial_words`` is the
+    per applied batch), ``merges`` counts decode-time gathers of the
+    partials (:meth:`ShardedAGMSketch.partials`, one per decode or
+    :meth:`~ShardedAGMSketch.merge`), and ``partial_words`` is the
     int64 words currently held across all shard partials (equal to one
     ``AGMSketch`` block — sharding splits the block, it does not grow
     it).
@@ -164,7 +169,7 @@ class SketchPartialStore:
         return (rounds, 3, part.vhi - part.vlo, cells)
 
     def local_partial_data(self) -> "list[np.ndarray]":
-        """The partial arrays, for in-process updates and merge reads.
+        """The partial arrays, for in-process updates and decode reads.
 
         Raises :class:`RuntimeError` when a partial is not held in this
         process (worker-resident, or released).
@@ -203,9 +208,10 @@ class ShardedAGMSketch:
 
     Drop-in ingest replacement for :class:`~repro.sketch.agm.AGMSketch`:
     ``update_edges`` routes batches through the owning backend's
-    ``sketch_update`` seam, and :meth:`merge` lays the partials end to
-    end as one :class:`AGMSketch` — bit-identical to one fed the same
-    stream — for unchanged decoding.  Created with the same seed, ``empty`` draws the
+    ``sketch_update`` seam, :func:`~repro.sketch.agm.agm_decode_components`
+    decodes it from :meth:`partials` in place, and :meth:`merge` lays
+    the partials end to end as one :class:`AGMSketch` — bit-identical
+    to one fed the same stream.  Created with the same seed, ``empty`` draws the
     exact randomness ``AGMSketch.empty`` would (the
     :class:`~repro.sketch.agm.RoundSpec` contract), which is what makes
     the bit-identity testable.
@@ -295,27 +301,48 @@ class ShardedAGMSketch:
         self.backend.sketch_update(self._store, *batch)
         self.stats.shard_updates += self.shard_count
 
+    @property
+    def rounds(self) -> "list[RoundSpec]":
+        """Each round's shared randomness, merge rounds first and the
+        verification round last; the counters live in the partials."""
+        return self._specs
+
+    def partials(self) -> "list[tuple[int, np.ndarray]]":
+        """The shard partials as ``(vlo, block)`` pairs, gathered by the
+        backend's one ``sketch_collect`` and not copied further: arena
+        views on ``process``, received frames on ``rpc``, the live
+        arrays in-process.  This is what
+        :func:`~repro.sketch.agm.agm_decode_components` reads.  Counts
+        one merge.  Raises :class:`RuntimeError` once the sketch is
+        closed, or when its partials cannot be read (a closed arena, a
+        lost rpc pool).
+        """
+        self._check_open()
+        blocks = self.backend.sketch_collect(self._store)
+        self.stats.merges += 1
+        return [(part.vlo, block) for part, block in zip(self._store.partials, blocks)]
+
     def merge(self) -> AGMSketch:
         """The shard partials as one read-only :class:`AGMSketch`.
 
         The owner ranges are contiguous and disjoint, and every partial's
         fingerprints are already reduced mod p, so one concatenation
         along the vertex axis is bit-identical to the sketch fed the
-        same update stream, and decoding is unchanged.  A lone partial
-        that owns its memory (a plain in-process array) is not copied:
-        the result views it, so it follows later updates.  Partials over
-        memory they do not own (an arena segment the backend recycles, a
-        received wire frame) are always copied out.  Raises
-        :class:`RuntimeError` once the sketch is closed.
+        same update stream.  A lone partial that owns its memory (a
+        plain in-process array) is not copied: the result views it, so
+        it follows later updates.  Partials over memory they do not own
+        (an arena segment the backend recycles, a received wire frame)
+        are always copied out.  Decoding needs no merge (it reads
+        :meth:`partials`); this one-block form is for comparing with an
+        :class:`AGMSketch`.  Raises :class:`RuntimeError` once the
+        sketch is closed.
         """
-        self._check_open()
-        parts = self.backend.sketch_collect(self._store)
-        if len(parts) == 1 and parts[0].flags.owndata:
-            block = parts[0].view()
+        blocks = [block for _, block in self.partials()]
+        if len(blocks) == 1 and blocks[0].flags.owndata:
+            block = blocks[0].view()
         else:
-            block = np.concatenate(parts, axis=2)
+            block = np.concatenate(blocks, axis=2)
         block.flags.writeable = False
-        self.stats.merges += 1
         return AGMSketch(self._specs, self._store.params, block)
 
     @staticmethod

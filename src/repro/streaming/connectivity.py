@@ -5,7 +5,8 @@ consumes batched edge insert/delete events, applies them as signed
 updates to a maintained :class:`~repro.sketch.sharded.ShardedAGMSketch`
 (linearity makes a delete exactly a ``-1`` update) through its
 backend's sketch-ingest seam, and answers component / connectivity
-queries between batches by Borůvka-decoding the merged sketch.
+queries between batches by Borůvka-decoding the sketch's shard partials
+where they live, with no merged copy.
 
 Two honesty mechanisms back the sketch path:
 
@@ -108,8 +109,8 @@ class StreamingConnectivity:
     sketch_shards:
         Owner-vertex shards of the maintained
         :class:`~repro.sketch.sharded.ShardedAGMSketch` (default 1),
-        updated through the ingest backend's seam and merged (laid end
-        to end) only at decode time.
+        updated through the ingest backend's seam and gathered only at
+        decode time.
     workers:
         Worker count for an *owned* ingest backend built from a string
         ``backend`` spec (``"process"``/``"rpc"``); ignored for specs
@@ -300,10 +301,10 @@ class StreamingConnectivity:
             labels = self._full_recompute()
         else:
             try:
-                # merge() is inside the try: it is the point where
-                # worker-resident partials are collected, so a lost pool
-                # surfaces here as a RuntimeError and falls back.
-                labels = agm_decode_components(self._sketch.merge())
+                # The decode collects the partials inside the try, so a
+                # lost pool or a closed arena surfaces here as a
+                # RuntimeError and falls back.
+                labels = agm_decode_components(self._sketch)
                 self.stats.sketch_queries += 1
             except RuntimeError:
                 self.stats.decode_failures += 1

@@ -1,7 +1,11 @@
 """Tests for the AGM connectivity sketch (Proposition 8.1)."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import (
     Graph,
@@ -16,10 +20,12 @@ from repro.graph import (
     star_graph,
 )
 from repro.sketch import (
+    MERSENNE_P,
     AGMSketch,
     agm_connected_components,
     agm_decode_components,
 )
+from repro.sketch.agm import _draw_layout, _fingerprint_powers, sketch_update_partial
 
 
 class TestDecodingCorrectness:
@@ -127,7 +133,7 @@ class TestLinearityAtGraphLevel:
         g = permutation_regular_graph(30, 6, rng=10)
         sketch = AGMSketch.from_graph(g, rng=10)
         whole = np.zeros(30, dtype=np.int64)  # everything in one component
-        samples = _sample_cut_edges(sketch.rounds[0], whole)
+        samples = _sample_cut_edges(sketch.rounds[0], [(0, sketch.block[0])], whole)
         assert samples == {}
 
     def test_split_component_decodes_cut_edge(self):
@@ -136,7 +142,7 @@ class TestLinearityAtGraphLevel:
         g = path_graph(10)
         sketch = AGMSketch.from_graph(g, rng=11)
         labels = np.array([0] * 5 + [1] * 5)
-        samples = _sample_cut_edges(sketch.rounds[0], labels)
+        samples = _sample_cut_edges(sketch.rounds[0], [(0, sketch.block[0])], labels)
         assert set(samples) == {0, 1}
         for u, v in samples.values():
             assert {u, v} == {4, 5}  # the only cut edge
@@ -233,7 +239,8 @@ class TestBugfixRegressions:
             row_hashes=[KWiseHash(2, 1)], fingerprint_base=base,
             totals=totals, moments=moments, fingers=fingers,
         )
-        samples = _sample_cut_edges(sketch, np.zeros(n, dtype=np.int64))
+        planes = [(0, np.stack([totals, moments, fingers]).reshape(3, n, -1))]
+        samples = _sample_cut_edges(sketch, planes, np.zeros(n, dtype=np.int64))
         assert samples == {0: (2, 3)}  # the deep edge, not the shallow one
 
     def test_int_seed_round_sketch_has_independent_row_hashes(self):
@@ -266,8 +273,8 @@ class TestBugfixRegressions:
         calls = []
         original = agm._sample_cut_edges
 
-        def spy(round_sketch, labels):
-            samples = original(round_sketch, labels)
+        def spy(round_sketch, planes, labels):
+            samples = original(round_sketch, planes, labels)
             calls.append((round_sketch, bool(samples)))
             return samples
 
@@ -287,8 +294,8 @@ class TestBugfixRegressions:
         calls = []
         original = agm._sample_cut_edges
 
-        def spy(round_sketch, labels):
-            samples = original(round_sketch, labels)
+        def spy(round_sketch, planes, labels):
+            samples = original(round_sketch, planes, labels)
             calls.append(round_sketch)
             return samples
 
@@ -299,3 +306,56 @@ class TestBugfixRegressions:
             agm_connected_components(g, rng=21, sketch=sketch)
         assert calls[-1] is sketch.verification_round
         assert sum(1 for s in calls if s is sketch.verification_round) == 1
+
+
+class TestFingerprintPowers:
+    """``r^i = (r^n)^(i // n) · r^(i mod n) mod p`` from two length-n
+    tables, against Python's ``pow``."""
+
+    @staticmethod
+    def _table_powers(base, n, ids):
+        ids = np.asarray(ids, dtype=np.int64)
+        quotient, remainder = np.divmod(ids, n)
+        return _fingerprint_powers(base, n, quotient, remainder)
+
+    @pytest.mark.parametrize("base", [2, MERSENNE_P - 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 2048, 46340])
+    def test_edge_ids_match_pow(self, n, base):
+        ids = [i for i in (0, n - 1, n, n * n - 1) if i < n * n]
+        ids += np.random.default_rng(n).integers(0, n * n, 200).tolist()
+        got = self._table_powers(base, n, ids)
+        assert got.dtype == np.int64
+        assert got.tolist() == [pow(base, i, MERSENNE_P) for i in ids]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(1, 46340),
+        base=st.integers(2, MERSENNE_P - 2),
+        data=st.data(),
+    )
+    def test_random_ids_match_pow(self, n, base, data):
+        ids = data.draw(st.lists(st.integers(0, n * n - 1), min_size=1, max_size=20))
+        got = self._table_powers(base, n, ids)
+        assert got.tolist() == [pow(base, i, MERSENNE_P) for i in ids]
+
+    def test_ingest_blocks_unchanged(self):
+        """The ingest kernel's blocks for one fixed stream, as a digest
+        recorded when fingerprints were still raised by
+        square-and-multiply."""
+        n = 97
+        _specs, params = _draw_layout(n, 2024, boruvka_rounds=4, sparsity=3, rows=2)
+        rng = np.random.default_rng(7)
+        cells = params["levels"] * params["row_coeffs"].shape[1] * params["cols"]
+        ranges = [(0, 40), (40, 97)]
+        blocks = [np.zeros((5, 3, hi - lo, cells), dtype=np.int64) for lo, hi in ranges]
+        for _ in range(6):
+            edges = rng.integers(0, n, size=(50, 2))
+            weights = rng.integers(-3, 4, size=50)
+            for (lo, hi), block in zip(ranges, blocks):
+                sketch_update_partial(block, edges, weights, vlo=lo, vhi=hi, **params)
+        digest = hashlib.sha256()
+        for block in blocks:
+            digest.update(block.tobytes())
+        assert digest.hexdigest() == (
+            "664897565de5f46e2c92cda741dd7e436cef8fe32f62d47bf6f50cb96dc41f5d"
+        )

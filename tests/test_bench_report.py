@@ -10,9 +10,10 @@ import subprocess
 import pytest
 
 from repro import bench
-from repro.bench.report import COUNTER_SUFFIXES, git_sha
+from repro.bench.report import COUNTER_SUFFIXES, HOST_KEYS, exact_differences, git_sha
 
-TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 
 NAME = "zz_test_report_case"
 
@@ -71,6 +72,34 @@ def test_write_load_round_trip(case_result, tmp_path):
     doc = bench.load_case_json(path)
     assert doc["name"] == NAME
     assert doc["total_seconds"] == pytest.approx(case_result.total_seconds)
+
+
+def test_v2_artifact_round_trips_its_host_block(case_result, tmp_path):
+    path = bench.write_case_json(case_result, tmp_path)
+    doc = bench.load_case_json(path)
+    assert doc["schema_version"] == bench.SCHEMA_VERSION == 2
+    assert tuple(doc["host"]) == HOST_KEYS
+    assert doc["host"]["usable_cpus"] >= 1
+    assert doc["host"] == json.loads(json.dumps(bench.case_to_json(case_result)["host"]))
+    del doc["host"]["numpy"]
+    with pytest.raises(ValueError, match="host block"):
+        bench.validate_case_json(doc)
+
+
+def test_committed_v1_artifact_loads_and_compares_with_fresh_v2():
+    old = bench.load_case_json(ROOT / "BENCH_e11b_regularity_mixing.json")
+    assert old["schema_version"] == 1 and "host" not in old
+    fresh = bench.case_to_json(bench.run_case("e11b_regularity_mixing", suite="smoke"))
+    assert fresh["schema_version"] == 2
+    assert bench.compare_cases(old, fresh)["ok"]
+    assert exact_differences(old, fresh) == []
+
+
+def test_validate_rejects_unknown_schema_version(case_result):
+    doc = bench.case_to_json(case_result)
+    doc["schema_version"] = 3
+    with pytest.raises(ValueError, match="schema_version"):
+        bench.validate_case_json(doc)
 
 
 def test_validate_rejects_missing_keys(case_result):

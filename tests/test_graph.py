@@ -177,6 +177,28 @@ class TestEquality:
         b = Graph(2, [(0, 1), (0, 1)])
         assert a != b
 
+    def test_endpoints_stay_paired(self):
+        """Sorting the edge columns independently made these equal."""
+        assert Graph(4, [(0, 3), (1, 2)]) != Graph(4, [(0, 2), (1, 3)])
+
+    def test_multigraph_equals_its_permuted_reorientation(self):
+        edges = np.array(
+            [(0, 1), (0, 1), (2, 2), (3, 1), (2, 0), (3, 3), (1, 0)], dtype=np.int64
+        )
+        rng = np.random.default_rng(0)
+        shuffled = edges[rng.permutation(edges.shape[0])]
+        flip = rng.random(edges.shape[0]) < 0.5
+        shuffled[flip] = shuffled[flip][:, ::-1]
+        assert Graph(4, edges) == Graph(4, shuffled)
+        assert Graph(4, edges) == Graph(4, edges[::-1, ::-1])
+
+    def test_same_edges_different_multiplicities_differ(self):
+        # Equal support, m and endpoint columns; only the multiplicities
+        # of the four edges differ.
+        a = Graph(4, [(0, 3), (0, 3), (1, 2), (1, 2), (0, 2), (1, 3)])
+        b = Graph(4, [(0, 3), (1, 2), (0, 2), (0, 2), (1, 3), (1, 3)])
+        assert a.m == b.m and a != b
+
 
 class TestDisjointUnion:
     def test_offsets_and_sizes(self):

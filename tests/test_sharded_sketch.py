@@ -19,6 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.graph import canonical_labels, connected_components
+from repro.graph.union_find import DisjointSetUnion
 from repro.mpc import (
     LocalBackend,
     ProcessBackend,
@@ -205,6 +207,105 @@ def test_sharded_decode_matches_monolithic():
     assert np.array_equal(
         agm_decode_components(sharded.merge()), agm_decode_components(mono)
     )
+
+
+# -- decode in place ---------------------------------------------------------
+
+
+def _union_find_labels(n, edges):
+    dsu = DisjointSetUnion(n)
+    dsu.union_edges(edges)
+    return canonical_labels(np.array([dsu.find(v) for v in range(n)], dtype=np.int64))
+
+
+@st.composite
+def _signed_stream(draw):
+    """A multigraph streamed as signed batches: inserts, and deletes of
+    copies still live (parallel edges and self-loops included)."""
+    n = draw(st.integers(0, 40))
+    live, batches = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        edges, weights = [], []
+        if n:
+            for edge in draw(st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30
+            )):
+                live.append(edge)
+                edges.append(edge)
+                weights.append(1)
+        for _ in range(draw(st.integers(0, len(live)))):
+            edge = live.pop(draw(st.integers(0, len(live) - 1)))
+            edges.append(edge)
+            weights.append(-1)
+        if edges:
+            batches.append((np.array(edges, dtype=np.int64), np.array(weights, dtype=np.int64)))
+    return n, batches, np.array(live, dtype=np.int64).reshape(-1, 2)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    stream=_signed_stream(),
+    shards=st.integers(1, 4),
+    rounds=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_in_place_decode_matches_merged_decode(stream, shards, rounds, seed):
+    n, batches, live = stream
+    sharded = ShardedAGMSketch.empty(
+        n, seed, shards=shards, sparsity=2, rows=2, boruvka_rounds=rounds
+    )
+    for edges, weights in batches:
+        sharded.update_edges(edges, weights)
+    try:
+        merged = agm_decode_components(sharded.merge())
+    except RuntimeError:
+        with pytest.raises(RuntimeError, match="exhausted"):
+            agm_decode_components(sharded)
+        return
+    assert np.array_equal(agm_decode_components(sharded), merged)
+    assert np.array_equal(merged, _union_find_labels(n, live))
+
+
+def test_in_place_decode_raises_when_rounds_run_out():
+    edges = np.array([[i, i + 1] for i in range(63)], dtype=np.int64)
+    sharded = ShardedAGMSketch.empty(64, 21, shards=3, boruvka_rounds=2)
+    sharded.update_edges(edges)
+    for sketch in (sharded.merge(), sharded):
+        with pytest.raises(RuntimeError, match="exhausted"):
+            agm_decode_components(sketch)
+
+
+def test_query_decodes_without_merging(monkeypatch):
+    """The query reads the partials where the pool left them: with
+    ``merge`` broken, every query still answers from the sketch, and
+    each adds one exchange carrying every partial word."""
+
+    def no_merge(self):
+        raise AssertionError("merge() on the query path")
+
+    monkeypatch.setattr(ShardedAGMSketch, "merge", no_merge)
+    backend = ProcessBackend(workers=2)
+    try:
+        conn = StreamingConnectivity(64, rng=8, backend=backend, sketch_shards=2)
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            conn.apply(EventBatch.insert(rng.integers(0, 64, size=(24, 2))))
+            before = backend.stats()
+            labels = conn.query()
+            after = backend.stats()
+            truth = connected_components(conn.current_graph())
+            assert np.array_equal(labels, truth)
+            assert after.exchanges - before.exchanges == 1
+            assert (
+                after.bytes_exchanged - before.bytes_exchanged
+                == 8 * conn.stats.sketch.partial_words
+            )
+        assert conn.stats.sketch_queries == 3
+        assert conn.stats.decode_failures == 0
+        assert conn.stats.sketch.merges == 3
+        conn.close()
+    finally:
+        backend.close()
 
 
 def test_sharded_update_validates_like_monolithic():
