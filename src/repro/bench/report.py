@@ -274,8 +274,13 @@ def compare_cases(
     :data:`COUNTER_SUFFIXES` — ``rounds``, ``machines``, ``phases``,
     ``iterations``, ``exchanges``, ``bytes_exchanged``, ``shard_count``,
     ``shard_load``, ``segments``, ``barriers``, ``frames``,
-    ``wire_bytes``, ``words`` — are compared exactly; any increase is a
-    regression and clears ``ok``.  So does a record key of ``old`` that
+    ``wire_bytes``, ``words`` — are compared exactly, at any depth:
+    nested dicts and equal-length lists are walked as
+    :func:`exact_differences` walks them, and a numeric leaf is gated by
+    its own name and reported by its path in the record
+    (``mpc.backend.shard_count``, ``mpc.phase_breakdown[0].exchanges``).
+    Any increase is a regression and clears ``ok``.  So does a record
+    key of ``old`` that
     ``new`` dropped (``removed_keys``: its counters left the gate), and a
     failed shape check in either artifact (``failed_checks``, each
     tagged with its ``side``: the case stopped there, so records past it
@@ -296,16 +301,28 @@ def compare_cases(
 
     old_records = {r["key"]: r for r in old["records"]}
     new_records = {r["key"]: r for r in new["records"]}
+
+    def counters(path: str, name: str, b, a):
+        """``(path, old, new)`` of every gated numeric leaf under a field."""
+        if isinstance(b, dict) and isinstance(a, dict):
+            for field in sorted(b.keys() & a.keys()):
+                yield from counters(
+                    f"{path}.{field}" if path else field, field, b[field], a[field]
+                )
+        elif isinstance(b, list) and isinstance(a, list) and len(b) == len(a):
+            for i, (x, y) in enumerate(zip(b, a)):
+                yield from counters(f"{path}[{i}]", name, x, y)
+        elif (
+            name.endswith(COUNTER_SUFFIXES)
+            and isinstance(b, (int, float))
+            and isinstance(a, (int, float))
+        ):
+            yield path, b, a
+
     regressions, improvements, unchanged = [], [], []
     for key in sorted(old_records.keys() & new_records.keys()):
-        before, after = old_records[key], new_records[key]
-        for fname in sorted(before.keys() & after.keys()):
-            b, a = before[fname], after[fname]
-            if not fname.endswith(COUNTER_SUFFIXES):
-                continue
-            if not isinstance(b, (int, float)) or not isinstance(a, (int, float)):
-                continue
-            entry = {"key": key, "field": fname, "old": b, "new": a}
+        for field, b, a in counters("", "", old_records[key], new_records[key]):
+            entry = {"key": key, "field": field, "old": b, "new": a}
             if a > b:
                 regressions.append(entry)
             elif a < b:

@@ -184,32 +184,35 @@ def _t_wedge_keys(sorted_pairs: np.ndarray, *, k: int, cap: int) -> np.ndarray:
     incidences globally sorted by midpoint, so each midpoint's
     neighborhood is one contiguous span — the post-sort state in which
     every machine holds whole groups.  Per midpoint the first
-    ``cap + 1`` neighbors form all ordered 2-hop pairs ``a < b``
-    (the cap keeps the join quadratic only in the cap, the standard
-    sparsification of the exponentiation technique); the result is the
-    packed ``a * k + b`` key stream feeding a dedup reduce.
+    ``cap + 1`` neighbors form each unordered pair once per midpoint
+    (span positions ``i < j``; the cap keeps the join quadratic only in
+    the cap, the standard sparsification of the exponentiation
+    technique).  Pairs of equal neighbors (a multigraph's parallel
+    edges) are dropped, and the result is the packed ``a * k + b``
+    (``a < b``) key stream feeding a dedup reduce, which sorts it, so
+    neither its order nor a pair repeated across midpoints matters.
+
+    One pass, no Python loop: a span of capped size ``g`` gets one row
+    per left position ``i < g - 1``, holding its ``g - 1 - i`` right
+    partners ``j > i``.
     """
     pairs = np.asarray(sorted_pairs).reshape(-1, 2)
-    if pairs.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
     mid, other = pairs[:, 0], pairs[:, 1]
     starts = np.flatnonzero(np.concatenate(([True], mid[1:] != mid[:-1])))
     sizes = np.diff(np.append(starts, mid.size))
-    keys: "list[np.ndarray]" = []
-    take = int(cap) + 1
-    for start, size in zip(starts.tolist(), sizes.tolist()):
-        span = other[start : start + min(size, take)]
-        if span.size < 2:
-            continue
-        left = np.repeat(span, span.size)
-        right = np.tile(span, span.size)
-        sel = left != right
-        a = np.minimum(left[sel], right[sel])
-        b = np.maximum(left[sel], right[sel])
-        keys.append(a * int(k) + b)
-    if not keys:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(keys)
+    taken = np.minimum(sizes, int(cap) + 1)
+    # Row r of a span sits at position left = start + (r - its first row).
+    rows = np.maximum(taken - 1, 0)
+    left = np.arange(rows.sum()) + np.repeat(starts - np.cumsum(rows) + rows, rows)
+    partners = np.repeat(starts + taken - 1, rows) - left
+    # Pair q of a row sits at right = left + 1 + (q - its first pair).
+    right = np.arange(partners.sum()) + np.repeat(
+        left + 1 - np.cumsum(partners) + partners, partners
+    )
+    a = np.repeat(other[left], partners)
+    b = other[right]
+    keys = np.minimum(a, b) * int(k) + np.maximum(a, b)
+    return keys[a != b]
 
 
 def incidence_arrays(edges: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":

@@ -14,8 +14,9 @@ Each phase runs three plans through :meth:`MPCEngine.run_plan`:
    (search → ``contract_keys`` → min-reduce → unpack) drops
    intra-component edges and dedups;
 3. **square** — one global ``sort`` by midpoint co-locates every label's
-   incidence span, the ``wedge_keys`` transform emits capped 2-hop pair
-   keys machine-locally, and a min-reduce dedups them.
+   incidence span, the ``wedge_keys`` transform emits the capped 2-hop
+   pair keys machine-locally, each unordered pair once per midpoint, and
+   a min-reduce dedups them.
 
 The engine terminates when the contracted graph is empty (no
 cross-component edges remain).
@@ -138,15 +139,15 @@ class ExponentiationEngine(ConnectivityEngine):
                 squared = np.asarray(squared).reshape(-1, 2)
                 # The dedup reduce shuffles the *wedge key stream*, not
                 # the deduped output: each midpoint span of capped size
-                # g emits at most g*(g-1) ordered pair keys.  Charging
-                # that bound keeps peak_machines honest about the join's
-                # materialised volume (the engine tests certify fleet ==
-                # accounting).
+                # g emits each unordered pair once per midpoint, at most
+                # g*(g-1)/2 keys.  Charging that bound keeps
+                # peak_machines honest about the join's materialised
+                # volume (the engine tests certify fleet == accounting).
                 spans = np.minimum(
                     np.bincount(contracted.reshape(-1), minlength=n), cap + 1
                 )
                 mpc.charge_shuffle(
-                    int((spans * (spans - 1)).sum()), label="square dedup"
+                    int((spans * (spans - 1) // 2).sum()), label="square dedup"
                 )
                 doubled = np.concatenate([contracted, squared], axis=0)
             else:  # pragma: no cover - termination is proven O(log D)

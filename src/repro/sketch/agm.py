@@ -34,6 +34,7 @@ shared random bits" of Prop. 8.1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,7 @@ def _powers_of(base: int, length: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=64)
 def _power_tables(base: int, n: int) -> "tuple[np.ndarray, np.ndarray]":
     """The two length-``n`` fingerprint power tables of one round.
 
@@ -67,11 +69,16 @@ def _power_tables(base: int, n: int) -> "tuple[np.ndarray, np.ndarray]":
     ``i < n²`` has ``r^i = high[i // n] · low[i mod n] (mod p)``
     (:func:`_fingerprint_powers`).  Both factors are below p = 2³¹ − 1,
     so their product fits in 64 bits.
+
+    A sketch's bases never change, yet every ingest batch and every
+    decode reads each round's tables, so they are cached per
+    ``(base, n)`` (64 entries hold a few sketches' rounds) and returned
+    read-only: every caller shares them.
     """
-    return (
-        _powers_of(pow(base, n, MERSENNE_P), n),
-        _powers_of(base, n),
-    )
+    tables = (_powers_of(pow(base, n, MERSENNE_P), n), _powers_of(base, n))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _fingerprint_powers(

@@ -25,7 +25,12 @@ from repro.sketch import (
     agm_connected_components,
     agm_decode_components,
 )
-from repro.sketch.agm import _draw_layout, _fingerprint_powers, sketch_update_partial
+from repro.sketch.agm import (
+    _draw_layout,
+    _fingerprint_powers,
+    _power_tables,
+    sketch_update_partial,
+)
 
 
 class TestDecodingCorrectness:
@@ -337,6 +342,17 @@ class TestFingerprintPowers:
         ids = data.draw(st.lists(st.integers(0, n * n - 1), min_size=1, max_size=20))
         got = self._table_powers(base, n, ids)
         assert got.tolist() == [pow(base, i, MERSENNE_P) for i in ids]
+
+    def test_tables_cached_read_only(self):
+        """A round's tables are built once per ``(base, n)`` and shared,
+        so no caller may write into them."""
+        first = _power_tables(5, 2048)
+        second = _power_tables(5, 2048)
+        assert all(a is b for a, b in zip(first, second))
+        for table in first:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 2
+        assert _power_tables(7, 2048)[1][1] == 7
 
     def test_ingest_blocks_unchanged(self):
         """The ingest kernel's blocks for one fixed stream, as a digest

@@ -139,6 +139,38 @@ def test_compare_gates_bytes_exchanged(case_result):
     assert [e["field"] for e in diff["regressions"]] == ["bytes_exchanged"]
 
 
+def test_compare_gates_nested_counters_by_path(case_result):
+    old = bench.case_to_json(case_result)
+    old["records"][0]["mpc"] = {
+        "backend": {"shard_count": 65, "plans": 4},
+        "phase_breakdown": [{"name": "a", "exchanges": 3}],
+        "peak_machines": 13,
+    }
+    new = json.loads(json.dumps(old))
+    new["records"][0]["mpc"]["backend"]["shard_count"] = 66     # regression
+    new["records"][0]["mpc"]["phase_breakdown"][0]["exchanges"] = 2  # improvement
+    new["records"][0]["mpc"]["backend"]["plans"] = 9            # not a counter
+    diff = bench.compare_cases(old, new)
+    assert not diff["ok"]
+    assert [e["field"] for e in diff["regressions"]] == ["mpc.backend.shard_count"]
+    assert [e["field"] for e in diff["improvements"]] == [
+        "mpc.phase_breakdown[0].exchanges"
+    ]
+    assert "REGRESSION point-a.mpc.backend.shard_count: 65 -> 66" in (
+        bench.format_comparison(diff)
+    )
+
+
+def test_compare_ignores_dicts_without_counter_leaves(case_result):
+    old = bench.case_to_json(case_result)
+    old["records"][0]["params"] = {"n": 64, "family": "path", "sizes": [1, 2]}
+    new = json.loads(json.dumps(old))
+    new["records"][0]["params"] = {"n": 128, "family": "cycle", "sizes": [3, 4]}
+    diff = bench.compare_cases(old, new)
+    assert diff["ok"]
+    assert diff["regressions"] == diff["improvements"] == []
+
+
 def test_compare_docstrings_list_every_gated_suffix():
     tool = pathlib.Path(__file__).resolve().parent.parent / "tools"
     tool_doc = ast.get_docstring(

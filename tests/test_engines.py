@@ -17,6 +17,11 @@ gates:
 * **Replay** — a hypothesis property: each engine's recorded plans
   replay bit-identically (labels and exchange counters) on all three
   backends, for arbitrary random multigraphs;
+* **Square step** — hypothesis properties: the ``wedge_keys`` transform
+  emits each unordered pair of a capped midpoint span once, half the
+  stream of the per-midpoint loop it replaced (kept here as the
+  reference), with the same distinct keys, and the square plan's output
+  is unchanged;
 * **Portfolio** — the dispatcher never returns labels differing from
   the paper engine, and its feature rules pick the documented regimes;
 * **Registry and front-end dispatch** — ``engine="paper"`` is
@@ -43,6 +48,8 @@ from repro.engines import (
     get_engine,
     resolve_engine,
 )
+from repro.engines.base import _t_wedge_keys
+from repro.engines.exponentiation import _square_plan
 from repro.graph import (
     Graph,
     canonical_labels,
@@ -52,7 +59,7 @@ from repro.graph import (
     permutation_regular_graph,
 )
 from repro.graph.union_find import DisjointSetUnion
-from repro.mpc import MPCEngine, ProcessBackend, ShardedBackend
+from repro.mpc import LocalBackend, MPCEngine, ProcessBackend, ShardedBackend
 from repro.mpc.plan import replay
 
 CONFIG = repro.PipelineConfig(
@@ -199,6 +206,107 @@ def test_engine_trace_replays_on_all_backends(tmp_path, engine, graph):
         assert replayed.ok
         expected = 0 if name == "local" else captured
         assert replayed.stats.exchanges == expected
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis: the square step's wedge emits each pair once per midpoint
+# ---------------------------------------------------------------------------
+
+
+def ordered_wedge_keys(sorted_pairs: np.ndarray, k: int, cap: int) -> np.ndarray:
+    """Reference wedge: a Python loop over midpoint spans emitting every
+    *ordered* pair of span positions ``i != j`` (each wedge twice)."""
+    mid, other = sorted_pairs[:, 0], sorted_pairs[:, 1]
+    keys = [np.empty(0, dtype=np.int64)]
+    for v in np.unique(mid).tolist():
+        span = other[mid == v][: cap + 1]
+        left = np.repeat(span, span.size)
+        right = np.tile(span, span.size)
+        sel = left != right
+        keys.append(
+            np.minimum(left[sel], right[sel]) * k + np.maximum(left[sel], right[sel])
+        )
+    return np.concatenate(keys)
+
+
+def wedge_charge(sorted_pairs: np.ndarray, n: int, cap: int) -> int:
+    """The square dedup's charge: ``Σ g(g−1)/2`` over capped spans ``g``."""
+    spans = np.minimum(np.bincount(sorted_pairs[:, 0], minlength=n), cap + 1)
+    return int((spans * (spans - 1) // 2).sum())
+
+
+@st.composite
+def midpoint_sorted_incidences(draw):
+    """``(h, 2)`` incidences sorted by midpoint, repeated neighbours
+    allowed, with a cap from 0 to the largest span + 1."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    h = draw(st.integers(min_value=0, max_value=80))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = np.array(
+        draw(st.lists(st.tuples(vertex, vertex), min_size=h, max_size=h)),
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
+    largest = int(np.bincount(pairs[:, 0]).max()) if h else 0
+    cap = draw(st.integers(min_value=0, max_value=largest + 1))
+    return n, pairs, cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=midpoint_sorted_incidences())
+def test_exponentiation_wedge_emits_each_pair_once(case):
+    n, pairs, cap = case
+    keys = _t_wedge_keys(pairs, k=n, cap=cap)
+    assert keys.dtype == np.int64
+    # The loop's distinct keys, each exactly half as often: every pair
+    # of span positions once instead of in both orders.
+    distinct, counts = np.unique(keys, return_counts=True)
+    loop_distinct, loop_counts = np.unique(
+        ordered_wedge_keys(pairs, n, cap), return_counts=True
+    )
+    assert np.array_equal(distinct, loop_distinct)
+    assert np.array_equal(2 * counts, loop_counts)
+    # A span of distinct neighbours repeats no pair.
+    for v in np.unique(pairs[:, 0]).tolist():
+        span = pairs[pairs[:, 0] == v]
+        span_keys = _t_wedge_keys(span, k=n, cap=cap)
+        if np.unique(span[: cap + 1, 1]).size == min(span.shape[0], cap + 1):
+            assert np.unique(span_keys).size == span_keys.size
+    # With every span's neighbours distinct, the stream is the charge.
+    distinct_pairs = np.unique(pairs, axis=0)
+    assert _t_wedge_keys(distinct_pairs, k=n, cap=cap).size == wedge_charge(
+        distinct_pairs, n, cap
+    )
+
+
+@st.composite
+def deduped_edges_and_cap(draw):
+    """A deduplicated simple edge list ``u < v`` and a wedge cap."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    raw = np.array(
+        draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=60)),
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    raw = raw[raw[:, 0] != raw[:, 1]]
+    edges = np.unique(np.sort(raw, axis=1), axis=0)
+    cap = draw(st.integers(min_value=0, max_value=n))
+    return n, edges, cap
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=deduped_edges_and_cap())
+def test_exponentiation_square_plan_output_unchanged(case):
+    """The square plan still returns the loop's deduplicated wedges."""
+    n, edges, cap = case
+    (doubled,) = LocalBackend().run_plan(_square_plan(edges, n, cap))
+    incidences = np.concatenate([edges, edges[:, ::-1]])
+    incidences = incidences[np.argsort(incidences[:, 0], kind="stable")]
+    expected = np.unique(ordered_wedge_keys(incidences, n, cap))
+    assert np.array_equal(
+        np.asarray(doubled).reshape(-1, 2),
+        np.stack([expected // n, expected % n], axis=1),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ whole artifact set and rendered as readable per-benchmark tables.  Any
 ``*exchanges`` / ``*bytes_exchanged`` / ``*shard_count`` /
 ``*shard_load`` / ``*segments`` / ``*barriers`` / ``*frames`` /
 ``*wire_bytes`` / ``*words`` counter increase exits 1 (the suffixes are
-``repro.bench.report.COUNTER_SUFFIXES``), and so do a record the fresh
+``repro.bench.report.COUNTER_SUFFIXES``; a counter nested in a record's
+dicts and lists is gated too, named by its path, such as
+``mpc.backend.shard_count``), and so do a record the fresh
 artifact dropped and a shape check failed in either artifact (a failed
 case still writes its artifact, so its counters are diffed too, and a
 baseline written by a failed run fails until it is rewritten);
