@@ -7,7 +7,7 @@ actually performs the sorts, searches, reductions, and label exchanges the
 charges describe.  Four implementations ship:
 
 * :class:`LocalBackend` — accounting-only.  Every operation runs the
-  serial hook on the plain arrays; no partitioning, no caps, no
+  serial compute on the plain arrays; no partitioning, no caps, no
   communication counters.  This is the zero-overhead default.
 * :class:`ShardedBackend` — the scale substrate.  Data is kept as numpy
   arrays in canonical layout over ``ceil(N/s)`` contiguous shards of at
@@ -22,23 +22,24 @@ charges describe.  Four implementations ship:
 * :class:`~repro.mpc.process_backend.ProcessBackend` and
   :class:`~repro.mpc.rpc.RpcBackend` — the worker pools.  Both subclass
   :class:`PooledBackend`, which keeps the sharded accounting and plans
-  the sort, reduce, walk and sketch-ingest hooks into per-worker steps
-  over the block kernels of :mod:`repro.mpc.kernels` (search and the
-  min-label level always run in the parent); they differ
-  only in how arrays reach the workers (shared memory or socket
-  frames).  Selected with
+  the walk and sketch-ingest hooks into per-worker steps over the block
+  kernels of :mod:`repro.mpc.kernels` (sort, search, reduce and the
+  min-label level always run in the parent, where they are faster);
+  they differ only in how arrays reach the workers (shared memory or
+  socket frames).  Selected with
   ``backend="process"`` or ``backend="rpc"`` (registered when
   :mod:`repro.mpc` imports their modules).
 
 The layers are explicit in the code.  All compute lives in
 :mod:`repro.mpc.kernels`.  Every public op and every serial
 ``_kernel_*`` hook is written once, on :class:`ExecutionBackend`: the op
-checks its operands, checks capacity, delegates the computation to a
-hook and records its barrier.  :class:`ShardedBackend` overrides only
-the two fleet hooks, the one that sizes the fleet and enforces its caps
-and the one that counts barriers and bytes between shards (one machine
-finds one shard and counts nothing), and :class:`PooledBackend`
-overrides only some compute hooks, so the pools are counter-identical to
+checks its operands, checks capacity, computes its result (inline, or
+through a hook for the walk and the sketch ops) and records its
+barrier.  :class:`ShardedBackend` overrides only the two fleet hooks,
+the one that sizes the fleet and enforces its caps and the one that
+counts barriers and bytes between shards (one machine finds one shard
+and counts nothing), and :class:`PooledBackend` overrides only the walk
+and sketch-ingest hooks, so the pools are counter-identical to
 :class:`ShardedBackend` by construction, which is what the differential
 suite asserts.  Where a sketch's partials live is the one other thing a
 backend decides, in its ``_place_sketch_partials`` hook.
@@ -65,11 +66,7 @@ from repro.mpc.kernels import (
     _REDUCERS,
     _grouped_reduce,
     _step,
-    key_bounds,
-    partitionable,
-    plain,
     position_blocks,
-    reduced_dtype,
     stable_order,
     walk_columns,
 )
@@ -240,16 +237,17 @@ class ExecutionBackend:
 
     Each is written once, here: it counts itself, checks its operands,
     checks capacity (:meth:`ensure_capacity`), computes its result
-    (``search`` and ``min_label_exchange`` inline, the others through a
-    serial ``_kernel_*`` hook) and records the barrier it crossed
-    (:meth:`_exchange`).  The counters, :meth:`reset`,
-    :meth:`take_exchange_delta` and :meth:`stats` live here too.  On
+    (``sort``, ``search``, ``reduce_by_key`` and ``min_label_exchange``
+    inline, the sketch ops through a serial ``_kernel_*`` hook) and
+    records the barrier it crossed (:meth:`_exchange`).  The counters,
+    :meth:`reset`, :meth:`take_exchange_delta` and :meth:`stats` live
+    here too.  On
     this one machine every input fits one shard and no barrier is
     recorded, so :class:`LocalBackend` is this class under its name.
     :class:`ShardedBackend` overrides only the fleet hooks
     :meth:`ensure_capacity` and :meth:`_exchange` (the ``shards > 1``
     branches, which read its shard size ``_s``, run only there), and
-    the pools override only the ``_kernel_*`` hooks and
+    the pools override only the walk and sketch ``_kernel_*`` hooks and
     :meth:`_place_sketch_partials`, so every backend reports the same
     counters by construction.  Hooks never mutate their inputs and
     return arrays they own.
@@ -376,7 +374,8 @@ class ExecutionBackend:
         keys, values = _keyed(values if order_by is None else order_by, values)
         n = int(values.shape[0])
         shards = self.ensure_capacity(n)
-        out, order = self._kernel_sort(values, keys)
+        order = stable_order(keys)
+        out = values[order]
         if shards > 1:
             s = self._s
             ranks = np.arange(n, dtype=np.int64)
@@ -424,7 +423,7 @@ class ExecutionBackend:
         keys, values = _keyed(keys, values, op)
         n = int(keys.shape[0])
         shards = self.ensure_capacity(n)
-        unique, reduced, order = self._kernel_reduce(keys, values, op)
+        unique, reduced, order = _grouped_reduce(keys, values, op)
         if shards > 1 and order is not None:
             s = self._s
             ranks = np.arange(n, dtype=np.int64)
@@ -456,19 +455,6 @@ class ExecutionBackend:
             crossing = int(np.count_nonzero(send // s != recv // s))
             self._exchange(shards, crossing * incoming.itemsize)
         return new_labels, incoming
-
-    # -- serial compute hooks ------------------------------------------------
-
-    def _kernel_sort(self, values: np.ndarray, keys: np.ndarray):
-        """Stable sort hook: ``(values[order], order)`` for the stable
-        order (:func:`~repro.mpc.kernels.stable_order`) of ``keys``."""
-        order = stable_order(keys)
-        return values[order], order
-
-    def _kernel_reduce(self, keys: np.ndarray, values: np.ndarray, op: str):
-        """Grouped-reduce hook: ``(unique_keys, reduced, order)`` from
-        :func:`~repro.mpc.kernels._grouped_reduce`."""
-        return _grouped_reduce(keys, values, op)
 
     # -- sketch ingest seam ---------------------------------------------------
     #
@@ -580,10 +566,10 @@ class ExecutionBackend:
 
 
 class LocalBackend(ExecutionBackend):
-    """Accounting-only backend: the serial hooks on plain arrays, no caps.
+    """Accounting-only backend: the serial compute on plain arrays, no caps.
 
     Every op is :class:`ExecutionBackend`'s on one machine: it counts
-    itself, checks its operands and runs the serial hook, so results,
+    itself, checks its operands and computes serially, so results,
     RNG streams and round charges equal every other backend's — the
     zero-overhead default.
     """
@@ -687,14 +673,15 @@ class PooledBackend(ShardedBackend):
 
     Accounting (capacity enforcement, exchange/byte counters, op counts)
     stays in the public operations and :class:`ShardedBackend`'s fleet
-    hooks; this class overrides only the sort, reduce and walk compute
-    hooks (and gives its subclasses the pooled sketch ingest), planning
-    each into per-worker steps over :data:`~repro.mpc.kernels.KERNELS`
-    and assembling the replies, so results *and* counters are
-    bit-identical to the serial backend.  ``search`` and
-    ``min_label_exchange`` are never planned: one gather or one
-    ``minimum.at`` in the parent is faster than dispatching it.
-    Subclasses supply the transport:
+    hooks; this class overrides only the walk compute hook (and gives
+    its subclasses the pooled sketch ingest), planning each into
+    per-worker steps over :data:`~repro.mpc.kernels.KERNELS` and
+    assembling the replies, so results *and* counters are bit-identical
+    to the serial backend.  ``sort``, ``search``, ``reduce_by_key`` and
+    ``min_label_exchange`` are never planned: on 2 workers a pooled sort
+    or reduce lost to the parent's stable order at every size measured
+    (up to 4M keys), and one gather or one ``minimum.at`` in the parent
+    is faster than dispatching it.  Subclasses supply the transport:
 
     * ``_pooled(words)`` — whether an operation of that size uses the
       pool (below it, the serial hooks of :class:`ExecutionBackend`
@@ -733,71 +720,6 @@ class PooledBackend(ShardedBackend):
         raise NotImplementedError
 
     # -- planning ------------------------------------------------------------
-
-    def _buckets(self, keys: np.ndarray) -> "list[tuple]":
-        n = int(keys.shape[0])
-        return key_bounds(keys, max(1, min(self.workers, self.shards_for(n))))
-
-    def _sortable(self, keys: np.ndarray, values: np.ndarray) -> bool:
-        """Whether a sort or reduce takes the pool: keys the range
-        partition handles exactly, plain values of at most two dims."""
-        return (
-            self._pooled(int(keys.shape[0]))
-            and values.ndim <= 2
-            and partitionable(keys)
-            and plain(values)
-        )
-
-    def _kernel_sort(self, values: np.ndarray, keys: np.ndarray):
-        if not self._sortable(keys, values):
-            return super()._kernel_sort(values, keys)
-        n = int(values.shape[0])
-        # ``sort(values)`` orders by the values themselves: bind them once.
-        arrays = {"keys": keys}
-        if values is not keys:
-            arrays["values"] = values
-        inputs = ["keys", "keys" if values is keys else "values"]
-        plans = [
-            [_step("sort", inputs, ["order", "sorted", "offset"], lo=lo, hi=hi)]
-            for lo, hi in self._buckets(keys)
-        ]
-        return self._execute(
-            arrays,
-            {"sorted": (values.shape, values.dtype), "order": ((n,), np.int64)},
-            plans,
-            lambda out, _: (out["sorted"], out["order"]),
-        )
-
-    def _kernel_reduce(self, keys: np.ndarray, values: np.ndarray, op: str):
-        if not self._sortable(keys, values):
-            return super()._kernel_reduce(keys, values, op)
-        n = int(keys.shape[0])
-        outputs = ["order", "unique", "reduced", "offset"]
-        plans = [
-            [_step("reduce", ["keys", "values"], outputs, lo=lo, hi=hi, op=op)]
-            for lo, hi in self._buckets(keys)
-        ]
-
-        def finish(out, replies):
-            # Key ranges are disjoint and ascending, so the buckets'
-            # unique/reduced slices laid end to end are the global result.
-            spans = [reply["unique"] for reply in replies]
-            return (
-                np.concatenate([out["unique"][a:b] for a, b in spans]),
-                np.concatenate([out["reduced"][a:b] for a, b in spans]),
-                out["order"],
-            )
-
-        return self._execute(
-            {"keys": keys, "values": values},
-            {
-                "order": ((n,), np.int64),
-                "unique": ((n,), keys.dtype),
-                "reduced": (values.shape, reduced_dtype(values, op)),
-            },
-            plans,
-            finish,
-        )
 
     def _kernel_walk(self, heads, degree, steps, columns, entropy):
         n = int(heads.shape[0]) // degree

@@ -1,17 +1,17 @@
 """All MPC compute, written once: the serial numpy helpers, every pooled
-block kernel, and the partition helpers the pools plan with.
+block kernel, and the partition helper the pools plan with.
 
 The backends of :mod:`repro.mpc.backends` only call into this module —
 it imports nothing from them:
 
-* the serial hooks of :class:`~repro.mpc.backends.ExecutionBackend` run
+* the ops of :class:`~repro.mpc.backends.ExecutionBackend` run
   :func:`stable_order`, :func:`_grouped_reduce` and :func:`walk_columns`
   over every column;
-* :class:`~repro.mpc.backends.PooledBackend` plans each op into
-  per-worker steps over :data:`KERNELS`, and its two transports
-  (:class:`~repro.mpc.process_backend.ProcessBackend` over shared
-  memory, :class:`~repro.mpc.rpc.RpcBackend` over socket frames) run
-  those steps with :func:`run_step` and :func:`place`.
+* :class:`~repro.mpc.backends.PooledBackend` plans the walk and sketch
+  ingest into per-worker steps over :data:`KERNELS`, and its two
+  transports (:class:`~repro.mpc.process_backend.ProcessBackend` over
+  shared memory, :class:`~repro.mpc.rpc.RpcBackend` over socket frames)
+  run those steps with :func:`run_step` and :func:`place`.
 
 :data:`KERNELS` maps a step's op name to its block kernel, a pure
 function from input arrays plus JSON-able params to a tuple of output
@@ -25,12 +25,6 @@ the ACK.
 
 Partitioning
 ------------
-* ``sort`` / ``reduce_by_key`` — sample sort: a deterministic sample of
-  the keys yields ``W - 1`` splitters, and each worker takes the
-  :func:`stable_order` of the keys in its splitter range (original
-  positions ascending break ties, so the buckets laid end to end *are*
-  the global stable order, bit for bit).  Reduce also folds each group
-  in its bucket; key ranges are disjoint, so no combine step is needed.
 * ``sketch_update`` — each worker owns a contiguous group of sketch
   shard partials (:func:`position_blocks`) and scatters the batch into
   each of them in place.
@@ -38,11 +32,11 @@ Partitioning
   (:func:`position_blocks`).  A column seeds its own random stream, so
   any split gives the serial endpoints.
 
-``search`` and ``min_label_exchange`` have no block kernel: one gather
-or one ``minimum.at`` in the parent costs less than dispatching it.
-Inputs the range partition cannot handle exactly (non-finite float
-keys, object dtypes, unsupported shapes) take the serial hooks, as do
-operations below the pool's size threshold.
+``sort``, ``search``, ``reduce_by_key`` and ``min_label_exchange`` have
+no block kernel.  One stable order, one gather or one ``minimum.at`` in
+the parent costs less than dispatching it: on 2 workers a pooled sort
+or reduce lost to the parent at every size measured, up to 4M keys.
+Operations below the pool's size threshold take the serial hooks too.
 """
 
 from __future__ import annotations
@@ -60,7 +54,7 @@ _REDUCERS = {
 
 
 # ---------------------------------------------------------------------------
-# The stable order
+# The stable order and the grouped fold
 # ---------------------------------------------------------------------------
 
 
@@ -99,92 +93,6 @@ def stable_order(keys: np.ndarray) -> np.ndarray:
     return order
 
 
-# ---------------------------------------------------------------------------
-# Partition helpers
-# ---------------------------------------------------------------------------
-
-
-def position_blocks(n: int, workers: int) -> "list[tuple[int, int]]":
-    """Contiguous blocks of ``[0, n)``, at most one per worker: block
-    ``w`` holds the ``ceil(n / workers)`` positions from
-    ``w · ceil(n / workers)`` on."""
-    per_worker = math.ceil(max(1, n) / min(workers, max(1, n)))
-    return [(lo, min(n, lo + per_worker)) for lo in range(0, n, per_worker)]
-
-
-def key_bounds(keys: np.ndarray, buckets: int) -> "list[tuple]":
-    """Splitter-delimited key ranges for sample sort: ``≤ buckets``
-    disjoint half-open intervals covering the key space, picked from a
-    deterministic sample so buckets are approximately balanced.  Bounds
-    are Python scalars (``None`` is open), so they pickle and
-    JSON-encode as they are.
-    """
-    if buckets == 1:
-        return [(None, None)]
-    step = max(1, keys.shape[0] // (buckets * 64))
-    sample = np.sort(keys[::step])
-    positions = [(sample.shape[0] * i) // buckets for i in range(1, buckets)]
-    splitters = np.unique(sample[positions])
-    bounds = [None, *splitters.tolist(), None]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def bucket(keys: np.ndarray, lo, hi) -> "tuple[np.ndarray, int]":
-    """Original positions (ascending) of the keys in ``[lo, hi)`` plus the
-    bucket's global output offset (= count of keys below ``lo``).
-
-    ``None`` bounds are open: ``(None, None)`` selects everything.
-    """
-    if lo is None and hi is None:
-        return np.arange(keys.shape[0], dtype=np.int64), 0
-    mask = np.ones(keys.shape[0], dtype=bool)
-    if lo is not None:
-        mask &= keys >= lo
-    if hi is not None:
-        mask &= keys < hi
-    offset = 0 if lo is None else int(np.count_nonzero(keys < lo))
-    return np.flatnonzero(mask), offset
-
-
-def partitionable(keys: np.ndarray) -> bool:
-    """Key dtypes the range partition handles exactly (ints, bools,
-    finite floats); anything else falls back to the serial kernel.
-    """
-    if keys.dtype.kind in "iub":
-        return True
-    if keys.dtype.kind == "f":
-        return bool(np.isfinite(keys).all())
-    return False
-
-
-def plain(*arrays: np.ndarray) -> bool:
-    """True iff no array has an object dtype: PyObject pointers are
-    meaningless in another process (and refcount-unsafe after fork), so
-    such arrays take the serial kernels instead.
-    """
-    return not any(array.dtype.hasobject for array in arrays)
-
-
-def reduced_dtype(values: np.ndarray, op: str) -> np.dtype:
-    """The dtype the serial fold returns (``add`` widens bools and small
-    integers), so a reduce destination holds exactly what it gives."""
-    return _REDUCERS[op].reduceat(values[:1], [0]).dtype
-
-
-# ---------------------------------------------------------------------------
-# Block kernels
-# ---------------------------------------------------------------------------
-
-
-def sort_bucket(keys, values, *, lo, hi):
-    """Stable-sort the keys in ``[lo, hi)``: returns the bucket's slice of
-    the global stable order, the values gathered through it, and the
-    slice's output offset."""
-    idx, offset = bucket(keys, lo, hi)
-    seg = idx[stable_order(keys[idx])]
-    return seg, values[seg], np.array([offset], dtype=np.int64)
-
-
 def _grouped_reduce(keys: np.ndarray, values: np.ndarray, op: str):
     """Sorted unique keys + per-group fold: ``(unique, reduced, order)``.
 
@@ -209,17 +117,30 @@ def _grouped_reduce(keys: np.ndarray, values: np.ndarray, op: str):
     return sorted_keys[boundaries], reduced, order
 
 
-def reduce_bucket(keys, values, *, lo, hi, op):
-    """Grouped fold of the keys in ``[lo, hi)``: the bucket's slice of the
-    sort permutation, its unique keys and folded values, and its output
-    offset."""
-    idx, offset = bucket(keys, lo, hi)
-    if idx.size:
-        unique, reduced, local = _grouped_reduce(keys[idx], values[idx], op)
-        seg = idx[local]
-    else:
-        unique, reduced, seg = keys[:0], values[:0], idx
-    return seg, unique, reduced, np.array([offset], dtype=np.int64)
+# ---------------------------------------------------------------------------
+# Partition helpers
+# ---------------------------------------------------------------------------
+
+
+def position_blocks(n: int, workers: int) -> "list[tuple[int, int]]":
+    """Contiguous blocks of ``[0, n)``, at most one per worker: block
+    ``w`` holds the ``ceil(n / workers)`` positions from
+    ``w · ceil(n / workers)`` on."""
+    per_worker = math.ceil(max(1, n) / min(workers, max(1, n)))
+    return [(lo, min(n, lo + per_worker)) for lo in range(0, n, per_worker)]
+
+
+def plain(*arrays: np.ndarray) -> bool:
+    """True iff no array has an object dtype: PyObject pointers are
+    meaningless in another process (and refcount-unsafe after fork), so
+    such arrays take the serial kernels instead.
+    """
+    return not any(array.dtype.hasobject for array in arrays)
+
+
+# ---------------------------------------------------------------------------
+# Block kernels
+# ---------------------------------------------------------------------------
 
 
 def sketch_update(
@@ -315,8 +236,6 @@ def walk_columns(heads, *, lo, hi, degree, steps, entropy):
 
 #: The kernel table: step op name → block kernel.
 KERNELS = {
-    "sort": sort_bucket,
-    "reduce": reduce_bucket,
     "sketch_update": sketch_update,
     "walk": walk_columns,
 }
@@ -334,16 +253,13 @@ def run_step(step: dict, env: dict) -> None:
 def place(dests: dict, step: dict, env: dict) -> dict:
     """Move a step's outputs out of ``env`` (freeing them before the next
     step allocates its own) into the same-named ``dests`` arrays, from
-    the ``offset`` a bucket kernel reports, else from the block's ``lo``.
+    the block's ``lo``.
 
     Returns what the assembly reads: the ``(start, stop)`` span of every
     placed output, and every other output (sketch counts) as it is.
     """
     outputs = {name: env.pop(name) for name in step["outputs"]}
-    if "offset" in outputs:
-        start = int(outputs.pop("offset")[0])
-    else:
-        start = step["params"].get("lo")
+    start = step["params"].get("lo")
     reply = {}
     for name, array in outputs.items():
         if name in dests:

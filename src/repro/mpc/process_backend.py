@@ -19,22 +19,25 @@ zero-copy numpy views; only tiny *plans* (lists of step descriptors:
 shared-memory names, shapes, dtypes, splitters, block bounds) cross the
 command pipes.
 
-Work is partitioned along the canonical shard layout the
-:class:`~repro.mpc.backends.ShardedBackend` accounts for, by the
-planners and block kernels of :mod:`repro.mpc.kernels`, which this
-backend shares with :class:`~repro.mpc.rpc.RpcBackend`: it supplies
-only the transport.  Synchronisation is one explicit exchange barrier
-per operation — the parent dispatches one plan per worker and waits for
-all replies.
+Two ops reach the pool: the walk (a block of walk columns per worker)
+and sketch ingest (a group of shard partials per worker), planned by
+:class:`~repro.mpc.backends.PooledBackend` over the block kernels of
+:mod:`repro.mpc.kernels`, which this backend shares with
+:class:`~repro.mpc.rpc.RpcBackend`: it supplies only the transport.
+Sort, search, reduce and the min-label level run in the parent on
+every backend, where they are faster than a dispatch.
+Synchronisation is one explicit exchange barrier per pooled operation
+— the parent dispatches one plan per worker and waits for all
+replies.
 
 Arena-backed buffers
 --------------------
 Shared-memory blocks come from a persistent
 :class:`~repro.mpc.arena.ShmArena` owned by the backend: segments are
 allocated once (rounded to power-of-two size classes), leased per
-operation with generation tags, and recycled across operations and
-rounds, so a pipeline run performs O(size classes) segment allocations
-instead of O(ops).  Workers cache their segment attachments by name for
+pooled operation with generation tags, and recycled across operations
+and rounds, so a pipeline run performs O(size classes) segment
+allocations instead of O(ops).  Workers cache their segment attachments by name for
 the arena's lifetime, so the per-operation IPC setup is just the plan
 descriptor.
 
@@ -56,14 +59,14 @@ Determinism
 Every kernel is bit-identical to the serial hooks of
 :class:`~repro.mpc.backends.ExecutionBackend` — the pipeline's
 labels, round counts, and RNG streams do not depend on the worker count.
-Operations below ``min_parallel_items`` words take the serial kernels,
-where process dispatch overhead would dominate.
+Walks and ingest batches below ``min_parallel_items`` words take the
+serial kernels, where process dispatch overhead would dominate.
 
 Lifecycle
 ---------
-Workers start lazily on the first parallel kernel and are reused across
-operations, engines, and :meth:`reset` calls; the arena's segments
-likewise survive :meth:`reset` and are recycled across runs.  Call
+Workers start lazily on the first pooled walk or ingest batch and are
+reused across operations, engines, and :meth:`reset` calls; the arena's
+segments likewise survive :meth:`reset` and are recycled across runs.  Call
 :meth:`close` (or use the backend as a context manager) to stop the pool
 and unlink every arena segment; finalizers and daemonised workers
 guarantee nothing outlives the interpreter either way.  The pipeline
@@ -93,8 +96,11 @@ from repro.mpc.kernels import place, plain, run_step
 from repro.mpc.plan import RoundPlan
 from repro.utils.validation import check_nonnegative_int, check_positive_int
 
-#: Below this many words an operation runs on the serial kernels: the
-#: ~0.1–1 ms of per-operation process dispatch would dominate the compute.
+#: Below this many words a walk (``n · columns`` endpoints) or a sketch
+#: ingest batch runs on the serial kernels: the ~0.1–1 ms of
+#: per-operation process dispatch would dominate the compute.  Sort and
+#: reduce never reach a pool at any size: on 2 workers the pooled sort
+#: lost to the parent's stable order from 147,456 to 4M keys.
 DEFAULT_MIN_PARALLEL_ITEMS = 32768
 
 
@@ -315,12 +321,12 @@ class ProcessBackend(PooledBackend):
 
     Accounting (capacity enforcement, exchange/byte counters, op counts)
     is inherited unchanged from :class:`~repro.mpc.backends.ShardedBackend`;
-    the ``_kernel_*`` compute hooks are the shared planners of
+    the walk and sketch-ingest hooks are the shared planners of
     :class:`~repro.mpc.backends.PooledBackend`, so results *and*
     counters are bit-identical to the serial sharded backend while the
-    heavy numpy work runs in parallel.  This class supplies the
-    transport: arena shared-memory bindings and pipe dispatch, and
-    places sketch partials in persistent-arena segments.
+    walk columns and the ingest scatter run in parallel.  This class
+    supplies the transport: arena shared-memory bindings and pipe
+    dispatch, and places sketch partials in persistent-arena segments.
 
     Parameters
     ----------
@@ -333,13 +339,15 @@ class ProcessBackend(PooledBackend):
         :class:`~repro.mpc.machine.MachineMemoryError`.
     workers:
         OS processes in the pool (default: :func:`default_worker_count`).
-        ``workers=1`` still routes kernels through the single worker
-        process — the honest baseline for scaling measurements.
+        ``workers=1`` still routes the pooled kernels through the single
+        worker process — the honest baseline for scaling measurements.
     min_parallel_items:
-        Operations touching fewer words than this run on the serial
-        kernels (default :data:`DEFAULT_MIN_PARALLEL_ITEMS`); set to 0 to
-        force every operation through the pool (the differential tests
-        do).
+        Walks of fewer than this many endpoints (``n · columns``) and
+        ingest batches of fewer words run on the serial kernels (default
+        :data:`DEFAULT_MIN_PARALLEL_ITEMS`); set to 0 to force every
+        walk and ingest batch through the pool (the differential tests
+        do).  Sort, search, reduce and the min-label level run in the
+        parent whatever it is.
 
     Raises
     ------

@@ -8,7 +8,10 @@ connectivity service (:mod:`repro.service`) is built on.  Like
 kernels both pools share, and supplies only the transport, so capacity
 enforcement, exchange attribution, partitioning, and every model
 counter are shared code — counter-identical to the serial sharded
-backend by construction.
+backend by construction.  Two ops cross the wire: the walk and sketch
+ingest (with the decode-time gather of the worker-resident partials).
+Sort, search, reduce and the min-label level run in the parent, where
+they are faster than a round trip.
 
 Wire protocol
 -------------
@@ -36,7 +39,7 @@ Execution model
 The pool holds ``workers`` forked OS processes, each running a
 synchronous frame loop over a private Unix-domain socket; the parent
 side is a dedicated asyncio event loop on a background thread.  One
-backend operation is one *ACK barrier*: the parent sends every worker
+pooled operation is one *ACK barrier*: the parent sends every worker
 its step frame, then awaits all ACKs — exactly the all-to-all barrier
 the sharded accounting already prices.  Workers run the steps through
 the kernel table of :mod:`repro.mpc.kernels`; the parent places the
@@ -980,11 +983,11 @@ class RpcBackend(PooledBackend):
 
     Accounting (capacity enforcement, exchange/byte counters, op
     counts) is inherited unchanged from
-    :class:`~repro.mpc.backends.ShardedBackend`; the ``_kernel_*``
-    compute hooks are the shared planners of
+    :class:`~repro.mpc.backends.ShardedBackend`; the walk and
+    sketch-ingest hooks are the shared planners of
     :class:`~repro.mpc.backends.PooledBackend`, so results *and* model
-    counters are bit-identical to the serial backend while kernels
-    execute in worker processes across length-prefixed frames.  This
+    counters are bit-identical to the serial backend while those
+    kernels execute in worker processes across length-prefixed frames.  This
     class supplies the transport: digest-deduplicated frame arrays plus
     worker-resident sketch state.
 
@@ -1000,11 +1003,13 @@ class RpcBackend(PooledBackend):
         grows with fan-out, and certification needs at least two
         partitions).
     min_wire_items:
-        Operations touching fewer words than this run on the serial
-        kernels (default
+        Walks of fewer than this many endpoints (``n · columns``) run on
+        the serial kernel (default
         :data:`~repro.mpc.process_backend.DEFAULT_MIN_PARALLEL_ITEMS`);
-        set to 0 to force every operation across the wire (the
-        certification and differential tests do).
+        set to 0 to force every walk across the wire (the certification
+        and differential tests do).  Ingest always crosses it, because
+        the partials live in the workers; sort, search, reduce and the
+        min-label level never do.
     connect_timeout:
         Seconds the pool waits for every worker to connect at startup.
     call_timeout:

@@ -37,6 +37,9 @@ from repro.mpc import (
     ShmArena,
 )
 
+#: A 500-vertex out-neighbour table of degree 4: the probe walk's input.
+HEADS = np.arange(2000) % 500
+
 
 def assert_unlinked(names):
     """Every shared-memory name must be gone from the system namespace."""
@@ -192,21 +195,21 @@ class TestLifecycle:
     def test_backend_close_unlinks_its_arena(self):
         backend = ProcessBackend(shard_memory=256, workers=2,
                                  min_parallel_items=0)
-        backend.sort(np.arange(2000)[::-1].copy())
+        backend.walk(HEADS, 4, 8, 4, 0)  # the walk runs on the pool
         names = backend._arena.segment_names()
         assert names
         backend.close()
         assert_unlinked(names)
         # Counters survive the close, and the backend restarts on demand.
         assert backend.arena_stats()["segments"] >= len(names)
-        backend.sort(np.arange(1000))
+        backend.walk(HEADS, 4, 8, 2, 1)
         backend.close()
 
     def test_engine_context_manager_closes_backend(self):
         backend = ProcessBackend(shard_memory=256, workers=2,
                                  min_parallel_items=0)
         with MPCEngine(256, backend=backend) as engine:
-            engine.backend.sort(np.arange(2000)[::-1].copy())
+            engine.backend.walk(HEADS, 4, 8, 4, 0)
             assert backend._procs
         assert not backend._procs
         assert backend._arena is None

@@ -167,16 +167,16 @@ class TestBuilderAndValidation:
 
 
 class TestPlanBarriers:
-    def test_process_contract_plan_costs_one_barrier(self, process_backend):
+    def test_process_contract_plan_costs_no_barrier(self, process_backend):
         labels, batch = contract_inputs(n=80, m=600)
         plan = contract_plan(labels, batch)
 
         process_backend.reset()
         pooled = process_backend.run_plan(plan)
-        # The search runs in the parent: the
-        # search→reduce pair costs the reduce's barrier only.
-        assert process_backend.dispatch_barriers == 1
-        assert process_backend.plan_barriers == {"contract": 1}
+        # The search and the reduce both run in the parent, even at a
+        # zero size threshold: the plan is attributed no barrier.
+        assert process_backend.dispatch_barriers == 0
+        assert process_backend.plan_barriers == {"contract": 0}
 
         serial = ShardedBackend(shard_memory=64)
         reference = serial.run_plan(plan)
@@ -541,24 +541,24 @@ class TestReplaySmokeTool:
     ARGS = ["--capture", "sharded", "--replay", "sharded", "process"]
 
     def test_liu_tarjan_capture_exchanges_and_replays(self, capsys):
-        """Liu–Tarjan's stream holds no op the pools run (no sort, no
-        reduce), so its process replay passes without dispatching."""
+        """Liu–Tarjan's capture makes exchanges, and its process replay
+        passes without dispatching."""
         args = ["--n", "512", *self.ARGS, "--engine", "liu_tarjan"]
         assert smoke_tool().main(args) == 0
         out = capsys.readouterr().out
         (captured,) = re.findall(r"\((\d+) rounds, (\d+) exchanges\)", out)
         assert int(captured[1]) > 0
-        assert "pooled ops: none" in out
         (process,) = re.findall(r"on 'process': .* (\d+) dispatches", out)
         assert int(process) == 0
 
-    def test_exponentiation_replay_dispatches_its_pooled_ops(self, capsys):
+    def test_exponentiation_replay_dispatches_nothing(self, capsys):
+        """Exponentiation's stream is sorts, searches, reduces and
+        min-label levels, all of which run in the parent."""
         args = ["--n", "512", *self.ARGS, "--engine", "exponentiation"]
         assert smoke_tool().main(args) == 0
         out = capsys.readouterr().out
-        assert "pooled ops: reduce_by_key, sort" in out
         (process,) = re.findall(r"on 'process': .* (\d+) dispatches", out)
-        assert int(process) > 0
+        assert int(process) == 0
 
     def test_exchange_free_capture_fails(self, capsys):
         """At n = 16 the whole input fits one shard: the exchange check
@@ -567,11 +567,13 @@ class TestReplaySmokeTool:
         assert smoke_tool().main(args) == 1
         assert "made no exchange" in capsys.readouterr().err
 
-    def test_undispatched_pool_replay_fails(self, capsys, monkeypatch):
-        """A pool at its default size threshold runs the smoke-scale ops
-        on the serial kernels, which certifies nothing about the pool."""
+    def test_dispatching_pool_replay_fails(self, capsys, monkeypatch):
+        """A pool replay that sends a plan op to its workers fails: every
+        plan op runs in the parent."""
         tool = smoke_tool()
-        monkeypatch.setitem(tool.POOLS, "process", lambda: ProcessBackend(workers=2))
+        monkeypatch.setattr(
+            tool, "dispatches", lambda stats: 3 if stats.name == "process" else 0
+        )
         args = ["--n", "512", *self.ARGS, "--engine", "exponentiation"]
         assert tool.main(args) == 1
-        assert "dispatched nothing" in capsys.readouterr().err
+        assert "dispatched 3 times" in capsys.readouterr().err

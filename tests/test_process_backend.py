@@ -1,12 +1,14 @@
 """Unit and integration tests for the true-parallel ``ProcessBackend``.
 
 The backend inherits all accounting from ``ShardedBackend`` and overrides
-only the compute kernels, so the contract under test is twofold: every
-kernel must be *bit-identical* to the serial backend (same outputs for
-sort/search/reduce/min-label on any input), and every counter the engine
-reports must be unchanged by the worker pool.  ``min_parallel_items=0``
-forces each operation through the worker processes — without it,
-laptop-scale inputs would silently use the serial fallback.
+only the walk and sketch-ingest kernels, so the contract under test is
+twofold: every op must be *bit-identical* to the serial backend (same
+outputs for sort/search/reduce/min-label/walk on any input), and every
+counter the engine reports must be unchanged by the worker pool.  Only
+the walk and sketch ingest reach the workers; ``min_parallel_items=0``
+forces each of them through the pool — without it, laptop-scale inputs
+would silently use the serial fallback.  Sort, search, reduce and the
+min-label level run in the parent at any size.
 """
 
 import os
@@ -26,6 +28,7 @@ from repro.mpc import (
     BACKENDS,
     MPCEngine,
     ProcessBackend,
+    RpcBackend,
     ShardedBackend,
     backend_names,
     make_backend,
@@ -47,6 +50,19 @@ def pair():
 
 def rng():
     return np.random.default_rng(1234)
+
+
+#: Out-degree of the probe walk's random out-neighbour table.
+DEGREE = 4
+
+
+def walk(backend, n=500, columns=4, entropy=7):
+    """A probe walk: ``columns`` lazy 16-step walk columns from every
+    vertex of a random ``n``-vertex out-neighbour table.  On a pool at
+    ``min_parallel_items=0`` it runs on the workers (the walk is one of
+    the two ops a pool runs)."""
+    heads = np.random.default_rng(n).integers(0, n, n * DEGREE)
+    return backend.walk(heads, DEGREE, 16, columns, entropy)
 
 
 def _running(pid: int) -> bool:
@@ -116,8 +132,8 @@ class TestKernelParity:
 
     @pytest.mark.parametrize("dtype", [np.bool_, np.int32])
     def test_reduce_sum_widens_like_serial(self, pair, dtype):
-        # np.add.reduceat widens bools and small ints to int64; the pooled
-        # fold must return that dtype, not truncate into the input's.
+        # np.add.reduceat widens bools and small ints to int64; the fold
+        # must return that dtype, not truncate into the input's.
         serial, parallel = pair
         keys = rng().integers(0, 50, 4000)
         values = rng().integers(0, 2**20, 4000).astype(dtype)
@@ -147,47 +163,63 @@ class TestKernelParity:
         assert np.array_equal(nl1, nl2)
         assert np.array_equal(inc1, inc2)
 
+    def test_walk(self, pair):
+        serial, parallel = pair
+        assert np.array_equal(walk(serial), walk(parallel))
+        assert parallel.stats().dispatch["barriers"] == 1
+
     def test_unknown_reducer_raises(self, pair):
         _, parallel = pair
         with pytest.raises(ValueError):
             parallel.reduce_by_key(np.arange(10), np.arange(10), op="median")
 
-    def test_nonfinite_float_keys_fall_back_to_serial(self, pair):
-        serial, parallel = pair
-        keys = rng().standard_normal(2000)
-        keys[17] = np.nan
-        values = np.arange(2000)
-        assert np.array_equal(
-            serial.sort(values, order_by=keys),
-            parallel.sort(values, order_by=keys),
-        )
-
-    def test_object_dtype_payloads_fall_back_to_serial(self):
-        # PyObject pointers must never cross process boundaries via shm.
-        serial = ShardedBackend(shard_memory=64)
-        parallel = ProcessBackend(shard_memory=64, workers=2,
-                                  min_parallel_items=0)
-        try:
-            keys = np.arange(600)[::-1].copy()
-            values = np.array([f"v{i}" for i in range(600)], dtype=object)
-            out = parallel.sort(values, order_by=keys)
-            assert np.array_equal(out, serial.sort(values, order_by=keys))
-            assert not parallel._procs  # serial fallback: pool never started
-        finally:
-            parallel.close()
-
     def test_serial_fallback_below_threshold_is_identical(self):
         serial = ShardedBackend(shard_memory=64)
         parallel = ProcessBackend(shard_memory=64, workers=2)  # default threshold
         try:
-            keys = rng().integers(0, 9, 300)
-            values = rng().integers(0, 99, 300)
-            u1, r1 = serial.reduce_by_key(keys, values, op="min")
-            u2, r2 = parallel.reduce_by_key(keys, values, op="min")
-            assert np.array_equal(u1, u2) and np.array_equal(r1, r2)
+            # 500 vertices x 4 columns = 2,000 endpoints, below 32,768.
+            assert np.array_equal(walk(serial), walk(parallel))
             assert not parallel._procs  # pool never started
         finally:
             parallel.close()
+
+
+# ---------------------------------------------------------------------------
+# Sort and reduce run in the parent on every pool
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pool", [
+    lambda: ProcessBackend(shard_memory=4096, workers=2, min_parallel_items=0),
+    lambda: RpcBackend(shard_memory=4096, workers=2, min_wire_items=0),
+], ids=["process", "rpc"])
+def test_sort_and_reduce_never_reach_a_pool(pool):
+    """A pool at a zero size threshold still sorts and reduces in the
+    parent: same results and model counters as ``ShardedBackend``, and
+    nothing is dispatched, uploaded or framed.  ``reduce_by_key(keys,
+    keys)`` is graph exponentiation's square-step dedup."""
+    keys = np.random.default_rng(3).integers(0, 1 << 40, 40000)
+    serial, backend = ShardedBackend(shard_memory=4096), pool()
+    try:
+        want, got = (
+            (b.sort(keys), *b.reduce_by_key(keys, keys, op="min"))
+            for b in (serial, backend)
+        )
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        s, p = serial.stats(), backend.stats()
+        assert s.exchanges > 0
+        assert (p.exchanges, p.bytes_exchanged) == (s.exchanges, s.bytes_exchanged)
+        doc = p.to_json()
+        assert doc["dispatch"]["barriers"] == 0
+        assert doc["dispatch"]["shm_bytes_copied"] == 0
+        assert doc["transport"]["op_frames"] == 0
+        # No worker ever started.
+        if isinstance(backend, ProcessBackend):
+            assert not backend._procs and backend._arena is None
+        else:
+            assert backend._pool is None
+    finally:
+        backend.close()
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +286,15 @@ class TestCounterParity:
 class TestPoolLifecycle:
     def test_close_is_idempotent_and_pool_restarts(self, pair):
         _, parallel = pair
-        values = rng().integers(0, 9, 1000)
-        first = parallel.sort(values)
+        first = walk(parallel)
         parallel.close()
         parallel.close()
-        assert np.array_equal(parallel.sort(values), first)
+        assert np.array_equal(walk(parallel), first)
 
     def test_context_manager_closes_pool(self):
         with ProcessBackend(shard_memory=128, workers=2,
                             min_parallel_items=0) as backend:
-            backend.sort(np.arange(500)[::-1].copy())
+            walk(backend)
             assert backend._procs
         assert not backend._procs
 
@@ -291,32 +322,32 @@ class TestPoolLifecycle:
 
         parallel._ensure_pool = worker_dies_after_the_liveness_check
         with pytest.raises(RuntimeError, match="died mid-dispatch"):
-            parallel.sort(rng().integers(0, 9, 2000))
+            walk(parallel)
         # Pool and arena restart cleanly on the next operation.
         assert np.array_equal(
-            parallel.sort(np.arange(10, 0, -1)), np.arange(1, 11)
+            walk(parallel, n=50), walk(ShardedBackend(shard_memory=256), n=50)
         )
 
     def test_pool_restarts_are_counted(self):
         # Replacing a pool that lost a worker is one restart; the first
         # start and a start after close() are not, and reset() clears it.
         backend = ProcessBackend(64, workers=2, min_parallel_items=0)
-        values = np.arange(1000)[::-1].copy()
+        expected = walk(ShardedBackend(64))
 
         def restarts():
             return backend.stats().to_json()["transport"]["workers_restarted"]
 
         try:
-            backend.sort(values)
+            walk(backend)
             assert restarts() == 0
             pids = {proc.pid for proc in backend._procs}
             os.kill(backend._procs[0].pid, signal.SIGKILL)
             backend._procs[0].join(timeout=10)
-            assert np.array_equal(backend.sort(values), np.sort(values))
+            assert np.array_equal(walk(backend), expected)
             assert not pids & {proc.pid for proc in backend._procs}
             assert restarts() == 1
             backend.close()
-            backend.sort(values)
+            walk(backend)
             assert restarts() == 1
             backend.reset()
             assert restarts() == 0
@@ -334,18 +365,22 @@ class TestPoolLifecycle:
 
         parallel._ensure_pool = worker_dies_after_the_liveness_check
         with pytest.raises(RuntimeError, match="died mid-dispatch"):
-            parallel.sort(rng().integers(0, 9, 2000))
+            walk(parallel)
         assert parallel.stats().transport["workers_restarted"] == 0
-        parallel.sort(np.arange(10, 0, -1))
+        walk(parallel, n=50)
         assert parallel.stats().transport["workers_restarted"] == 1
 
     def test_reset_keeps_pool_but_clears_counters(self, pair):
         _, parallel = pair
+        walk(parallel)  # starts the pool
         parallel.sort(rng().integers(0, 9, 2000))
         assert parallel.stats().exchanges > 0
+        assert parallel.stats().dispatch["barriers"] > 0
         procs = list(parallel._procs)
+        assert procs
         parallel.reset()
         assert parallel.stats().exchanges == 0
+        assert parallel.stats().dispatch["barriers"] == 0
         assert parallel._procs == procs  # pool survives engine resets
 
     @pytest.mark.skipif(
@@ -359,7 +394,7 @@ class TestPoolLifecycle:
             from repro.mpc import ProcessBackend
 
             backend = ProcessBackend(64, workers=2, min_parallel_items=0)
-            backend.sort(np.arange(1000)[::-1].copy())
+            backend.walk(np.arange(1000) % 250, 4, 8, 2, 0)  # starts the pool
             print(*(proc.pid for proc in backend._procs), flush=True)
             input()  # hold the pool until killed
         """)
@@ -489,18 +524,17 @@ class TestRegistry:
 class TestArenaIntegration:
     def test_arena_segments_recycle_across_operations(self, pair):
         _, parallel = pair
-        values = rng().integers(0, 10**6, 3000)
-        parallel.sort(values)
+        walk(parallel)
         cold = parallel.arena_stats()["segments"]
-        for _ in range(5):
-            parallel.sort(values)
+        for entropy in range(5):
+            walk(parallel, entropy=entropy)
         warm = parallel.arena_stats()
         assert warm["segments"] == cold  # steady state: zero new segments
         assert warm["recycled"] > 0
 
     def test_arena_survives_reset(self, pair):
         _, parallel = pair
-        parallel.sort(rng().integers(0, 9, 2000))
+        walk(parallel)
         segments = parallel.arena_stats()["segments"]
         arena = parallel._arena
         parallel.reset()
@@ -526,7 +560,7 @@ class TestArenaIntegration:
 
     def test_stats_embed_arena_and_dispatch(self, pair):
         serial, parallel = pair
-        parallel.sort(rng().integers(0, 9, 2000))
+        walk(parallel)
         doc = parallel.stats().to_json()
         assert doc["arena"]["segments"] > 0
         assert doc["dispatch"]["barriers"] == 1

@@ -4,7 +4,9 @@ wire thresholds, digest dedup, stats schema, and the registry error fix.
 The certification order mirrors the deployment story: the wire backend
 must first replay captured per-engine plan streams bit-identically
 (outputs *and* exchange/byte counters) before it joins the live
-differential matrix in ``tests/test_differential.py``.
+differential matrix in ``tests/test_differential.py``.  Two ops cross
+the wire, the walk and sketch ingest; the wire tests below probe it
+with them.
 """
 
 import numpy as np
@@ -24,13 +26,25 @@ from repro.mpc import (
     replay,
 )
 from repro.mpc.backends import TRANSPORT_STATS_ZERO
-from repro.mpc.plan import load_trace
+from repro.sketch import ShardedAGMSketch
 
 SEED = 23
 CONFIG = repro.PipelineConfig(
     delta=0.5, expander_degree=4, max_walk_length=32, oversample=4,
     max_phases=2,
 )
+
+
+#: Out-degree of the probe walk's out-neighbour table.
+DEGREE = 4
+
+
+def walk(backend, n=600, entropy=0):
+    """The probe op: four lazy 16-step walk columns from every vertex of
+    an ``n``-vertex out-neighbour table.  The walk crosses the wire at
+    ``min_wire_items=0``."""
+    heads = np.random.default_rng(n).integers(0, n, n * DEGREE)
+    return backend.walk(heads, DEGREE, 16, 4, entropy)
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +74,8 @@ def test_replay_certifies_rpc_backend(tmp_path, engine_name):
             graph, 0.1, config=CONFIG, rng=SEED, mpc=engine
         )
         captured = engine.backend.stats()
-    # ...then replay it across the wire with every op forced through
-    # the frames: outputs and the gated counters must match exactly.
+    # ...then replay it on the wire backend with its size threshold at
+    # zero: outputs and the gated counters must match exactly.
     rpc = RpcBackend(workers=2, min_wire_items=0)
     try:
         replayed = replay(path, backend=rpc)
@@ -69,16 +83,11 @@ def test_replay_certifies_rpc_backend(tmp_path, engine_name):
         assert replayed.stats.exchanges == captured.exchanges
         assert replayed.stats.bytes_exchanged == captured.bytes_exchanged
         assert replayed.stats.op_counts == captured.op_counts
+        # No plan op crosses the wire: sort, search, reduce and the
+        # min-label level run in the parent on every backend.
         transport = rpc.transport_stats()
-        # Sorts and reduces cross the wire; Liu–Tarjan's stream has
-        # neither (its search and min-label level run in the parent).
-        ops = {
-            step["op"] for plan in load_trace(path)["plans"]
-            for step in plan["steps"]
-        }
-        if ops & {"sort", "reduce_by_key"}:
-            assert transport["op_frames"] > 0
-            assert transport["op_wire_bytes"] > 0
+        assert transport["op_frames"] == 0
+        assert transport["op_wire_bytes"] == 0
     finally:
         rpc.close()
 
@@ -122,6 +131,7 @@ class TestKernelParity:
         )
         assert np.array_equal(labels_a, labels_b)
         assert np.array_equal(incoming_a, incoming_b)
+        assert np.array_equal(walk(ref), walk(rpc_backend))
         # The sharded accounting is inherited, not reimplemented: the
         # model counters agree exactly.
         assert ref.stats().exchanges == rpc_backend.stats().exchanges
@@ -132,22 +142,23 @@ class TestKernelParity:
             keys, values, table, queries = self._inputs(512)
             backend.sort(values, order_by=keys)
             backend.search(table, queries)
+            walk(backend)  # 2,400 endpoints, below the threshold
             assert backend.transport_stats()["op_frames"] == 0
+            assert backend._pool is None  # the pool never started
         finally:
             backend.close()
 
     def test_digest_dedup_ships_repeats_as_references(self, rpc_backend):
-        keys, values, _, _ = self._inputs()
         before = dict(rpc_backend.transport_stats())
-        rpc_backend.sort(values, order_by=keys)
-        rpc_backend.sort(values, order_by=keys)
+        walk(rpc_backend)
+        walk(rpc_backend)
         after = rpc_backend.transport_stats()
-        # The second identical op resolves both arrays from the worker
+        # The second identical op resolves its heads from the worker
         # caches: strictly more hits, no new misses beyond the first.
         assert after["digest_hits"] > before["digest_hits"]
         assert (
             after["digest_misses"] - before["digest_misses"]
-            <= 2 * rpc_backend.workers
+            <= rpc_backend.workers
         )
 
     def test_each_op_input_is_digested_once(self, rpc_backend, monkeypatch):
@@ -155,8 +166,7 @@ class TestKernelParity:
         again for the cache-eviction sizes."""
         import repro.mpc.rpc as rpc
 
-        keys, values, _, _ = self._inputs()
-        rpc_backend.sort(values, order_by=keys)  # ship once: the op below is warm
+        walk(rpc_backend)  # ship once: the op below is warm
         calls = []
 
         def counting_digest(array):
@@ -164,9 +174,9 @@ class TestKernelParity:
             return content_digest(array)
 
         monkeypatch.setattr(rpc, "content_digest", counting_digest)
-        rpc_backend.sort(values, order_by=keys)
+        walk(rpc_backend)
         assert rpc_backend.workers == 2
-        assert len(calls) == 2  # keys and values
+        assert len(calls) == 1  # the heads, though both workers get a frame
 
     def test_small_cache_evicts_and_keeps_serial_results(self):
         """A frame never evicts a cached digest it references: the
@@ -174,34 +184,36 @@ class TestKernelParity:
         backend = RpcBackend(
             shard_memory=64, workers=2, min_wire_items=0, cache_bytes=50_000
         )
-        ref = ShardedBackend(shard_memory=64)
+        n = 500
         rng = np.random.default_rng(SEED)
-        values = rng.integers(0, 1 << 40, 4000)  # 32 kB: cached by sort 1
-        keys = [rng.integers(0, 500, 4000) for _ in range(3)]
+        # 4000 edges (64 kB) and weights (32 kB) per batch.
+        batches = [
+            (rng.integers(0, n, (4000, 2)), rng.integers(1, 3, 4000))
+            for _ in range(3)
+        ]
         try:
-            # Sort 1 fills each worker's cache past its budget; sort 2
-            # references ``values`` and ships a new key array, so the
-            # eviction must drop the first keys, never ``values``.
-            for k in keys:
-                assert np.array_equal(
-                    backend.sort(values, order_by=k), ref.sort(values, order_by=k)
-                )
-            for op in ("min", "sum"):
-                got = backend.reduce_by_key(keys[0], values, op)
-                want = ref.reduce_by_key(keys[0], values, op)
-                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            sketches = [
+                ShardedAGMSketch.empty(n, SEED, shards=2, backend=b)
+                for b in (ShardedBackend(shard_memory=64), backend)
+            ]
+            # Batch 1 fills each worker's cache past its budget; batch 2
+            # references the hash coefficient arrays and ships new edges
+            # and weights, so the eviction must drop batch 1's arrays,
+            # never the coefficients.
+            for edges, weights in batches:
+                for sketch in sketches:
+                    sketch.update_edges(edges, weights)
+            assert backend.transport_stats()["digest_hits"] > 0
+            want, got = (sketch.partials() for sketch in sketches)
+            for (vlo_w, block_w), (vlo_g, block_g) in zip(want, got):
+                assert vlo_g == vlo_w
+                assert np.array_equal(block_g, block_w)
             assert backend.dead_workers() == []
             assert backend.workers_restarted == 0
+            for sketch in sketches:
+                sketch.close()
         finally:
             backend.close()
-
-    def test_object_dtype_falls_back_to_serial(self, rpc_backend):
-        values = np.array([{"a": 1}, {"b": 2}, None, "x"] * 64, dtype=object)
-        keys = np.arange(values.shape[0])
-        before = rpc_backend.transport_stats()["op_frames"]
-        out = rpc_backend.sort(values, order_by=keys[::-1])
-        assert out[0] == "x"
-        assert rpc_backend.transport_stats()["op_frames"] == before
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +236,7 @@ class TestStatsSchema:
     def test_reset_clears_transport_counters(self):
         backend = RpcBackend(shard_memory=64, workers=2, min_wire_items=0)
         try:
-            backend.sort(np.arange(100)[::-1].copy())
+            walk(backend)
             assert backend.transport_stats()["op_frames"] > 0
             backend.reset()
             assert backend.transport_stats() == dict(TRANSPORT_STATS_ZERO)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.mpc import (
+    LocalBackend,
     RpcBackend,
     RpcError,
     RpcProtocolError,
@@ -26,10 +27,32 @@ from repro.mpc import (
 
 pytestmark = pytest.mark.slow
 
-#: The probe op: a sort runs on the workers at ``min_wire_items=0``
-#: (search and the min-label level always run in the parent).
-SMALL = np.arange(80)[::-1].copy()
-SORTED = np.arange(80)
+#: Out-degree of the probe walk's out-neighbour table.
+DEGREE = 4
+
+
+def heads(n: int) -> np.ndarray:
+    """An ``n``-vertex out-neighbour table of degree :data:`DEGREE`."""
+    return np.arange(n * DEGREE) % n
+
+
+def walk(backend, n=20, entropy=0):
+    """The probe op: two lazy 8-step walk columns from every vertex.  A
+    walk runs on the workers at ``min_wire_items=0`` (sort, search,
+    reduce and the min-label level run in the parent)."""
+    return backend.walk(heads(n), DEGREE, 8, 2, entropy)
+
+
+#: The probe's serial endpoints.
+EXPECTED = walk(LocalBackend())
+
+#: The probe as one raw worker step: both columns on one worker.
+WALK_STEP = {
+    "op": "walk",
+    "inputs": ["heads"],
+    "outputs": ["targets"],
+    "params": {"lo": 0, "hi": 2, "degree": DEGREE, "steps": 8, "entropy": 0},
+}
 
 
 def shm_entries() -> set:
@@ -65,10 +88,9 @@ class TestWorkerDeath:
             shard_memory=64, workers=2, min_wire_items=0,
             call_timeout=30.0, heartbeat_interval=30.0,
         )
-        values = np.random.default_rng(0).permutation(5000)
-        expected = np.arange(5000)
+        expected = walk(LocalBackend(), n=5000)
         try:
-            assert np.array_equal(backend.sort(values), expected)
+            assert np.array_equal(walk(backend, n=5000), expected)
             pool = backend._ensure_pool()
             procs = [h.proc for h in pool._handles]
             victim = procs[0]
@@ -81,7 +103,7 @@ class TestWorkerDeath:
             def in_flight():
                 start = time.monotonic()
                 try:
-                    backend.sort(values + 1)
+                    walk(backend, n=5000, entropy=1)
                 except RpcError as exc:
                     failure["exc"] = exc
                 failure["elapsed"] = time.monotonic() - start
@@ -97,7 +119,7 @@ class TestWorkerDeath:
             assert pool.failed
             # The pool fails closed, then recovers on the next op via a
             # lazy restart — and the restarted fleet is correct.
-            assert np.array_equal(backend.sort(values), expected)
+            assert np.array_equal(walk(backend, n=5000), expected)
             assert backend.workers_restarted == 1
         finally:
             backend.close()
@@ -106,7 +128,7 @@ class TestWorkerDeath:
     def test_dead_worker_before_op_raises_typed(self):
         backend = RpcBackend(shard_memory=64, workers=2, min_wire_items=0)
         try:
-            backend.sort(SMALL)
+            walk(backend)
             pool = backend._ensure_pool()
             os.kill(pool._handles[1].proc.pid, signal.SIGKILL)
             assert wait_until(lambda: pool.failed)
@@ -116,14 +138,9 @@ class TestWorkerDeath:
                     [
                         None,
                         {
-                            "steps": [
-                                {"op": "sort",
-                                 "inputs": ["keys", "keys"],
-                                 "outputs": ["order", "sorted", "offset"],
-                                 "params": {"lo": None, "hi": None}},
-                            ],
-                            "arrays": {"keys": SMALL},
-                            "returns": ["sorted"],
+                            "steps": [WALK_STEP],
+                            "arrays": {"heads": heads(20)},
+                            "returns": ["targets"],
                         },
                     ]
                 )
@@ -131,8 +148,7 @@ class TestWorkerDeath:
             with pytest.raises(RpcError, match="closed"):
                 pool.barrier([None, None])
             # The backend itself recovers with a fresh pool.
-            out = backend.sort(SMALL)
-            assert np.array_equal(out, SORTED)
+            assert np.array_equal(walk(backend), EXPECTED)
             assert backend.workers_restarted == 1
         finally:
             backend.close()
@@ -146,7 +162,7 @@ class TestHeartbeat:
             heartbeat_interval=0.15, heartbeat_timeout=0.3, max_retries=0,
         )
         try:
-            backend.sort(SMALL)
+            walk(backend)
             pool = backend._ensure_pool()
             procs = [h.proc for h in pool._handles]
             victim = procs[0]
@@ -160,8 +176,7 @@ class TestHeartbeat:
             finally:
                 os.kill(victim.pid, signal.SIGCONT)
             # Recovery: the next operation restarts the pool.
-            out = backend.sort(SMALL)
-            assert np.array_equal(out, SORTED)
+            assert np.array_equal(walk(backend), EXPECTED)
             assert backend.workers_restarted == 1
         finally:
             backend.close()
@@ -173,7 +188,7 @@ class TestHeartbeat:
             heartbeat_interval=0.05, heartbeat_timeout=2.0,
         )
         try:
-            backend.sort(SMALL)
+            walk(backend)
             pool = backend._ensure_pool()
             assert wait_until(
                 lambda: backend.transport_stats()["heartbeats"] >= 2,
@@ -192,7 +207,7 @@ class TestCallTimeout:
             heartbeat_interval=60.0,
         )
         try:
-            backend.sort(SMALL)
+            walk(backend)
             pool = backend._ensure_pool()
             victims = [h.proc for h in pool._handles]
             for proc in victims:
@@ -200,7 +215,7 @@ class TestCallTimeout:
             try:
                 start = time.monotonic()
                 with pytest.raises(RpcTimeoutError, match="did not ACK"):
-                    backend.sort(SMALL)
+                    walk(backend)
                 elapsed = time.monotonic() - start
                 # One base wait + one backed-off retry, plus slack:
                 # far under a hang, comfortably over the base timeout.
@@ -220,7 +235,7 @@ class TestDuplicateAck:
         baseline = shm_entries()
         backend = RpcBackend(shard_memory=64, workers=2, min_wire_items=0)
         try:
-            backend.sort(SMALL)
+            walk(backend)
             pool = backend._ensure_pool()
             procs = [h.proc for h in pool._handles]
             # The dup_ack debug knob makes the worker repeat its ACK
@@ -229,20 +244,15 @@ class TestDuplicateAck:
             replies = pool.barrier(
                 [
                     {
-                        "steps": [
-                            {"op": "sort",
-                             "inputs": ["keys", "keys"],
-                             "outputs": ["order", "sorted", "offset"],
-                             "params": {"lo": None, "hi": None}},
-                        ],
-                        "arrays": {"keys": SMALL},
-                        "returns": ["sorted"],
+                        "steps": [WALK_STEP],
+                        "arrays": {"heads": heads(20)},
+                        "returns": ["targets"],
                         "dup_ack": True,
                     },
                     None,
                 ]
             )
-            assert np.array_equal(replies[0]["sorted"], SORTED)
+            assert np.array_equal(replies[0]["targets"], EXPECTED)
             assert wait_until(lambda: pool.failed, timeout=5.0)
             assert any(
                 "duplicate or unmatched ACK" in reason
@@ -261,8 +271,7 @@ class TestDuplicateAck:
                     ]
                 )
             # ...and the backend recovers by restarting it.
-            out = backend.sort(SMALL)
-            assert np.array_equal(out, SORTED)
+            assert np.array_equal(walk(backend), EXPECTED)
             assert backend.workers_restarted == 1
         finally:
             backend.close()
@@ -273,7 +282,7 @@ class TestLifecycleHygiene:
     def test_close_is_idempotent_and_leaves_no_sockets(self):
         baseline = shm_entries()
         backend = RpcBackend(shard_memory=64, workers=2, min_wire_items=0)
-        backend.sort(SMALL)
+        walk(backend)
         pool = backend._ensure_pool()
         procs = [h.proc for h in pool._handles]
         path = pool.socket_path
@@ -285,10 +294,9 @@ class TestLifecycleHygiene:
     def test_closed_backend_restarts_on_demand(self):
         backend = RpcBackend(shard_memory=64, workers=2, min_wire_items=0)
         try:
-            backend.sort(SMALL)
+            walk(backend)
             backend.close()
-            out = backend.sort(SMALL)
-            assert np.array_equal(out, SORTED)
+            assert np.array_equal(walk(backend), EXPECTED)
         finally:
             backend.close()
 
@@ -306,6 +314,6 @@ class TestLifecycleHygiene:
         )
         try:
             with pytest.raises(RpcTimeoutError, match="workers connected"):
-                backend.sort(SMALL)
+                walk(backend)
         finally:
             backend.close()

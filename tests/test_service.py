@@ -203,14 +203,15 @@ class TestBackendsBehindService:
         assert ServiceServer().stats()["backend"] == "local"
 
     def test_service_over_rpc_backend_matches_local(self):
-        # Exponentiation's sorts and reduces cross the wire (search and
-        # the min-label level run in the parent on every backend).
+        # The paper pipeline's walk crosses the wire (sort, search,
+        # reduce and the min-label level run in the parent on every
+        # backend).
         graph = build("dumbbell")
-        ref = reference_labels(graph, engine="exponentiation")
+        ref = reference_labels(graph, engine="paper")
         backend = RpcBackend(workers=2, min_wire_items=0)
         try:
             with ServiceServer(
-                engine="exponentiation", backend=backend, config=CONFIG,
+                engine="paper", backend=backend, config=CONFIG,
                 seed=SEED,
             ) as srv:
                 with ServiceClient(srv.address) as client:

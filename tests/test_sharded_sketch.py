@@ -543,7 +543,8 @@ try:
 
     backend._ensure_pool = worker_dies_after_the_liveness_check
     with pytest.raises(RuntimeError, match="died"):
-        backend.sort(np.random.default_rng(0).integers(0, 9, 2000))
+        # 500 vertices x 4 columns: a walk above the threshold is pooled.
+        backend.walk(np.arange(2000) % 500, 4, 8, 4, 0)
     with pytest.raises(ArenaLeaseError):
         conn.apply(EventBatch.insert([[4, 5], [5, 6], [6, 7]]))
     expected = canonical_labels(connected_components(conn.current_graph()))

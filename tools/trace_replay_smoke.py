@@ -6,12 +6,14 @@ capture backend, then replays the recorded plan stream on each replay
 backend and checks bit-identical outputs and matching exchange
 counters.  The pools replay with their size thresholds at zero
 (``ProcessBackend(workers=2, min_parallel_items=0)``,
-``RpcBackend(workers=2, min_wire_items=0)``), so every op the pools
-run (``sort`` and ``reduce_by_key``) runs on the workers.  The run
-exits 1 when a replay diverges, when a capture on a non-local backend
-makes no exchange (its exchange check would compare 0 with 0), or when
-the capture holds a pooled op and a pool replay dispatches nothing (it
-would only have run the serial kernels).
+``RpcBackend(workers=2, min_wire_items=0)``), so any plan op a pool
+ran would reach its workers.  None should: the pools run only the walk
+and sketch ingest, neither of which is a plan step, and every plan op
+(``sort``, ``search``, ``reduce_by_key``, ``min_label_exchange``, ...)
+runs in the parent.  The run exits 1 when a replay diverges, when a
+capture on a non-local backend makes no exchange (its exchange check
+would compare 0 with 0), or when a pool replay dispatches anything to
+its workers.
 
 Usage::
 
@@ -44,17 +46,12 @@ CONFIG = repro.PipelineConfig(
     delta=0.3, expander_degree=4, max_walk_length=32, oversample=4, max_phases=2
 )
 
-#: Replay pools with every op forced onto the workers: the default size
-#: thresholds would keep smoke-scale ops on the serial kernels.
+#: Replay pools with their size thresholds at zero: at the defaults a
+#: smoke-scale op would stay in the parent even if the pools ran it.
 POOLS = {
     "process": lambda: ProcessBackend(workers=2, min_parallel_items=0),
     "rpc": lambda: RpcBackend(workers=2, min_wire_items=0),
 }
-
-
-#: Plan-step ops the pools run on their workers; the other ops run in
-#: the parent on every backend.
-POOLED_OPS = {"sort", "reduce_by_key"}
 
 
 def dispatches(stats) -> int:
@@ -109,17 +106,10 @@ def main(argv: "list[str] | None" = None) -> int:
                 graph, 0.1, config=CONFIG, rng=7, mpc=engine
             )
             captured = engine.backend.stats()
-        pooled = sorted({
-            step["op"]
-            for entry in engine.trace.entries
-            for step in entry["steps"]
-            if step["op"] in POOLED_OPS
-        })
         print(
             f"captured {len(engine.trace)} plans [{args.engine}] on "
             f"{args.capture!r} -> {out} "
-            f"({result.rounds} rounds, {captured.exchanges} exchanges); "
-            f"pooled ops: {', '.join(pooled) or 'none'}"
+            f"({result.rounds} rounds, {captured.exchanges} exchanges)"
         )
         if args.capture != "local" and captured.exchanges == 0:
             failures.append(
@@ -152,8 +142,11 @@ def main(argv: "list[str] | None" = None) -> int:
                     f"replay on {name!r}: {replayed.stats.exchanges} exchanges "
                     f"vs {expected} expected"
                 )
-            if pool is not None and pooled and sent == 0:
-                failures.append(f"replay on {name!r} dispatched nothing to its workers")
+            if pool is not None and sent:
+                failures.append(
+                    f"replay on {name!r} dispatched {sent} times to its workers: "
+                    "plan ops run in the parent"
+                )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0
