@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mpc.engine import MPCEngine, ensure_engine
+from repro.mpc.kernels import stable_order
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_nonnegative_int, check_probability
 
@@ -99,14 +100,9 @@ def leader_election(
         dst = np.concatenate([v[forward], u[backward]])
         eid = np.concatenate([np.flatnonzero(forward), np.flatnonzero(backward)])
         if src.size:
-            # Uniform choice per non-leader: random priorities, keep the
-            # first occurrence of each source in priority order.
-            priority = rng.random(src.size)
-            order = np.lexsort((priority, src))
-            src_sorted = src[order]
-            first = np.ones(src_sorted.size, dtype=bool)
-            first[1:] = src_sorted[1:] != src_sorted[:-1]
-            winners = order[first]
+            # Uniform choice per non-leader: the candidate of lowest
+            # random priority.
+            winners = _winners(src, rng.random(src.size))
             leader_of[src[winners]] = dst[winners]
             chosen_edge[src[winners]] = eid[winners]
 
@@ -117,3 +113,29 @@ def leader_election(
     return LeaderElectionResult(
         is_leader=is_leader, leader_of=leader_of, chosen_edge=chosen_edge
     )
+
+
+def _winners(src: np.ndarray, priority: np.ndarray) -> np.ndarray:
+    """The position of each source's winner among its candidates: the
+    lowest ``priority``, and on a tie the first in input order; one per
+    distinct source, by ascending source.
+
+    These are the first positions per source of ``np.lexsort((priority,
+    src))``: the stable order of ``src`` keeps each source's candidates
+    in input order, so the first position that attains its group's
+    minimum breaks ties as the lexsort does.
+    """
+    order = stable_order(src)
+    ranked = src[order]
+    starts = np.empty(ranked.shape[0], dtype=bool)
+    starts[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    boundaries = np.flatnonzero(starts)
+    drawn = priority[order]
+    best = np.minimum.reduceat(drawn, boundaries)
+    group = np.cumsum(starts) - 1
+    attains = np.flatnonzero(drawn == best[group])
+    first = np.empty(attains.shape[0], dtype=bool)
+    first[0] = True
+    np.not_equal(group[attains[1:]], group[attains[:-1]], out=first[1:])
+    return order[attains[first]]

@@ -49,10 +49,12 @@ Shard layout convention
 Arrays live in *canonical layout*: the item at global position ``p``
 resides on shard ``p // s``.  Every operation consumes and produces
 canonical layout, so communication for an operation is exactly the set of
-items whose canonical position changes — measurable with one vectorised
-comparison.  One *exchange* is one all-to-all barrier (the unit the engine
-charges rounds for); ``bytes_exchanged`` sums the payload that actually
-crossed shard boundaries.
+items whose canonical position changes.  They are counted one position
+block (one shard) at a time, with no division (:func:`_crossings`), and
+the min-label level's endpoint pairs in cache-sized blocks
+(:func:`_pair_crossings`).  One *exchange* is one all-to-all barrier (the
+unit the engine charges rounds for); ``bytes_exchanged`` sums the payload
+that actually crossed shard boundaries.
 """
 
 from __future__ import annotations
@@ -216,6 +218,53 @@ def _keyed(keys, values, op: "str | None" = None):
     return keys, values
 
 
+#: Items per step of the crossing counts: a step's temporaries stay in
+#: cache and are reused, where whole-array temporaries are fresh pages.
+_COUNT_BLOCK = 1 << 15
+
+
+def _crossings(home: np.ndarray, s: int) -> int:
+    """How many items change shard: those whose ``home`` shard differs from
+    their position's, ``home[p] // s != p // s``, exactly, with no division.
+
+    Position block ``j`` is shard ``j``: its item stays iff ``home - j·s``,
+    read as ``uint64``, is below ``s``, so a negative or out-of-range
+    home crosses as it does under floor division.  A step covers whole
+    shards, about :data:`_COUNT_BLOCK` positions (one shard when ``s`` is
+    larger).
+    """
+    n = home.shape[0]
+    step = max(1, _COUNT_BLOCK // s) * s
+    width = min(step, n)
+    # Where each step position's shard starts, from the step's start.
+    first = np.arange(0, width, s, dtype=np.uint64).repeat(min(s, width))[:width]
+    offset = np.empty(width, dtype=np.uint64)
+    stays = np.empty(width, dtype=bool)
+    stayed = 0
+    for lo in range(0, n, step):
+        size = min(step, n - lo)
+        np.subtract(
+            home[lo:lo + size], first[:size], out=offset[:size],
+            dtype=np.uint64, casting="unsafe",
+        )
+        offset[:size] -= np.uint64(lo)
+        stayed += int(np.count_nonzero(
+            np.less(offset[:size], np.uint64(s), out=stays[:size])
+        ))
+    return n - stayed
+
+
+def _pair_crossings(send: np.ndarray, recv: np.ndarray, s: int) -> int:
+    """How many endpoint pairs sit on different shards, ``send // s !=
+    recv // s``, counted :data:`_COUNT_BLOCK` pairs at a time."""
+    return sum(
+        int(np.count_nonzero(
+            send[lo:lo + _COUNT_BLOCK] // s != recv[lo:lo + _COUNT_BLOCK] // s
+        ))
+        for lo in range(0, send.shape[0], _COUNT_BLOCK)
+    )
+
+
 class ExecutionBackend:
     """The MPC data plane on one machine, and the one definition of every op.
 
@@ -377,9 +426,7 @@ class ExecutionBackend:
         order = stable_order(keys)
         out = values[order]
         if shards > 1:
-            s = self._s
-            ranks = np.arange(n, dtype=np.int64)
-            moved = int(np.count_nonzero(order // s != ranks // s))
+            moved = _crossings(order, self._s)
             splitter_bytes = (shards - 1) * shards * out.itemsize
             self._exchange(shards, moved * out.itemsize + splitter_bytes)
         return out
@@ -401,10 +448,7 @@ class ExecutionBackend:
         shards = self.ensure_capacity(int(table.shape[0]) + int(queries.shape[0]))
         result = table[queries]
         if shards > 1:
-            s = self._s
-            home = queries // s
-            origin = np.arange(queries.shape[0], dtype=np.int64) // s
-            crossing = int(np.count_nonzero(home != origin))
+            crossing = _crossings(queries, self._s)
             self._exchange(
                 shards, crossing * (queries.itemsize + result.itemsize)
             )
@@ -425,9 +469,7 @@ class ExecutionBackend:
         shards = self.ensure_capacity(n)
         unique, reduced, order = _grouped_reduce(keys, values, op)
         if shards > 1 and order is not None:
-            s = self._s
-            ranks = np.arange(n, dtype=np.int64)
-            moved = int(np.count_nonzero(order // s != ranks // s))
+            moved = _crossings(order, self._s)
             partial_bytes = (shards - 1) * (keys.itemsize + values.itemsize)
             self._exchange(shards, moved * keys.itemsize + partial_bytes)
         return unique, reduced
@@ -451,8 +493,7 @@ class ExecutionBackend:
         new_labels = labels.copy()
         np.minimum.at(new_labels, recv, incoming)
         if shards > 1:
-            s = self._s
-            crossing = int(np.count_nonzero(send // s != recv // s))
+            crossing = _pair_crossings(send, recv, self._s)
             self._exchange(shards, crossing * incoming.itemsize)
         return new_labels, incoming
 

@@ -58,27 +58,23 @@ _REDUCERS = {
 # ---------------------------------------------------------------------------
 
 
-def stable_order(keys: np.ndarray) -> np.ndarray:
-    """The stable argsort of 1-D ``keys``, bit for bit, as a fresh int64
-    array that owns its data.
+def _sorted_words(keys: np.ndarray):
+    """The packed sort of :func:`stable_order`: ``(order, shift, lo)``, or
+    ``None`` where the keys do not pack.
 
-    Integer keys of 4 or 8 bytes sort as one packed ``uint64`` word per
-    key, ``(key - min) << b | position`` with ``b`` the bit length of
-    ``n - 1``.  The words are distinct, so numpy's unstable (SIMD) sort
-    orders them exactly as a stable sort orders the keys, and masking
-    the positions back out gives the permutation.  Everything else takes
-    ``np.argsort(kind="stable")``: non-integer keys, 1- and 2-byte keys
-    (numpy radix-sorts those already), ``n < 2``, and key spans whose
-    bit length plus ``b`` exceeds 64.
+    The sorted words ``(key - lo) << shift | position`` are left in
+    ``order``, a fresh int64 array that owns its data (read them through
+    ``order.view(np.uint64)``): the low ``shift`` bits of word ``r`` are
+    the position of the key of rank ``r``, and the high bits are that
+    key minus ``lo``, modulo 2⁶⁴.
     """
-    keys = np.asarray(keys)
     n = keys.shape[0]
     if keys.dtype.kind not in "iu" or keys.dtype.itemsize < 4 or n < 2:
-        return np.argsort(keys, kind="stable")
+        return None
     lo = int(keys.min())
     shift = (n - 1).bit_length()
     if (int(keys.max()) - lo).bit_length() + shift > 64:
-        return np.argsort(keys, kind="stable")
+        return None
     order = np.empty(n, dtype=np.int64)
     words = order.view(np.uint64)
     # Modulo 2⁶⁴, key - min is exact: the span fits in 64 bits.
@@ -89,6 +85,30 @@ def stable_order(keys: np.ndarray) -> np.ndarray:
     words <<= np.uint64(shift)
     words |= np.arange(n, dtype=np.uint64)
     words.sort()
+    return order, shift, lo
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """The stable argsort of 1-D ``keys``, bit for bit, as a fresh int64
+    array that owns its data.
+
+    Integer keys of 4 or 8 bytes sort as one packed ``uint64`` word per
+    key, ``(key - min) << b | position`` with ``b`` the bit length of
+    ``n - 1``.  The words are distinct, so numpy's unstable (SIMD) sort
+    orders them exactly as a stable sort orders the keys, and masking
+    the positions back out gives the permutation (``reduce_by_key``
+    reads its sorted keys out of the high bits instead of gathering
+    them).  Everything else takes ``np.argsort(kind="stable")``:
+    non-integer keys, 1- and 2-byte keys (numpy radix-sorts those
+    already), ``n < 2``, and key spans whose bit length plus ``b``
+    exceeds 64.
+    """
+    keys = np.asarray(keys)
+    packed = _sorted_words(keys)
+    if packed is None:
+        return np.argsort(keys, kind="stable")
+    order, shift, _ = packed
+    words = order.view(np.uint64)
     words &= np.uint64((1 << shift) - 1)
     return order
 
@@ -101,20 +121,41 @@ def _grouped_reduce(keys: np.ndarray, values: np.ndarray, op: str):
     ``np.unique(keys, return_index=True)`` exactly — the contraction
     dedup relies on that.  Also returns the sort permutation (``None``
     for empty input) so callers accounting for data movement don't sort
-    twice.  The backend ops check the operands (1-D keys, one per value
-    row, a known ``op``) before calling it.
+    twice.  Every returned array owns its data.  The backend ops check
+    the operands (1-D keys, one per value row, a known ``op``) before
+    calling it.
+
+    Packed keys are read out of the sorted words (:func:`_sorted_words`)
+    rather than gathered: the high bits group them, and the unique keys
+    add ``lo`` back modulo 2⁶⁴, which is exact for every integer dtype.
+    A dedup (``values is keys`` with integer keys and ``op`` ``"min"`` or
+    ``"max"``) folds each group of equal keys to that key, so its
+    reduced values are a copy of the unique keys, with no gather.
     """
-    if keys.shape[0] == 0:
+    n = keys.shape[0]
+    if n == 0:
         return keys.copy(), values.copy(), None
-    order = stable_order(keys)
-    sorted_keys = keys[order]
-    sorted_values = values[order]
-    starts = np.empty(sorted_keys.shape[0], dtype=bool)
+    packed = _sorted_words(keys)
+    if packed is None:
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+    else:
+        order, shift, lo = packed
+        words = order.view(np.uint64)
+        sorted_keys = words >> np.uint64(shift)
+        words &= np.uint64((1 << shift) - 1)
+    starts = np.empty(n, dtype=bool)
     starts[0] = True
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
     boundaries = np.flatnonzero(starts)
-    reduced = _REDUCERS[op].reduceat(sorted_values, boundaries)
-    return sorted_keys[boundaries], reduced, order
+    unique = sorted_keys[boundaries]
+    if packed is not None:
+        unique += np.uint64(lo % (1 << 64))
+        unique = unique.astype(keys.dtype, copy=False)
+    if values is keys and op != "sum" and keys.dtype.kind in "biu":
+        return unique, unique.copy(), order
+    reduced = _REDUCERS[op].reduceat(values[order], boundaries)
+    return unique, reduced, order
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import Interval
 from repro.core import leader_election
+from repro.core.leader_election import _winners
 from repro.graph import paper_random_graph
 from repro.mpc import MPCEngine
 
@@ -70,6 +73,55 @@ class TestMechanics:
         engine = MPCEngine(100)
         leader_election(2, edges, 0.5, rng=0, engine=engine)
         assert engine.rounds == 2
+
+
+def _lexsort_winners(src, priority):
+    """The reference: each source's first position in ``np.lexsort((priority,
+    src))``, its lowest priority with ties left in input order."""
+    order = np.lexsort((priority, src))
+    ranked = src[order]
+    first = np.ones(ranked.size, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    return order[first]
+
+
+class TestWinners:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_winners_match_lexsort(self, data):
+        """One stable order of the sources picks the lexsort's winners,
+        also when a source's lowest priority is tied (few priority
+        levels) and for sources too wide to pack."""
+        m = data.draw(st.integers(1, 200), label="m")
+        top = data.draw(st.sampled_from([3, 50, 2**62]), label="top")
+        src = np.array(
+            data.draw(st.lists(st.integers(0, top), min_size=m, max_size=m)),
+            dtype=np.int64,
+        )
+        levels = data.draw(st.sampled_from([1, 2, 3, 2**53]), label="levels")
+        priority = np.array(
+            data.draw(st.lists(st.integers(0, levels - 1), min_size=m, max_size=m)),
+            dtype=np.float64,
+        ) / levels
+        assert np.array_equal(_winners(src, priority), _lexsort_winners(src, priority))
+
+    def test_leader_election_keeps_lexsort_choices(self):
+        """The draws are unchanged, so the matching is the lexsort's."""
+        g = paper_random_graph(500, 12, rng=np.random.default_rng(7))
+        edges = g.simplify().edges
+        result = leader_election(500, edges, 0.2, rng=11)
+        rng = np.random.default_rng(11)
+        is_leader = rng.random(500) < 0.2
+        u, v = edges[:, 0], edges[:, 1]
+        forward = ~is_leader[u] & is_leader[v]
+        backward = is_leader[u] & ~is_leader[v]
+        src = np.concatenate([u[forward], v[backward]])
+        eid = np.concatenate([np.flatnonzero(forward), np.flatnonzero(backward)])
+        winners = _lexsort_winners(src, rng.random(src.size))
+        expected = np.full(500, -1, dtype=np.int64)
+        expected[src[winners]] = eid[winners]
+        assert np.array_equal(result.is_leader, is_leader)
+        assert np.array_equal(result.chosen_edge, expected)
 
 
 class TestEquipartition:

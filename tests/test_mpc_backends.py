@@ -218,6 +218,84 @@ class TestShardedAccounting:
         MPCEngine(64, backend=backend)
         assert backend.shard_memory == 8
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_crossing_counts_match_the_division_formulas(self, data):
+        """Every op's ``exchanges`` and ``bytes_exchanged`` equal the ``// s``
+        formulas: an item crosses iff ``home // s != position // s``
+        (``send // s != recv // s`` for a min-label pair), with negative
+        and out-of-range homes, at shard sizes around the input length."""
+        n = data.draw(st.integers(0, 120), label="n")
+        dtype = np.dtype(data.draw(
+            st.sampled_from([np.int32, np.int64, np.uint32, np.uint64]), label="dtype"
+        ))
+        s = data.draw(
+            st.sampled_from([1, 2, 3, max(1, n - 1), max(1, n), n + 1, 9912]), label="s"
+        )
+        info = np.iinfo(dtype)
+        keys = np.array(data.draw(st.lists(
+            st.integers(int(info.min), int(info.max)), min_size=n, max_size=n
+        )), dtype=dtype)
+        # A table longer than the queries, so homes run past the last
+        # query's shard, and negative indices where the dtype has them.
+        width = data.draw(st.integers(max(1, n), 3 * n + 3), label="width")
+        low = -width if dtype.kind == "i" else 0
+        homes = st.lists(st.integers(low, width - 1), min_size=n, max_size=n)
+        queries = np.array(data.draw(homes), dtype=dtype)
+        send = np.array(data.draw(homes), dtype=dtype)
+        recv = np.array(data.draw(homes), dtype=dtype)
+        values = np.arange(n, dtype=np.int64)
+        table = np.arange(width, dtype=np.int64)
+
+        def crossings(homes, positions):
+            return sum(int(h) // s != int(p) // s for h, p in zip(homes, positions))
+
+        def barrier(total, nbytes):
+            shards = max(1, -(-total // s))
+            return (1, nbytes(shards)) if shards > 1 else (0, 0)
+
+        def counted(call):
+            backend = ShardedBackend(shard_memory=s)
+            call(backend)
+            return backend.exchanges, backend.bytes_exchanged
+
+        order = np.argsort(keys, kind="stable")
+        moved = crossings(order, range(n))
+        assert counted(lambda b: b.sort(values, order_by=keys)) == barrier(
+            n, lambda shards: moved * 8 + (shards - 1) * shards * 8
+        )
+        assert counted(lambda b: b.reduce_by_key(keys, values, op="min")) == barrier(
+            n, lambda shards: moved * dtype.itemsize + (shards - 1) * (dtype.itemsize + 8)
+        )
+        assert counted(lambda b: b.search(table, queries)) == barrier(
+            width + n, lambda _: crossings(queries, range(n)) * (dtype.itemsize + 8)
+        )
+        assert counted(lambda b: b.min_label_exchange(table, send, recv)) == barrier(
+            width + n, lambda _: crossings(send, recv) * 8
+        )
+
+    @pytest.mark.parametrize("s", [1, 3, 9912, 32767, 32768, 32769, 70001])
+    def test_crossing_counts_over_many_blocks(self, s):
+        """The same formulas where the counts take many blocks of
+        positions and pairs, with negative and out-of-range homes."""
+        n = 150_000
+        homes = _rng(12).integers(-n, 2 * n, size=(3, n))
+        positions = np.arange(n)
+        backend = ShardedBackend(shard_memory=s)
+        backend.search(np.arange(2 * n), homes[0])
+        crossing = int(np.count_nonzero(homes[0] // s != positions // s))
+        assert backend.bytes_exchanged == crossing * 16
+        backend.reset()
+        keys = homes[1]
+        backend.sort(keys)
+        moved = int(np.count_nonzero(np.argsort(keys, kind="stable") // s != positions // s))
+        shards = -(-n // s)
+        assert backend.bytes_exchanged == moved * 8 + (shards - 1) * shards * 8
+        backend.reset()
+        backend.min_label_exchange(np.arange(2 * n), homes[1], homes[2])
+        crossing = int(np.count_nonzero(homes[1] // s != homes[2] // s))
+        assert backend.bytes_exchanged == crossing * 8
+
 
 class TestCapEnforcement:
     """The property the model demands: input exceeding ``max_shards × s``

@@ -1,17 +1,21 @@
-"""``stable_order``: the stable argsort every sort in the stack runs.
+"""``stable_order``: the stable argsort every sort in the stack runs, and
+``_grouped_reduce``, the fold every ``reduce_by_key`` runs on it.
 
 Integer keys of 4 or 8 bytes sort as packed ``(key - min) << b |
 position`` words; every other input takes ``np.argsort(kind="stable")``.
 Either way the permutation must be the stable argsort's, bit for bit,
 as a fresh C-contiguous int64 array that owns its data (the CSR build
-hands it out as ``Graph.halfedges``).
+hands it out as ``Graph.halfedges``).  ``_grouped_reduce`` reads packed
+keys back out of the sorted words and folds a dedup (``values is keys``)
+without a gather; its output must still be the argsort-and-``reduceat``
+reference's.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.mpc.kernels import stable_order
+from repro.mpc.kernels import _grouped_reduce, stable_order
 
 DTYPES = [
     np.int8, np.int16, np.int32, np.int64,
@@ -85,3 +89,68 @@ def test_stable_order_is_the_stable_argsort(keys):
     assert got.flags.c_contiguous
     assert got.base is None
     assert np.array_equal(got, np.argsort(keys, kind="stable"))
+
+
+REDUCERS = {"min": np.minimum, "max": np.maximum, "sum": np.add}
+
+
+def _reference_reduce(keys, values, ufunc):
+    """The stable argsort, then ``ufunc.reduceat`` at each run of equal
+    keys: ``(unique, reduced, order)``."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.ones(keys.shape[0], dtype=bool)
+    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    boundaries = np.flatnonzero(starts)
+    return sorted_keys[boundaries], ufunc.reduceat(values[order], boundaries), order
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(
+    keys=key_arrays(),
+    op=st.sampled_from(sorted(REDUCERS)),
+    values_kind=st.sampled_from(["keys", "copy", "independent", "rows"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(
+    keys=np.array([2**63 + 9, 2**63, 2**63 + 9, 2**63 + 1], dtype=np.uint64),
+    op="min", values_kind="keys", seed=0,
+)
+@example(keys=np.array([0.0, -0.0, 0.0, -0.0]), op="min", values_kind="keys", seed=0)
+@example(keys=np.array([-5, 7, -5, 7, 0], dtype=np.int32), op="max", values_kind="keys", seed=0)
+@example(keys=np.empty(0, dtype=np.int64), op="min", values_kind="keys", seed=0)
+def test_grouped_reduce_matches_the_reference(keys, op, values_kind, seed):
+    """Unique keys, folds and order equal the reference for every key
+    dtype, for a dedup (``values is keys``), an equal copy, independent
+    values and 2-D value rows; every output owns its data."""
+    rng = np.random.default_rng(seed)
+    n = keys.shape[0]
+    values = {
+        "keys": keys,
+        "copy": keys.copy(),
+        "independent": rng.integers(-(2**40), 2**40, size=n),
+        "rows": rng.integers(-(2**40), 2**40, size=(n, 3)),
+    }[values_kind]
+    unique, reduced, order = _grouped_reduce(keys, values, op)
+    if n == 0:
+        assert order is None
+        expected = keys, values
+    else:
+        expected_unique, expected_reduced, expected_order = _reference_reduce(
+            keys, values, REDUCERS[op]
+        )
+        assert np.array_equal(order, expected_order)
+        assert order.flags.owndata
+        expected = expected_unique, expected_reduced
+    for got, want in zip((unique, reduced), expected):
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        if got.dtype.hasobject:
+            assert got.tolist() == want.tolist()
+        else:
+            # Bit for bit, signed zeros and NaN payloads included.
+            assert got.tobytes() == want.tobytes()
+        assert got.flags.owndata
+    assert unique is not reduced
